@@ -10,6 +10,8 @@
 //! scheme: uncommitted data never reaches the log, so recovery is a pure
 //! redo scan.
 
+use perseas_sci::crc32::checksum_parts as crc32;
+
 /// Magic opening an update record.
 pub const RECORD_MAGIC: u32 = 0x5741_4C52; // "WALR"
 
@@ -21,20 +23,6 @@ pub const RECORD_HEADER: usize = 36;
 
 /// Size of a commit record.
 pub const COMMIT_SIZE: usize = 16;
-
-fn crc32(parts: &[&[u8]]) -> u32 {
-    let mut crc = !0u32;
-    for part in parts {
-        for &b in *part {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    }
-    !crc
-}
 
 fn get_u32(buf: &[u8], off: usize) -> Option<u32> {
     buf.get(off..off + 4)

@@ -809,11 +809,11 @@ impl<M: RemoteMemory> Perseas<M> {
             len: len as u64,
         };
         let total = rec.encoded_len();
-        let payload = self.regions[ri][offset..offset + len].to_vec();
+        let payload = &self.regions[ri][offset..offset + len];
         let txn = self.conc.txns.get_mut(&id).expect("claim holder open");
         let at = txn.undo.len();
         txn.undo.resize(at + total, 0);
-        rec.encode_into(&mut txn.undo, at, &payload);
+        rec.encode_into(&mut txn.undo, at, payload);
         txn.declared.push((ri, offset, len));
         self.cfg.mem_cost.charge_memcpy(&self.clock, total);
         self.stats.add_local_copy(len);

@@ -427,19 +427,7 @@ pub fn decode_group_header(undo: &[u8]) -> Option<u64> {
 }
 
 /// Computes the IEEE CRC-32 of `parts` concatenated.
-pub fn crc32(parts: &[&[u8]]) -> u32 {
-    let mut crc = !0u32;
-    for part in parts {
-        for &b in *part {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    }
-    !crc
-}
+pub use perseas_sci::crc32::checksum_parts as crc32;
 
 fn get_u64(buf: &[u8], off: usize) -> Option<u64> {
     buf.get(off..off + 8)

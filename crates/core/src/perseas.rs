@@ -387,8 +387,8 @@ impl<M: RemoteMemory> Perseas<M> {
         // Copy the before-image into the local undo log (copy 1 of the
         // paper's Figure 3).
         let shadow_off = self.undo_off;
-        let payload = self.regions[ri][offset..offset + len].to_vec();
-        rec.encode_into(&mut self.undo_shadow, shadow_off, &payload);
+        let payload = &self.regions[ri][offset..offset + len];
+        rec.encode_into(&mut self.undo_shadow, shadow_off, payload);
         self.cfg.mem_cost.charge_memcpy(&self.clock, total);
         self.stats.add_local_copy(len);
 
@@ -495,8 +495,8 @@ impl<M: RemoteMemory> Perseas<M> {
                 offset: offset as u64,
                 len: len as u64,
             };
-            let payload = self.regions[ri][offset..offset + len].to_vec();
-            rec.encode_into(&mut self.undo_shadow, at, &payload);
+            let payload = &self.regions[ri][offset..offset + len];
+            rec.encode_into(&mut self.undo_shadow, at, payload);
             self.cfg
                 .mem_cost
                 .charge_memcpy(&self.clock, rec.encoded_len());

@@ -1,0 +1,285 @@
+//! Format-pinning golden test.
+//!
+//! `GOLDEN` holds bytes produced by the encoders and the engine as they
+//! stood before the CRC-32 implementation was replaced (generated at
+//! commit a89fb7c, bit-at-a-time CRC). Today's encoders must reproduce
+//! them byte for byte, today's decoders must accept them, and a mirror
+//! written by that binary must recover under this one. A failure here
+//! means a durable or wire format changed: that needs a version bump and
+//! a migration story, never a regenerated table.
+
+use perseas_core::{
+    decode_decision_slot, decode_group_header, decode_intent_slot, decode_redo_dir_header,
+    encode_decision_slot, encode_group_header, encode_intent_slot, encode_redo_dir_header,
+    FaultPlan, Perseas, PerseasConfig, RedoRecord, RegionId, TxnError, UndoRecord,
+};
+use perseas_rnram::protocol::{encode_write_v, frame_bytes, read_frame, Request};
+use perseas_rnram::SimRemote;
+use perseas_sci::{NodeMemory, SciParams};
+use perseas_simtime::SimClock;
+
+const GOLDEN: &str = "\
+undo_record 00000000004f444e5508070605040302010300000022110000000000000d00000000000000e283ce996265666f72652d696d6167652100000000000000000000
+redo_record 00000000004f44455218171615141312110200000044330000000000000c000000000000002f7bbca661667465722d696d616765210000000000000000000000
+redo_head 4f44455218171615141312110200000044330000000000000c000000000000002f7bbca6
+group_header 505552473412000000000000de0593b8
+intent_slot 31544e587ea8f7420700000000000000efcdab00000000000200000000000000
+decision_slot 314e4344c2f7c3e1efcdab0000000000
+redo_dir_header 314f44524a62222c000010000c000000
+write_v_frame 6f0000000b07000000000000000a020000000000000001000000000000004000000000000000050000000000000068656c6c6f020000000000000000100000000000002800000000000000a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a51193cd6f
+mirror_undo.1 5045525345415331 96 010041535544454d0100000001000000020000000000000000010000000000000100000000000000000000000000000000000000000000000200000000000000030000000000000040
+mirror_undo.2 0 256 4f444e5503000000000000000000000004000000000000001000000000000000d5eda3cbaaaaaaaa08090a0b0c0d0e0f101112130000000000000000200000000000000008000000000000004312ab582021222324252627
+mirror_undo.3 0 64 aaaaaaaaccccccccccccccccccccccccccccccccdddddddddddddddddddd1e1fbbbbbbbbbbbbbbbb28292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f
+mirror_batched.1 5045525345415331 96 010041535544454d0100000001000000020000000000000000010000000000000100000000000000000000000000000000000000000000000200000000000000030000000000000040
+mirror_batched.2 0 256 4f444e5503000000000000000000000004000000000000001000000000000000d5eda3cbaaaaaaaa08090a0b0c0d0e0f101112130000000000000000200000000000000008000000000000004312ab582021222324252627
+mirror_batched.3 0 64 aaaaaaaaccccccccccccccccccccccccccccccccdddddddddddddddddddd1e1fbbbbbbbbbbbbbbbb28292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f
+mirror_redo.1 5045525345415331 208 010041535544454d010000000100000002000000000000000001000000000000010000000000000004000000000000000000000000000000020000000000000003000000000000004000000000000000000000000000000000000000000000000400000000000000010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000ba000000000000000000000000000000314f44528a43374c0001000004
+mirror_redo.2 0 256 -
+mirror_redo.3 0 64 000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f
+mirror_redo.4 0 256 4f4445520100000000000000000000000000000000000000080000000000000034a9e98daaaaaaaaaaaaaaaa4f44455201000000000000000000000020000000000000000800000000000000d264a55bbbbbbbbbbbbbbbbb4f44455202000000000000000000000014000000000000000a00000000000000536579a4dddddddddddddddddddd4f4445520300000000000000000000000400000000000000100000000000000062fa4c27cccccccccccccccccccccccccccccccc
+";
+
+const UNDO: UndoRecord = UndoRecord {
+    txn_id: 0x0102_0304_0506_0708,
+    region: 3,
+    offset: 0x1122,
+    len: 13,
+};
+const UNDO_PAYLOAD: &[u8] = b"before-image!";
+const REDO: RedoRecord = RedoRecord {
+    txn_id: 0x1112_1314_1516_1718,
+    region: 2,
+    offset: 0x3344,
+    len: 12,
+};
+const REDO_PAYLOAD: &[u8] = b"after-image!";
+/// Records are encoded at this offset of a zeroed 64-byte buffer.
+const RECORD_AT: usize = 5;
+const WRITE_V: [(u64, u64, &[u8]); 2] = [(1, 64, b"hello"), (2, 4096, &[0xA5; 40])];
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
+}
+
+/// The bytes golden line `name` holds.
+fn golden(name: &str) -> Vec<u8> {
+    let line = GOLDEN
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no golden line {name}"));
+    unhex(line)
+}
+
+/// Every encoder-level artefact, as `name hex` lines.
+fn encoded_artefacts() -> Vec<String> {
+    let mut undo = [0u8; 64];
+    UNDO.encode_into(&mut undo, RECORD_AT, UNDO_PAYLOAD);
+    let mut redo = [0u8; 64];
+    REDO.encode_into(&mut redo, RECORD_AT, REDO_PAYLOAD);
+    vec![
+        format!("undo_record {}", hex(&undo)),
+        format!("redo_record {}", hex(&redo)),
+        format!("redo_head {}", hex(&REDO.encode_head(REDO_PAYLOAD))),
+        format!("group_header {}", hex(&encode_group_header(0x1234))),
+        format!("intent_slot {}", hex(&encode_intent_slot(7, 0xAB_CDEF, 2))),
+        format!("decision_slot {}", hex(&encode_decision_slot(0xAB_CDEF))),
+        format!(
+            "redo_dir_header {}",
+            hex(&encode_redo_dir_header(1 << 20, 12))
+        ),
+        format!(
+            "write_v_frame {}",
+            hex(&frame_bytes(&encode_write_v(Some(7), &WRITE_V)))
+        ),
+    ]
+}
+
+/// The three engine configurations whose mirrors are pinned: the name
+/// their golden lines carry, and how many protocol steps of the third
+/// transaction's remote traffic complete before the primary dies. Undo:
+/// before-images and new data are on the mirror, the commit record is
+/// not. Redo: the record is in the log and under the tail, the commit
+/// record does not cover it.
+fn mirror_configs() -> [(&'static str, PerseasConfig, u64); 3] {
+    let small = PerseasConfig::new()
+        .with_max_regions(2)
+        .with_initial_undo_capacity(256);
+    [
+        ("mirror_undo", small, 2),
+        ("mirror_batched", small.with_batched_commit(true), 2),
+        (
+            "mirror_redo",
+            small.with_redo(true).with_redo_log(256, 4),
+            1,
+        ),
+    ]
+}
+
+const REGION_LEN: usize = 64;
+
+fn initial_image() -> Vec<u8> {
+    (0..REGION_LEN).map(|i| i as u8).collect()
+}
+
+/// What recovery must yield: transactions 1 and 2 applied, 3 gone.
+fn committed_image() -> Vec<u8> {
+    let mut v = initial_image();
+    v[0..8].fill(0xAA);
+    v[32..40].fill(0xBB);
+    v[20..30].fill(0xDD);
+    v
+}
+
+/// Two committed transactions, then a third that dies `steps` remote
+/// operations in; returns the mirror the dead primary leaves behind.
+fn build_mirror(cfg: PerseasConfig, steps: u64) -> NodeMemory {
+    let backend = SimRemote::new("golden");
+    let node = backend.node().clone();
+    let mut db = Perseas::init(vec![backend], cfg).unwrap();
+    let r = db.malloc(REGION_LEN).unwrap();
+    db.write(r, 0, &initial_image()).unwrap();
+    db.init_remote_db().unwrap();
+
+    db.begin_transaction().unwrap();
+    db.set_range(r, 0, 8).unwrap();
+    db.write(r, 0, &[0xAA; 8]).unwrap();
+    db.set_range(r, 32, 8).unwrap();
+    db.write(r, 32, &[0xBB; 8]).unwrap();
+    db.commit_transaction().unwrap();
+
+    db.begin_transaction().unwrap();
+    db.set_range(r, 20, 10).unwrap();
+    db.write(r, 20, &[0xDD; 10]).unwrap();
+    db.commit_transaction().unwrap();
+
+    db.set_fault_plan(FaultPlan::crash_after(steps));
+    let died = (|| {
+        db.begin_transaction()?;
+        db.set_range(r, 4, 16)?;
+        db.write(r, 4, &[0xCC; 16])?;
+        db.commit_transaction()
+    })();
+    assert_eq!(died, Err(TxnError::Crashed));
+    node
+}
+
+/// One `name.id tag len hex` line per segment, trailing zeros trimmed
+/// (`-` for a segment of zeros).
+fn dump_mirror(name: &str, node: &NodeMemory) -> Vec<String> {
+    let mut lines = Vec::new();
+    for info in node.list_segments().unwrap() {
+        let mut data = vec![0u8; info.len];
+        node.read(info.id, 0, &mut data).unwrap();
+        let used = data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
+        let data = if used == 0 {
+            "-".into()
+        } else {
+            hex(&data[..used])
+        };
+        lines.push(format!(
+            "{name}.{} {:x} {} {data}",
+            info.id.as_raw(),
+            info.tag,
+            info.len
+        ));
+    }
+    lines
+}
+
+/// Rebuilds the mirror the golden lines of `name` describe.
+fn load_mirror(name: &str) -> NodeMemory {
+    let node = NodeMemory::new("golden");
+    let prefix = format!("{name}.");
+    for line in GOLDEN.lines().filter(|l| l.starts_with(&prefix)) {
+        let fields: Vec<&str> = line[prefix.len()..].split(' ').collect();
+        let [id, tag, len, data] = fields[..] else {
+            panic!("malformed mirror line {line}");
+        };
+        let seg = node
+            .export_segment(len.parse().unwrap(), u64::from_str_radix(tag, 16).unwrap())
+            .unwrap();
+        // The metadata names segments by id, so ids must come out as the
+        // old binary assigned them.
+        assert_eq!(seg.as_raw().to_string(), id, "segment order in {name}");
+        if data != "-" {
+            node.write(seg, 0, &unhex(data)).unwrap();
+        }
+    }
+    node
+}
+
+#[test]
+fn encoders_reproduce_the_golden_bytes() {
+    let mut lines = encoded_artefacts();
+    for (name, cfg, steps) in mirror_configs() {
+        lines.extend(dump_mirror(name, &build_mirror(cfg, steps)));
+    }
+    let golden: Vec<&str> = GOLDEN.lines().collect();
+    for (got, want) in lines.iter().zip(&golden) {
+        assert_eq!(got, want, "a durable or wire format changed");
+    }
+    assert_eq!(lines.len(), golden.len());
+}
+
+#[test]
+fn decoders_accept_the_golden_bytes() {
+    let (rec, payload) = UndoRecord::decode_at(&golden("undo_record"), RECORD_AT).unwrap();
+    assert_eq!(rec, UNDO);
+    assert_eq!(&golden("undo_record")[payload], UNDO_PAYLOAD);
+
+    let (rec, payload) = RedoRecord::decode_at(&golden("redo_record"), RECORD_AT).unwrap();
+    assert_eq!(rec, REDO);
+    assert_eq!(&golden("redo_record")[payload], REDO_PAYLOAD);
+    let mut split = golden("redo_head");
+    split.extend_from_slice(REDO_PAYLOAD);
+    assert_eq!(RedoRecord::decode_at(&split, 0).unwrap().0, REDO);
+
+    assert_eq!(decode_group_header(&golden("group_header")), Some(0x1234));
+    assert_eq!(
+        decode_intent_slot(&golden("intent_slot"), 0),
+        Some((7, 0xAB_CDEF, 2))
+    );
+    assert_eq!(
+        decode_decision_slot(&golden("decision_slot"), 0),
+        Some(0xAB_CDEF)
+    );
+    assert_eq!(
+        decode_redo_dir_header(&golden("redo_dir_header"), 0),
+        Some((1 << 20, 12))
+    );
+
+    let body = read_frame(&mut golden("write_v_frame").as_slice()).unwrap();
+    let want = Request::Seq {
+        seq: 7,
+        inner: Box::new(Request::WriteV {
+            ranges: WRITE_V
+                .iter()
+                .map(|&(s, o, d)| (s, o, d.to_vec()))
+                .collect(),
+        }),
+    };
+    assert_eq!(Request::decode(&body).unwrap(), want);
+}
+
+#[test]
+fn a_mirror_written_by_the_old_binary_recovers() {
+    for (name, cfg, _) in mirror_configs() {
+        let node = load_mirror(name);
+        let backend = SimRemote::with_parts(SimClock::new(), node, SciParams::dolphin_1998());
+        let (db, report) = Perseas::recover(backend, cfg)
+            .unwrap_or_else(|e| panic!("{name}: recovery refused the old mirror: {e}"));
+        assert_eq!(
+            db.region_snapshot(RegionId::from_raw(0)).unwrap(),
+            committed_image(),
+            "{name}"
+        );
+        assert_eq!(report.last_committed, 2, "{name}");
+    }
+}

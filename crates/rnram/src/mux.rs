@@ -388,6 +388,15 @@ impl MuxSession {
         self.guard().peer
     }
 
+    /// Whether the shared socket's peer has hung up (see
+    /// [`crate::tcp::peer_hung_up`]); if so the mux is marked dead, so the
+    /// next [`SessionMux::shared`] dials a fresh one.
+    pub(crate) fn hung_up(&self) -> bool {
+        let mut g = self.guard();
+        g.dead = g.dead || crate::tcp::peer_hung_up(&g.stream);
+        g.dead
+    }
+
     /// Sends a liveness probe through this session.
     ///
     /// # Errors
@@ -606,6 +615,13 @@ impl AnyRemote {
     /// Whether this handle rides a shared multiplexed socket.
     pub fn is_mux(&self) -> bool {
         matches!(self, AnyRemote::Mux(_))
+    }
+
+    pub(crate) fn hung_up(&self) -> bool {
+        match self {
+            AnyRemote::Tcp(c) => c.hung_up(),
+            AnyRemote::Mux(c) => c.hung_up(),
+        }
     }
 
     /// Fetches the server's node name over the wire (and caches it as

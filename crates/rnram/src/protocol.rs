@@ -10,7 +10,7 @@
 //!
 //! All integers are little-endian. The CRC is the IEEE 802.3 CRC-32.
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use crate::RnError;
 
@@ -176,17 +176,7 @@ const RE_OVERLOADED: u8 = 135;
 const RE_DATA_V: u8 = 136;
 
 /// Computes the IEEE CRC-32 of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+pub use perseas_sci::crc32::checksum as crc32;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -626,16 +616,27 @@ impl Response {
     }
 }
 
-/// Writes one frame (length prefix + body + CRC).
+/// Writes one frame (length prefix + body + CRC) as one gathered write,
+/// without copying the body: on a `TCP_NODELAY` socket every write call
+/// is a segment and a wake-up of the peer, so the three parts must not be
+/// three calls. Short writes are continued where they stopped.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> Result<(), RnError> {
-    let len = body.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
-    w.write_all(&crc32(body).to_le_bytes())?;
+    let len = (body.len() as u32).to_le_bytes();
+    let crc = crc32(body).to_le_bytes();
+    let mut parts = [IoSlice::new(&len), IoSlice::new(body), IoSlice::new(&crc)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -651,7 +652,8 @@ pub fn frame_bytes(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reads one frame, verifying length bounds and CRC.
+/// Reads one frame, verifying length bounds and CRC: one read for the
+/// length prefix, one for body and CRC together when the bytes are there.
 ///
 /// # Errors
 ///
@@ -664,11 +666,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, RnError> {
     if len > MAX_FRAME {
         return Err(RnError::Protocol(format!("frame of {len} bytes too large")));
     }
-    let mut body = vec![0u8; len];
+    let mut body = vec![0u8; len + 4];
     r.read_exact(&mut body)?;
-    let mut crc_buf = [0u8; 4];
-    r.read_exact(&mut crc_buf)?;
-    if u32::from_le_bytes(crc_buf) != crc32(&body) {
+    let crc = u32::from_le_bytes(body[len..].try_into().expect("4-byte tail"));
+    body.truncate(len);
+    if crc != crc32(&body) {
         return Err(RnError::Protocol("CRC mismatch".into()));
     }
     Ok(body)
@@ -1118,6 +1120,90 @@ mod tests {
             read_frame(&mut bad.as_slice()),
             Err(RnError::Protocol(_))
         ));
+    }
+
+    /// A reader or writer that counts calls, moves at most `max` bytes per
+    /// call and, if asked, fails its first call with `Interrupted`.
+    struct Metered<T> {
+        inner: T,
+        calls: usize,
+        max: usize,
+        interrupt_first: bool,
+    }
+
+    impl<T> Metered<T> {
+        fn new(inner: T, max: usize, interrupt_first: bool) -> Self {
+            Metered {
+                inner,
+                calls: 0,
+                max,
+                interrupt_first,
+            }
+        }
+
+        fn enter(&mut self) -> std::io::Result<()> {
+            self.calls += 1;
+            if std::mem::take(&mut self.interrupt_first) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            Ok(())
+        }
+    }
+
+    /// Gathers like a socket does: one call takes from as many parts as
+    /// `max` allows.
+    impl Write for Metered<Vec<u8>> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.enter()?;
+            let before = self.inner.len();
+            for buf in bufs {
+                let room = self.max - (self.inner.len() - before);
+                self.inner.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.inner.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Metered<&[u8]> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.enter()?;
+            let n = buf.len().min(self.max);
+            self.inner.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_at_most_two_reads() {
+        for len in [10, 100 << 10] {
+            let body = vec![0x5A; len];
+            let mut w = Metered::new(Vec::new(), usize::MAX, false);
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.calls, 1, "{len}-byte body");
+            assert_eq!(w.inner, frame_bytes(&body));
+
+            let mut r = Metered::new(w.inner.as_slice(), usize::MAX, false);
+            assert_eq!(read_frame(&mut r).unwrap(), body);
+            assert!(r.calls <= 2, "{len}-byte body took {} reads", r.calls);
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_io_still_round_trips() {
+        let body: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        let mut w = Metered::new(Vec::new(), 1, true);
+        write_frame(&mut w, &body).unwrap();
+        assert_eq!(w.inner, frame_bytes(&body));
+        let mut r = Metered::new(w.inner.as_slice(), 1, true);
+        assert_eq!(read_frame(&mut r).unwrap(), body);
+        assert_eq!(r.calls, 1 + w.inner.len());
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //! leave re-dialing to the next operation, so the caller (the mirror
 //! fault-fencing layer) decides what the lost window means.
 //!
+//! The converse case is kept transparent: a connection that died while
+//! *idle* lost nothing. A frame is one `write`, which the local socket
+//! accepts even after the peer has closed, so before a posted write opens
+//! a new window the wrapper asks the socket (without blocking) whether the
+//! peer has hung up, and re-dials first if so — otherwise that write would
+//! be reported at the next barrier as a lost window.
+//!
 //! Attempts are paced by a [`BackoffPolicy`]: exponential delays with
 //! deterministic jitter, so a briefly-rebooting server is not hammered by
 //! a tight re-dial loop. Tests pace against a [`SimClock`]
@@ -210,6 +217,20 @@ impl ReconnectingRemote {
         }
     }
 
+    /// Called before a posted write: an idle connection whose peer hung up
+    /// in the meantime is dropped here, so the write goes out on a fresh
+    /// dial. Posted onto the dead socket it would be accepted locally and
+    /// the barrier would report a lost window, although nothing was in
+    /// flight when the connection died.
+    fn drop_if_hung_up(&mut self) {
+        let posts = self.mux || self.pipeline.is_some();
+        if let Some(conn) = self.inner.as_ref() {
+            if posts && conn.in_flight() == 0 && conn.hung_up() {
+                self.inner = None;
+            }
+        }
+    }
+
     fn with_conn<T>(
         &mut self,
         mut op: impl FnMut(&mut AnyRemote) -> Result<T, RnError>,
@@ -262,6 +283,7 @@ impl RemoteMemory for ReconnectingRemote {
     }
 
     fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
+        self.drop_if_hung_up();
         self.with_conn(|c| c.remote_write(seg, offset, data))
     }
 
@@ -269,6 +291,7 @@ impl RemoteMemory for ReconnectingRemote {
         // Safe to retry for the same reason single writes are: every range
         // lands at an absolute offset, so re-sending a possibly-delivered
         // batch is idempotent.
+        self.drop_if_hung_up();
         self.with_conn(|c| c.remote_write_v(writes))
     }
 
@@ -449,6 +472,31 @@ mod tests {
         r.remote_write(seg.id, 8, &[2; 8]).unwrap();
         assert!(r.in_flight() > 0, "re-dialed connection posts writes");
         r.flush().unwrap();
+        server2.shutdown();
+    }
+
+    #[test]
+    fn a_post_onto_an_idle_dead_connection_redials_first() {
+        let server = Server::bind("idle", "127.0.0.1:0").unwrap().start();
+        let node = server.node().clone();
+        let addr = server.addr();
+        let mut r = ReconnectingRemote::connect(addr, 5)
+            .unwrap()
+            .with_pipeline(PipelineConfig::default());
+        let seg = r.remote_malloc(16, 1).unwrap();
+        r.remote_write(seg.id, 0, &[1; 8]).unwrap();
+        r.flush().unwrap();
+
+        server.shutdown();
+        let server2 = Server::with_node(node.clone(), addr).unwrap().start();
+
+        // The first operation after the restart is a posted write: the
+        // old socket would take it, and only the barrier would find out.
+        r.remote_write(seg.id, 8, &[2; 8]).unwrap();
+        r.flush().unwrap();
+        let mut got = [0u8; 16];
+        node.read(seg.id, 0, &mut got).unwrap();
+        assert_eq!(got, [1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2]);
         server2.shutdown();
     }
 

@@ -259,6 +259,7 @@ impl Server {
                 admission: self.admission,
                 inflight: 0,
                 queued: 0,
+                scratch: vec![0; 64 * 1024],
             },
         };
         let thread = thread::spawn(move || ev.run());
@@ -371,6 +372,8 @@ struct Ctx {
     inflight: usize,
     /// `Entry::Waiting` requests across all connections.
     queued: usize,
+    /// Where `read` lands before the bytes join a connection's buffer.
+    scratch: Vec<u8>,
 }
 
 impl Ctx {
@@ -634,14 +637,13 @@ impl EventLoop {
 
 /// Drains the socket's receive buffer and parses complete frames.
 fn read_ready(conn: &mut Conn, ctx: &mut Ctx) {
-    let mut tmp = [0u8; 64 * 1024];
     loop {
-        match conn.stream.read(&mut tmp) {
+        match conn.stream.read(&mut ctx.scratch) {
             Ok(0) => {
                 conn.eof = true;
                 break;
             }
-            Ok(n) => conn.rbuf.extend_from_slice(&tmp[..n]),
+            Ok(n) => conn.rbuf.extend_from_slice(&ctx.scratch[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
@@ -658,8 +660,11 @@ fn read_ready(conn: &mut Conn, ctx: &mut Ctx) {
 /// the same length and CRC rules as [`read_frame`]: a violation kills this
 /// connection (and only this connection).
 fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
+    // The buffer steps out of the connection while frames are cut from
+    // it, so each body is checked and decoded where it lies.
+    let rbuf = std::mem::take(&mut conn.rbuf);
     while !conn.dead && !ctx.stop.load(Ordering::SeqCst) {
-        let buf = &conn.rbuf[conn.rpos..];
+        let buf = &rbuf[conn.rpos..];
         if buf.len() < 4 {
             break;
         }
@@ -672,9 +677,9 @@ fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
         if buf.len() < len + 8 {
             break;
         }
-        let body = buf[4..4 + len].to_vec();
+        let body = &buf[4..4 + len];
         let crc = u32::from_le_bytes(buf[4 + len..len + 8].try_into().expect("4-byte slice"));
-        if crc != crc32(&body) {
+        if crc != crc32(body) {
             conn.dead = true;
             conn.errored = true;
             break;
@@ -682,6 +687,7 @@ fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
         conn.rpos += len + 8;
         ingest(conn, body, ctx);
     }
+    conn.rbuf = rbuf;
     if conn.rpos > 0 && (conn.rpos >= conn.rbuf.len() || conn.rpos > 64 * 1024) {
         conn.rbuf.drain(..conn.rpos);
         conn.rpos = 0;
@@ -692,12 +698,12 @@ fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
 /// free and nothing earlier is parked, park it if the queue has room, else
 /// refuse it. Every path enqueues exactly one entry at receipt position,
 /// so responses stay in request order.
-fn ingest(conn: &mut Conn, body: Vec<u8>, ctx: &mut Ctx) {
+fn ingest(conn: &mut Conn, body: &[u8], ctx: &mut Ctx) {
     let received = Instant::now();
     if let Some(m) = ctx.metrics.as_deref() {
         m.bytes_in.add(body.len() as u64);
     }
-    let entry = match Request::decode(&body) {
+    let entry = match Request::decode(body) {
         Err(e) => ready_response(Response::Err(e.to_string()), "decode_error", received, ctx),
         Ok(req) => {
             let op = op_name(&req);
@@ -1234,8 +1240,11 @@ mod tests {
         let body = read_frame(&mut s).unwrap();
         assert!(matches!(Response::decode(&body).unwrap(), Response::Ok));
         // The fixed post-shutdown window: a later request is never served.
-        write_frame(&mut s, &Request::Ping.encode()).unwrap();
-        assert!(read_frame(&mut s).is_err(), "served a request after stop");
+        // Either the server has already closed the socket and the write
+        // itself is refused, or the request goes out and no answer comes.
+        let refused =
+            write_frame(&mut s, &Request::Ping.encode()).is_err() || read_frame(&mut s).is_err();
+        assert!(refused, "served a request after stop");
         server.shutdown();
     }
 

@@ -180,6 +180,11 @@ impl TcpRemote {
         self.peer
     }
 
+    /// See [`peer_hung_up`].
+    pub(crate) fn hung_up(&self) -> bool {
+        peer_hung_up(&self.stream)
+    }
+
     /// Sends a liveness probe.
     ///
     /// # Errors
@@ -355,6 +360,23 @@ impl TcpRemote {
 
 fn unexpected(resp: Response) -> RnError {
     RnError::Protocol(format!("unexpected response: {resp:?}"))
+}
+
+/// Whether the peer has closed or reset `stream`, asked without blocking.
+/// A frame is one `write`, and the local socket accepts a write to a
+/// peer that has already hung up, so a posted write cannot find this out
+/// by itself; [`crate::ReconnectingRemote`] asks before it opens a new
+/// window on an idle connection.
+pub(crate) fn peer_hung_up(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let verdict = match stream.peek(&mut [0u8; 1]) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+    };
+    stream.set_nonblocking(false).is_err() || verdict
 }
 
 /// Validates a [`Response::DataV`] against the ranges that were requested:

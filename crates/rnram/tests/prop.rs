@@ -26,7 +26,7 @@ mod wire {
             use std::io::Write;
             // Frame: length prefix + body + crc over body.
             let len = (bytes.len() as u32).to_le_bytes();
-            let crc = crc32(&bytes).to_le_bytes();
+            let crc = bitwise_crc32(&bytes).to_le_bytes();
             stream.write_all(&len).unwrap();
             stream.write_all(&bytes).unwrap();
             stream.write_all(&crc).unwrap();
@@ -41,17 +41,96 @@ mod wire {
             let _ = SegmentId::from_raw(0);
         }
     }
+}
 
-    fn crc32(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The test oracle: IEEE CRC-32 one bit at a time, straight from the
+/// polynomial. Deliberately shares nothing with `perseas_sci::crc32`.
+fn bitwise_crc32(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// The table-driven CRC-32 every layer shares must be the function the
+/// bitwise oracle computes, at every length, alignment and split.
+mod crc_equivalence {
+    use super::*;
+    use perseas_sci::crc32;
+
+    /// `len` pseudo-random bytes starting `align` bytes into an allocation.
+    fn buffer(seed: u64, align: usize, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..align + len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn check_values() {
+        assert_eq!(crc32::checksum(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32::checksum(b""), 0);
+        assert_eq!(perseas_rnram::protocol::crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// Every length around the 16-byte step and its tail, at every
+    /// alignment within a step.
+    #[test]
+    fn short_buffers_match_the_oracle() {
+        for align in 0..16 {
+            for len in 0..=130 {
+                let buf = buffer(len as u64 * 31 + align as u64, align, len);
+                let data = &buf[align..];
+                assert_eq!(
+                    crc32::checksum(data),
+                    bitwise_crc32(data),
+                    "len {len} align {align}"
+                );
             }
         }
-        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn table_crc_matches_the_oracle_whole_and_in_parts(
+            seed in any::<u64>(),
+            len in 0usize..=70_000,
+            align in 0usize..64,
+            cuts in prop::collection::vec(any::<u32>(), 0..=3),
+        ) {
+            let buf = buffer(seed, align, len);
+            let data = &buf[align..];
+            let want = bitwise_crc32(data);
+            prop_assert_eq!(crc32::checksum(data), want);
+            prop_assert_eq!(perseas_rnram::protocol::crc32(data), want);
+
+            // Up to three cut points make up to four parts, empty ones
+            // included.
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (len + 1)).collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts {
+                parts.push(&data[from..cut]);
+                from = cut;
+            }
+            parts.push(&data[from..]);
+            prop_assert_eq!(crc32::checksum_parts(&parts), want);
+            let state = parts.iter().fold(crc32::INIT, |s, p| crc32::update(s, p));
+            prop_assert_eq!(crc32::finish(state), want);
+        }
     }
 }
 

@@ -45,6 +45,7 @@
 //! ```
 
 mod addr;
+pub mod crc32;
 mod error;
 mod latency;
 mod link;

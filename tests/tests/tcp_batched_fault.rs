@@ -177,10 +177,13 @@ fn spawn_cut_proxy(server_addr: SocketAddr) -> CutProxy {
                 break; // budget exhausted: this frame is never delivered
             }
             rem.fetch_sub(1, Ordering::SeqCst);
+            // Counted before it is forwarded: the client can see the
+            // server's answer to this frame before this thread runs
+            // again, and must not read a count that lacks it.
+            fwd.fetch_add(1, Ordering::SeqCst);
             if write_frame(&mut up_write, &body).is_err() {
                 break;
             }
-            fwd.fetch_add(1, Ordering::SeqCst);
         }
         let _ = client_read.shutdown(Shutdown::Both);
         let _ = up_write.shutdown(Shutdown::Both);
