@@ -46,7 +46,11 @@ mod wire {
 /// The test oracle: IEEE CRC-32 one bit at a time, straight from the
 /// polynomial. Deliberately shares nothing with `perseas_sci::crc32`.
 fn bitwise_crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    !bitwise_update(!0, data)
+}
+
+/// The oracle's running register, from any start state.
+fn bitwise_update(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
         crc ^= b as u32;
         for _ in 0..8 {
@@ -54,11 +58,12 @@ fn bitwise_crc32(data: &[u8]) -> u32 {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
         }
     }
-    !crc
+    crc
 }
 
-/// The table-driven CRC-32 every layer shares must be the function the
-/// bitwise oracle computes, at every length, alignment and split.
+/// The CRC-32 every layer shares must be the function the bitwise oracle
+/// computes, at every length, alignment, split and start state, whichever
+/// of its two kernels (tables, carry-less folding) `update` picks.
 mod crc_equivalence {
     use super::*;
     use perseas_sci::crc32;
@@ -83,12 +88,13 @@ mod crc_equivalence {
         assert_eq!(perseas_rnram::protocol::crc32(b"123456789"), 0xCBF4_3926);
     }
 
-    /// Every length around the 16-byte step and its tail, at every
+    /// Every length around the 16-byte step and its tail, the folding
+    /// kernel's threshold and its fold-by-4 and fold-by-1 loops, at every
     /// alignment within a step.
     #[test]
     fn short_buffers_match_the_oracle() {
         for align in 0..16 {
-            for len in 0..=130 {
+            for len in 0..=600 {
                 let buf = buffer(len as u64 * 31 + align as u64, align, len);
                 let data = &buf[align..];
                 assert_eq!(
@@ -109,12 +115,19 @@ mod crc_equivalence {
             len in 0usize..=70_000,
             align in 0usize..64,
             cuts in prop::collection::vec(any::<u32>(), 0..=3),
+            start in any::<u32>(),
         ) {
             let buf = buffer(seed, align, len);
             let data = &buf[align..];
             let want = bitwise_crc32(data);
             prop_assert_eq!(crc32::checksum(data), want);
             prop_assert_eq!(perseas_rnram::protocol::crc32(data), want);
+            prop_assert_eq!(crc32::update(start, data), bitwise_update(start, data));
+
+            // A record: the payload part starts from the register the
+            // 32-byte header left, not from `INIT`.
+            let (header, payload) = data.split_at(len.min(32));
+            prop_assert_eq!(crc32::checksum_parts(&[header, payload]), want);
 
             // Up to three cut points make up to four parts, empty ones
             // included.

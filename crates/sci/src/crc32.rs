@@ -1,14 +1,28 @@
 //! The repository's one IEEE 802.3 CRC-32 (reflected polynomial
-//! `0xEDB88320`, initial value and final XOR `0xFFFFFFFF`), table-driven.
+//! `0xEDB88320`, initial value and final XOR `0xFFFFFFFF`).
 //!
 //! Every integrity check in the system — undo/redo record CRCs and slot
 //! CRCs in `perseas-core`, the frame CRC in `perseas-rnram`, the WAL
 //! record CRC in `perseas-baselines` — is this function. It lives here
 //! because this is the lowest crate all three already depend on.
 //!
-//! The kernel is slice-by-16: sixteen 256-entry tables (16 KiB, built at
-//! compile time) let one step consume sixteen input bytes with sixteen
-//! independent look-ups instead of 128 dependent shift-and-xor rounds.
+//! One function, two kernels, bit-identical output; [`update`] picks one
+//! from the CPU and the input length, never from a setting:
+//!
+//! - **Carry-less-multiply folding** (x86_64 with PCLMULQDQ and SSE4.1,
+//!   detected at run time; inputs of 64 bytes or more): four 128-bit
+//!   lanes fold 64 bytes a step, fold down to one lane, and a Barrett
+//!   reduction leaves 32 bits — the reflected variant of Intel's "Fast CRC
+//!   Computation for Generic Polynomials Using PCLMULQDQ". Its constants
+//!   are computed from `POLY` at compile time. A 64 KiB pass takes
+//!   ≈ 3.4 µs here against the tables' ≈ 40.
+//! - **Slice-by-16 tables**: sixteen 256-entry tables (16 KiB, built at
+//!   compile time) let one step consume sixteen input bytes with sixteen
+//!   independent look-ups instead of 128 dependent shift-and-xor rounds.
+//!   It stays for three jobs: it is the only kernel on other
+//!   architectures, it takes inputs too short to fill four lanes (most
+//!   debit-credit records), and it finishes the < 16-byte tail folding
+//!   leaves.
 //!
 //! # Examples
 //!
@@ -60,6 +74,17 @@ pub const INIT: u32 = !0;
 /// end with [`finish`]). Splitting the input anywhere gives the same
 /// result as one call over the concatenation.
 pub fn update(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= clmul::MIN_LEN {
+        if let Some(crc) = clmul::update_if_detected(state, bytes) {
+            return crc;
+        }
+    }
+    update_table(state, bytes)
+}
+
+/// The slice-by-16 kernel behind [`update`].
+fn update_table(state: u32, bytes: &[u8]) -> u32 {
     /// The four look-ups for little-endian word `w`, whose last byte is
     /// followed by `k` more bytes of the 16-byte step.
     fn four(w: u32, k: usize) -> u32 {
@@ -79,6 +104,122 @@ pub fn update(state: u32, bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     crc
+}
+
+/// The carry-less-multiply folding kernel behind [`update`].
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    use super::POLY;
+
+    /// The shortest input [`super::update`] folds: one 16-byte block per
+    /// lane. From here up folding wins (64 B: 12 ns against the tables'
+    /// 30; EXPERIMENTS.md "perf_ledger — PR 25" has the sweep).
+    pub(super) const MIN_LEN: usize = 64;
+
+    /// `x^n mod P`, bit-reflected and shifted left one bit, which is the
+    /// form a reflected carry-less product needs. In the reflected domain
+    /// one multiplication by `x` is one step of the bitwise CRC.
+    const fn x_pow_mod_p(n: u32) -> i64 {
+        let mut v = 1u32 << 31; // x^0
+        let mut i = 0;
+        while i < n {
+            v = (v >> 1) ^ (POLY & (v & 1).wrapping_neg());
+            i += 1;
+        }
+        (v as i64) << 1
+    }
+
+    /// Barrett's μ = `x^64 div P`, bit-reflected over its 33 bits.
+    const fn barrett_mu() -> i64 {
+        let p = (POLY.reverse_bits() as u128) | 1 << 32;
+        let mut rem = 1u128 << 64;
+        let mut quotient = 0u64;
+        let mut bit = 64;
+        while bit >= 32 {
+            if (rem >> bit) & 1 == 1 {
+                rem ^= p << (bit - 32);
+                quotient |= 1 << (bit - 32);
+            }
+            bit -= 1;
+        }
+        (quotient.reverse_bits() >> 31) as i64
+    }
+
+    /// Fold-by-4 (a lane moves 512 bits), fold-by-1 (128 bits), the
+    /// 64-bit step, P reflected over its 33 bits, and μ.
+    pub(super) const K_544: i64 = x_pow_mod_p(4 * 128 + 32);
+    pub(super) const K_480: i64 = x_pow_mod_p(4 * 128 - 32);
+    pub(super) const K_160: i64 = x_pow_mod_p(128 + 32);
+    pub(super) const K_96: i64 = x_pow_mod_p(128 - 32);
+    pub(super) const K_64: i64 = x_pow_mod_p(64);
+    pub(super) const P: i64 = ((POLY as i64) << 1) | 1;
+    pub(super) const MU: i64 = barrett_mu();
+
+    /// [`update`] if this CPU has what it is compiled for.
+    pub(super) fn update_if_detected(state: u32, bytes: &[u8]) -> Option<u32> {
+        if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+            return None;
+        }
+        // SAFETY: `update` enables exactly the two features detected above.
+        Some(unsafe { update(state, bytes) })
+    }
+
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes and `loadu` has no
+        // alignment requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// `acc` carried `keys` bits forward and added to `next`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let low = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let high = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(next, low), high)
+    }
+
+    /// Feeds `bytes` into `state` like [`super::update_table`]: whole
+    /// 16-byte blocks by folding, inputs under four blocks and the tail
+    /// by the tables.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(state: u32, bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let Some((first, rest)) = blocks.split_first_chunk::<4>() else {
+            return super::update_table(state, bytes);
+        };
+        let mut lanes = first.each_ref().map(load);
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(state as i32));
+        let (quads, singles) = rest.as_chunks::<4>();
+        let by4 = _mm_set_epi64x(K_480, K_544);
+        for quad in quads {
+            for (lane, block) in lanes.iter_mut().zip(quad) {
+                *lane = fold(*lane, load(block), by4);
+            }
+        }
+        let by1 = _mm_set_epi64x(K_96, K_160);
+        let [a, b, c, d] = lanes;
+        let mut x = fold(fold(fold(a, b, by1), c, by1), d, by1);
+        for block in singles {
+            x = fold(x, load(block), by1);
+        }
+
+        // 128 bits to 64, then Barrett from 64 to 32; the reflected
+        // result sits in the second 32-bit word.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, by1), _mm_srli_si128::<8>(x));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K_64)),
+            _mm_srli_si128::<4>(x),
+        );
+        let p_mu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), p_mu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), p_mu);
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        super::update_table(crc, tail)
+    }
 }
 
 /// Turns a running register into the checksum.
@@ -108,6 +249,64 @@ mod tests {
         for cut in 0..=data.len() {
             let state = update(INIT, &data[..cut]);
             assert_eq!(finish(update(state, &data[cut..])), whole, "cut {cut}");
+        }
+    }
+
+    /// The published values: Intel's white paper and Linux's
+    /// `crc32-pclmul_asm.S` (R1..R5, P', μ').
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn folding_constants_are_the_published_ones() {
+        use clmul::*;
+        assert_eq!(
+            [K_544, K_480, K_160, K_96, K_64, P, MU],
+            [
+                0x1_5444_2BD4,
+                0x1_C6E4_1596,
+                0x1_7519_97D0,
+                0x0_CCAA_009E,
+                0x1_63CD_6124,
+                0x1_DB71_0641,
+                0x1_F701_1641
+            ]
+        );
+    }
+
+    /// The two kernels, called directly rather than through `update`,
+    /// agree around the fold-by-4 and fold-by-1 loops and the tail, at
+    /// every offset within a block and from three start states. The
+    /// hardware kernel must actually run: no silent fall-back here.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn folding_and_table_kernels_agree() {
+        let (max_len, long) = if cfg!(miri) {
+            (300, 4_096)
+        } else {
+            (1_100, 70_000)
+        };
+        let data: Vec<u8> = (0..long as u32 + 16)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let folded = |state, bytes: &[u8]| {
+            clmul::update_if_detected(state, bytes).expect("PCLMULQDQ and SSE4.1 not detected")
+        };
+        for state in [INIT, 0, 0x9E37_79B9] {
+            for offset in 0..16 {
+                for len in 0..=max_len {
+                    let bytes = &data[offset..offset + len];
+                    assert_eq!(
+                        folded(state, bytes),
+                        update_table(state, bytes),
+                        "len {len} offset {offset} state {state:#x}"
+                    );
+                }
+            }
+            let bytes = &data[..long];
+            assert_eq!(
+                folded(state, bytes),
+                update_table(state, bytes),
+                "{long} bytes"
+            );
         }
     }
 }
