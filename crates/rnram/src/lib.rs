@@ -61,11 +61,11 @@ mod traits;
 pub use backoff::BackoffPolicy;
 pub use error::RnError;
 pub use memcpy::{mirror_copy, plan_transfer, TransferPlan, TransferStrategy};
-pub use mux::{AnyRemote, MuxSession, SessionMux, MUX_ENV};
+pub use mux::SessionMux;
 pub use retry::ReconnectingRemote;
 pub use server::AdmissionConfig;
 pub use sim::SimRemote;
-pub use tcp::{PipelineConfig, TcpRemote, PIPELINE_ENV};
+pub use tcp::{PipelineConfig, TcpRemote};
 pub use traits::{FlushStats, RemoteMemory, RemoteSegment};
 
 pub use perseas_sci::SegmentId;

@@ -1,4 +1,4 @@
-//! Metrics bundles for the TCP server and the pipelined client.
+//! Metrics bundles for the TCP server and client.
 //!
 //! Installed with [`Server::with_metrics`](crate::server::Server::with_metrics)
 //! and [`TcpRemote::set_metrics`](crate::TcpRemote::set_metrics); without
@@ -128,14 +128,14 @@ impl ServerMetrics {
     }
 }
 
-/// Client-side metrics for the (optionally pipelined) TCP transport.
+/// Client-side metrics for the TCP transport.
 #[derive(Debug)]
 pub(crate) struct ClientMetrics {
-    /// Synchronous round trips (request + awaited response).
+    /// Round trips (request + awaited response).
     pub(crate) ops: Counter,
     /// Writes posted without waiting for their acknowledgement.
     pub(crate) posted: Counter,
-    /// Frame-body bytes put on the wire (both modes).
+    /// Frame-body bytes put on the wire.
     pub(crate) bytes: Counter,
     /// Posts that found the window full and had to drain an ack first.
     pub(crate) window_stalls: Counter,
@@ -151,7 +151,7 @@ impl ClientMetrics {
         ClientMetrics {
             ops: registry.counter(
                 "perseas_client_ops_total",
-                "Synchronous request/response round trips.",
+                "Request/response round trips.",
             ),
             posted: registry.counter(
                 "perseas_client_posted_total",
@@ -167,7 +167,7 @@ impl ClientMetrics {
             ),
             flush_barriers: registry.counter(
                 "perseas_client_flush_barriers_total",
-                "Ack barriers (flush calls) on a pipelined connection.",
+                "Ack barriers: flush calls, and the barrier after each write of a confirmed connection.",
             ),
             flush_posted: registry.counter(
                 "perseas_client_flush_posted_total",

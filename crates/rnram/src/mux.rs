@@ -1,49 +1,40 @@
-//! Client-side session multiplexing: many logical [`RemoteMemory`]
-//! sessions over one shared pipelined TCP connection.
+//! The connection under every [`TcpRemote`]: logical sessions over one
+//! TCP socket.
 //!
 //! The paper's deployment model has *many* workstation clients per memory
-//! server; giving each its own socket multiplies file descriptors and
-//! server threads. [`SessionMux`] owns one socket and hands out
-//! [`MuxSession`] handles — each a full [`RemoteMemory`] with its own
-//! sequence space, posted-write window, and refusal queue — whose frames
-//! are wrapped in `Mux { session, seq, .. }` (see `docs/PROTOCOL.md`).
+//! server; giving each its own socket multiplies file descriptors. A
+//! [`SessionMux`] owns one socket and a routing table of sessions, each
+//! with its own sequence space, posted-write window, and refusal queue,
+//! whose frames are wrapped in `Mux { session, seq, .. }` (see
+//! `docs/PROTOCOL.md`). A dedicated connection ([`TcpRemote::connect`]
+//! and friends) is a mux with one session; [`SessionMux::session`] hands
+//! out many handles on one socket.
 //!
-//! Concurrency model: one mutex guards the shared socket. The thread
-//! holding it while awaiting its own response *routes* every frame it
-//! reads — acks of other sessions' posted writes resolve against their
-//! windows. Since an RPC holds the lock until its answer arrives, at most
-//! one RPC response can ever be in flight, so no parked-response storage
-//! is needed; per-session FIFO is the server's ordering guarantee.
+//! Concurrency model: one mutex guards the socket. The thread holding it
+//! while awaiting its own response *routes* every frame it reads — acks
+//! of other sessions' posted writes resolve against their windows. Since
+//! an RPC holds the lock until its answer arrives, at most one RPC
+//! response can ever be in flight, so no parked-response storage is
+//! needed; per-session FIFO is the server's ordering guarantee.
 //!
 //! A dead socket poisons the whole mux: every session's operation returns
 //! an unavailable error, and each session's outstanding window stays
 //! visible through `in_flight()` so [`crate::ReconnectingRemote`] reports
-//! the lost window instead of silently re-dialing. Dropping a
-//! [`MuxSession`] sends a best-effort `SessClose` so the server retires
-//! the session from its gauge; its straggler acks are ignored by seqless
-//! routing of unknown sessions.
+//! the lost window instead of silently re-dialing. Dropping a handle on a
+//! shared socket sends a best-effort `SessClose` so the server retires the
+//! session from its gauge; its straggler acks are ignored by the routing
+//! of unknown sessions.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
-use perseas_sci::SegmentId;
+use crate::protocol::{encode_mux, read_frame, write_frame, Request, Response};
+use crate::tcp::Kind;
+use crate::{FlushStats, PipelineConfig, RnError, TcpRemote};
 
-use crate::protocol::{
-    encode_mux, encode_write_mux, encode_write_v_mux, read_frame, write_frame, Request, Response,
-};
-use crate::tcp::{env_enables_pipeline, PipelineConfig};
-use crate::{FlushStats, RemoteMemory, RemoteSegment, RnError, TcpRemote};
-
-/// Environment variable read by [`AnyRemote::connect_auto`]: set it to
-/// `1`, `true`, `on`, or `yes` to multiplex logical sessions over shared
-/// sockets (one per server address, process-wide); anything else — or
-/// unset — selects a dedicated [`TcpRemote`] per connection (whose mode
-/// is in turn governed by [`crate::PIPELINE_ENV`]).
-pub const MUX_ENV: &str = "PERSEAS_TCP_MUX";
-
-fn lock(io: &Mutex<MuxIo>) -> MutexGuard<'_, MuxIo> {
+pub(crate) fn lock(io: &Mutex<MuxIo>) -> MutexGuard<'_, MuxIo> {
     io.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -54,28 +45,7 @@ fn dead_err() -> RnError {
     ))
 }
 
-fn unexpected(resp: Response) -> RnError {
-    RnError::Protocol(format!("unexpected response: {resp:?}"))
-}
-
-/// A typed refusal owed to a posted write, surfaced at the flush barrier.
-#[derive(Debug)]
-enum Refusal {
-    Remote(String),
-    Overloaded,
-}
-
-impl Refusal {
-    fn into_error(self) -> RnError {
-        match self {
-            Refusal::Remote(m) => RnError::Remote(m),
-            Refusal::Overloaded => RnError::Overloaded,
-        }
-    }
-}
-
-/// Per-session pipelining state, the mux twin of the dedicated
-/// connection's window bookkeeping.
+/// Per-session pipelining state.
 #[derive(Debug)]
 struct SessState {
     cfg: PipelineConfig,
@@ -84,22 +54,50 @@ struct SessState {
     outstanding: VecDeque<(u64, usize)>,
     outstanding_bytes: usize,
     /// Typed refusals earned by posted writes, one surfaced per flush.
-    refusals: VecDeque<Refusal>,
+    refusals: VecDeque<RnError>,
 }
 
-/// The shared socket and the routing table over it.
+/// The socket and the routing table over it.
 #[derive(Debug)]
-struct MuxIo {
+pub(crate) struct MuxIo {
     stream: TcpStream,
     peer: SocketAddr,
     dead: bool,
-    sessions: HashMap<u64, SessState>,
+    sessions: BTreeMap<u64, SessState>,
     next_session: u64,
 }
 
 impl MuxIo {
-    fn take_seq(&mut self, session: u64) -> u64 {
-        let st = self.sessions.get_mut(&session).expect("open session");
+    fn state(&mut self, session: u64) -> &mut SessState {
+        self.sessions.get_mut(&session).expect("open session")
+    }
+
+    pub(crate) fn peer(&self) -> SocketAddr {
+        self.peer
+    }
+
+    /// Registers a new session with window `cfg` and returns its id.
+    pub(crate) fn open_session(&mut self, cfg: PipelineConfig) -> u64 {
+        let session = self.next_session;
+        self.next_session += 1;
+        self.sessions.insert(
+            session,
+            SessState {
+                cfg: PipelineConfig {
+                    max_ops: cfg.max_ops.max(1),
+                    max_bytes: cfg.max_bytes.max(1),
+                },
+                next_seq: 0,
+                outstanding: VecDeque::new(),
+                outstanding_bytes: 0,
+                refusals: VecDeque::new(),
+            },
+        );
+        session
+    }
+
+    pub(crate) fn take_seq(&mut self, session: u64) -> u64 {
+        let st = self.state(session);
         let seq = st.next_seq;
         st.next_seq += 1;
         seq
@@ -149,8 +147,8 @@ impl MuxIo {
                 st.outstanding_bytes -= bytes;
                 match inner {
                     Response::Ok => {}
-                    Response::Err(m) => st.refusals.push_back(Refusal::Remote(m)),
-                    Response::Overloaded => st.refusals.push_back(Refusal::Overloaded),
+                    Response::Err(m) => st.refusals.push_back(RnError::Remote(m)),
+                    Response::Overloaded => st.refusals.push_back(RnError::Overloaded),
                     other => {
                         self.dead = true;
                         return Err(RnError::Protocol(format!(
@@ -164,18 +162,34 @@ impl MuxIo {
         Ok(Some((session, seq, inner)))
     }
 
-    /// One synchronous request/response exchange for `session`, routing
-    /// other sessions' acks along the way.
-    fn rpc(&mut self, session: u64, req: &Request) -> Result<Response, RnError> {
-        if self.dead {
-            return Err(dead_err());
+    /// Reads and routes one frame that must be an ack of a posted write.
+    fn route_ack(&mut self) -> Result<(), RnError> {
+        match self.route_one()? {
+            None => Ok(()),
+            Some((s, q, _)) => {
+                self.dead = true;
+                Err(RnError::Protocol(format!(
+                    "unsolicited response for session {s} seq {q}"
+                )))
+            }
         }
-        let seq = self.take_seq(session);
-        self.send(&encode_mux(session, seq, req))?;
+    }
+
+    /// One request/response exchange for `session` from its encoded,
+    /// mux-wrapped `body`, routing other sessions' acks along the way. A
+    /// refusal is this call's error.
+    pub(crate) fn rpc(&mut self, session: u64, seq: u64, body: &[u8]) -> Result<Response, RnError> {
+        self.send(body)?;
         loop {
             match self.route_one()? {
                 None => {}
-                Some((s, q, resp)) if s == session && q == seq => return Ok(resp),
+                Some((s, q, resp)) if s == session && q == seq => {
+                    return match resp {
+                        Response::Err(m) => Err(RnError::Remote(m)),
+                        Response::Overloaded => Err(RnError::Overloaded),
+                        other => Ok(other),
+                    };
+                }
                 Some((s, q, _)) => {
                     self.dead = true;
                     return Err(RnError::Protocol(format!(
@@ -187,81 +201,115 @@ impl MuxIo {
         }
     }
 
-    /// Posts an already-encoded, mux-wrapped write without waiting for
-    /// its acknowledgement, draining acks (of any session) until this
-    /// session's window has room.
-    fn post(&mut self, session: u64, body: &[u8], seq: u64, bytes: usize) -> Result<(), RnError> {
-        if self.dead {
-            return Err(dead_err());
-        }
+    /// Posts an encoded, mux-wrapped write without waiting for its
+    /// acknowledgement, draining acks (of any session) until this
+    /// session's window has room. Returns whether it had to wait.
+    pub(crate) fn post(
+        &mut self,
+        session: u64,
+        body: &[u8],
+        seq: u64,
+        bytes: usize,
+    ) -> Result<bool, RnError> {
+        let mut stalled = false;
         loop {
-            let st = self.sessions.get(&session).expect("open session");
+            let st = self.state(session);
             let fits = st.outstanding.len() < st.cfg.max_ops
                 && (st.outstanding.is_empty() || st.outstanding_bytes + bytes <= st.cfg.max_bytes);
             if fits {
                 break;
             }
-            if let Some((s, q, _)) = self.route_one()? {
-                self.dead = true;
-                return Err(RnError::Protocol(format!(
-                    "unsolicited response for session {s} seq {q}"
-                )));
+            stalled = true;
+            if self.dead {
+                return Err(dead_err());
             }
+            self.route_ack()?;
         }
         self.send(body)?;
-        let st = self.sessions.get_mut(&session).expect("open session");
+        let st = self.state(session);
         st.outstanding.push_back((seq, bytes));
         st.outstanding_bytes += bytes;
-        Ok(())
+        Ok(stalled)
     }
 
-    /// The ack barrier for one session: drains until its window is empty,
-    /// then surfaces one queued refusal. On a socket error the window
-    /// stays recorded so `in_flight()` keeps reporting the lost writes.
-    fn flush_session(&mut self, session: u64) -> Result<FlushStats, RnError> {
-        let st = self.sessions.get(&session).expect("open session");
+    /// Drains `session`'s window and reports what it held. On a socket
+    /// error the window stays recorded so `in_flight()` keeps reporting
+    /// the lost writes.
+    pub(crate) fn drain(&mut self, session: u64) -> Result<FlushStats, RnError> {
+        let st = self.state(session);
         let stats = FlushStats {
             posted: st.outstanding.len(),
             bytes: st.outstanding_bytes,
         };
-        while !self.sessions[&session].outstanding.is_empty() {
+        while !self.state(session).outstanding.is_empty() {
             if self.dead {
                 return Err(dead_err());
             }
-            if let Some((s, q, _)) = self.route_one()? {
-                self.dead = true;
-                return Err(RnError::Protocol(format!(
-                    "unsolicited response for session {s} seq {q} during flush"
-                )));
-            }
-        }
-        let st = self.sessions.get_mut(&session).expect("open session");
-        if let Some(r) = st.refusals.pop_front() {
-            return Err(r.into_error());
+            self.route_ack()?;
         }
         Ok(stats)
     }
 
-    /// Retires a session: its straggler acks will be ignored, and the
-    /// server is told (best-effort) so its sessions gauge drops.
-    fn close_session(&mut self, session: u64) {
+    /// The oldest refusal a posted write of `session` earned, if any.
+    pub(crate) fn take_refusal(&mut self, session: u64) -> Option<RnError> {
+        self.state(session).refusals.pop_front()
+    }
+
+    /// Forgets `session`'s window after its owner reported the loss.
+    pub(crate) fn abandon(&mut self, session: u64) {
+        let st = self.state(session);
+        st.outstanding.clear();
+        st.outstanding_bytes = 0;
+    }
+
+    pub(crate) fn in_flight(&self, session: u64) -> usize {
+        self.sessions
+            .get(&session)
+            .map_or(0, |st| st.outstanding.len())
+    }
+
+    /// Retires a session: its straggler acks will be ignored. With
+    /// `notify` the server is told (best-effort) so its sessions gauge
+    /// drops.
+    pub(crate) fn close_session(&mut self, session: u64, notify: bool) {
         if let Some(st) = self.sessions.remove(&session) {
-            if !self.dead {
+            if notify && !self.dead {
                 let _ = self.send(&encode_mux(session, st.next_seq, &Request::SessClose));
             }
         }
     }
+
+    /// Whether the peer has closed or reset the socket, asked without
+    /// blocking; if so the mux is marked dead, so the next
+    /// [`SessionMux::shared`] dials a fresh one. A frame is one `write`,
+    /// and the local socket accepts a write to a peer that has already
+    /// hung up, so a posted write cannot find this out by itself;
+    /// [`crate::ReconnectingRemote`] asks before it opens a new window on
+    /// an idle connection.
+    pub(crate) fn hung_up(&mut self) -> bool {
+        if !self.dead {
+            let s = &self.stream;
+            let verdict = s.set_nonblocking(true).is_err()
+                || match s.peek(&mut [0u8; 1]) {
+                    Ok(0) => true,
+                    Ok(_) => false,
+                    Err(e) => e.kind() != io::ErrorKind::WouldBlock,
+                };
+            self.dead = s.set_nonblocking(false).is_err() || verdict;
+        }
+        self.dead
+    }
 }
 
-/// One shared multiplexed connection; hand out per-session
-/// [`RemoteMemory`] handles with [`SessionMux::session`].
+/// One multiplexed connection; hand out per-session [`TcpRemote`]
+/// handles with [`SessionMux::session`].
 #[derive(Debug, Clone)]
 pub struct SessionMux {
-    io: Arc<Mutex<MuxIo>>,
+    pub(crate) io: Arc<Mutex<MuxIo>>,
 }
 
 impl SessionMux {
-    /// Dials a dedicated multiplexed connection to `addr`.
+    /// Dials a multiplexed connection to `addr`.
     ///
     /// # Errors
     ///
@@ -275,16 +323,16 @@ impl SessionMux {
                 stream,
                 peer,
                 dead: false,
-                sessions: HashMap::new(),
+                sessions: BTreeMap::new(),
                 next_session: 0,
             })),
         })
     }
 
     /// Returns the process-wide shared mux for `addr`, dialing one if none
-    /// exists (or if the cached one is dead). This is how
-    /// `ConcurrentPerseas` threads and `ShardedPerseas` shard connections
-    /// end up sharing sockets instead of multiplying them.
+    /// exists (or if the cached one is dead). This is how threads and
+    /// shard connections end up sharing sockets instead of multiplying
+    /// them.
     ///
     /// # Errors
     ///
@@ -309,41 +357,21 @@ impl SessionMux {
     }
 
     /// Opens a logical session with the default posted-write window.
-    pub fn session(&self) -> MuxSession {
+    pub fn session(&self) -> TcpRemote {
         self.session_with(PipelineConfig::default())
     }
 
     /// Opens a logical session with an explicit window configuration.
-    pub fn session_with(&self, cfg: PipelineConfig) -> MuxSession {
-        let mut g = lock(&self.io);
-        let session = g.next_session;
-        g.next_session += 1;
-        g.sessions.insert(
-            session,
-            SessState {
-                cfg: PipelineConfig {
-                    max_ops: cfg.max_ops.max(1),
-                    max_bytes: cfg.max_bytes.max(1),
-                },
-                next_seq: 0,
-                outstanding: VecDeque::new(),
-                outstanding_bytes: 0,
-                refusals: VecDeque::new(),
-            },
-        );
-        MuxSession {
-            io: self.io.clone(),
-            session,
-            cached_name: None,
-        }
+    pub fn session_with(&self, cfg: PipelineConfig) -> TcpRemote {
+        TcpRemote::open(self, Kind::Shared, cfg)
     }
 
-    /// The server address the shared socket is connected to.
+    /// The server address the socket is connected to.
     pub fn peer_addr(&self) -> SocketAddr {
         lock(&self.io).peer
     }
 
-    /// Whether the shared socket has failed (every session sees errors).
+    /// Whether the socket has failed (every session sees errors).
     pub fn is_dead(&self) -> bool {
         lock(&self.io).dead
     }
@@ -362,373 +390,11 @@ fn mux_registry() -> &'static Mutex<HashMap<SocketAddr, Weak<Mutex<MuxIo>>>> {
     REG.get_or_init(Mutex::default)
 }
 
-/// One logical client session multiplexed over a shared socket: a full
-/// [`RemoteMemory`] with its own sequence space, posted-write window, and
-/// refusal queue. Created by [`SessionMux::session`]; dropping it retires
-/// the session on the server.
-#[derive(Debug)]
-pub struct MuxSession {
-    io: Arc<Mutex<MuxIo>>,
-    session: u64,
-    cached_name: Option<String>,
-}
-
-impl MuxSession {
-    fn guard(&self) -> MutexGuard<'_, MuxIo> {
-        lock(&self.io)
-    }
-
-    /// This session's id on the wire.
-    pub fn session_id(&self) -> u64 {
-        self.session
-    }
-
-    /// The server address of the shared socket.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.guard().peer
-    }
-
-    /// Whether the shared socket's peer has hung up (see
-    /// [`crate::tcp::peer_hung_up`]); if so the mux is marked dead, so the
-    /// next [`SessionMux::shared`] dials a fresh one.
-    pub(crate) fn hung_up(&self) -> bool {
-        let mut g = self.guard();
-        g.dead = g.dead || crate::tcp::peer_hung_up(&g.stream);
-        g.dead
-    }
-
-    /// Sends a liveness probe through this session.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server is unreachable.
-    pub fn ping(&mut self) -> Result<(), RnError> {
-        match self.guard().rpc(self.session, &Request::Ping)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Fetches and caches the server's node name.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server is unreachable.
-    pub fn fetch_name(&mut self) -> Result<String, RnError> {
-        let resp = self.guard().rpc(self.session, &Request::Name)?;
-        match resp {
-            Response::Name(n) => {
-                self.cached_name = Some(n.clone());
-                Ok(n)
-            }
-            Response::Err(m) => Err(RnError::Remote(m)),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn expect_segment(&mut self, req: &Request) -> Result<RemoteSegment, RnError> {
-        match self.guard().rpc(self.session, req)? {
-            Response::Segment {
-                seg,
-                len,
-                tag,
-                base_addr,
-            } => Ok(RemoteSegment {
-                id: SegmentId::from_raw(seg),
-                len: len as usize,
-                tag,
-                base_addr,
-            }),
-            Response::Err(m) => Err(RnError::Remote(m)),
-            Response::Overloaded => Err(RnError::Overloaded),
-            other => Err(unexpected(other)),
-        }
-    }
-}
-
-impl Drop for MuxSession {
-    fn drop(&mut self) {
-        self.guard().close_session(self.session);
-    }
-}
-
-impl RemoteMemory for MuxSession {
-    fn remote_malloc(&mut self, len: usize, tag: u64) -> Result<RemoteSegment, RnError> {
-        self.expect_segment(&Request::Malloc {
-            len: len as u64,
-            tag,
-        })
-    }
-
-    fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {
-        match self
-            .guard()
-            .rpc(self.session, &Request::Free { seg: seg.as_raw() })?
-        {
-            Response::Ok => Ok(()),
-            Response::Err(m) => Err(RnError::Remote(m)),
-            Response::Overloaded => Err(RnError::Overloaded),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
-        // Posted, like the dedicated pipelined transport: the frame is
-        // encoded straight from the borrowed payload and confirmed at the
-        // flush barrier.
-        let mut g = self.guard();
-        if g.dead {
-            return Err(dead_err());
-        }
-        let seq = g.take_seq(self.session);
-        let body = encode_write_mux(self.session, seq, seg.as_raw(), offset as u64, data);
-        g.post(self.session, &body, seq, data.len())
-    }
-
-    fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
-        let ranges: Vec<(u64, u64, &[u8])> = writes
-            .iter()
-            .map(|&(seg, offset, data)| (seg.as_raw(), offset as u64, data))
-            .collect();
-        let mut g = self.guard();
-        if g.dead {
-            return Err(dead_err());
-        }
-        let seq = g.take_seq(self.session);
-        let body = encode_write_v_mux(self.session, seq, &ranges);
-        let bytes = ranges.iter().map(|(_, _, d)| d.len()).sum();
-        g.post(self.session, &body, seq, bytes)
-    }
-
-    fn flush(&mut self) -> Result<FlushStats, RnError> {
-        self.guard().flush_session(self.session)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.guard()
-            .sessions
-            .get(&self.session)
-            .map_or(0, |st| st.outstanding.len())
-    }
-
-    fn remote_read(
-        &mut self,
-        seg: SegmentId,
-        offset: usize,
-        buf: &mut [u8],
-    ) -> Result<(), RnError> {
-        match self.guard().rpc(
-            self.session,
-            &Request::Read {
-                seg: seg.as_raw(),
-                offset: offset as u64,
-                len: buf.len() as u64,
-            },
-        )? {
-            Response::Data(d) if d.len() == buf.len() => {
-                buf.copy_from_slice(&d);
-                Ok(())
-            }
-            Response::Data(d) => Err(RnError::Protocol(format!(
-                "short read: wanted {} bytes, got {}",
-                buf.len(),
-                d.len()
-            ))),
-            Response::Err(m) => Err(RnError::Remote(m)),
-            Response::Overloaded => Err(RnError::Overloaded),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn remote_read_v(
-        &mut self,
-        reads: &[(SegmentId, usize, usize)],
-    ) -> Result<Vec<Vec<u8>>, RnError> {
-        match self.guard().rpc(
-            self.session,
-            &Request::ReadV {
-                reads: reads
-                    .iter()
-                    .map(|&(seg, offset, len)| (seg.as_raw(), offset as u64, len as u64))
-                    .collect(),
-            },
-        )? {
-            Response::DataV(bufs) => crate::tcp::check_data_v(reads, bufs),
-            Response::Err(m) => Err(RnError::Remote(m)),
-            Response::Overloaded => Err(RnError::Overloaded),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn connect_segment(&mut self, tag: u64) -> Result<RemoteSegment, RnError> {
-        self.expect_segment(&Request::Connect { tag })
-            .map_err(|e| match e {
-                RnError::Remote(_) => RnError::TagNotFound(tag),
-                other => other,
-            })
-    }
-
-    fn segment_info(&mut self, seg: SegmentId) -> Result<RemoteSegment, RnError> {
-        self.expect_segment(&Request::Info { seg: seg.as_raw() })
-    }
-
-    fn node_name(&self) -> String {
-        self.cached_name
-            .clone()
-            .unwrap_or_else(|| format!("mux://{}#{}", self.guard().peer, self.session))
-    }
-}
-
-/// Whether [`MUX_ENV`] selects the multiplexed transport.
-pub(crate) fn env_enables_mux() -> bool {
-    env_enables_pipeline(std::env::var(MUX_ENV).ok().as_deref())
-}
-
-/// Either transport behind one [`RemoteMemory`] value: a dedicated
-/// [`TcpRemote`] (synchronous or pipelined, per [`crate::PIPELINE_ENV`])
-/// or a [`MuxSession`] on the process-wide shared mux (per [`MUX_ENV`]).
-/// The hook the test suites use to run the same scenarios over every
-/// transport.
-#[derive(Debug)]
-pub enum AnyRemote {
-    /// A dedicated socket.
-    Tcp(TcpRemote),
-    /// A logical session on a shared multiplexed socket.
-    Mux(MuxSession),
-}
-
-impl AnyRemote {
-    /// Connects in the mode selected by [`MUX_ENV`] and
-    /// [`crate::PIPELINE_ENV`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn connect_auto(addr: impl ToSocketAddrs) -> Result<AnyRemote, RnError> {
-        if env_enables_mux() {
-            Ok(AnyRemote::Mux(SessionMux::shared(addr)?.session()))
-        } else {
-            Ok(AnyRemote::Tcp(TcpRemote::connect_auto(addr)?))
-        }
-    }
-
-    /// Whether this handle rides a shared multiplexed socket.
-    pub fn is_mux(&self) -> bool {
-        matches!(self, AnyRemote::Mux(_))
-    }
-
-    pub(crate) fn hung_up(&self) -> bool {
-        match self {
-            AnyRemote::Tcp(c) => c.hung_up(),
-            AnyRemote::Mux(c) => c.hung_up(),
-        }
-    }
-
-    /// Fetches the server's node name over the wire (and caches it as
-    /// the connection's [`RemoteMemory::node_name`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn fetch_name(&mut self) -> Result<String, RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.fetch_name(),
-            AnyRemote::Mux(c) => c.fetch_name(),
-        }
-    }
-}
-
-impl RemoteMemory for AnyRemote {
-    fn remote_malloc(&mut self, len: usize, tag: u64) -> Result<RemoteSegment, RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.remote_malloc(len, tag),
-            AnyRemote::Mux(c) => c.remote_malloc(len, tag),
-        }
-    }
-
-    fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.remote_free(seg),
-            AnyRemote::Mux(c) => c.remote_free(seg),
-        }
-    }
-
-    fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.remote_write(seg, offset, data),
-            AnyRemote::Mux(c) => c.remote_write(seg, offset, data),
-        }
-    }
-
-    fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.remote_write_v(writes),
-            AnyRemote::Mux(c) => c.remote_write_v(writes),
-        }
-    }
-
-    fn flush(&mut self) -> Result<FlushStats, RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.flush(),
-            AnyRemote::Mux(c) => c.flush(),
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        match self {
-            AnyRemote::Tcp(c) => c.in_flight(),
-            AnyRemote::Mux(c) => c.in_flight(),
-        }
-    }
-
-    fn remote_read(
-        &mut self,
-        seg: SegmentId,
-        offset: usize,
-        buf: &mut [u8],
-    ) -> Result<(), RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.remote_read(seg, offset, buf),
-            AnyRemote::Mux(c) => c.remote_read(seg, offset, buf),
-        }
-    }
-
-    fn remote_read_v(
-        &mut self,
-        reads: &[(SegmentId, usize, usize)],
-    ) -> Result<Vec<Vec<u8>>, RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.remote_read_v(reads),
-            AnyRemote::Mux(c) => c.remote_read_v(reads),
-        }
-    }
-
-    fn connect_segment(&mut self, tag: u64) -> Result<RemoteSegment, RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.connect_segment(tag),
-            AnyRemote::Mux(c) => c.connect_segment(tag),
-        }
-    }
-
-    fn segment_info(&mut self, seg: SegmentId) -> Result<RemoteSegment, RnError> {
-        match self {
-            AnyRemote::Tcp(c) => c.segment_info(seg),
-            AnyRemote::Mux(c) => c.segment_info(seg),
-        }
-    }
-
-    fn node_name(&self) -> String {
-        match self {
-            AnyRemote::Tcp(c) => c.node_name(),
-            AnyRemote::Mux(c) => c.node_name(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::Server;
+    use crate::RemoteMemory;
 
     #[test]
     fn two_sessions_share_one_socket() {

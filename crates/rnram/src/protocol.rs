@@ -60,12 +60,12 @@ pub enum Request {
     Ping,
     /// Ask the server to stop accepting connections.
     Shutdown,
-    /// A pipelined request: `inner` tagged with the client-chosen
-    /// sequence number `seq`. The server answers with
-    /// [`Response::Tagged`] carrying the same `seq`, which lets the
-    /// client post many requests before draining any acknowledgement.
-    /// Nesting is rejected: a `Seq` may not wrap another `Seq` or a
-    /// [`Request::Mux`].
+    /// A sequenced request: `inner` tagged with the sequence number
+    /// `seq`. The server answers with [`Response::Tagged`] carrying the
+    /// same `seq`. Still answered for compatibility, but no client in
+    /// this crate sends it: [`Request::Mux`] with one session is the same
+    /// thing. Nesting is rejected: a `Seq` may not wrap another `Seq` or
+    /// a [`Request::Mux`].
     Seq {
         /// Client-chosen sequence number echoed in the response.
         seq: u64,
@@ -122,9 +122,7 @@ pub enum Response {
     /// Request refused; human-readable reason.
     Err(String),
     /// Response to a [`Request::Seq`]: `inner` tagged with the request's
-    /// sequence number. `Tagged { seq, inner: Ok }` is the pipelined
-    /// `Ack{seq}`; `Tagged { seq, inner: Err(_) }` is the typed
-    /// `Err{seq}`. Nesting is rejected.
+    /// sequence number. Nesting is rejected.
     Tagged {
         /// The sequence number of the request this answers.
         seq: u64,
@@ -384,26 +382,11 @@ impl Request {
     }
 }
 
-/// Encodes a `Write` request body straight from a borrowed payload —
-/// the frame body is built in one allocation with one copy of `data`,
-/// instead of the copy-into-`Vec`-then-copy-into-frame of constructing
-/// a [`Request::Write`]. With `seq`, the body is the [`Request::Seq`]
+/// Encodes a `WriteV` request body straight from borrowed ranges — the
+/// frame body is built in one allocation with one copy per range, instead
+/// of the copy-into-`Vec`-then-copy-into-frame of constructing a
+/// [`Request::WriteV`]. With `seq`, the body is the [`Request::Seq`]
 /// wrapping of the write.
-pub fn encode_write(seq: Option<u64>, seg: u64, offset: u64, data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + 34);
-    if let Some(s) = seq {
-        out.push(OP_SEQ);
-        put_u64(&mut out, s);
-    }
-    out.push(OP_WRITE);
-    put_u64(&mut out, seg);
-    put_u64(&mut out, offset);
-    out.extend_from_slice(data);
-    out
-}
-
-/// Encodes a `WriteV` request body straight from borrowed ranges (see
-/// [`encode_write`]): one allocation, one copy per range.
 pub fn encode_write_v(seq: Option<u64>, ranges: &[(u64, u64, &[u8])]) -> Vec<u8> {
     let payload: usize = ranges.iter().map(|(_, _, d)| d.len()).sum();
     let mut out = Vec::with_capacity(payload + 24 * ranges.len() + 18);
@@ -422,17 +405,6 @@ pub fn encode_write_v(seq: Option<u64>, ranges: &[(u64, u64, &[u8])]) -> Vec<u8>
     out
 }
 
-/// Encodes `req` wrapped in a [`Request::Seq`] body without cloning the
-/// request.
-pub fn encode_seq(seq: u64, req: &Request) -> Vec<u8> {
-    let inner = req.encode();
-    let mut out = Vec::with_capacity(inner.len() + 9);
-    out.push(OP_SEQ);
-    put_u64(&mut out, seq);
-    out.extend_from_slice(&inner);
-    out
-}
-
 /// Encodes `req` wrapped in a [`Request::Mux`] body without cloning the
 /// request.
 pub fn encode_mux(session: u64, seq: u64, req: &Request) -> Vec<u8> {
@@ -446,8 +418,7 @@ pub fn encode_mux(session: u64, seq: u64, req: &Request) -> Vec<u8> {
 }
 
 /// Encodes a session-wrapped `Write` body straight from a borrowed
-/// payload (the [`Request::Mux`] counterpart of [`encode_write`]): one
-/// allocation, one copy of `data`.
+/// payload: one allocation, one copy of `data`.
 pub fn encode_write_mux(session: u64, seq: u64, seg: u64, offset: u64, data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() + 42);
     out.push(OP_MUX);
@@ -1052,27 +1023,6 @@ mod tests {
     #[test]
     fn borrowed_encoders_match_the_owned_forms() {
         let data = [5u8; 33];
-        assert_eq!(
-            encode_write(None, 4, 12, &data),
-            Request::Write {
-                seg: 4,
-                offset: 12,
-                data: data.to_vec(),
-            }
-            .encode()
-        );
-        assert_eq!(
-            encode_write(Some(9), 4, 12, &data),
-            Request::Seq {
-                seq: 9,
-                inner: Box::new(Request::Write {
-                    seg: 4,
-                    offset: 12,
-                    data: data.to_vec(),
-                }),
-            }
-            .encode()
-        );
         let ranges: [(u64, u64, &[u8]); 2] = [(1, 0, &data[..2]), (2, 64, &data[..0])];
         let owned = Request::WriteV {
             ranges: ranges.iter().map(|&(s, o, d)| (s, o, d.to_vec())).collect(),
@@ -1082,14 +1032,6 @@ mod tests {
             encode_write_v(Some(3), &ranges),
             Request::Seq {
                 seq: 3,
-                inner: Box::new(owned.clone()),
-            }
-            .encode()
-        );
-        assert_eq!(
-            encode_seq(8, &owned),
-            Request::Seq {
-                seq: 8,
                 inner: Box::new(owned),
             }
             .encode()

@@ -11,13 +11,13 @@
 //! writes bytes at an absolute offset), retrying a possibly-delivered
 //! write is safe.
 //!
-//! Pipelined connections add one hard rule: a connection that dies with
-//! posted-but-unconfirmed writes (`in_flight() > 0`) is **never**
-//! silently re-dialed, and [`RemoteMemory::flush`] is **never** retried.
-//! The lost window cannot be replayed — this wrapper does not buffer the
-//! posted frames — and flushing a freshly dialed connection would
-//! vacuously succeed while the writes it was supposed to confirm died
-//! with the old socket. Both paths surface `Unavailable` instead and
+//! Connections that post writes add one hard rule: a connection that
+//! dies with posted-but-unconfirmed writes (`in_flight() > 0`) is
+//! **never** silently re-dialed, and [`RemoteMemory::flush`] is **never**
+//! retried. The lost window cannot be replayed — this wrapper does not
+//! buffer the posted frames — and flushing a freshly dialed connection
+//! would vacuously succeed while the writes it was supposed to confirm
+//! died with the old socket. Both paths surface `Unavailable` instead and
 //! leave re-dialing to the next operation, so the caller (the mirror
 //! fault-fencing layer) decides what the lost window means.
 //!
@@ -39,30 +39,29 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use perseas_sci::SegmentId;
 use perseas_simtime::{SimClock, SimDuration};
 
-use crate::{
-    AnyRemote, BackoffPolicy, FlushStats, PipelineConfig, RemoteMemory, RemoteSegment, RnError,
-    SessionMux, TcpRemote,
-};
+use crate::tcp::Kind;
+use crate::{BackoffPolicy, FlushStats, RemoteMemory, RemoteSegment, RnError, TcpRemote};
 
 /// A TCP-backed [`RemoteMemory`] that re-dials the server on socket
-/// failures. The connection is either a dedicated [`TcpRemote`] or a
-/// logical session on the process-wide shared mux ([`SessionMux`]); a
-/// re-dial always reproduces the original mode.
+/// failures. The connection is a [`TcpRemote`] on a private socket
+/// (confirmed or pipelined) or a session on the process-wide shared
+/// socket ([`crate::SessionMux::shared`]); a re-dial always reproduces the
+/// original kind.
 #[derive(Debug)]
 pub struct ReconnectingRemote {
     addr: SocketAddr,
-    inner: Option<AnyRemote>,
+    inner: Option<TcpRemote>,
+    kind: Kind,
     max_attempts: usize,
     policy: BackoffPolicy,
     pace: Option<SimClock>,
-    pipeline: Option<PipelineConfig>,
-    mux: bool,
 }
 
 impl ReconnectingRemote {
-    /// Connects to `addr`, retrying each future operation up to
-    /// `max_attempts` times across reconnects, paced by the default
-    /// [`BackoffPolicy`] (1 ms doubling to a 500 ms cap).
+    /// Connects to `addr` with a confirmed [`TcpRemote::connect`]
+    /// connection, retrying each future operation up to `max_attempts`
+    /// times across reconnects, paced by the default [`BackoffPolicy`]
+    /// (1 ms doubling to a 500 ms cap).
     ///
     /// # Errors
     ///
@@ -90,22 +89,34 @@ impl ReconnectingRemote {
         max_attempts: usize,
         policy: BackoffPolicy,
     ) -> Result<Self, RnError> {
-        assert!(max_attempts > 0, "at least one attempt is required");
-        let inner = TcpRemote::connect(&addr)?;
-        let addr = inner.peer_addr();
-        Ok(ReconnectingRemote {
-            addr,
-            inner: Some(AnyRemote::Tcp(inner)),
-            max_attempts,
-            policy,
-            pace: None,
-            pipeline: None,
-            mux: false,
-        })
+        ReconnectingRemote::dial_first(addr, max_attempts, policy, Kind::Confirmed)
     }
 
-    /// Opens a logical session on the process-wide shared mux for `addr`
-    /// (see [`SessionMux::shared`]) instead of a dedicated socket, with
+    /// Like [`ReconnectingRemote::connect`] over a
+    /// [`TcpRemote::connect_pipelined`] connection: writes are posted and
+    /// confirmed at [`RemoteMemory::flush`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if the initial connection cannot be established.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_attempts` is zero.
+    pub fn connect_pipelined(
+        addr: impl ToSocketAddrs,
+        max_attempts: usize,
+    ) -> Result<Self, RnError> {
+        ReconnectingRemote::dial_first(
+            addr,
+            max_attempts,
+            BackoffPolicy::default(),
+            Kind::Pipelined,
+        )
+    }
+
+    /// Opens a session on the process-wide shared socket for `addr` (see
+    /// [`crate::SessionMux::shared`]) instead of a private socket, with
     /// the same retry semantics: a dead shared socket is re-dialed for
     /// new work, but a session that dies with posted writes in flight
     /// surfaces the loss instead of silently retrying.
@@ -118,74 +129,25 @@ impl ReconnectingRemote {
     ///
     /// Panics if `max_attempts` is zero.
     pub fn connect_mux(addr: impl ToSocketAddrs, max_attempts: usize) -> Result<Self, RnError> {
+        ReconnectingRemote::dial_first(addr, max_attempts, BackoffPolicy::default(), Kind::Shared)
+    }
+
+    fn dial_first(
+        addr: impl ToSocketAddrs,
+        max_attempts: usize,
+        policy: BackoffPolicy,
+        kind: Kind,
+    ) -> Result<Self, RnError> {
         assert!(max_attempts > 0, "at least one attempt is required");
-        let mux = SessionMux::shared(addr)?;
-        let addr = mux.peer_addr();
+        let inner = TcpRemote::dial(addr, kind)?;
         Ok(ReconnectingRemote {
-            addr,
-            inner: Some(AnyRemote::Mux(mux.session())),
+            addr: inner.peer_addr(),
+            inner: Some(inner),
+            kind,
             max_attempts,
-            policy: BackoffPolicy::default(),
+            policy,
             pace: None,
-            pipeline: None,
-            mux: true,
         })
-    }
-
-    /// Connects in the mode selected by the environment: a shared-mux
-    /// session when [`MUX_ENV`](crate::MUX_ENV) is set, otherwise a
-    /// dedicated connection whose pipelining follows
-    /// [`PIPELINE_ENV`](crate::PIPELINE_ENV) — the hook the test suites
-    /// use to run the same scenarios over every transport (see
-    /// [`AnyRemote::connect_auto`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the initial connection cannot be established.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    pub fn connect_auto(addr: impl ToSocketAddrs, max_attempts: usize) -> Result<Self, RnError> {
-        if crate::mux::env_enables_mux() {
-            return ReconnectingRemote::connect_mux(addr, max_attempts);
-        }
-        let conn = ReconnectingRemote::connect(addr, max_attempts)?;
-        if crate::tcp::env_enables_pipeline(std::env::var(crate::PIPELINE_ENV).ok().as_deref()) {
-            Ok(conn.with_pipeline(PipelineConfig::default()))
-        } else {
-            Ok(conn)
-        }
-    }
-
-    /// Makes the current connection — and every re-dialed one — use the
-    /// posted-write window `cfg` (see [`TcpRemote::connect_with`] and
-    /// [`SessionMux::session_with`]).
-    pub fn with_pipeline(mut self, cfg: PipelineConfig) -> Self {
-        self.pipeline = Some(cfg);
-        match self.inner.as_mut() {
-            Some(AnyRemote::Tcp(conn)) => conn.enable_pipeline(cfg),
-            // A mux session's window is fixed at creation; swap in a
-            // fresh session with the requested one (nothing is in flight
-            // on a handle that is still being configured).
-            Some(AnyRemote::Mux(_)) => self.inner = self.dial().ok(),
-            None => {}
-        }
-        self
-    }
-
-    fn dial(&self) -> Result<AnyRemote, RnError> {
-        if self.mux {
-            let mux = SessionMux::shared(self.addr)?;
-            return Ok(AnyRemote::Mux(match self.pipeline {
-                Some(cfg) => mux.session_with(cfg),
-                None => mux.session(),
-            }));
-        }
-        Ok(AnyRemote::Tcp(match self.pipeline {
-            Some(cfg) => TcpRemote::connect_with(self.addr, cfg)?,
-            None => TcpRemote::connect(self.addr)?,
-        }))
     }
 
     /// The server address.
@@ -221,11 +183,14 @@ impl ReconnectingRemote {
     /// in the meantime is dropped here, so the write goes out on a fresh
     /// dial. Posted onto the dead socket it would be accepted locally and
     /// the barrier would report a lost window, although nothing was in
-    /// flight when the connection died.
+    /// flight when the connection died. (A confirmed write reports its own
+    /// failure and is retried like any other operation.)
     fn drop_if_hung_up(&mut self) {
-        let posts = self.mux || self.pipeline.is_some();
+        if self.kind == Kind::Confirmed {
+            return;
+        }
         if let Some(conn) = self.inner.as_ref() {
-            if posts && conn.in_flight() == 0 && conn.hung_up() {
+            if conn.in_flight() == 0 && conn.hung_up() {
                 self.inner = None;
             }
         }
@@ -233,7 +198,7 @@ impl ReconnectingRemote {
 
     fn with_conn<T>(
         &mut self,
-        mut op: impl FnMut(&mut AnyRemote) -> Result<T, RnError>,
+        mut op: impl FnMut(&mut TcpRemote) -> Result<T, RnError>,
     ) -> Result<T, RnError> {
         let mut last_err: Option<RnError> = None;
         for attempt in 0..self.max_attempts {
@@ -242,7 +207,7 @@ impl ReconnectingRemote {
                 self.pause(self.policy.delay_nanos(attempt as u32 - 1));
             }
             if self.inner.is_none() {
-                match self.dial() {
+                match TcpRemote::dial(self.addr, self.kind) {
                     Ok(c) => self.inner = Some(c),
                     Err(e) => {
                         last_err = Some(e);
@@ -347,7 +312,11 @@ impl RemoteMemory for ReconnectingRemote {
     fn node_name(&self) -> String {
         self.inner.as_ref().map_or_else(
             || {
-                let scheme = if self.mux { "mux" } else { "tcp" };
+                let scheme = if self.kind == Kind::Shared {
+                    "mux"
+                } else {
+                    "tcp"
+                };
                 format!("{scheme}://{}", self.addr)
             },
             RemoteMemory::node_name,
@@ -454,9 +423,7 @@ mod tests {
         let server = Server::bind("redial", "127.0.0.1:0").unwrap().start();
         let node = server.node().clone();
         let addr = server.addr();
-        let mut r = ReconnectingRemote::connect(addr, 5)
-            .unwrap()
-            .with_pipeline(PipelineConfig::default());
+        let mut r = ReconnectingRemote::connect_pipelined(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         r.remote_write(seg.id, 0, &[1; 8]).unwrap();
         r.flush().unwrap();
@@ -480,9 +447,7 @@ mod tests {
         let server = Server::bind("idle", "127.0.0.1:0").unwrap().start();
         let node = server.node().clone();
         let addr = server.addr();
-        let mut r = ReconnectingRemote::connect(addr, 5)
-            .unwrap()
-            .with_pipeline(PipelineConfig::default());
+        let mut r = ReconnectingRemote::connect_pipelined(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         r.remote_write(seg.id, 0, &[1; 8]).unwrap();
         r.flush().unwrap();
@@ -501,7 +466,7 @@ mod tests {
     }
 
     /// A scripted server for the lost-window tests: answers everything on
-    /// the first connection until a posted (seq-wrapped) write arrives,
+    /// the first connection until a posted write arrives,
     /// then hangs up with that write unacknowledged. Every *later*
     /// connection is served fully — so if the wrapper ever silently
     /// re-dialed and retried, the retried operation would succeed and the
@@ -511,10 +476,6 @@ mod tests {
 
         fn reply(req: &Request) -> Response {
             match req {
-                Request::Seq { seq, inner } => Response::Tagged {
-                    seq: *seq,
-                    inner: Box::new(reply(inner)),
-                },
                 Request::Mux {
                     session,
                     seq,
@@ -548,7 +509,7 @@ mod tests {
                     let req = Request::decode(&body).unwrap();
                     let posted_write = matches!(
                         &req,
-                        Request::Seq { inner, .. } | Request::Mux { inner, .. }
+                        Request::Mux { inner, .. }
                             if matches!(**inner, Request::Write { .. } | Request::WriteV { .. })
                     );
                     if posted_write {
@@ -581,9 +542,7 @@ mod tests {
     #[test]
     fn lost_window_fails_the_op_instead_of_silently_retrying() {
         let addr = spawn_window_dropper();
-        let mut r = ReconnectingRemote::connect(addr, 5)
-            .unwrap()
-            .with_pipeline(PipelineConfig::default());
+        let mut r = ReconnectingRemote::connect_pipelined(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         // The scripted server reads this posted write and hangs up
         // without acknowledging it.
@@ -605,9 +564,7 @@ mod tests {
     #[test]
     fn flush_is_never_retried() {
         let addr = spawn_window_dropper();
-        let mut r = ReconnectingRemote::connect(addr, 5)
-            .unwrap()
-            .with_pipeline(PipelineConfig::default());
+        let mut r = ReconnectingRemote::connect_pipelined(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         r.remote_write(seg.id, 0, &[9; 8]).unwrap();
 

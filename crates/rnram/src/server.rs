@@ -17,22 +17,20 @@
 //! queue up to [`AdmissionConfig::max_queue`] and are then refused with a
 //! typed [`Response::Overloaded`] — never silently dropped, never
 //! reordered: every request gets exactly one response, in receipt order
-//! per connection. [`Server::start_threaded`] keeps the original
-//! thread-per-connection loop alive solely as the baseline the mux
-//! scaling bench compares against.
+//! per connection.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use perseas_sci::{NodeMemory, SciError, SegmentId};
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{crc32, frame_bytes, read_frame, write_frame, Request, Response, MAX_FRAME};
+use crate::protocol::{crc32, frame_bytes, Request, Response, MAX_FRAME};
 use crate::RnError;
 
 /// Readiness notification without new dependencies: a thin shim over the
@@ -212,8 +210,8 @@ impl Server {
     /// response, modelling network round-trip time for deterministic
     /// benchmarking. The request is *applied* to memory immediately on
     /// admission — only its acknowledgement is delayed — so delays of
-    /// pipelined requests overlap the way propagation delay does on a
-    /// real link, while a synchronous client pays `latency` per
+    /// posted requests overlap the way propagation delay does on a real
+    /// link, while a client that waits for each answer pays `latency` per
     /// operation.
     pub fn with_request_latency(mut self, latency: Duration) -> Server {
         self.latency = latency;
@@ -266,54 +264,6 @@ impl Server {
         ServerHandle {
             addr,
             node,
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Starts the legacy thread-per-connection loop (one OS thread per
-    /// client, mirroring the paper's blocking request/response model).
-    ///
-    /// Kept as the baseline for the mux scaling bench: it has no admission
-    /// control and its fan-in is capped by thread spawn cost. New code
-    /// should use [`Server::start`].
-    pub fn start_threaded(self) -> ServerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let node = self.node.clone();
-        let listener = self.listener;
-        let addr = self.addr;
-        let latency = self.latency;
-        let metrics = self.metrics.clone();
-        let stop2 = stop.clone();
-        let thread = thread::spawn(move || {
-            let _ = listener.set_nonblocking(true);
-            while !stop2.load(Ordering::SeqCst) {
-                let mut fds = [readiness::PollFd {
-                    fd: fd_of(&listener),
-                    events: readiness::POLLIN,
-                    revents: 0,
-                }];
-                readiness::poll_fds(&mut fds, 50);
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nonblocking(false);
-                            let node = node.clone();
-                            let stop = stop2.clone();
-                            let metrics = metrics.clone();
-                            thread::spawn(move || {
-                                let _ = serve_connection(stream, &node, &stop, latency, metrics);
-                            });
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
-            }
-        });
-        ServerHandle {
-            addr,
-            node: self.node,
             stop,
             thread: Some(thread),
         }
@@ -424,7 +374,7 @@ struct Conn {
     /// Ready entries before it, so admitting it preserves apply order).
     waiting: usize,
     /// Sessions opened on this connection (for the sessions gauge).
-    sessions: HashSet<u64>,
+    sessions: BTreeSet<u64>,
     eof: bool,
     dead: bool,
     errored: bool,
@@ -542,7 +492,7 @@ impl EventLoop {
                         rpos: 0,
                         queue: VecDeque::new(),
                         waiting: 0,
-                        sessions: HashSet::new(),
+                        sessions: BTreeSet::new(),
                         eof: false,
                         dead: false,
                         errored: false,
@@ -777,8 +727,8 @@ fn track_sessions(conn: &mut Conn, req: &Request, ctx: &Ctx) {
     }
 }
 
-/// An admission refusal shaped like its request, so pipelined and
-/// multiplexed clients can route it by seq / session.
+/// An admission refusal shaped like its request, so a client can route
+/// it by session and seq.
 fn refusal_for(req: &Request) -> Response {
     match req {
         Request::Mux { session, seq, .. } => Response::Mux {
@@ -876,89 +826,6 @@ fn release_conn(conn: Conn, ctx: &mut Ctx) {
     }
 }
 
-/// Serves one client connection until EOF or shutdown — the legacy
-/// blocking loop behind [`Server::start_threaded`].
-///
-/// With a zero `latency` every response is written inline. With a nonzero
-/// `latency` the request is still applied to memory immediately, but the
-/// encoded response is handed to a dedicated writer thread that holds it
-/// until `receipt + latency` — a propagation delay, not a service time, so
-/// the delays of pipelined requests overlap while a synchronous client
-/// pays the full latency once per operation. The single writer thread
-/// preserves response FIFO order (deadlines are monotone in receipt time).
-fn serve_connection(
-    mut stream: TcpStream,
-    node: &NodeMemory,
-    stop: &AtomicBool,
-    latency: Duration,
-    metrics: Option<Arc<ServerMetrics>>,
-) -> Result<(), RnError> {
-    stream.set_nodelay(true)?;
-    if let Some(m) = metrics.as_deref() {
-        m.connections_total.inc();
-        m.connections.add(1);
-    }
-    let mut delayed: Option<DelayedWriter> = if latency > Duration::ZERO {
-        Some(DelayedWriter::spawn(stream.try_clone()?))
-    } else {
-        None
-    };
-    let result = loop {
-        let body = match read_frame(&mut stream) {
-            Ok(b) => b,
-            Err(RnError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => break Ok(()),
-            Err(e) => break Err(e),
-        };
-        let received = Instant::now();
-        // A request that arrives after shutdown is not a "current request":
-        // drop the connection so clients see the server as down instead of
-        // racing one last answer out of a dying handler.
-        if stop.load(Ordering::SeqCst) {
-            break Ok(());
-        }
-        let decoded = Request::decode(&body);
-        let op = decoded.as_ref().map_or("decode_error", op_name);
-        let resp = match decoded {
-            Err(e) => Response::Err(e.to_string()),
-            Ok(req) => handle_request(req, node, stop),
-        };
-        let frame = resp.encode();
-        if let Some(m) = metrics.as_deref() {
-            m.bytes_in.add(body.len() as u64);
-            m.bytes_out.add(frame.len() as u64);
-            let op = m.op(op);
-            op.requests.inc();
-            op.latency.record_wall(received.elapsed());
-        }
-        match &delayed {
-            Some(writer) => {
-                if writer.send(received + latency, frame).is_err() {
-                    // Writer thread died (peer hung up mid-write).
-                    break Ok(());
-                }
-            }
-            None => {
-                if let Err(e) = write_frame(&mut stream, &frame) {
-                    break Err(e);
-                }
-            }
-        }
-        if stop.load(Ordering::SeqCst) {
-            break Ok(());
-        }
-    };
-    if let Some(writer) = delayed.take() {
-        writer.finish();
-    }
-    if let Some(m) = metrics.as_deref() {
-        m.connections.add(-1);
-        if result.is_err() {
-            m.connections_dropped.inc();
-        }
-    }
-    result
-}
-
 /// The metrics label for a request's opcode. `Seq` and `Mux` wrappers are
 /// attributed to the operation they carry.
 fn op_name(req: &Request) -> &'static str {
@@ -976,51 +843,6 @@ fn op_name(req: &Request) -> &'static str {
         Request::Ping => "ping",
         Request::Shutdown => "shutdown",
         Request::SessClose => "sess_close",
-    }
-}
-
-/// Writer thread that sends each queued response frame no earlier than its
-/// deadline. Owning the only writing half of the socket keeps responses in
-/// FIFO order. (Legacy path only; the event loop tracks deadlines itself.)
-struct DelayedWriter {
-    tx: Option<mpsc::Sender<(Instant, Vec<u8>)>>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl DelayedWriter {
-    fn spawn(mut stream: TcpStream) -> DelayedWriter {
-        let (tx, rx) = mpsc::channel::<(Instant, Vec<u8>)>();
-        let thread = thread::spawn(move || {
-            while let Ok((deadline, frame)) = rx.recv() {
-                let now = Instant::now();
-                if deadline > now {
-                    thread::sleep(deadline - now);
-                }
-                if write_frame(&mut stream, &frame).is_err() {
-                    // Peer gone: drain and drop remaining responses.
-                    break;
-                }
-            }
-        });
-        DelayedWriter {
-            tx: Some(tx),
-            thread: Some(thread),
-        }
-    }
-
-    fn send(&self, deadline: Instant, frame: Vec<u8>) -> Result<(), ()> {
-        match &self.tx {
-            Some(tx) => tx.send((deadline, frame)).map_err(|_| ()),
-            None => Err(()),
-        }
-    }
-
-    /// Closes the queue and waits for every pending response to go out.
-    fn finish(mut self) {
-        self.tx.take();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -1129,7 +951,7 @@ fn segment_response(node: &NodeMemory, id: SegmentId) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::encode_seq;
+    use crate::protocol::{read_frame, write_frame};
     use crate::{RemoteMemory, TcpRemote};
 
     #[test]
@@ -1173,35 +995,20 @@ mod tests {
     }
 
     #[test]
-    fn threaded_mode_still_serves() {
-        let server = Server::bind("legacy", "127.0.0.1:0")
-            .unwrap()
-            .start_threaded();
-        let mut c = TcpRemote::connect(server.addr()).unwrap();
-        let seg = c.remote_malloc(32, 2).unwrap();
-        c.remote_write(seg.id, 0, b"old school").unwrap();
-        let mut buf = [0u8; 10];
-        c.remote_read(seg.id, 0, &mut buf).unwrap();
-        assert_eq!(&buf, b"old school");
-        server.shutdown();
-    }
-
-    #[test]
     fn shutdown_without_any_connection_returns_promptly() {
         // The old accept loop needed a dummy self-connection to unblock;
         // the event loop must exit on the stop flag alone.
-        for start in [Server::start, Server::start_threaded] {
-            let server = start(Server::bind("idle", "127.0.0.1:0").unwrap());
-            let t0 = Instant::now();
-            server.shutdown();
-            assert!(t0.elapsed() < Duration::from_secs(2));
-        }
+        let server = Server::bind("idle", "127.0.0.1:0").unwrap().start();
+        let t0 = Instant::now();
+        server.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(2));
     }
 
     #[test]
     fn admission_overflow_is_refused_in_order() {
         // One slot, two queue places: of five pipelined pings the first
         // three are served and the last two refused, all in seq order.
+        // The bare `Seq` frame is still answered for compatibility.
         let server = Server::bind("narrow", "127.0.0.1:0")
             .unwrap()
             .with_admission(AdmissionConfig {
@@ -1212,7 +1019,11 @@ mod tests {
             .start();
         let mut s = TcpStream::connect(server.addr()).unwrap();
         for seq in 0..5u64 {
-            write_frame(&mut s, &encode_seq(seq, &Request::Ping)).unwrap();
+            let ping = Request::Seq {
+                seq,
+                inner: Box::new(Request::Ping),
+            };
+            write_frame(&mut s, &ping.encode()).unwrap();
         }
         let mut got = Vec::new();
         for _ in 0..5 {

@@ -1,20 +1,14 @@
 //! TCP client backend: network RAM on a genuinely separate process.
 
-use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::{Arc, Mutex};
 
 use perseas_sci::SegmentId;
 
 use crate::metrics::ClientMetrics;
-use crate::protocol::{
-    encode_seq, encode_write, encode_write_v, read_frame, write_frame, Request, Response,
-};
-use crate::{FlushStats, RemoteMemory, RemoteSegment, RnError};
-
-/// Environment variable read by [`TcpRemote::connect_auto`]: set it to
-/// `1`, `true`, `on`, or `yes` to get a pipelined connection, anything
-/// else (or unset) for the synchronous one.
-pub const PIPELINE_ENV: &str = "PERSEAS_TCP_PIPELINE";
+use crate::mux::{lock, MuxIo};
+use crate::protocol::{encode_mux, encode_write_mux, encode_write_v_mux, Request, Response};
+use crate::{FlushStats, RemoteMemory, RemoteSegment, RnError, SessionMux};
 
 /// Bounds on the pipelined in-flight window: how many write operations
 /// may be posted without an acknowledgement, and how many payload bytes
@@ -37,20 +31,16 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Client-side pipelining state: the FIFO of posted-but-unacknowledged
-/// sequence numbers and the refusals their acks carried back.
-#[derive(Debug)]
-struct PipelineState {
-    cfg: PipelineConfig,
-    next_seq: u64,
-    /// `(seq, payload_bytes)` of posted writes, oldest first. The server
-    /// answers in FIFO order, so the next tagged response always matches
-    /// the front (or a synchronous RPC posted after all of them).
-    outstanding: VecDeque<(u64, usize)>,
-    outstanding_bytes: usize,
-    /// Typed refusals earned by posted writes, surfaced one per
-    /// [`RemoteMemory::flush`] call.
-    refusals: VecDeque<String>,
+/// How a [`TcpRemote`] was opened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// The only session on a private socket; every operation is confirmed
+    /// before it returns.
+    Confirmed,
+    /// The only session on a private socket, posting writes.
+    Pipelined,
+    /// One of many sessions on a [`SessionMux`] socket, posting writes.
+    Shared,
 }
 
 /// A [`RemoteMemory`] that talks to a [`crate::server::Server`] over TCP.
@@ -59,44 +49,90 @@ struct PipelineState {
 /// actual deployments and the two-process examples, and [`crate::SimRemote`]
 /// for reproducing the paper's virtual-time figures.
 ///
-/// Two modes share the connection logic:
+/// Every handle is one session of a [`SessionMux`] connection, and every
+/// write is *posted*: `remote_write` and `remote_write_v` return as soon
+/// as the frame is on the wire (within a bounded window), and
+/// [`RemoteMemory::flush`] is the ack barrier that confirms them — the
+/// paper's "write now, confirm at the commit point" shape over a real
+/// network. A posted write's refusal never surfaces through another
+/// operation's result; it is queued and reported by `flush`, one per call.
 ///
-/// - [`TcpRemote::connect`] acknowledges every operation inline — one
-///   round trip per call, errors surface at the call that earned them.
-/// - [`TcpRemote::connect_pipelined`] *posts* writes: `remote_write` and
-///   `remote_write_v` return as soon as the frame is on the wire (within
-///   a bounded window), and [`RemoteMemory::flush`] is the ack barrier
-///   that confirms them — the paper's "write now, confirm at the commit
-///   point" shape over a real network. A posted write's refusal never
-///   surfaces through another operation's result; it is queued and
-///   reported by `flush`, one per call.
+/// - [`TcpRemote::connect`] dials a private socket and runs the barrier
+///   after every write, so each operation is confirmed before it returns
+///   and a refusal is that call's error.
+/// - [`TcpRemote::connect_pipelined`] / [`TcpRemote::connect_with`] dial
+///   a private socket and leave confirmation to `flush`.
+/// - [`SessionMux::session`] hands out handles sharing one socket.
 #[derive(Debug)]
 pub struct TcpRemote {
-    stream: TcpStream,
+    io: Arc<Mutex<MuxIo>>,
+    session: u64,
+    kind: Kind,
     peer: SocketAddr,
     cached_name: Option<String>,
-    pipeline: Option<PipelineState>,
     metrics: Option<ClientMetrics>,
 }
 
 impl TcpRemote {
-    /// Connects to a network-RAM server in synchronous (one round trip
-    /// per operation) mode.
+    /// Connects to a network-RAM server on a private socket, confirming
+    /// every operation before it returns.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<TcpRemote, RnError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let peer = stream.peer_addr()?;
-        Ok(TcpRemote {
-            stream,
-            peer,
+        let mux = SessionMux::connect(addr)?;
+        Ok(TcpRemote::open(
+            &mux,
+            Kind::Confirmed,
+            PipelineConfig::default(),
+        ))
+    }
+
+    /// Connects on a private socket with the default posted-write window
+    /// ([`PipelineConfig::default`]: 64 ops / 4 MiB).
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors.
+    pub fn connect_pipelined(addr: impl ToSocketAddrs) -> Result<TcpRemote, RnError> {
+        TcpRemote::connect_with(addr, PipelineConfig::default())
+    }
+
+    /// Connects on a private socket with an explicit window configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket errors.
+    pub fn connect_with(
+        addr: impl ToSocketAddrs,
+        cfg: PipelineConfig,
+    ) -> Result<TcpRemote, RnError> {
+        let mux = SessionMux::connect(addr)?;
+        Ok(TcpRemote::open(&mux, Kind::Pipelined, cfg))
+    }
+
+    /// Dials a fresh handle of `kind` with the default window (used by
+    /// the reconnect wrapper).
+    pub(crate) fn dial(addr: impl ToSocketAddrs, kind: Kind) -> Result<TcpRemote, RnError> {
+        match kind {
+            Kind::Confirmed => TcpRemote::connect(addr),
+            Kind::Pipelined => TcpRemote::connect_pipelined(addr),
+            Kind::Shared => Ok(SessionMux::shared(addr)?.session()),
+        }
+    }
+
+    /// Opens a new session of `kind` with window `cfg` on `mux`.
+    pub(crate) fn open(mux: &SessionMux, kind: Kind, cfg: PipelineConfig) -> TcpRemote {
+        let mut g = lock(&mux.io);
+        TcpRemote {
+            io: mux.io.clone(),
+            session: g.open_session(cfg),
+            kind,
+            peer: g.peer(),
             cached_name: None,
-            pipeline: None,
             metrics: None,
-        })
+        }
     }
 
     /// Installs metrics: round trips, posted writes, frame bytes, window
@@ -107,82 +143,19 @@ impl TcpRemote {
         self.metrics = Some(ClientMetrics::new(registry));
     }
 
-    /// Updates the window-occupancy gauge (no-op without metrics).
-    fn gauge_in_flight(&self) {
-        if let Some(m) = self.metrics.as_ref() {
-            m.in_flight
-                .set(self.pipeline.as_ref().map_or(0, |p| p.outstanding.len()) as i64);
-        }
-    }
-
-    /// Connects in pipelined mode with the default window
-    /// ([`PipelineConfig::default`]: 64 ops / 4 MiB).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn connect_pipelined(addr: impl ToSocketAddrs) -> Result<TcpRemote, RnError> {
-        TcpRemote::connect_with(addr, PipelineConfig::default())
-    }
-
-    /// Connects in pipelined mode with an explicit window configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        cfg: PipelineConfig,
-    ) -> Result<TcpRemote, RnError> {
-        let mut conn = TcpRemote::connect(addr)?;
-        conn.enable_pipeline(cfg);
-        Ok(conn)
-    }
-
-    /// Switches an idle connection into pipelined mode (used by the
-    /// reconnect wrapper so enabling pipelining does not re-dial).
-    pub(crate) fn enable_pipeline(&mut self, cfg: PipelineConfig) {
-        debug_assert_eq!(self.in_flight(), 0, "enable on an idle connection");
-        self.pipeline = Some(PipelineState {
-            cfg: PipelineConfig {
-                max_ops: cfg.max_ops.max(1),
-                max_bytes: cfg.max_bytes.max(1),
-            },
-            next_seq: 0,
-            outstanding: VecDeque::new(),
-            outstanding_bytes: 0,
-            refusals: VecDeque::new(),
-        });
-    }
-
-    /// Connects in the mode selected by the [`PIPELINE_ENV`] environment
-    /// variable — the hook the test suites use to run the same scenarios
-    /// over both transports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn connect_auto(addr: impl ToSocketAddrs) -> Result<TcpRemote, RnError> {
-        if env_enables_pipeline(std::env::var(PIPELINE_ENV).ok().as_deref()) {
-            TcpRemote::connect_pipelined(addr)
-        } else {
-            TcpRemote::connect(addr)
-        }
-    }
-
-    /// Whether this connection posts writes (pipelined mode).
-    pub fn is_pipelined(&self) -> bool {
-        self.pipeline.is_some()
-    }
-
     /// The server address this client is connected to.
     pub fn peer_addr(&self) -> SocketAddr {
         self.peer
     }
 
-    /// See [`peer_hung_up`].
+    /// This handle's session id on the wire.
+    pub fn session_id(&self) -> u64 {
+        self.session
+    }
+
+    /// See [`MuxIo::hung_up`].
     pub(crate) fn hung_up(&self) -> bool {
-        peer_hung_up(&self.stream)
+        lock(&self.io).hung_up()
     }
 
     /// Sends a liveness probe.
@@ -191,10 +164,7 @@ impl TcpRemote {
     ///
     /// Fails if the server is unreachable.
     pub fn ping(&mut self) -> Result<(), RnError> {
-        match self.call(&Request::Ping)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.rpc(&Request::Ping).and_then(expect_ok)
     }
 
     /// Asks the server to stop accepting new connections.
@@ -203,67 +173,53 @@ impl TcpRemote {
     ///
     /// Fails if the server is unreachable.
     pub fn shutdown_server(&mut self) -> Result<(), RnError> {
-        match self.call(&Request::Shutdown)? {
-            Response::Ok => Ok(()),
+        self.rpc(&Request::Shutdown).and_then(expect_ok)
+    }
+
+    /// Fetches and caches the server's node name.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the server is unreachable.
+    pub fn fetch_name(&mut self) -> Result<String, RnError> {
+        match self.rpc(&Request::Name)? {
+            Response::Name(n) => {
+                self.cached_name = Some(n.clone());
+                Ok(n)
+            }
             other => Err(unexpected(other)),
         }
     }
 
-    fn call(&mut self, req: &Request) -> Result<Response, RnError> {
-        if self.pipeline.is_some() {
-            let seq = self.take_seq();
-            let body = encode_seq(seq, req);
-            if let Some(m) = self.metrics.as_ref() {
-                m.ops.inc();
-                m.bytes.add(body.len() as u64);
-            }
-            write_frame(&mut self.stream, &body)?;
-            let resp = self.await_tagged(seq);
-            self.gauge_in_flight();
-            return resp;
+    fn gauge_in_flight(&self, io: &MuxIo) {
+        if let Some(m) = self.metrics.as_ref() {
+            m.in_flight.set(io.in_flight(self.session) as i64);
         }
-        self.sync_roundtrip(&req.encode())
     }
 
-    /// One synchronous request/response exchange from an already-encoded
-    /// frame body.
-    fn sync_roundtrip(&mut self, body: &[u8]) -> Result<Response, RnError> {
+    /// One request/response exchange; a refusal is its error.
+    fn rpc(&self, req: &Request) -> Result<Response, RnError> {
+        let mut io = lock(&self.io);
+        let seq = io.take_seq(self.session);
+        let body = encode_mux(self.session, seq, req);
         if let Some(m) = self.metrics.as_ref() {
             m.ops.inc();
             m.bytes.add(body.len() as u64);
         }
-        write_frame(&mut self.stream, body)?;
-        let resp = read_frame(&mut self.stream)?;
-        Response::decode(&resp)
+        let resp = io.rpc(self.session, seq, &body);
+        self.gauge_in_flight(&io);
+        resp
     }
 
-    /// Allocates the next sequence number (pipelined mode only).
-    fn take_seq(&mut self) -> u64 {
-        let p = self.pipeline.as_mut().expect("pipelined mode");
-        let seq = p.next_seq;
-        p.next_seq += 1;
-        seq
-    }
-
-    /// Posts an already-encoded, seq-wrapped write without waiting for
-    /// its acknowledgement, draining old acks first if the window is
-    /// full. `bytes` is the payload size charged against the window.
-    fn post(&mut self, body: Vec<u8>, seq: u64, bytes: usize) -> Result<(), RnError> {
-        let mut stalled = false;
-        loop {
-            let p = self.pipeline.as_ref().expect("pipelined mode");
-            let fits = p.outstanding.len() < p.cfg.max_ops
-                && (p.outstanding.is_empty() || p.outstanding_bytes + bytes <= p.cfg.max_bytes);
-            if fits {
-                break;
-            }
-            stalled = true;
-            self.drain_one()?;
-        }
-        write_frame(&mut self.stream, &body)?;
-        let p = self.pipeline.as_mut().expect("pipelined mode");
-        p.outstanding.push_back((seq, bytes));
-        p.outstanding_bytes += bytes;
+    /// Posts the write `encode` builds for a sequence number, charging
+    /// `bytes` of payload against the window. A confirmed handle then
+    /// runs the barrier: its window holds only this write, so a failure
+    /// is this call's error and leaves nothing in flight.
+    fn post(&self, bytes: usize, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<(), RnError> {
+        let mut io = lock(&self.io);
+        let seq = io.take_seq(self.session);
+        let body = encode(seq);
+        let stalled = io.post(self.session, &body, seq, bytes)?;
         if let Some(m) = self.metrics.as_ref() {
             m.posted.inc();
             m.bytes.add(body.len() as u64);
@@ -271,76 +227,34 @@ impl TcpRemote {
                 m.window_stalls.inc();
             }
         }
-        self.gauge_in_flight();
+        if self.kind == Kind::Confirmed {
+            return self
+                .barrier(&mut io)
+                .map(drop)
+                .inspect_err(|_| io.abandon(self.session));
+        }
+        self.gauge_in_flight(&io);
         Ok(())
     }
 
-    /// Reads one tagged response and resolves it against the oldest
-    /// outstanding posted write; a refusal is queued for [`Self::flush`],
-    /// never returned here.
-    fn drain_one(&mut self) -> Result<(), RnError> {
-        let body = read_frame(&mut self.stream)?;
-        let resp = Response::decode(&body)?;
-        let Response::Tagged { seq, inner } = resp else {
-            return Err(unexpected(resp));
-        };
-        let p = self.pipeline.as_mut().expect("pipelined mode");
-        let Some(&(front, bytes)) = p.outstanding.front() else {
-            return Err(RnError::Protocol(format!("unsolicited ack for seq {seq}")));
-        };
-        if seq != front {
-            return Err(RnError::Protocol(format!(
-                "ack for seq {seq} arrived while seq {front} is oldest in flight"
-            )));
+    /// The ack barrier: drains this session's window, then surfaces one
+    /// queued refusal.
+    fn barrier(&self, io: &mut MuxIo) -> Result<FlushStats, RnError> {
+        let stats = io.drain(self.session)?;
+        if let Some(m) = self.metrics.as_ref() {
+            m.flush_barriers.inc();
+            m.flush_posted.add(stats.posted as u64);
+            m.flush_bytes.add(stats.bytes as u64);
         }
-        p.outstanding.pop_front();
-        p.outstanding_bytes -= bytes;
-        match *inner {
-            Response::Ok => Ok(()),
-            Response::Err(m) => {
-                p.refusals.push_back(m);
-                Ok(())
-            }
-            other => Err(unexpected(other)),
+        self.gauge_in_flight(io);
+        match io.take_refusal(self.session) {
+            Some(e) => Err(e),
+            None => Ok(stats),
         }
     }
 
-    /// Reads tagged responses until the one for `want` arrives, resolving
-    /// acknowledgements of earlier posted writes along the way (the
-    /// server answers in FIFO order, so they all precede `want`).
-    fn await_tagged(&mut self, want: u64) -> Result<Response, RnError> {
-        loop {
-            let body = read_frame(&mut self.stream)?;
-            let resp = Response::decode(&body)?;
-            let Response::Tagged { seq, inner } = resp else {
-                return Err(unexpected(resp));
-            };
-            let p = self.pipeline.as_mut().expect("pipelined mode");
-            if let Some(&(front, bytes)) = p.outstanding.front() {
-                if seq == front {
-                    p.outstanding.pop_front();
-                    p.outstanding_bytes -= bytes;
-                    match *inner {
-                        Response::Ok => continue,
-                        Response::Err(m) => {
-                            p.refusals.push_back(m);
-                            continue;
-                        }
-                        other => return Err(unexpected(other)),
-                    }
-                }
-            }
-            if seq == want {
-                return Ok(*inner);
-            }
-            return Err(RnError::Protocol(format!(
-                "response for seq {seq} out of order (awaiting {want})"
-            )));
-        }
-    }
-
-    fn expect_segment(&mut self, req: &Request) -> Result<RemoteSegment, RnError> {
-        match self.call(req)? {
+    fn segment(&self, req: &Request) -> Result<RemoteSegment, RnError> {
+        match self.rpc(req)? {
             Response::Segment {
                 seg,
                 len,
@@ -352,9 +266,16 @@ impl TcpRemote {
                 tag,
                 base_addr,
             }),
-            Response::Err(m) => Err(RnError::Remote(m)),
             other => Err(unexpected(other)),
         }
+    }
+}
+
+impl Drop for TcpRemote {
+    fn drop(&mut self) {
+        // A private socket closes with its only handle, which retires the
+        // session on the server without a `SessClose`.
+        lock(&self.io).close_session(self.session, self.kind == Kind::Shared);
     }
 }
 
@@ -362,27 +283,16 @@ fn unexpected(resp: Response) -> RnError {
     RnError::Protocol(format!("unexpected response: {resp:?}"))
 }
 
-/// Whether the peer has closed or reset `stream`, asked without blocking.
-/// A frame is one `write`, and the local socket accepts a write to a
-/// peer that has already hung up, so a posted write cannot find this out
-/// by itself; [`crate::ReconnectingRemote`] asks before it opens a new
-/// window on an idle connection.
-pub(crate) fn peer_hung_up(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
+fn expect_ok(resp: Response) -> Result<(), RnError> {
+    match resp {
+        Response::Ok => Ok(()),
+        other => Err(unexpected(other)),
     }
-    let verdict = match stream.peek(&mut [0u8; 1]) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
-    };
-    stream.set_nonblocking(false).is_err() || verdict
 }
 
 /// Validates a [`Response::DataV`] against the ranges that were requested:
-/// exactly one buffer per range, each of the requested length. Shared by
-/// the plain TCP client and mux sessions.
-pub(crate) fn check_data_v(
+/// exactly one buffer per range, each of the requested length.
+fn check_data_v(
     reads: &[(SegmentId, usize, usize)],
     bufs: Vec<Vec<u8>>,
 ) -> Result<Vec<Vec<u8>>, RnError> {
@@ -404,46 +314,26 @@ pub(crate) fn check_data_v(
     Ok(bufs)
 }
 
-/// Interprets the [`PIPELINE_ENV`] value: `1`/`true`/`on`/`yes`
-/// (case-insensitive) enable pipelining, anything else — including
-/// unset — selects the synchronous transport.
-pub(crate) fn env_enables_pipeline(value: Option<&str>) -> bool {
-    matches!(
-        value.map(str::trim).map(str::to_ascii_lowercase).as_deref(),
-        Some("1") | Some("true") | Some("on") | Some("yes")
-    )
-}
-
 impl RemoteMemory for TcpRemote {
     fn remote_malloc(&mut self, len: usize, tag: u64) -> Result<RemoteSegment, RnError> {
-        self.expect_segment(&Request::Malloc {
+        self.segment(&Request::Malloc {
             len: len as u64,
             tag,
         })
     }
 
     fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {
-        match self.call(&Request::Free { seg: seg.as_raw() })? {
-            Response::Ok => Ok(()),
-            Response::Err(m) => Err(RnError::Remote(m)),
-            other => Err(unexpected(other)),
-        }
+        self.rpc(&Request::Free { seg: seg.as_raw() })
+            .and_then(expect_ok)
     }
 
     fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
         // The frame is encoded straight from the borrowed payload: one
         // allocation, one copy, no intermediate `data.to_vec()`.
-        if self.pipeline.is_some() {
-            let seq = self.take_seq();
-            let body = encode_write(Some(seq), seg.as_raw(), offset as u64, data);
-            return self.post(body, seq, data.len());
-        }
-        let body = encode_write(None, seg.as_raw(), offset as u64, data);
-        match self.sync_roundtrip(&body)? {
-            Response::Ok => Ok(()),
-            Response::Err(m) => Err(RnError::Remote(m)),
-            other => Err(unexpected(other)),
-        }
+        let session = self.session;
+        self.post(data.len(), |seq| {
+            encode_write_mux(session, seq, seg.as_raw(), offset as u64, data)
+        })
     }
 
     fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
@@ -453,58 +343,20 @@ impl RemoteMemory for TcpRemote {
             .iter()
             .map(|&(seg, offset, data)| (seg.as_raw(), offset as u64, data))
             .collect();
-        if self.pipeline.is_some() {
-            let seq = self.take_seq();
-            let body = encode_write_v(Some(seq), &ranges);
-            let bytes = ranges.iter().map(|(_, _, d)| d.len()).sum();
-            return self.post(body, seq, bytes);
-        }
-        let body = encode_write_v(None, &ranges);
-        match self.sync_roundtrip(&body)? {
-            Response::Ok => Ok(()),
-            Response::Err(m) => Err(RnError::Remote(m)),
-            other => Err(unexpected(other)),
-        }
+        let bytes = ranges.iter().map(|(_, _, d)| d.len()).sum();
+        let session = self.session;
+        self.post(bytes, |seq| encode_write_v_mux(session, seq, &ranges))
     }
 
     fn flush(&mut self) -> Result<FlushStats, RnError> {
-        if self.pipeline.is_none() {
-            return Ok(FlushStats::default());
-        }
-        let stats = {
-            let p = self.pipeline.as_ref().expect("pipelined mode");
-            FlushStats {
-                posted: p.outstanding.len(),
-                bytes: p.outstanding_bytes,
-            }
-        };
-        while !self
-            .pipeline
-            .as_ref()
-            .expect("pipelined mode")
-            .outstanding
-            .is_empty()
-        {
-            // On a socket error the outstanding window stays recorded, so
-            // `in_flight()` keeps reporting the lost operations and a
-            // reconnect wrapper knows it must not silently re-dial.
-            self.drain_one()?;
-        }
-        if let Some(m) = self.metrics.as_ref() {
-            m.flush_barriers.inc();
-            m.flush_posted.add(stats.posted as u64);
-            m.flush_bytes.add(stats.bytes as u64);
-        }
-        self.gauge_in_flight();
-        let p = self.pipeline.as_mut().expect("pipelined mode");
-        if let Some(m) = p.refusals.pop_front() {
-            return Err(RnError::Remote(m));
-        }
-        Ok(stats)
+        // On a socket error the outstanding window stays recorded, so
+        // `in_flight()` keeps reporting the lost operations and a
+        // reconnect wrapper knows it must not silently re-dial.
+        self.barrier(&mut lock(&self.io))
     }
 
     fn in_flight(&self) -> usize {
-        self.pipeline.as_ref().map_or(0, |p| p.outstanding.len())
+        lock(&self.io).in_flight(self.session)
     }
 
     fn remote_read(
@@ -513,7 +365,7 @@ impl RemoteMemory for TcpRemote {
         offset: usize,
         buf: &mut [u8],
     ) -> Result<(), RnError> {
-        match self.call(&Request::Read {
+        match self.rpc(&Request::Read {
             seg: seg.as_raw(),
             offset: offset as u64,
             len: buf.len() as u64,
@@ -527,7 +379,6 @@ impl RemoteMemory for TcpRemote {
                 buf.len(),
                 d.len()
             ))),
-            Response::Err(m) => Err(RnError::Remote(m)),
             other => Err(unexpected(other)),
         }
     }
@@ -536,20 +387,19 @@ impl RemoteMemory for TcpRemote {
         &mut self,
         reads: &[(SegmentId, usize, usize)],
     ) -> Result<Vec<Vec<u8>>, RnError> {
-        match self.call(&Request::ReadV {
+        match self.rpc(&Request::ReadV {
             reads: reads
                 .iter()
                 .map(|&(seg, offset, len)| (seg.as_raw(), offset as u64, len as u64))
                 .collect(),
         })? {
             Response::DataV(bufs) => check_data_v(reads, bufs),
-            Response::Err(m) => Err(RnError::Remote(m)),
             other => Err(unexpected(other)),
         }
     }
 
     fn connect_segment(&mut self, tag: u64) -> Result<RemoteSegment, RnError> {
-        self.expect_segment(&Request::Connect { tag })
+        self.segment(&Request::Connect { tag })
             .map_err(|e| match e {
                 RnError::Remote(_) => RnError::TagNotFound(tag),
                 other => other,
@@ -557,31 +407,14 @@ impl RemoteMemory for TcpRemote {
     }
 
     fn segment_info(&mut self, seg: SegmentId) -> Result<RemoteSegment, RnError> {
-        self.expect_segment(&Request::Info { seg: seg.as_raw() })
+        self.segment(&Request::Info { seg: seg.as_raw() })
     }
 
     fn node_name(&self) -> String {
-        self.cached_name
-            .clone()
-            .unwrap_or_else(|| format!("tcp://{}", self.peer))
-    }
-}
-
-impl TcpRemote {
-    /// Fetches and caches the server's node name.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the server is unreachable.
-    pub fn fetch_name(&mut self) -> Result<String, RnError> {
-        match self.call(&Request::Name)? {
-            Response::Name(n) => {
-                self.cached_name = Some(n.clone());
-                Ok(n)
-            }
-            Response::Err(m) => Err(RnError::Remote(m)),
-            other => Err(unexpected(other)),
-        }
+        self.cached_name.clone().unwrap_or_else(|| match self.kind {
+            Kind::Shared => format!("mux://{}#{}", self.peer, self.session),
+            _ => format!("tcp://{}", self.peer),
+        })
     }
 }
 
@@ -673,7 +506,6 @@ mod tests {
     fn pipelined_writes_flush_at_the_barrier() {
         let server = Server::bind("pipe", "127.0.0.1:0").unwrap().start();
         let mut c = TcpRemote::connect_pipelined(server.addr()).unwrap();
-        assert!(c.is_pipelined());
         let seg = c.remote_malloc(64, 0).unwrap();
         for i in 0..8u8 {
             c.remote_write(seg.id, i as usize * 4, &[i; 4]).unwrap();
@@ -728,7 +560,7 @@ mod tests {
         assert_eq!(get("perseas_client_window_stalls_total"), 4.0);
         assert_eq!(get("perseas_client_flush_barriers_total"), 1.0);
         assert_eq!(get("perseas_client_flush_posted_total"), 2.0);
-        // malloc + read are synchronous (tagged) round trips.
+        // malloc + read are round trips.
         assert_eq!(get("perseas_client_ops_total"), 2.0);
         assert_eq!(get("perseas_client_in_flight"), 0.0);
 
@@ -745,6 +577,7 @@ mod tests {
         assert_eq!(op_count("malloc"), 1.0);
         assert_eq!(op_count("write"), 6.0);
         assert_eq!(op_count("read"), 1.0);
+        assert_eq!(op_count("sess_close"), 0.0, "a private socket just closes");
     }
 
     #[test]
@@ -833,7 +666,7 @@ mod tests {
         // The refusal is still waiting at the barrier.
         assert!(matches!(c.flush(), Err(RnError::Remote(_))));
         c.flush().unwrap();
-        // Other RPC kinds work seq-wrapped too.
+        // Other RPC kinds work between posted writes too.
         assert_eq!(c.connect_segment(7).unwrap().id, seg.id);
         c.ping().unwrap();
         assert_eq!(c.fetch_name().unwrap(), "mix");
@@ -863,26 +696,26 @@ mod tests {
     }
 
     #[test]
-    fn env_toggle_parses_truthy_values_only() {
-        assert!(env_enables_pipeline(Some("1")));
-        assert!(env_enables_pipeline(Some("true")));
-        assert!(env_enables_pipeline(Some("ON")));
-        assert!(env_enables_pipeline(Some(" yes ")));
-        assert!(!env_enables_pipeline(Some("0")));
-        assert!(!env_enables_pipeline(Some("off")));
-        assert!(!env_enables_pipeline(Some("")));
-        assert!(!env_enables_pipeline(None));
-    }
-
-    #[test]
     fn sync_mode_flush_is_a_noop() {
+        // A confirmed connection's barrier ran inside each write, so the
+        // caller's barrier finds nothing posted.
         let server = Server::bind("sync", "127.0.0.1:0").unwrap().start();
         let mut c = TcpRemote::connect(server.addr()).unwrap();
-        assert!(!c.is_pipelined());
         let seg = c.remote_malloc(8, 0).unwrap();
         c.remote_write(seg.id, 0, &[1]).unwrap();
         assert_eq!(c.in_flight(), 0);
         assert_eq!(c.flush().unwrap(), FlushStats::default());
         server.shutdown();
+    }
+
+    #[test]
+    fn a_confirmed_write_on_a_dead_server_leaves_nothing_in_flight() {
+        let server = Server::bind("gone", "127.0.0.1:0").unwrap().start();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
+        let seg = c.remote_malloc(8, 0).unwrap();
+        server.shutdown();
+        let err = c.remote_write(seg.id, 0, &[1]).unwrap_err();
+        assert!(err.is_unavailable(), "{err}");
+        assert_eq!(c.in_flight(), 0, "the failure was this call's error");
     }
 }

@@ -37,7 +37,7 @@ impl From<SegmentInfo> for RemoteSegment {
 /// What a [`RemoteMemory::flush`] barrier confirmed: how many previously
 /// posted (unacknowledged) operations it awaited and how many payload
 /// bytes they carried. Backends that acknowledge every operation inline
-/// — the simulated SCI mapping, the synchronous TCP client — never have
+/// — the simulated SCI mapping, a confirmed TCP connection — never have
 /// anything posted, so their barriers report zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushStats {
@@ -106,11 +106,9 @@ pub trait RemoteMemory: Send {
     /// point" shape over a real network).
     ///
     /// Backends that confirm every operation inline — the simulated SCI
-    /// mapping, the synchronous TCP client — have nothing outstanding, so
-    /// the default implementation is a free no-op reporting zero posted
-    /// operations. The pipelined TCP client
-    /// ([`crate::TcpRemote::connect_pipelined`]) overrides it to drain
-    /// its in-flight window.
+    /// mapping — have nothing outstanding, so the default implementation
+    /// is a free no-op reporting zero posted operations.
+    /// [`crate::TcpRemote`] overrides it to drain its in-flight window.
     ///
     /// # Errors
     ///

@@ -228,8 +228,9 @@ mod frame_fuzz {
     use perseas_rnram::protocol::{crc32, Request, Response};
     use std::io::Write as _;
 
-    /// Any request the client can legitimately encode, including the
-    /// pipelined `Seq` wrapping and the multiplexed `Mux` wrapping.
+    /// Any request a client can legitimately encode, including the
+    /// session `Mux` wrapping and the `Seq` wrapping the server still
+    /// answers.
     fn arb_request() -> impl Strategy<Value = Request> {
         let plain = prop_oneof![
             (any::<u64>(), any::<u64>()).prop_map(|(len, tag)| Request::Malloc { len, tag }),
@@ -479,12 +480,17 @@ mod frame_fuzz {
     /// two fixed hostile shapes the sweep above cannot reliably hit.
     #[test]
     fn fixed_hostile_shapes_are_refused() {
-        let inner = Request::Seq {
-            seq: 2,
-            inner: Box::new(Request::Ping),
+        let nested = Request::Seq {
+            seq: 1,
+            inner: Box::new(Request::Seq {
+                seq: 2,
+                inner: Box::new(Request::Ping),
+            }),
         };
-        let nested = perseas_rnram::protocol::encode_seq(1, &inner);
-        assert!(Request::decode(&nested).is_err(), "nested seq accepted");
+        assert!(
+            Request::decode(&nested.encode()).is_err(),
+            "nested seq accepted"
+        );
 
         let server = perseas_rnram::server::Server::bind("huge", "127.0.0.1:0")
             .unwrap()

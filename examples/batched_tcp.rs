@@ -3,9 +3,10 @@
 //! Connects to one or two running mirror servers (for instance
 //! `perseas serve`), commits multi-range transactions with
 //! `batched_commit` enabled — each commit is three `WriteV` frames per
-//! mirror instead of one round-trip per range — and prints the
-//! `CommitBatch` trace for the first transaction so the batch shape is
-//! visible.
+//! mirror, posted into a pipelined connection's window and confirmed at
+//! the commit's barriers, instead of one round-trip per range — and
+//! prints the `CommitBatch` trace for the first transaction so the batch
+//! shape is visible.
 //!
 //! ```text
 //! cargo run -p perseas-cli -- serve --addr 127.0.0.1:7071
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use perseas_core::{Perseas, PerseasConfig, TraceEvent, Tracer};
-use perseas_rnram::AnyRemote;
+use perseas_rnram::TcpRemote;
 
 /// Prints every event while enabled; the demo turns it off after the
 /// first transaction so the timing loop is not dominated by stdout.
@@ -50,7 +51,7 @@ fn main() -> ExitCode {
 fn run(addrs: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut mirrors = Vec::new();
     for addr in addrs {
-        let mut m = AnyRemote::connect_auto(addr)?;
+        let mut m = TcpRemote::connect_pipelined(addr)?;
         println!("connected to mirror {} at {addr}", m.fetch_name()?);
         mirrors.push(m);
     }
@@ -87,7 +88,7 @@ fn run(addrs: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // The availability story: lose the primary, recover from mirror 0.
     db.crash();
     let (db2, report) = Perseas::recover(
-        AnyRemote::connect_auto(&addrs[0])?,
+        TcpRemote::connect_pipelined(&addrs[0])?,
         PerseasConfig::default().with_batched_commit(true),
     )?;
     println!(

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use perseas_core::{Perseas, PerseasConfig};
 use perseas_rnram::server::Server;
-use perseas_rnram::AnyRemote;
+use perseas_rnram::TcpRemote;
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -71,7 +71,7 @@ fn main() -> ExitCode {
 
 fn run_client(addr: &str) -> ExitCode {
     let run = || -> Result<(), Box<dyn std::error::Error>> {
-        let mut mirror = AnyRemote::connect_auto(addr)?;
+        let mut mirror = TcpRemote::connect(addr)?;
         println!("connected to mirror {}", mirror.fetch_name()?);
 
         let mut db = Perseas::init(vec![mirror], PerseasConfig::default())?;
@@ -98,7 +98,7 @@ fn run_client(addr: &str) -> ExitCode {
         // over a fresh connection — the paper's availability story, over
         // real sockets.
         db.crash();
-        let reconnect = AnyRemote::connect_auto(addr)?;
+        let reconnect = TcpRemote::connect(addr)?;
         let (db2, report) = Perseas::recover(reconnect, PerseasConfig::default())?;
         println!(
             "recovered over TCP: last committed txn {} ({} bytes pulled back)",

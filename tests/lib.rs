@@ -3,9 +3,11 @@
 //! The actual tests live in `tests/tests/*.rs`; this small library builds
 //! the systems under test in the configurations the paper evaluates.
 
+use std::net::SocketAddr;
+
 use perseas_baselines::{VistaSystem, WalConfig, WalSystem};
 use perseas_core::{Perseas, PerseasConfig};
-use perseas_rnram::SimRemote;
+use perseas_rnram::{ReconnectingRemote, SessionMux, SimRemote, TcpRemote};
 use perseas_sci::{NodeMemory, SciParams};
 use perseas_simtime::SimClock;
 use perseas_txn::TransactionalMemory;
@@ -41,6 +43,48 @@ pub fn all_systems() -> Vec<(&'static str, Box<dyn TransactionalMemory>)> {
         ),
         ("vista", Box::new(VistaSystem::new(SimClock::new()))),
     ]
+}
+
+/// The three ways a client reaches a TCP mirror; the TCP suites run every
+/// scenario through each of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TcpMode {
+    /// A private socket confirming every operation ([`TcpRemote::connect`]).
+    Confirmed,
+    /// A private socket posting writes ([`TcpRemote::connect_pipelined`]).
+    Pipelined,
+    /// A session on the process-wide shared socket ([`SessionMux::shared`]).
+    Shared,
+}
+
+impl TcpMode {
+    /// Every mode, in the order the suites run them.
+    pub const ALL: [TcpMode; 3] = [TcpMode::Confirmed, TcpMode::Pipelined, TcpMode::Shared];
+
+    /// Dials `addr` in this mode.
+    pub fn connect(self, addr: SocketAddr) -> TcpRemote {
+        match self {
+            TcpMode::Confirmed => TcpRemote::connect(addr),
+            TcpMode::Pipelined => TcpRemote::connect_pipelined(addr),
+            TcpMode::Shared => SessionMux::shared(addr).map(|mux| mux.session()),
+        }
+        .expect("connect")
+    }
+
+    /// Dials `addr` in this mode behind a [`ReconnectingRemote`].
+    pub fn reconnecting(self, addr: SocketAddr, max_attempts: usize) -> ReconnectingRemote {
+        match self {
+            TcpMode::Confirmed => ReconnectingRemote::connect(addr, max_attempts),
+            TcpMode::Pipelined => ReconnectingRemote::connect_pipelined(addr, max_attempts),
+            TcpMode::Shared => ReconnectingRemote::connect_mux(addr, max_attempts),
+        }
+        .expect("connect")
+    }
+
+    /// Whether writes are posted and confirmed only at a barrier.
+    pub fn posts_writes(self) -> bool {
+        self != TcpMode::Confirmed
+    }
 }
 
 pub mod interleave;

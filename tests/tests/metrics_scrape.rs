@@ -2,7 +2,8 @@
 //! batched commits, a group commit, and one injected mirror failure —
 //! against real TCP mirror servers with a live `/metrics` endpoint,
 //! then scrape it over HTTP exactly as Prometheus would and check the
-//! numbers against ground truth the engine itself reports.
+//! numbers against ground truth the engine itself reports, once per
+//! [`TcpMode`] of the client transport.
 //!
 //! The invariants under test are the ones an operator would alarm on:
 //! the committed-transactions counter equals `last_committed`, exactly
@@ -11,9 +12,9 @@
 
 use perseas_core::{record_shard_recovery, MirrorHealth, Perseas, PerseasConfig, ShardedPerseas};
 use perseas_integration::shard_harness::{build_sharded, reopen_sharded};
+use perseas_integration::TcpMode;
 use perseas_obs::{parse_exposition, scrape, MetricsServer, Registry, Sample};
 use perseas_rnram::server::Server;
-use perseas_rnram::TcpRemote;
 
 /// Sum of every sample of `name`, across all label sets.
 fn total(samples: &[Sample], name: &str) -> f64 {
@@ -49,116 +50,121 @@ fn labelled2(samples: &[Sample], name: &str, a: (&str, &str), b: (&str, &str)) -
 
 #[test]
 fn scraped_metrics_match_engine_ground_truth() {
-    // One registry spanning both mirror servers, the client transport,
-    // and the transaction engine; one scrape sees the whole stack.
-    let registry = Registry::new();
-    let sa = Server::bind("scrape-a", "127.0.0.1:0")
-        .unwrap()
-        .with_metrics(&registry)
-        .start();
-    let sb = Server::bind("scrape-b", "127.0.0.1:0")
-        .unwrap()
-        .with_metrics(&registry)
-        .start();
-    let metrics = MetricsServer::serve("127.0.0.1:0", registry.clone()).unwrap();
+    for mode in TcpMode::ALL {
+        // One registry spanning both mirror servers, the client transport,
+        // and the transaction engine; one scrape sees the whole stack.
+        let registry = Registry::new();
+        let sa = Server::bind("scrape-a", "127.0.0.1:0")
+            .unwrap()
+            .with_metrics(&registry)
+            .start();
+        let sb = Server::bind("scrape-b", "127.0.0.1:0")
+            .unwrap()
+            .with_metrics(&registry)
+            .start();
+        let metrics = MetricsServer::serve("127.0.0.1:0", registry.clone()).unwrap();
 
-    let mut conn_a = TcpRemote::connect_auto(sa.addr()).unwrap();
-    conn_a.set_metrics(&registry);
-    let mut conn_b = TcpRemote::connect_auto(sb.addr()).unwrap();
-    conn_b.set_metrics(&registry);
+        let mut conn_a = mode.connect(sa.addr());
+        conn_a.set_metrics(&registry);
+        let mut conn_b = mode.connect(sb.addr());
+        conn_b.set_metrics(&registry);
 
-    // The concurrent engine implies the batched commit pipeline, so the
-    // legacy-facade commits below exercise batched commits while the
-    // token API drives a group commit through the same database.
-    let mut db = Perseas::init(
-        vec![conn_a, conn_b],
-        PerseasConfig::default().with_concurrent(true),
-    )
-    .unwrap();
-    db.set_metrics(&registry);
-    let r = db.malloc(4096).unwrap();
-    db.init_remote_db().unwrap();
+        // The concurrent engine implies the batched commit pipeline, so the
+        // legacy-facade commits below exercise batched commits while the
+        // token API drives a group commit through the same database.
+        let mut db = Perseas::init(
+            vec![conn_a, conn_b],
+            PerseasConfig::default().with_concurrent(true),
+        )
+        .unwrap();
+        db.set_metrics(&registry);
+        let r = db.malloc(4096).unwrap();
+        db.init_remote_db().unwrap();
 
-    // 10 batched commits.
-    for i in 0..10u64 {
+        // 10 batched commits.
+        for i in 0..10u64 {
+            db.begin_transaction().unwrap();
+            let slot = (i as usize % 64) * 8;
+            db.set_range(r, slot, 8).unwrap();
+            db.write(r, slot, &i.to_le_bytes()).unwrap();
+            db.commit_transaction().unwrap();
+        }
+
+        // One group commit covering 4 transactions.
+        let tokens: Vec<_> = (0..4)
+            .map(|i| {
+                let t = db.begin_concurrent().unwrap();
+                let slot = 1024 + i * 256;
+                db.set_range_t(t, r, slot, 8).unwrap();
+                db.write_t(t, r, slot, &[i as u8 + 1; 8]).unwrap();
+                db.prepare_t(t).unwrap();
+                t
+            })
+            .collect();
+        db.commit_group(&tokens).unwrap();
+
+        // Inject exactly one mirror failure: mirror b dies, and the next
+        // commit must fence it and complete degraded on the survivor.
+        sb.shutdown();
         db.begin_transaction().unwrap();
-        let slot = (i as usize % 64) * 8;
-        db.set_range(r, slot, 8).unwrap();
-        db.write(r, slot, &i.to_le_bytes()).unwrap();
+        db.set_range(r, 0, 8).unwrap();
+        db.write(r, 0, &[0xEE; 8]).unwrap();
         db.commit_transaction().unwrap();
+        assert_eq!(db.mirror_status()[1].health, MirrorHealth::Down);
+        let committed = db.last_committed();
+        assert_eq!(
+            committed, 15,
+            "{mode:?}: 10 batched + 4 grouped + 1 degraded"
+        );
+
+        // Scrape over HTTP, as Prometheus would, and parse the exposition.
+        let exposition = scrape(metrics.addr()).unwrap();
+        let samples = parse_exposition(&exposition).unwrap();
+        assert!(!samples.is_empty(), "exposition yielded no samples");
+
+        // Commits seen by the scrape equal commits the engine reports.
+        assert_eq!(
+            total(&samples, "perseas_txn_committed_total"),
+            committed as f64
+        );
+        assert_eq!(total(&samples, "perseas_txn_begun_total"), committed as f64);
+        assert_eq!(total(&samples, "perseas_txn_aborted_total"), 0.0);
+
+        // Exactly one commit ran degraded, and the scrape shows which
+        // mirror is gone.
+        assert_eq!(total(&samples, "perseas_txn_degraded_commits_total"), 1.0);
+        assert_eq!(
+            labelled(&samples, "perseas_mirror_healthy", "mirror", "0"),
+            1.0
+        );
+        assert_eq!(
+            labelled(&samples, "perseas_mirror_healthy", "mirror", "1"),
+            0.0
+        );
+        assert_eq!(total(&samples, "perseas_mirrors"), 2.0);
+
+        // The group commit is visible as one fan-out resolving four txns.
+        assert_eq!(total(&samples, "perseas_txn_group_commits_total"), 1.0);
+        assert_eq!(total(&samples, "perseas_txn_group_txns_total"), 4.0);
+
+        // Transport and server layers registered real traffic: every write
+        // the engine shipped hit a server's per-opcode counter, and the
+        // client posted at least that many framed requests.
+        let server_writes = labelled(&samples, "perseas_server_requests_total", "op", "write");
+        assert!(server_writes > 0.0, "no write requests reached a server");
+        assert!(total(&samples, "perseas_server_bytes_in_total") > 0.0);
+        assert!(total(&samples, "perseas_client_ops_total") > 0.0);
+
+        // A second scrape still parses and commits never go backwards.
+        let again = parse_exposition(&scrape(metrics.addr()).unwrap()).unwrap();
+        assert_eq!(
+            total(&again, "perseas_txn_committed_total"),
+            committed as f64
+        );
+
+        metrics.shutdown();
+        sa.shutdown();
     }
-
-    // One group commit covering 4 transactions.
-    let tokens: Vec<_> = (0..4)
-        .map(|i| {
-            let t = db.begin_concurrent().unwrap();
-            let slot = 1024 + i * 256;
-            db.set_range_t(t, r, slot, 8).unwrap();
-            db.write_t(t, r, slot, &[i as u8 + 1; 8]).unwrap();
-            db.prepare_t(t).unwrap();
-            t
-        })
-        .collect();
-    db.commit_group(&tokens).unwrap();
-
-    // Inject exactly one mirror failure: mirror b dies, and the next
-    // commit must fence it and complete degraded on the survivor.
-    sb.shutdown();
-    db.begin_transaction().unwrap();
-    db.set_range(r, 0, 8).unwrap();
-    db.write(r, 0, &[0xEE; 8]).unwrap();
-    db.commit_transaction().unwrap();
-    assert_eq!(db.mirror_status()[1].health, MirrorHealth::Down);
-    let committed = db.last_committed();
-    assert_eq!(committed, 15, "10 batched + 4 grouped + 1 degraded");
-
-    // Scrape over HTTP, as Prometheus would, and parse the exposition.
-    let exposition = scrape(metrics.addr()).unwrap();
-    let samples = parse_exposition(&exposition).unwrap();
-    assert!(!samples.is_empty(), "exposition yielded no samples");
-
-    // Commits seen by the scrape equal commits the engine reports.
-    assert_eq!(
-        total(&samples, "perseas_txn_committed_total"),
-        committed as f64
-    );
-    assert_eq!(total(&samples, "perseas_txn_begun_total"), committed as f64);
-    assert_eq!(total(&samples, "perseas_txn_aborted_total"), 0.0);
-
-    // Exactly one commit ran degraded, and the scrape shows which
-    // mirror is gone.
-    assert_eq!(total(&samples, "perseas_txn_degraded_commits_total"), 1.0);
-    assert_eq!(
-        labelled(&samples, "perseas_mirror_healthy", "mirror", "0"),
-        1.0
-    );
-    assert_eq!(
-        labelled(&samples, "perseas_mirror_healthy", "mirror", "1"),
-        0.0
-    );
-    assert_eq!(total(&samples, "perseas_mirrors"), 2.0);
-
-    // The group commit is visible as one fan-out resolving four txns.
-    assert_eq!(total(&samples, "perseas_txn_group_commits_total"), 1.0);
-    assert_eq!(total(&samples, "perseas_txn_group_txns_total"), 4.0);
-
-    // Transport and server layers registered real traffic: every write
-    // the engine shipped hit a server's per-opcode counter, and the
-    // client posted at least that many framed requests.
-    let server_writes = labelled(&samples, "perseas_server_requests_total", "op", "write");
-    assert!(server_writes > 0.0, "no write requests reached a server");
-    assert!(total(&samples, "perseas_server_bytes_in_total") > 0.0);
-    assert!(total(&samples, "perseas_client_ops_total") > 0.0);
-
-    // A second scrape still parses and commits never go backwards.
-    let again = parse_exposition(&scrape(metrics.addr()).unwrap()).unwrap();
-    assert_eq!(
-        total(&again, "perseas_txn_committed_total"),
-        committed as f64
-    );
-
-    metrics.shutdown();
-    sa.shutdown();
 }
 
 /// Shard-labelled exposition: a 2-shard database under one registry

@@ -1,8 +1,9 @@
-//! Backpressure and admission-control fault injection (ISSUE 8): a slow
-//! server with a deliberately tiny shared window pool must queue to its
-//! bound, refuse the overflow with typed `Overloaded` errors (never
-//! applying the refused ops), drain cleanly once the pressure lifts, and
-//! account for all of it in the `perseas-obs` registry. Plus the
+//! Backpressure and admission-control fault injection: a slow server with
+//! a deliberately tiny shared window pool must queue to its bound, refuse
+//! the overflow with typed `Overloaded` errors (never applying the refused
+//! ops) through a private or a shared socket alike, drain cleanly once the
+//! pressure lifts, and account for all of it in the `perseas-obs`
+//! registry. Plus the
 //! retry-layer rule: a mux socket that dies with sessions in flight
 //! surfaces `Unavailable` through [`ReconnectingRemote`] instead of
 //! silently re-dialing, and `Server::shutdown` stays prompt with a
@@ -13,6 +14,7 @@ use std::time::{Duration, Instant};
 use perseas_rnram::server::Server;
 use perseas_rnram::{
     AdmissionConfig, PipelineConfig, ReconnectingRemote, RemoteMemory, RnError, SessionMux,
+    TcpRemote,
 };
 
 /// Extracts the value of an unlabelled metric from a Prometheus
@@ -26,8 +28,9 @@ fn metric_value(text: &str, name: &str) -> i64 {
         .unwrap()
 }
 
-#[test]
-fn overflow_is_refused_typed_and_never_applied() {
+/// The burst-and-refuse scenario through one client: `open` yields the
+/// client under test for the server's address.
+fn overflow_case(open: impl FnOnce(std::net::SocketAddr) -> TcpRemote) {
     let registry = perseas_obs::Registry::new();
     let server = Server::bind("tiny-pool", "127.0.0.1:0")
         .unwrap()
@@ -38,11 +41,7 @@ fn overflow_is_refused_typed_and_never_applied() {
         })
         .with_request_latency(Duration::from_millis(120))
         .start();
-    let mux = SessionMux::connect(server.addr()).unwrap();
-    let mut s = mux.session_with(PipelineConfig {
-        max_ops: 64,
-        max_bytes: 1 << 20,
-    });
+    let mut s = open(server.addr());
 
     let seg = s.remote_malloc(64, 0).unwrap();
     // Burst 12 one-byte writes, each marking its own offset, into a pool
@@ -109,6 +108,19 @@ fn overflow_is_refused_typed_and_never_applied() {
 
     drop(s);
     server.shutdown();
+}
+
+#[test]
+fn overflow_is_refused_typed_and_never_applied() {
+    let window = PipelineConfig {
+        max_ops: 64,
+        max_bytes: 1 << 20,
+    };
+    // A private socket: the refusal is typed here too, not a protocol
+    // error.
+    overflow_case(|addr| TcpRemote::connect_with(addr, window).unwrap());
+    // A session on a shared socket.
+    overflow_case(|addr| SessionMux::connect(addr).unwrap().session_with(window));
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Threaded soak of the session multiplexer (ISSUE 8): real OS threads
-//! drive many [`MuxSession`]s over a handful of shared sockets at once —
-//! the TSan target of the CI `mux-matrix` job. Every thread's writes
+//! Threaded soak of the session multiplexer: real OS threads drive many
+//! [`SessionMux`] sessions over a handful of shared sockets at once — a
+//! ThreadSanitizer target in CI. Every thread's writes
 //! must land intact in its own lane, session churn (create/drop with
 //! windows in flight) must never corrupt a neighbour, and the server's
 //! session gauge must return to zero.

@@ -10,12 +10,13 @@
 //! every later `read_s` on it must return exactly those bytes — i.e. the
 //! serial-reference image at a watermark no newer than the snapshot's —
 //! and repeated reads must be byte-identical. A subset of seeds twin-runs
-//! over a real TCP server and must produce the same read digest and
-//! final image as the sim run.
+//! over a real TCP server, once per client mode, and must produce the
+//! same read digest and final image as the sim run.
 
 use perseas_core::{Perseas, PerseasConfig, SnapshotToken, TxnError, TxnToken};
+use perseas_integration::TcpMode;
 use perseas_rnram::server::Server;
-use perseas_rnram::{AnyRemote, RemoteMemory, SimRemote};
+use perseas_rnram::{RemoteMemory, SimRemote};
 use perseas_simtime::det_rng;
 
 const LEN: usize = 128;
@@ -172,12 +173,14 @@ fn snapshot_reads_match_the_serial_reference_across_256_interleavings() {
 fn tcp_twin_runs_produce_identical_snapshot_reads() {
     for seed in 0..8u64 {
         let sim = run_case(sim_db(&format!("twin-{seed}")), seed);
-        let server = Server::bind(format!("twin-tcp-{seed}"), "127.0.0.1:0")
-            .unwrap()
-            .start();
-        let mirror = AnyRemote::connect_auto(server.addr()).unwrap();
-        let tcp = run_case(Perseas::init(vec![mirror], cfg()).unwrap(), seed);
-        server.shutdown();
-        assert_eq!(sim, tcp, "seed {seed}: sim and TCP runs diverged");
+        for mode in TcpMode::ALL {
+            let server = Server::bind(format!("twin-tcp-{seed}"), "127.0.0.1:0")
+                .unwrap()
+                .start();
+            let mirror = mode.connect(server.addr());
+            let tcp = run_case(Perseas::init(vec![mirror], cfg()).unwrap(), seed);
+            server.shutdown();
+            assert_eq!(sim, tcp, "seed {seed}: sim and {mode:?} TCP runs diverged");
+        }
     }
 }

@@ -11,9 +11,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use perseas_core::{MetaHeader, Perseas, PerseasConfig, RegionId, TxnError, META_TAG};
+use perseas_integration::TcpMode;
 use perseas_rnram::protocol::{read_frame, write_frame};
 use perseas_rnram::server::Server;
-use perseas_rnram::{PipelineConfig, ReconnectingRemote, TcpRemote};
+use perseas_rnram::{ReconnectingRemote, TcpRemote};
 
 fn batched() -> PerseasConfig {
     PerseasConfig::default().with_batched_commit(true)
@@ -21,109 +22,109 @@ fn batched() -> PerseasConfig {
 
 #[test]
 fn dead_server_fails_batched_commit_without_hanging_then_recovers() {
-    let server = Server::bind("kill-me", "127.0.0.1:0").unwrap().start();
-    let node = server.node().clone();
-    let addr = server.addr();
+    for mode in TcpMode::ALL {
+        let server = Server::bind("kill-me", "127.0.0.1:0").unwrap().start();
+        let node = server.node().clone();
+        let addr = server.addr();
 
-    let mirror = ReconnectingRemote::connect_auto(addr, 2).unwrap();
-    let mut db = Perseas::init(vec![mirror], batched()).unwrap();
-    let r = db.malloc(256).unwrap();
-    db.init_remote_db().unwrap();
+        let mirror = mode.reconnecting(addr, 2);
+        let mut db = Perseas::init(vec![mirror], batched()).unwrap();
+        let r = db.malloc(256).unwrap();
+        db.init_remote_db().unwrap();
 
-    db.begin_transaction().unwrap();
-    db.set_range(r, 0, 64).unwrap();
-    db.write(r, 0, &[1; 64]).unwrap();
-    db.commit_transaction().unwrap();
+        db.begin_transaction().unwrap();
+        db.set_range(r, 0, 64).unwrap();
+        db.write(r, 0, &[1; 64]).unwrap();
+        db.commit_transaction().unwrap();
 
-    // The server dies. In batched mode set_range is local, so the open
-    // transaction only notices at commit — which must fail with
-    // Unavailable after the client's bounded reconnect attempts.
-    server.shutdown();
-    db.begin_transaction().unwrap();
-    db.set_range(r, 64, 64).unwrap();
-    db.write(r, 64, &[2; 64]).unwrap();
-    let started = Instant::now();
-    let err = db.commit_transaction().unwrap_err();
-    assert!(matches!(err, TxnError::Unavailable(_)), "{err}");
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "commit failure took {:?} — retry bound not honoured",
-        started.elapsed()
-    );
+        // The server dies. In batched mode set_range is local, so the open
+        // transaction only notices at commit — which must fail with
+        // Unavailable after the client's bounded reconnect attempts.
+        server.shutdown();
+        db.begin_transaction().unwrap();
+        db.set_range(r, 64, 64).unwrap();
+        db.write(r, 64, &[2; 64]).unwrap();
+        let started = Instant::now();
+        let err = db.commit_transaction().unwrap_err();
+        assert!(matches!(err, TxnError::Unavailable(_)), "{mode:?}: {err}");
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "{mode:?}: commit failure took {:?} — retry bound not honoured",
+            started.elapsed()
+        );
 
-    // Same memory comes back on the same port (a UPS-backed restart);
-    // only the committed transaction survives.
-    let server2 = Server::with_node(node, addr).unwrap().start();
-    let (mut db2, report) =
-        Perseas::recover(TcpRemote::connect_auto(addr).unwrap(), batched()).unwrap();
-    assert_eq!(report.last_committed, 1);
-    let snap = db2.region_snapshot(r).unwrap();
-    assert_eq!(&snap[..64], &[1; 64][..]);
-    assert_eq!(
-        &snap[64..128],
-        &[0; 64][..],
-        "failed txn must not be durable"
-    );
+        // Same memory comes back on the same port (a UPS-backed restart);
+        // only the committed transaction survives.
+        let server2 = Server::with_node(node, addr).unwrap().start();
+        let (mut db2, report) = Perseas::recover(mode.connect(addr), batched()).unwrap();
+        assert_eq!(report.last_committed, 1, "{mode:?}");
+        let snap = db2.region_snapshot(r).unwrap();
+        assert_eq!(&snap[..64], &[1; 64][..]);
+        assert_eq!(
+            &snap[64..128],
+            &[0; 64][..],
+            "{mode:?}: failed txn must not be durable"
+        );
 
-    // The recovered database commits batched transactions normally.
-    db2.begin_transaction().unwrap();
-    db2.set_range(r, 128, 32).unwrap();
-    db2.write(r, 128, &[3; 32]).unwrap();
-    db2.commit_transaction().unwrap();
-    assert_eq!(&db2.region_snapshot(r).unwrap()[128..160], &[3; 32][..]);
-    server2.shutdown();
+        // The recovered database commits batched transactions normally.
+        db2.begin_transaction().unwrap();
+        db2.set_range(r, 128, 32).unwrap();
+        db2.write(r, 128, &[3; 32]).unwrap();
+        db2.commit_transaction().unwrap();
+        assert_eq!(&db2.region_snapshot(r).unwrap()[128..160], &[3; 32][..]);
+        server2.shutdown();
+    }
 }
 
 #[test]
 fn two_tcp_mirrors_commit_batched_in_parallel_and_survive_one_loss() {
-    let sa = Server::bind("ma", "127.0.0.1:0").unwrap().start();
-    let sb = Server::bind("mb", "127.0.0.1:0").unwrap().start();
-    let addr_a = sa.addr();
+    for mode in TcpMode::ALL {
+        let sa = Server::bind("ma", "127.0.0.1:0").unwrap().start();
+        let sb = Server::bind("mb", "127.0.0.1:0").unwrap().start();
+        let addr_a = sa.addr();
 
-    let mut db = Perseas::init(
-        vec![
-            TcpRemote::connect_auto(addr_a).unwrap(),
-            TcpRemote::connect_auto(sb.addr()).unwrap(),
-        ],
-        batched(),
-    )
-    .unwrap();
-    let r = db.malloc(512).unwrap();
-    db.init_remote_db().unwrap();
+        let mut db = Perseas::init(
+            vec![mode.connect(addr_a), mode.connect(sb.addr())],
+            batched(),
+        )
+        .unwrap();
+        let r = db.malloc(512).unwrap();
+        db.init_remote_db().unwrap();
 
-    // No fault plan armed and no sim clocks: these commits take the
-    // scoped-thread fan-out path, one writer thread per mirror.
-    for i in 0..20u64 {
+        // No fault plan armed and no sim clocks: these commits take the
+        // scoped-thread fan-out path, one writer thread per mirror.
+        for i in 0..20u64 {
+            db.begin_transaction().unwrap();
+            let slot = (i as usize % 16) * 16;
+            db.set_range(r, slot, 16).unwrap();
+            db.write(r, slot, &[i as u8; 16]).unwrap();
+            db.set_range(r, 256 + slot, 8).unwrap();
+            db.write(r, 256 + slot, &[!(i as u8); 8]).unwrap();
+            db.commit_transaction().unwrap();
+        }
+        assert_eq!(db.last_committed(), 20, "{mode:?}");
+
+        // Mirror b dies mid-life: the parallel fan-out must fence the dead
+        // mirror and commit degraded on the survivor instead of panicking
+        // or hanging (the default quorum is 1).
+        sb.shutdown();
         db.begin_transaction().unwrap();
-        let slot = (i as usize % 16) * 16;
-        db.set_range(r, slot, 16).unwrap();
-        db.write(r, slot, &[i as u8; 16]).unwrap();
-        db.set_range(r, 256 + slot, 8).unwrap();
-        db.write(r, 256 + slot, &[!(i as u8); 8]).unwrap();
+        db.set_range(r, 0, 16).unwrap();
+        db.write(r, 0, &[0xFF; 16]).unwrap();
         db.commit_transaction().unwrap();
+        assert_eq!(
+            db.mirror_status()[1].health,
+            perseas_core::MirrorHealth::Down,
+            "{mode:?}"
+        );
+
+        // Mirror a recovers the full history including the degraded commit.
+        let (db2, report) = Perseas::recover(mode.connect(addr_a), batched()).unwrap();
+        assert_eq!(report.last_committed, 21, "{mode:?}");
+        let snap = db2.region_snapshot(r).unwrap();
+        assert_eq!(&snap[..16], &[0xFF; 16][..]);
+        sa.shutdown();
     }
-    assert_eq!(db.last_committed(), 20);
-
-    // Mirror b dies mid-life: the parallel fan-out must fence the dead
-    // mirror and commit degraded on the survivor instead of panicking
-    // or hanging (the default quorum is 1).
-    sb.shutdown();
-    db.begin_transaction().unwrap();
-    db.set_range(r, 0, 16).unwrap();
-    db.write(r, 0, &[0xFF; 16]).unwrap();
-    db.commit_transaction().unwrap();
-    assert_eq!(
-        db.mirror_status()[1].health,
-        perseas_core::MirrorHealth::Down
-    );
-
-    // Mirror a recovers the full history including the degraded commit.
-    let (db2, report) =
-        Perseas::recover(TcpRemote::connect_auto(addr_a).unwrap(), batched()).unwrap();
-    assert_eq!(report.last_committed, 21);
-    let snap = db2.region_snapshot(r).unwrap();
-    assert_eq!(&snap[..16], &[0xFF; 16][..]);
-    sa.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -204,9 +205,7 @@ const SWEEP_OPS: usize = 8;
 /// Builds a pipelined database through the proxy and commits the
 /// baseline transaction (id 1: `[1; 32]` at offset 0).
 fn sweep_setup(proxy: &CutProxy, cfg: PerseasConfig) -> (Perseas<ReconnectingRemote>, RegionId) {
-    let mirror = ReconnectingRemote::connect(proxy.addr, 2)
-        .unwrap()
-        .with_pipeline(PipelineConfig::default());
+    let mirror = ReconnectingRemote::connect_pipelined(proxy.addr, 2).unwrap();
     let mut db = Perseas::init(vec![mirror], cfg).unwrap();
     let r = db.malloc(SWEEP_REGION).unwrap();
     db.init_remote_db().unwrap();
