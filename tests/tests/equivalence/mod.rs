@@ -1,10 +1,10 @@
-//! Transport equivalence battery: random op sequences — writes, vectored
-//! writes, reads, flushes, a mix of in-bounds and out-of-bounds — spread
-//! over two lanes must be observationally identical through every way of
-//! reaching a server: confirming each op, posting into a small random
-//! window, posting into the default window, and two sessions sharing one
-//! socket. Identical means byte-identical segment images on the server,
-//! identical read outcomes and identical sorted error multisets per lane.
+//! Shared harness of the transport equivalence batteries
+//! (`tcp_pipeline_equivalence`, `tcp_mux_equivalence`): random op
+//! sequences — writes, vectored writes, reads, flushes, a mix of
+//! in-bounds and out-of-bounds — spread over two lanes and run through
+//! one way of reaching a server. Two modes are equivalent when they give
+//! identical segment ids, identical read outcomes, identical sorted error
+//! multisets and byte-identical segment images per lane.
 //!
 //! Each mode runs against a *twin* server (freshly bound, identical empty
 //! state), so segment ids — which refusal messages embed — line up
@@ -13,6 +13,7 @@
 use std::net::SocketAddr;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use perseas_rnram::server::{Server, ServerHandle};
 use perseas_rnram::{PipelineConfig, RemoteMemory, SegmentId, SessionMux, TcpRemote};
@@ -22,14 +23,14 @@ const SEG_LEN: usize = 128;
 const OFF_SPAN: usize = SEG_LEN + 32;
 
 #[derive(Debug, Clone)]
-enum Op {
+pub enum Op {
     Write { offset: usize, fill: u8, len: usize },
     WriteV { ranges: Vec<(usize, u8, usize)> },
     Read { offset: usize, len: usize },
     Flush,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
+pub fn arb_op() -> impl Strategy<Value = Op> {
     let range = (0usize..OFF_SPAN, any::<u8>(), 0usize..48);
     prop_oneof![
         3 => range.prop_map(|(offset, fill, len)| Op::Write { offset, fill, len }),
@@ -40,21 +41,20 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The ways a client reaches a server, each opening two lanes.
+/// The ways a client reaches a server, each opening two lanes. Each
+/// battery that includes this module names only the modes it compares.
+#[allow(dead_code)]
 #[derive(Debug, Clone, Copy)]
-enum Mode {
+pub enum Mode {
+    /// Two private sockets, each write confirmed before it returns.
     ConfirmEachOp,
+    /// Two private sockets posting into the given small window.
     SmallWindow,
+    /// Two private sockets posting into the default window.
     DefaultWindow,
+    /// Two sessions with the given small window on one shared socket.
     TwoSessionsOneSocket,
 }
-
-const MODES: [Mode; 4] = [
-    Mode::ConfirmEachOp,
-    Mode::SmallWindow,
-    Mode::DefaultWindow,
-    Mode::TwoSessionsOneSocket,
-];
 
 fn open_lanes(mode: Mode, addr: SocketAddr, small: PipelineConfig) -> [TcpRemote; 2] {
     let private = || match mode {
@@ -122,8 +122,12 @@ fn image(server: &ServerHandle, tag: u64) -> Vec<u8> {
 /// the image its segment ends with.
 type Lane = (Vec<Result<Vec<u8>, String>>, Vec<String>, Vec<u8>);
 
-/// Runs `script` through `mode` against a fresh server.
-fn run(mode: Mode, script: &[(bool, Op)], small: PipelineConfig) -> (Vec<SegmentId>, Vec<Lane>) {
+/// What a whole run observed: the segment ids and both lanes.
+type Outcome = (Vec<SegmentId>, Vec<Lane>);
+
+/// Runs `script` (lane `false` is the first, `true` the second) through
+/// `mode` against a fresh server.
+fn run(mode: Mode, script: &[(bool, Op)], small: PipelineConfig) -> Outcome {
     let server = Server::bind("twin", "127.0.0.1:0").unwrap().start();
     let mut conns = open_lanes(mode, server.addr(), small);
     let segs: Vec<SegmentId> = (0..2)
@@ -158,29 +162,47 @@ fn run(mode: Mode, script: &[(bool, Op)], small: PipelineConfig) -> (Vec<Segment
     (segs, lanes)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// 256 random two-lane scripts through every mode: segment ids, reads,
-    /// error multisets and images all match the confirm-each-op run. The
-    /// small window wraps so mid-stream drains happen, and the shared
-    /// socket interleaves both lanes' frames on the wire.
-    #[test]
-    fn every_transport_mode_is_equivalent(
-        script in prop::collection::vec((any::<bool>(), arb_op()), 1..32),
-        window in 1usize..6,
-        byte_budget in 32usize..256,
-    ) {
-        let small = PipelineConfig { max_ops: window, max_bytes: byte_budget };
-        let baseline = run(Mode::ConfirmEachOp, &script, small);
-        for mode in &MODES[1..] {
-            let got = run(*mode, &script, small);
-            prop_assert_eq!(&got.0, &baseline.0, "{:?}: twin servers must allocate identically", mode);
-            for lane in 0..2 {
-                prop_assert_eq!(&got.1[lane].0, &baseline.1[lane].0, "{:?} lane {} reads diverged", mode, lane);
-                prop_assert_eq!(&got.1[lane].1, &baseline.1[lane].1, "{:?} lane {} errors diverged", mode, lane);
-                prop_assert_eq!(&got.1[lane].2, &baseline.1[lane].2, "{:?} lane {} images diverged", mode, lane);
-            }
+/// Runs `script` through `baseline` and through each of `modes`: every
+/// mode must match the baseline's segment ids, and per lane its reads,
+/// error multiset and image.
+pub fn assert_equivalent(
+    baseline: Mode,
+    modes: &[Mode],
+    script: &[(bool, Op)],
+    small: PipelineConfig,
+) -> Result<(), TestCaseError> {
+    let expected = run(baseline, script, small);
+    for mode in modes {
+        let got = run(*mode, script, small);
+        prop_assert_eq!(
+            &got.0,
+            &expected.0,
+            "{:?}: twin servers must allocate identically",
+            mode
+        );
+        for lane in 0..2 {
+            prop_assert_eq!(
+                &got.1[lane].0,
+                &expected.1[lane].0,
+                "{:?} lane {} reads diverged",
+                mode,
+                lane
+            );
+            prop_assert_eq!(
+                &got.1[lane].1,
+                &expected.1[lane].1,
+                "{:?} lane {} errors diverged",
+                mode,
+                lane
+            );
+            prop_assert_eq!(
+                &got.1[lane].2,
+                &expected.1[lane].2,
+                "{:?} lane {} images diverged",
+                mode,
+                lane
+            );
         }
     }
+    Ok(())
 }

@@ -1,215 +1,42 @@
-//! Multiplexed-vs-dedicated transport equivalence battery (ISSUE 8):
-//! random op sequences — writes, vectored writes, reads, flushes, a mix
-//! of in-bounds and out-of-bounds — executed through a [`MuxSession`] on
-//! a shared socket and through a dedicated [`TcpRemote`] must be
-//! observationally identical: byte-identical segment images on the
-//! server, identical read outcomes, identical sorted error multisets.
-//!
-//! As in `tcp_pipeline_equivalence`, the two transports run against
-//! *twin* servers (freshly bound, identical empty state) so segment ids
-//! — which refusal messages embed — line up exactly.
+//! Shared-socket-vs-private-socket transport equivalence: random op
+//! sequences through sessions of one `SessionMux` socket must be
+//! observationally identical to the same sequences through private
+//! sockets (harness in `equivalence/mod.rs`).
+
+mod equivalence;
 
 use proptest::prelude::*;
 
-use perseas_rnram::server::{Server, ServerHandle};
-use perseas_rnram::{PipelineConfig, RemoteMemory, SegmentId, SessionMux, TcpRemote};
-
-const SEG_LEN: usize = 128;
-/// Offsets range past the segment end so some ops are refused.
-const OFF_SPAN: usize = SEG_LEN + 32;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Write { offset: usize, fill: u8, len: usize },
-    WriteV { ranges: Vec<(usize, u8, usize)> },
-    Read { offset: usize, len: usize },
-    Flush,
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    let range = (0usize..OFF_SPAN, any::<u8>(), 0usize..48);
-    prop_oneof![
-        3 => range.prop_map(|(offset, fill, len)| Op::Write { offset, fill, len }),
-        2 => prop::collection::vec((0usize..OFF_SPAN, any::<u8>(), 0usize..24), 1..4)
-            .prop_map(|ranges| Op::WriteV { ranges }),
-        2 => (0usize..OFF_SPAN, 0usize..48).prop_map(|(offset, len)| Op::Read { offset, len }),
-        1 => Just(Op::Flush),
-    ]
-}
-
-/// Applies `ops` through any transport against `seg`, returning every
-/// read outcome in order and the sorted multiset of refusals, with any
-/// still-queued posted refusals drained by flushing until clean.
-#[allow(clippy::type_complexity)]
-fn run<C: RemoteMemory>(
-    conn: &mut C,
-    seg: SegmentId,
-    ops: &[Op],
-) -> (Vec<Result<Vec<u8>, String>>, Vec<String>) {
-    let mut reads = Vec::new();
-    let mut errors = Vec::new();
-    for op in ops {
-        apply(conn, seg, op, &mut reads, &mut errors);
-    }
-    drain(conn, ops.len(), &mut errors);
-    errors.sort();
-    (reads, errors)
-}
-
-fn apply<C: RemoteMemory>(
-    conn: &mut C,
-    seg: SegmentId,
-    op: &Op,
-    reads: &mut Vec<Result<Vec<u8>, String>>,
-    errors: &mut Vec<String>,
-) {
-    match op {
-        Op::Write { offset, fill, len } => {
-            if let Err(e) = conn.remote_write(seg, *offset, &vec![*fill; *len]) {
-                errors.push(e.to_string());
-            }
-        }
-        Op::WriteV { ranges } => {
-            let bufs: Vec<Vec<u8>> = ranges.iter().map(|&(_, f, l)| vec![f; l]).collect();
-            let writes: Vec<_> = ranges
-                .iter()
-                .zip(&bufs)
-                .map(|(&(off, _, _), buf)| (seg, off, buf.as_slice()))
-                .collect();
-            if let Err(e) = conn.remote_write_v(&writes) {
-                errors.push(e.to_string());
-            }
-        }
-        Op::Read { offset, len } => {
-            let mut buf = vec![0u8; *len];
-            reads.push(match conn.remote_read(seg, *offset, &mut buf) {
-                Ok(()) => Ok(buf),
-                Err(e) => Err(e.to_string()),
-            });
-        }
-        Op::Flush => {
-            if let Err(e) = conn.flush() {
-                errors.push(e.to_string());
-            }
-        }
-    }
-}
-
-/// Flushes until the barrier is clean; the op count bounds the number of
-/// queued refusals (one surfaces per barrier).
-fn drain<C: RemoteMemory>(conn: &mut C, ops: usize, errors: &mut Vec<String>) {
-    for _ in 0..=ops {
-        match conn.flush() {
-            Ok(_) => break,
-            Err(e) => errors.push(e.to_string()),
-        }
-    }
-    assert_eq!(conn.in_flight(), 0, "drain left the window dirty");
-}
-
-/// The segment image as the server holds it.
-fn image(server: &ServerHandle, tag: u64) -> Vec<u8> {
-    let seg = server.node().find_by_tag(tag).expect("data segment");
-    let mut buf = vec![0u8; seg.len];
-    server.node().read(seg.id, 0, &mut buf).unwrap();
-    buf
-}
+use equivalence::{arb_op, assert_equivalent, Mode};
+use perseas_rnram::PipelineConfig;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// 256 random sequences through one mux session and one dedicated
-    /// synchronous connection: images, reads, and error multisets agree.
-    /// The session's posted-write window is deliberately small so the
-    /// sequences wrap it and mid-stream drains happen.
+    /// 256 random single-lane sequences through one session on a shared
+    /// socket and through a private socket that confirms each op. The
+    /// session's window is deliberately small so the sequences wrap it
+    /// and mid-stream drains happen.
     #[test]
     fn mux_session_matches_a_dedicated_connection(
         ops in prop::collection::vec(arb_op(), 1..32),
         window in 1usize..6,
         byte_budget in 32usize..256,
     ) {
-        let tcp_server = Server::bind("twin-tcp", "127.0.0.1:0").unwrap().start();
-        let mux_server = Server::bind("twin-mux", "127.0.0.1:0").unwrap().start();
-
-        let mut tcp_conn = TcpRemote::connect(tcp_server.addr()).unwrap();
-        let mux = SessionMux::connect(mux_server.addr()).unwrap();
-        let mut mux_conn = mux.session_with(PipelineConfig {
-            max_ops: window,
-            max_bytes: byte_budget,
-        });
-
-        let tcp_seg = tcp_conn.remote_malloc(SEG_LEN, 7).unwrap();
-        let mux_seg = mux_conn.remote_malloc(SEG_LEN, 7).unwrap();
-        prop_assert_eq!(tcp_seg.id, mux_seg.id, "twin servers must allocate identically");
-
-        let (tcp_reads, tcp_errors) = run(&mut tcp_conn, tcp_seg.id, &ops);
-        let (mux_reads, mux_errors) = run(&mut mux_conn, mux_seg.id, &ops);
-
-        // Reads are round trips on both transports and per-session FIFO
-        // makes every posted write visible to later reads.
-        prop_assert_eq!(tcp_reads, mux_reads);
-        // Refusals surface inline on the sync side and at barriers on
-        // the mux side — the multiset must be identical.
-        prop_assert_eq!(tcp_errors, mux_errors);
-        // The authoritative test: the bytes the servers hold.
-        prop_assert_eq!(image(&tcp_server, 7), image(&mux_server, 7));
-
-        tcp_server.shutdown();
-        mux_server.shutdown();
+        let script: Vec<(bool, _)> = ops.into_iter().map(|op| (false, op)).collect();
+        let small = PipelineConfig { max_ops: window, max_bytes: byte_budget };
+        assert_equivalent(Mode::ConfirmEachOp, &[Mode::TwoSessionsOneSocket], &script, small)?;
     }
 
-    /// Two sessions interleaved over ONE shared socket versus two
-    /// dedicated pipelined connections: each lane must match its twin
-    /// exactly even though the mux side's frames interleave on the wire.
+    /// Two sessions interleaved over ONE shared socket versus two private
+    /// posting sockets with the same window: each lane matches its twin
+    /// exactly even though the shared side's frames interleave on the wire.
     #[test]
     fn interleaved_sessions_match_dedicated_connections(
         script in prop::collection::vec((any::<bool>(), arb_op()), 1..32),
         window in 1usize..6,
     ) {
-        let tcp_server = Server::bind("lane-tcp", "127.0.0.1:0").unwrap().start();
-        let mux_server = Server::bind("lane-mux", "127.0.0.1:0").unwrap().start();
-
         let cfg = PipelineConfig { max_ops: window, max_bytes: 1 << 20 };
-        let mut tcp_conns = [
-            TcpRemote::connect_with(tcp_server.addr(), cfg).unwrap(),
-            TcpRemote::connect_with(tcp_server.addr(), cfg).unwrap(),
-        ];
-        let mux = SessionMux::connect(mux_server.addr()).unwrap();
-        let mut mux_conns = [mux.session_with(cfg), mux.session_with(cfg)];
-
-        // Allocate both lanes' segments in the same order on both
-        // servers so ids (embedded in refusal messages) line up.
-        let mut tcp_segs = Vec::new();
-        let mut mux_segs = Vec::new();
-        for lane in 0..2 {
-            tcp_segs.push(tcp_conns[lane].remote_malloc(SEG_LEN, lane as u64).unwrap().id);
-            mux_segs.push(mux_conns[lane].remote_malloc(SEG_LEN, lane as u64).unwrap().id);
-        }
-        prop_assert_eq!(&tcp_segs, &mux_segs, "twin servers must allocate identically");
-
-        let mut tcp_out = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
-        let mut mux_out = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
-        for (second, op) in &script {
-            let lane = usize::from(*second);
-            apply(&mut tcp_conns[lane], tcp_segs[lane], op, &mut tcp_out[lane].0, &mut tcp_out[lane].1);
-            apply(&mut mux_conns[lane], mux_segs[lane], op, &mut mux_out[lane].0, &mut mux_out[lane].1);
-        }
-        for lane in 0..2 {
-            drain(&mut tcp_conns[lane], script.len(), &mut tcp_out[lane].1);
-            drain(&mut mux_conns[lane], script.len(), &mut mux_out[lane].1);
-            tcp_out[lane].1.sort();
-            mux_out[lane].1.sort();
-            prop_assert_eq!(&tcp_out[lane].0, &mux_out[lane].0, "lane {} reads diverged", lane);
-            prop_assert_eq!(&tcp_out[lane].1, &mux_out[lane].1, "lane {} errors diverged", lane);
-            prop_assert_eq!(
-                image(&tcp_server, lane as u64),
-                image(&mux_server, lane as u64),
-                "lane {} images diverged",
-                lane
-            );
-        }
-
-        tcp_server.shutdown();
-        mux_server.shutdown();
+        assert_equivalent(Mode::SmallWindow, &[Mode::TwoSessionsOneSocket], &script, cfg)?;
     }
 }

@@ -1,144 +1,34 @@
-//! Transport equivalence battery (ISSUE 4): random op sequences —
-//! writes, vectored writes, reads, flushes, a mix of in-bounds and
-//! out-of-bounds — executed on a pipelined and on a synchronous
-//! [`TcpRemote`] must be observationally identical: byte-identical
-//! segment images on the server and identical typed errors.
-//!
-//! The two clients run against *twin* servers (freshly bound, identical
-//! empty state) rather than two segments of one server, so the first
-//! malloc yields the same segment id on both sides and refusal messages
-//! — which embed the segment id — compare exactly.
+//! Pipelined-vs-confirmed transport equivalence: random two-lane op
+//! sequences through private sockets that confirm each write, post into a
+//! small random window, or post into the default window must be
+//! observationally identical (harness in `equivalence/mod.rs`).
+
+mod equivalence;
 
 use proptest::prelude::*;
 
-use perseas_rnram::server::{Server, ServerHandle};
-use perseas_rnram::{PipelineConfig, RemoteMemory, TcpRemote};
-
-const SEG_LEN: usize = 128;
-/// Offsets range past the segment end so some ops are refused.
-const OFF_SPAN: usize = SEG_LEN + 32;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Write { offset: usize, fill: u8, len: usize },
-    WriteV { ranges: Vec<(usize, u8, usize)> },
-    Read { offset: usize, len: usize },
-    Flush,
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    let range = (0usize..OFF_SPAN, any::<u8>(), 0usize..48);
-    prop_oneof![
-        3 => range.prop_map(|(offset, fill, len)| Op::Write { offset, fill, len }),
-        2 => prop::collection::vec((0usize..OFF_SPAN, any::<u8>(), 0usize..24), 1..4)
-            .prop_map(|ranges| Op::WriteV { ranges }),
-        2 => (0usize..OFF_SPAN, 0usize..48).prop_map(|(offset, len)| Op::Read { offset, len }),
-        1 => Just(Op::Flush),
-    ]
-}
-
-/// Applies `ops` through `conn` against its own freshly allocated
-/// segment, returning every read outcome in order and the multiset of
-/// refusals (sorted), with any still-queued pipelined refusals drained
-/// by flushing until clean.
-#[allow(clippy::type_complexity)]
-fn run(conn: &mut TcpRemote, ops: &[Op]) -> (Vec<Result<Vec<u8>, String>>, Vec<String>) {
-    let seg = conn.remote_malloc(SEG_LEN, 7).unwrap();
-    let mut reads = Vec::new();
-    let mut errors = Vec::new();
-    for op in ops {
-        match op {
-            Op::Write { offset, fill, len } => {
-                if let Err(e) = conn.remote_write(seg.id, *offset, &vec![*fill; *len]) {
-                    errors.push(e.to_string());
-                }
-            }
-            Op::WriteV { ranges } => {
-                let bufs: Vec<Vec<u8>> = ranges.iter().map(|&(_, f, l)| vec![f; l]).collect();
-                let writes: Vec<_> = ranges
-                    .iter()
-                    .zip(&bufs)
-                    .map(|(&(off, _, _), buf)| (seg.id, off, buf.as_slice()))
-                    .collect();
-                if let Err(e) = conn.remote_write_v(&writes) {
-                    errors.push(e.to_string());
-                }
-            }
-            Op::Read { offset, len } => {
-                let mut buf = vec![0u8; *len];
-                reads.push(match conn.remote_read(seg.id, *offset, &mut buf) {
-                    Ok(()) => Ok(buf),
-                    Err(e) => Err(e.to_string()),
-                });
-            }
-            Op::Flush => {
-                if let Err(e) = conn.flush() {
-                    errors.push(e.to_string());
-                }
-            }
-        }
-    }
-    // The pipelined side may still hold posted writes and queued
-    // refusals; a barrier surfaces one refusal per call, so flush until
-    // clean. The op count bounds the number of refusals.
-    for _ in 0..=ops.len() {
-        match conn.flush() {
-            Ok(_) => break,
-            Err(e) => errors.push(e.to_string()),
-        }
-    }
-    assert_eq!(conn.in_flight(), 0, "drain left the window dirty");
-    errors.sort();
-    (reads, errors)
-}
-
-/// The segment image as the server holds it.
-fn image(server: &ServerHandle) -> Vec<u8> {
-    let seg = server.node().find_by_tag(7).expect("data segment");
-    let mut buf = vec![0u8; seg.len];
-    server.node().read(seg.id, 0, &mut buf).unwrap();
-    buf
-}
+use equivalence::{arb_op, assert_equivalent, Mode};
+use perseas_rnram::PipelineConfig;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// 256 random sequences: same ops, same server logic, one transport
-    /// synchronous and one pipelined with a deliberately small window
-    /// (so sequences wrap it and mid-stream drains happen) — images and
-    /// typed errors must match exactly.
+    /// confirming each op and two posting — one with a deliberately small
+    /// window (so sequences wrap it and mid-stream drains happen), one
+    /// with the default window. Images, reads and refusals match exactly.
     #[test]
     fn pipelined_and_sync_transports_are_equivalent(
-        ops in prop::collection::vec(arb_op(), 1..32),
+        script in prop::collection::vec((any::<bool>(), arb_op()), 1..32),
         window in 1usize..6,
         byte_budget in 32usize..256,
     ) {
-        let sync_server = Server::bind("twin-sync", "127.0.0.1:0").unwrap().start();
-        let pipe_server = Server::bind("twin-pipe", "127.0.0.1:0").unwrap().start();
-
-        let mut sync_conn = TcpRemote::connect(sync_server.addr()).unwrap();
-        let mut pipe_conn = TcpRemote::connect_with(
-            pipe_server.addr(),
-            PipelineConfig { max_ops: window, max_bytes: byte_budget },
-        )
-        .unwrap();
-        prop_assert!(!sync_conn.is_pipelined());
-        prop_assert!(pipe_conn.is_pipelined());
-
-        let (sync_reads, sync_errors) = run(&mut sync_conn, &ops);
-        let (pipe_reads, pipe_errors) = run(&mut pipe_conn, &ops);
-
-        // Reads are round trips in both modes and FIFO ordering makes
-        // every posted write visible to later reads: outcomes must agree
-        // op for op.
-        prop_assert_eq!(sync_reads, pipe_reads);
-        // Write refusals surface inline in sync mode and at barriers in
-        // pipelined mode — the multiset must be identical.
-        prop_assert_eq!(sync_errors, pipe_errors);
-        // And the authoritative test: the bytes the servers hold.
-        prop_assert_eq!(image(&sync_server), image(&pipe_server));
-
-        sync_server.shutdown();
-        pipe_server.shutdown();
+        let small = PipelineConfig { max_ops: window, max_bytes: byte_budget };
+        assert_equivalent(
+            Mode::ConfirmEachOp,
+            &[Mode::SmallWindow, Mode::DefaultWindow],
+            &script,
+            small,
+        )?;
     }
 }
