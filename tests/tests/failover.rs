@@ -642,6 +642,49 @@ fn failed_rejoins_leak_no_segments_on_the_rejoiner() {
 }
 
 #[test]
+fn failed_undo_growths_leak_no_segments_on_the_rejoiner() {
+    // A 1 KiB declaration outgrows the 64-byte undo log, so every mirror
+    // allocates a larger segment, re-pushes the prefix and flips the
+    // metadata's undo line. Sweep a link cut on mirror b across that
+    // growth and the rest of the commit: a segment b allocated but never
+    // published must still be reclaimed by the rejoin, so the rejoiner
+    // ends up holding exactly what the survivor holds.
+    for cut in 0..40u64 {
+        let clock = SimClock::new();
+        let mirror = |name| {
+            SimRemote::with_parts(
+                clock.clone(),
+                NodeMemory::new(name),
+                SciParams::dolphin_1998(),
+            )
+        };
+        let (a, b) = (mirror("a"), mirror("b"));
+        let (na, nb, lb) = (a.node().clone(), b.node().clone(), b.link().clone());
+        let cfg = PerseasConfig::default().with_initial_undo_capacity(64);
+        let mut db = Perseas::init_with_clock(vec![a, b], cfg, clock.clone()).unwrap();
+        let r = db.malloc(4096).unwrap();
+        db.init_remote_db().unwrap();
+
+        lb.cut_after_packets(cut);
+        db.begin_transaction().unwrap();
+        db.set_range(r, 0, 1024).unwrap();
+        db.write(r, 0, &[7; 1024]).unwrap();
+        db.commit_transaction().unwrap();
+        lb.heal();
+        if db.healthy_mirror_count() < 2 {
+            assert_eq!(db.probe_down_mirrors(), vec![1], "cut={cut}");
+            db.rejoin_mirror(1).unwrap();
+        }
+        assert_eq!(db.healthy_mirror_count(), 2, "cut={cut}");
+        assert_eq!(
+            nb.used_bytes(),
+            na.used_bytes(),
+            "cut={cut}: leaked segments"
+        );
+    }
+}
+
+#[test]
 fn remove_mirror_fences_survivors_before_the_membership_change() {
     let (mut db, r, _na, nb, _lb) = setup2();
     let tracer = RecordingTracer::new();
