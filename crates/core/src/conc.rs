@@ -20,15 +20,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use perseas_rnram::{plan_transfer, RemoteMemory, SegmentId};
+use perseas_rnram::{RemoteMemory, SegmentId};
 use perseas_txn::{RegionId, TxnError};
 
 use crate::layout::{
     commit_table_offset, encode_group_header, UndoRecord, GROUP_HEADER_SIZE, OFF_COMMIT,
 };
-use crate::perseas::{
-    coalesce, first_uncovered, push_range, unavailable, MirrorBatches, Perseas, Phase,
-};
+use crate::perseas::{coalesce, first_uncovered, payload, push_range, MirrorState, Perseas, Phase};
 use crate::trace::TraceEvent;
 
 /// Handle to one open concurrent transaction.
@@ -185,36 +183,7 @@ impl<M: RemoteMemory> Perseas<M> {
         offset: usize,
         len: usize,
     ) -> Result<(), TxnError> {
-        self.ensure_concurrent()?;
-        self.ensure_phase(Phase::Ready)?;
-        let id = t.id;
-        match self.conc.txns.get(&id) {
-            None => return Err(TxnError::NoActiveTransaction),
-            Some(txn) if txn.prepared => return Err(frozen(id)),
-            Some(_) => {}
-        }
-        let ri = self.check_region_range(region, offset, len)?;
-        if len == 0 {
-            return Ok(());
-        }
-        if let Err(holder) = self.claim_range(ri, offset, len, id) {
-            self.stats.conflicts += 1;
-            self.emit(TraceEvent::TxnConflict {
-                id,
-                holder,
-                region: ri as u32,
-                offset,
-                len,
-            });
-            return Err(TxnError::Conflict {
-                region,
-                offset,
-                len,
-                holder,
-            });
-        }
-        self.log_before_image(id, ri, offset, len);
-        Ok(())
+        self.set_ranges_t(t, &[(region, offset, len)])
     }
 
     /// Declares several ranges in one step, all-or-nothing: every range
@@ -237,7 +206,8 @@ impl<M: RemoteMemory> Perseas<M> {
             Some(txn) if txn.prepared => return Err(frozen(id)),
             Some(_) => {}
         }
-        let mut checked = Vec::with_capacity(ranges.len());
+        // Validate everything first; the second pass walks `ranges` again
+        // rather than collecting them, so a single range never allocates.
         for &(region, offset, len) in ranges {
             let ri = self.check_region_range(region, offset, len)?;
             if len == 0 {
@@ -259,13 +229,12 @@ impl<M: RemoteMemory> Perseas<M> {
                     holder,
                 });
             }
-            checked.push((ri, offset, len));
         }
         // Intra-batch overlaps are same-owner by construction, so none of
-        // these claims can fail now.
-        for &(ri, offset, len) in &checked {
-            self.claim_range(ri, offset, len, id)
-                .expect("batch pre-checked against all other owners");
+        // these claims can conflict now.
+        for &(region, offset, len) in ranges.iter().filter(|&&(_, _, len)| len > 0) {
+            let ri = region.as_raw() as usize;
+            self.claim_range(ri, offset, len, id);
             self.log_before_image(id, ri, offset, len);
         }
         Ok(())
@@ -387,24 +356,14 @@ impl<M: RemoteMemory> Perseas<M> {
         // write-ahead logging. Data ships exactly as declared — see the
         // widening note in `commit_group`.
         let ranges = coalesce(&self.conc.txns[&id].declared);
-        let lists: MirrorBatches = self
-            .mirrors
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_healthy())
-            .map(|(mi, m)| {
-                let mut list = vec![
-                    (m.undo.id, 0, self.undo_shadow[..GROUP_HEADER_SIZE].to_vec()),
-                    (m.undo.id, hw, self.undo_shadow[hw..at].to_vec()),
-                ];
-                list.extend(
-                    ranges
-                        .iter()
-                        .map(|&(ri, s, l)| (m.db[ri].id, s, self.regions[ri][s..s + l].to_vec())),
-                );
-                (mi, list)
-            })
-            .collect();
+        let lists = self.batches(|m| {
+            let mut list = vec![
+                (m.undo.id, 0, self.undo_shadow[..GROUP_HEADER_SIZE].to_vec()),
+                (m.undo.id, hw, self.undo_shadow[hw..at].to_vec()),
+            ];
+            list.extend(self.data_ranges(m, &ranges));
+            list
+        });
         self.fan_out_vectored(lists)?;
         // Prepare promises the staged records and data are *on* the
         // mirrors, so the barrier belongs here, not at the later commit.
@@ -556,22 +515,16 @@ impl<M: RemoteMemory> Perseas<M> {
         // table at the tail.
         let max_id = *nonempty.last().expect("nonempty");
         let slots = self.cfg.commit_slots;
-        let meta_lists: MirrorBatches = self
-            .mirrors
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_healthy())
-            .map(|(mi, m)| {
-                let base = commit_table_offset(m.meta.len, slots);
-                let mut list: Vec<(SegmentId, usize, Vec<u8>)> = nonempty
-                    .iter()
-                    .zip(&free)
-                    .map(|(id, &slot)| (m.meta.id, base + slot * 8, id.to_le_bytes().to_vec()))
-                    .collect();
-                list.push((m.meta.id, OFF_COMMIT, new_w.to_le_bytes().to_vec()));
-                (mi, list)
-            })
-            .collect();
+        let meta_lists = self.batches(|m| {
+            let base = commit_table_offset(m.meta.len, slots);
+            let mut list: Vec<_> = nonempty
+                .iter()
+                .zip(&free)
+                .map(|(id, &slot)| (m.meta.id, base + slot * 8, id.to_le_bytes().to_vec()))
+                .collect();
+            list.push((m.meta.id, OFF_COMMIT, new_w.to_le_bytes().to_vec()));
+            list
+        });
 
         let undo_bytes = if self.cfg.redo { 0 } else { self.conc.undo_hw };
         let mut batch_ranges = 0;
@@ -598,26 +551,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 txn.mirrors_dirty = true;
             }
         } else if !unstaged.is_empty() {
-            let aligned = self.cfg.aligned_memcpy;
-            let undo_lists: MirrorBatches = self
-                .mirrors
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.is_healthy())
-                .map(|(mi, m)| {
-                    let (off, len) = if aligned {
-                        let p =
-                            plan_transfer(m.undo.base_addr, 0, undo_bytes, self.undo_shadow.len());
-                        (p.offset, p.len)
-                    } else {
-                        (0, undo_bytes)
-                    };
-                    (
-                        mi,
-                        vec![(m.undo.id, off, self.undo_shadow[off..off + len].to_vec())],
-                    )
-                })
-                .collect();
+            let undo_lists = self.undo_prefix_batches(undo_bytes);
 
             // The shared data update: the coalesced union of every
             // unprepared member's declared ranges (claims are disjoint
@@ -633,32 +567,10 @@ impl<M: RemoteMemory> Perseas<M> {
                 declared_all.extend(self.conc.txns[id].declared.iter().copied());
             }
             let ranges = coalesce(&declared_all);
-            let db_lists: MirrorBatches = self
-                .mirrors
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.is_healthy())
-                .map(|(mi, m)| {
-                    (
-                        mi,
-                        ranges
-                            .iter()
-                            .map(|&(ri, s, len)| {
-                                (m.db[ri].id, s, self.regions[ri][s..s + len].to_vec())
-                            })
-                            .collect(),
-                    )
-                })
-                .collect();
+            let db_lists = self.batches(|m| self.data_ranges(m, &ranges).collect());
             (batch_ranges, batch_bytes) = db_lists
                 .first()
-                .map(|(_, l)| {
-                    (
-                        l.len(),
-                        l.iter().map(|(_, _, d): &(_, _, Vec<u8>)| d.len()).sum(),
-                    )
-                })
-                .unwrap_or((0, 0));
+                .map_or((0, 0), |(_, l)| (l.len(), payload(l)));
             self.emit(TraceEvent::CommitBatch {
                 id: max_id,
                 mirrors: db_lists.len(),
@@ -846,12 +758,10 @@ impl<M: RemoteMemory> Perseas<M> {
     }
 
     /// Claims `[start, start+len)` of region `ri` for transaction `id`,
-    /// merging with its own adjacent or overlapping claims. Returns the
-    /// holder's id if another open transaction's claim overlaps.
-    fn claim_range(&mut self, ri: usize, start: usize, len: usize, id: u64) -> Result<(), u64> {
-        if let Some(holder) = self.peek_conflict(ri, start, len, id) {
-            return Err(holder);
-        }
+    /// merging with its own adjacent or overlapping claims. The caller
+    /// has checked [`Perseas::peek_conflict`] first.
+    fn claim_range(&mut self, ri: usize, start: usize, len: usize, id: u64) {
+        debug_assert_eq!(self.peek_conflict(ri, start, len, id), None);
         let mut new_s = start;
         let mut new_e = start + len;
         let map = &mut self.conc.claims[ri];
@@ -868,7 +778,18 @@ impl<M: RemoteMemory> Perseas<M> {
             new_e = new_e.max(e);
         }
         map.insert(new_s, (new_e, id));
-        Ok(())
+    }
+
+    /// `ranges` of the local image as mirror `m`'s batch entries, exactly
+    /// as declared (see the widening note in `commit_group`).
+    fn data_ranges<'a>(
+        &'a self,
+        m: &'a MirrorState<M>,
+        ranges: &'a [(usize, usize, usize)],
+    ) -> impl Iterator<Item = (SegmentId, usize, Vec<u8>)> + 'a {
+        ranges
+            .iter()
+            .map(|&(ri, s, l)| (m.db[ri].id, s, self.regions[ri][s..s + l].to_vec()))
     }
 
     /// Drops every claim transaction `id` holds, in every region.
@@ -988,31 +909,17 @@ impl<M: RemoteMemory> Perseas<M> {
             off += total;
         }
         self.cfg.mem_cost.charge_memcpy(&self.clock, len);
-        let mut any_failed = false;
-        for mi in 0..self.mirrors.len() {
-            if !self.mirrors[mi].is_healthy() {
-                continue;
-            }
-            self.fault_step()?;
-            let m = &mut self.mirrors[mi];
-            let undo = m.undo;
-            match push_range(
+        self.fan_out(|m, local| {
+            push_range(
                 &mut m.backend,
-                undo,
-                &self.undo_shadow,
+                m.undo,
+                local.undo_shadow,
                 start,
                 len,
-                self.cfg.aligned_memcpy,
-            ) {
-                Ok(()) => self.stats.add_remote_write(len),
-                Err(e) if e.is_unavailable() => {
-                    self.mark_down(mi, &e);
-                    any_failed = true;
-                }
-                Err(e) => return Err(unavailable(e)),
-            }
-        }
-        self.fence_failed(any_failed)?;
+                local.cfg.aligned_memcpy,
+            )
+            .map(|()| Some(len))
+        })?;
         // The tombstones must be confirmed before the abort completes:
         // recovery must never replay records the caller believes dead.
         self.flush_mirrors()

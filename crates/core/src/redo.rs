@@ -30,7 +30,7 @@
 
 use std::collections::BTreeSet;
 
-use perseas_rnram::{RemoteMemory, RnError, SegmentId};
+use perseas_rnram::{RemoteMemory, SegmentId};
 use perseas_simtime::SimClock;
 use perseas_txn::TxnError;
 
@@ -40,7 +40,7 @@ use crate::layout::{
     redo_entry_offset, redo_header_offset, redo_snap_offset, redo_tail_offset, MetaHeader,
     RedoRecord, REDO_ENTRY_SIZE, REDO_TOMBSTONE_REGION,
 };
-use crate::perseas::{unavailable, MirrorBatches, Perseas, Phase};
+use crate::perseas::{unavailable, Perseas, Phase};
 use crate::trace::TraceEvent;
 
 /// One write to be logged: `(txn id, region index, start, len)`. A
@@ -208,26 +208,14 @@ impl<M: RemoteMemory> Perseas<M> {
                 }
                 None => {}
             }
-            let mut any_failed = false;
-            for mi in 0..self.mirrors.len() {
-                if !self.mirrors[mi].is_healthy() {
-                    continue;
-                }
-                self.fault_step()?;
-                let m = &mut self.mirrors[mi];
+            self.fan_out(|m, local| {
                 if m.redo.len() < slots {
                     m.redo.resize(slots, None);
                 }
-                match m.backend.remote_malloc(self.cfg.redo_segment_bytes, 0) {
-                    Ok(seg) => m.redo[slot] = Some(seg),
-                    Err(e) if e.is_unavailable() => {
-                        self.mark_down(mi, &e);
-                        any_failed = true;
-                    }
-                    Err(e) => return Err(unavailable(e)),
-                }
-            }
-            self.fence_failed(any_failed)?;
+                let seg = m.backend.remote_malloc(local.cfg.redo_segment_bytes, 0)?;
+                m.redo[slot] = Some(seg);
+                Ok(None)
+            })?;
             self.redo.slot_seqs[slot] = Some(seq);
             let live = self.redo.live_segments();
             self.emit(TraceEvent::RedoSegmentOpened { seq, slot, live });
@@ -241,36 +229,30 @@ impl<M: RemoteMemory> Perseas<M> {
             .iter()
             .map(|&seq| (seq % slots as u64) as usize)
             .collect();
-        let lists: MirrorBatches = self
-            .mirrors
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_healthy())
-            .map(|(mi, m)| {
-                let dir_end = self.redo_dir_end_local(m.meta.len);
-                let mut list = Vec::with_capacity(dir_slots.len() + chunks.len() + 1);
-                for &slot in &dir_slots {
-                    let seq = self.redo.slot_seqs[slot].expect("slot opened above");
-                    let seg = m.redo[slot].expect("segment allocated above");
-                    list.push((
-                        m.meta.id,
-                        redo_entry_offset(dir_end, slots, slot),
-                        encode_redo_entry(seg.id.as_raw(), seq).to_vec(),
-                    ));
-                }
-                for c in &chunks {
-                    let slot = (c.seq % slots as u64) as usize;
-                    let seg = m.redo[slot].expect("segment allocated above");
-                    list.push((seg.id, c.off, c.bytes.clone()));
-                }
+        let lists = self.batches(|m| {
+            let dir_end = self.redo_dir_end_local(m.meta.len);
+            let mut list = Vec::with_capacity(dir_slots.len() + chunks.len() + 1);
+            for &slot in &dir_slots {
+                let seq = self.redo.slot_seqs[slot].expect("slot opened above");
+                let seg = m.redo[slot].expect("segment allocated above");
                 list.push((
                     m.meta.id,
-                    redo_tail_offset(dir_end),
-                    new_tail.to_le_bytes().to_vec(),
+                    redo_entry_offset(dir_end, slots, slot),
+                    encode_redo_entry(seg.id.as_raw(), seq).to_vec(),
                 ));
-                (mi, list)
-            })
-            .collect();
+            }
+            for c in &chunks {
+                let slot = (c.seq % slots as u64) as usize;
+                let seg = m.redo[slot].expect("segment allocated above");
+                list.push((seg.id, c.off, c.bytes.clone()));
+            }
+            list.push((
+                m.meta.id,
+                redo_tail_offset(dir_end),
+                new_tail.to_le_bytes().to_vec(),
+            ));
+            list
+        });
         self.fan_out_vectored(lists)?;
         self.flush_mirrors()?;
         self.redo.tail = new_tail;
@@ -345,23 +327,14 @@ impl<M: RemoteMemory> Perseas<M> {
 
         // 1. Stream the region images (no transaction is open, so the
         //    local image is exactly the committed state) and confirm.
-        let db_lists: MirrorBatches = self
-            .mirrors
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_healthy())
-            .map(|(mi, m)| {
-                (
-                    mi,
-                    self.regions
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| !r.is_empty())
-                        .map(|(ri, r)| (m.db[ri].id, 0, r.clone()))
-                        .collect(),
-                )
-            })
-            .collect();
+        let db_lists = self.batches(|m| {
+            self.regions
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| !r.is_empty())
+                .map(|(ri, r)| (m.db[ri].id, 0, r.clone()))
+                .collect()
+        });
         let bytes: usize = self.regions.iter().map(Vec::len).sum();
         self.fan_out_vectored(db_lists)?;
         self.flush_mirrors()?;
@@ -370,23 +343,11 @@ impl<M: RemoteMemory> Perseas<M> {
         //    mirror, confirmed before the floor moves. A crash between
         //    mirrors leaves each self-consistent: every mirror's image
         //    covers exactly the position its own line names.
-        let snap_lists: MirrorBatches = self
-            .mirrors
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_healthy())
-            .map(|(mi, m)| {
-                let dir_end = self.redo_dir_end_local(m.meta.len);
-                (
-                    mi,
-                    vec![(
-                        m.meta.id,
-                        redo_snap_offset(dir_end),
-                        tail.to_le_bytes().to_vec(),
-                    )],
-                )
-            })
-            .collect();
+        let snap_lists = self.batches(|m| {
+            let dir_end = self.redo_dir_end_local(m.meta.len);
+            let off = redo_snap_offset(dir_end);
+            vec![(m.meta.id, off, tail.to_le_bytes().to_vec())]
+        });
         self.fan_out_vectored(snap_lists)?;
         self.flush_mirrors()?;
         for m in &mut self.mirrors {
@@ -428,57 +389,26 @@ impl<M: RemoteMemory> Perseas<M> {
         if retire.is_empty() {
             return Ok(());
         }
-        let lists: MirrorBatches = self
-            .mirrors
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_healthy())
-            .map(|(mi, m)| {
-                let dir_end = self.redo_dir_end_local(m.meta.len);
-                (
-                    mi,
-                    retire
-                        .iter()
-                        .map(|&(slot, _)| {
-                            (
-                                m.meta.id,
-                                redo_entry_offset(dir_end, slots, slot),
-                                vec![0u8; REDO_ENTRY_SIZE],
-                            )
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
+        let lists = self.batches(|m| {
+            let dir_end = self.redo_dir_end_local(m.meta.len);
+            retire
+                .iter()
+                .map(|&(slot, _)| {
+                    let off = redo_entry_offset(dir_end, slots, slot);
+                    (m.meta.id, off, vec![0u8; REDO_ENTRY_SIZE])
+                })
+                .collect()
+        });
         self.fan_out_vectored(lists)?;
         self.flush_mirrors()?;
-        let mut any_failed = false;
-        for mi in 0..self.mirrors.len() {
-            if !self.mirrors[mi].is_healthy() {
-                continue;
-            }
-            self.fault_step()?;
-            let mut down: Option<RnError> = None;
+        self.fan_out(|m, _| {
             for &(slot, _) in &retire {
-                let m = &mut self.mirrors[mi];
-                let Some(seg) = m.redo.get_mut(slot).and_then(Option::take) else {
-                    continue;
-                };
-                match m.backend.remote_free(seg.id) {
-                    Ok(()) => {}
-                    Err(e) if e.is_unavailable() => {
-                        down = Some(e);
-                        break;
-                    }
-                    Err(e) => return Err(unavailable(e)),
+                if let Some(seg) = m.redo.get_mut(slot).and_then(Option::take) {
+                    m.backend.remote_free(seg.id)?;
                 }
             }
-            if let Some(e) = down {
-                self.mark_down(mi, &e);
-                any_failed = true;
-            }
-        }
-        self.fence_failed(any_failed)?;
+            Ok(None)
+        })?;
         for &(slot, _) in &retire {
             self.redo.slot_seqs[slot] = None;
         }
