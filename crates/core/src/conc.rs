@@ -316,17 +316,18 @@ impl<M: RemoteMemory> Perseas<M> {
             // instead of staging undo records and data: the transaction
             // is frozen, so the local bytes of its (disjoint) claims are
             // final, and its later commit is record-only exactly as on
-            // the undo path. `redo_append` confirms the burst.
+            // the undo path. `redo_append` confirms the burst; even a
+            // failed one may reach some mirrors, so an abort from here
+            // on tombstones the log.
             let id_copy = id;
             let ranges = coalesce(&self.conc.txns[&id].declared);
             let writes: Vec<crate::redo::RedoWrite> = ranges
                 .iter()
                 .map(|&(ri, s, l)| (id_copy, ri, s, l))
                 .collect();
+            self.conc.txns.get_mut(&id).expect("open").mirrors_dirty = true;
             self.redo_append(&writes)?;
-            let txn = self.conc.txns.get_mut(&id).expect("open");
-            txn.mirrors_dirty = true;
-            txn.prepared = true;
+            self.conc.txns.get_mut(&id).expect("open").prepared = true;
             return Ok(());
         }
 
@@ -540,16 +541,13 @@ impl<M: RemoteMemory> Perseas<M> {
                 for &(ri, s, l) in coalesce(&self.conc.txns[id].declared).iter() {
                     writes.push((*id, ri, s, l));
                 }
-            }
-            let (records, bytes) = self.redo_append(&writes)?;
-            batch_ranges = records;
-            batch_bytes = bytes;
-            for id in &unstaged {
-                // Past the append the members' after-images rest on the
-                // mirrors, so their aborts must tombstone the log.
+                // The append, even a failed one, may put the member's
+                // after-images on the mirrors, so its abort must
+                // tombstone the log.
                 let txn = self.conc.txns.get_mut(id).expect("member open");
                 txn.mirrors_dirty = true;
             }
+            (batch_ranges, batch_bytes) = self.redo_append(&writes)?;
         } else if !unstaged.is_empty() {
             let undo_lists = self.undo_prefix_batches(undo_bytes);
 
