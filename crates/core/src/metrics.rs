@@ -226,11 +226,11 @@ impl CoreMetrics {
             ),
             redo_snapshots: r.counter(
                 "perseas_redo_snapshots_total",
-                "Redo snapshots taken (consistent region images streamed to the mirrors).",
+                "Redo snapshots taken (dirty ranges shipped, snapshot position advanced).",
             ),
             redo_snapshot_bytes: r.counter(
                 "perseas_redo_snapshot_bytes_total",
-                "Region bytes streamed by redo snapshots, per mirror.",
+                "Dirty region bytes shipped by redo snapshots, per mirror.",
             ),
             redo_compactions: r.counter(
                 "perseas_redo_compactions_total",

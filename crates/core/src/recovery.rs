@@ -410,6 +410,16 @@ impl<M: RemoteMemory> Perseas<M> {
         let mut redo_state = RedoState::new(dir.slot_count);
         redo_state.tail = dir.tail;
         redo_state.snap_floor = dir.snap;
+        // The replayed records are exactly where the rebuilt image
+        // differs from the mirror's snapshot (a torn snapshot is torn
+        // only inside them), so they are the dirty set.
+        for s in &fates.committed {
+            redo_state.mark_dirty(
+                s.rec.region as usize,
+                s.rec.offset as usize,
+                s.rec.len as usize,
+            );
+        }
         let mut mirror = MirrorState::new(backend, meta, undo_seg);
         mirror.db = db_segs;
         mirror.redo = vec![None; dir.slot_count];

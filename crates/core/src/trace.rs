@@ -264,13 +264,14 @@ pub enum TraceEvent {
         /// Live log segments after opening it.
         live: usize,
     },
-    /// A consistent region image was streamed to every healthy mirror
-    /// and the snapshot position advanced to the tail: recovery now
-    /// replays only records appended after this point.
+    /// The dirty ranges were shipped to every healthy mirror, whose db
+    /// segments now equal the local image, and the snapshot position
+    /// advanced to the tail: recovery now replays only records appended
+    /// after this point.
     RedoSnapshot {
         /// Log position the snapshot covers (the tail at capture).
         tail: u64,
-        /// Region bytes streamed, per mirror.
+        /// Dirty region bytes shipped, per mirror.
         bytes: usize,
     },
     /// Fully-snapshotted log segments were retired: their directory
