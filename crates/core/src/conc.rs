@@ -6,15 +6,16 @@
 //! only genuinely overlapping `set_range` claims (first-claimer-wins; the
 //! loser gets [`TxnError::Conflict`] and stays open), and non-conflicting
 //! transactions commit together through the batched, vectored pipeline as
-//! one *group commit*: one undo fan-out, one data fan-out, and one
-//! commit-record fan-out amortized across the whole group.
+//! one *group commit*: the undo arena, the data and the commit records of
+//! the whole group ride one vectored write per mirror and one ack
+//! barrier.
 //!
 //! Durability stays per-transaction. The metadata segment's commit record
 //! at `OFF_COMMIT` becomes a *watermark* (every id at or below it is
 //! committed), and each transaction committed above the watermark claims
 //! one 8-byte, packet-atomic slot in the commit table appended to the
-//! metadata segment. The commit fan-out writes the group's slots first and
-//! the watermark last, all in one vectored write per mirror, so a torn
+//! metadata segment. The commit write carries the group's slots first and
+//! the watermark last, behind the arena and data, so a torn
 //! delivery durably commits exactly a prefix of the group — recovery then
 //! resolves each transaction independently from its slot.
 
@@ -26,7 +27,9 @@ use perseas_txn::{RegionId, TxnError};
 use crate::layout::{
     commit_table_offset, encode_group_header, UndoRecord, GROUP_HEADER_SIZE, OFF_COMMIT,
 };
-use crate::perseas::{coalesce, first_uncovered, payload, push_range, MirrorState, Perseas, Phase};
+use crate::perseas::{
+    coalesce, first_uncovered, payload, push_range, Batch, MirrorState, Perseas, Phase,
+};
 use crate::trace::TraceEvent;
 
 /// Handle to one open concurrent transaction.
@@ -326,7 +329,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 .map(|&(ri, s, l)| (id_copy, ri, s, l))
                 .collect();
             self.conc.txns.get_mut(&id).expect("open").mirrors_dirty = true;
-            self.redo_append(&writes)?;
+            self.redo_append(&writes, None)?;
             self.conc.txns.get_mut(&id).expect("open").prepared = true;
             return Ok(());
         }
@@ -385,13 +388,16 @@ impl<M: RemoteMemory> Perseas<M> {
         self.commit_group(&[t])
     }
 
-    /// Commits several open transactions as one group: one undo fan-out,
-    /// one data fan-out, and one commit-record fan-out per mirror cover
-    /// the whole group. Durability stays per-transaction — the vectored
-    /// commit write carries each transaction's 8-byte table slot (one
-    /// packet each) before the watermark, so a torn delivery durably
-    /// commits exactly a prefix of the group and recovery resolves each
-    /// member independently.
+    /// Commits several open transactions as one group: the undo arena,
+    /// the data and the commit record of the whole group ride one
+    /// vectored write per mirror, confirmed by one ack barrier (under a
+    /// commit quorum above 1 the record follows a barrier on the rest;
+    /// see [`Perseas::publish_commit`]). In redo mode the log burst
+    /// takes the place of arena and data. Durability stays
+    /// per-transaction — the record carries each transaction's 8-byte
+    /// table slot (one packet each) before the watermark, so a torn
+    /// delivery durably commits exactly a prefix of the group and
+    /// recovery resolves each member independently.
     ///
     /// # Errors
     ///
@@ -509,33 +515,33 @@ impl<M: RemoteMemory> Perseas<M> {
             new_w += 1;
         }
 
-        // The durability fan-out: each member's table slot (one 8-byte,
-        // packet-atomic write each), then the watermark last, all in one
+        // The commit record: each member's table slot (one 8-byte,
+        // packet-atomic write each), then the watermark last, in one
         // vectored write per mirror. Slot offsets are end-relative and
         // per-mirror: every mirror's metadata segment carries its own
         // table at the tail.
         let max_id = *nonempty.last().expect("nonempty");
         let slots = self.cfg.commit_slots;
-        let meta_lists = self.batches(|m| {
+        let mut record = |m: &MirrorState<M>| {
             let base = commit_table_offset(m.meta.len, slots);
-            let mut list: Vec<_> = nonempty
+            let mut list: Batch = nonempty
                 .iter()
                 .zip(&free)
                 .map(|(id, &slot)| (m.meta.id, base + slot * 8, id.to_le_bytes().to_vec()))
                 .collect();
             list.push((m.meta.id, OFF_COMMIT, new_w.to_le_bytes().to_vec()));
             list
-        });
+        };
 
         let undo_bytes = if self.cfg.redo { 0 } else { self.conc.undo_hw };
         let mut batch_ranges = 0;
         let mut batch_bytes = 0;
-        if !unstaged.is_empty() && self.cfg.redo {
+        let shipped = if !unstaged.is_empty() && self.cfg.redo {
             // Redo mode: one coalesced after-image batch for every
-            // unprepared member, appended (and confirmed) as a single
-            // log burst. Prepared members' records are already in the
-            // log; claims are disjoint, so each member's local bytes
-            // are its own.
+            // unprepared member, appended as a single log burst with the
+            // record behind its tail line. Prepared members' records are
+            // already in the log; claims are disjoint, so each member's
+            // local bytes are its own.
             let mut writes: Vec<crate::redo::RedoWrite> = Vec::new();
             for id in &unstaged {
                 for &(ri, s, l) in coalesce(&self.conc.txns[id].declared).iter() {
@@ -547,59 +553,53 @@ impl<M: RemoteMemory> Perseas<M> {
                 let txn = self.conc.txns.get_mut(id).expect("member open");
                 txn.mirrors_dirty = true;
             }
-            (batch_ranges, batch_bytes) = self.redo_append(&writes)?;
-        } else if !unstaged.is_empty() {
-            let undo_lists = self.undo_prefix_batches(undo_bytes);
+            batch_ranges = writes.len();
+            batch_bytes = writes.iter().map(|&(_, _, _, len)| len).sum();
+            self.redo_append(&writes, Some((max_id, &mut record)))
+        } else {
+            let mut log = Vec::new();
+            if !unstaged.is_empty() {
+                let undo_lists = self.undo_prefix_batches(undo_bytes);
 
-            // The shared data update: the coalesced union of every
-            // unprepared member's declared ranges (claims are disjoint
-            // across members, so the union is exact; prepared members'
-            // data is already on the mirrors). Unlike the
-            // single-transaction path, the ranges are shipped EXACTLY as
-            // declared — alignment widening would read neighbouring bytes
-            // from the local image, and under concurrency those may be
-            // another open transaction's uncommitted writes, which must
-            // never reach a mirror.
-            let mut declared_all = Vec::new();
-            for id in &unstaged {
-                declared_all.extend(self.conc.txns[id].declared.iter().copied());
+                // The shared data update: the coalesced union of every
+                // unprepared member's declared ranges (claims are disjoint
+                // across members, so the union is exact; prepared members'
+                // data is already on the mirrors). Unlike the
+                // single-transaction path, the ranges are shipped EXACTLY
+                // as declared — alignment widening would read neighbouring
+                // bytes from the local image, and under concurrency those
+                // may be another open transaction's uncommitted writes,
+                // which must never reach a mirror.
+                let mut declared_all = Vec::new();
+                for id in &unstaged {
+                    declared_all.extend(self.conc.txns[id].declared.iter().copied());
+                }
+                let ranges = coalesce(&declared_all);
+                let db_lists = self.batches(|m| self.data_ranges(m, &ranges).collect());
+                (batch_ranges, batch_bytes) = db_lists
+                    .first()
+                    .map_or((0, 0), |(_, l)| (l.len(), payload(l)));
+                self.emit(TraceEvent::CommitBatch {
+                    id: max_id,
+                    mirrors: db_lists.len(),
+                    ranges: batch_ranges,
+                    bytes: batch_bytes,
+                    undo_bytes,
+                });
+                log = vec![undo_lists, db_lists];
             }
-            let ranges = coalesce(&declared_all);
-            let db_lists = self.batches(|m| self.data_ranges(m, &ranges).collect());
-            (batch_ranges, batch_bytes) = db_lists
-                .first()
-                .map_or((0, 0), |(_, l)| (l.len(), payload(l)));
-            self.emit(TraceEvent::CommitBatch {
-                id: max_id,
-                mirrors: db_lists.len(),
-                ranges: batch_ranges,
-                bytes: batch_bytes,
-                undo_bytes,
-            });
-
-            // Phase 1: the arena. Past this fan-out the members' records
-            // may rest on the mirrors, so their aborts must tombstone.
-            self.fan_out_vectored(undo_lists)?;
-            for id in &unstaged {
-                let txn = self.conc.txns.get_mut(id).expect("member open");
-                txn.undo_remote = true;
-                txn.mirrors_dirty = true;
-            }
-            // Phase 2: the data.
-            self.fan_out_vectored(db_lists)?;
-            // Ack barrier: the arena and data fan-outs may be posted
-            // unacknowledged on pipelined transports; all of them must be
-            // confirmed before any member's commit record is published.
-            self.flush_mirrors()?;
-        }
-        // Phase 3: the durability point. The record write is posted too,
-        // so its own barrier follows before the group is reported
-        // committed.
-        match self
-            .fan_out_vectored(meta_lists)
-            .and_then(|()| self.flush_mirrors())
-            .map_err(|e| self.durability_in_doubt(e, max_id))
-        {
+            // The arena, the data, then the record (see
+            // `Perseas::publish_commit`). Once the arena may rest on the
+            // mirrors, the members' aborts must tombstone their records.
+            self.publish_commit(max_id, log, record, |s| {
+                for id in &unstaged {
+                    let txn = s.conc.txns.get_mut(id).expect("member open");
+                    txn.undo_remote = true;
+                    txn.mirrors_dirty = true;
+                }
+            })
+        };
+        match shipped {
             Ok(()) => {
                 self.finish_group(
                     &ids,
@@ -628,9 +628,9 @@ impl<M: RemoteMemory> Perseas<M> {
                 self.record_group_latency(timer);
                 Err(e)
             }
-            // Crashed, or no healthy mirror holds the record reliably:
-            // nothing is durable, every member stays open (a crash
-            // cleared them already).
+            // Crashed, every healthy mirror refused the record, or no
+            // healthy mirror holds it reliably: nothing is durable, every
+            // member stays open (a crash cleared them already).
             Err(e) => Err(e),
         }
     }

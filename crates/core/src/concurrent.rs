@@ -6,8 +6,8 @@
 //! threads keep transactions open against one instance at once, each
 //! operation takes the instance lock only for its own duration, and
 //! threads that reach commit together are batched into one **group
-//! commit** — a single undo/data/commit-record fan-out covers all of
-//! them (the commit-desk pattern: the first committer becomes leader,
+//! commit** — a single undo/data/commit-record write per mirror covers
+//! all of them (the commit-desk pattern: the first committer becomes leader,
 //! drains the queue of every transaction waiting to commit, and runs one
 //! [`Perseas::commit_group`] for the whole batch).
 

@@ -20,7 +20,11 @@ use crate::trace::{TraceEvent, Tracer};
 
 /// Per-mirror vectored write batch: each entry pairs a mirror index with
 /// the `(segment, offset, bytes)` ranges destined for that mirror.
-pub(crate) type MirrorBatches = Vec<(usize, Vec<(SegmentId, usize, Vec<u8>)>)>;
+pub(crate) type MirrorBatches = Vec<(usize, Batch)>;
+
+/// One mirror's vectored write: `(segment, offset, bytes)` per range, in
+/// the order they apply.
+pub(crate) type Batch = Vec<(SegmentId, usize, Vec<u8>)>;
 
 /// The local state a [`Perseas::fan_out`] step may read while it holds
 /// one mirror mutably.
@@ -1570,7 +1574,7 @@ impl<M: RemoteMemory> Perseas<M> {
     /// [`Perseas::fan_out_vectored`] ships.
     pub(crate) fn batches<F>(&self, mut batch: F) -> MirrorBatches
     where
-        F: FnMut(&MirrorState<M>) -> Vec<(SegmentId, usize, Vec<u8>)>,
+        F: FnMut(&MirrorState<M>) -> Batch,
     {
         self.mirrors
             .iter()
@@ -1598,61 +1602,70 @@ impl<M: RemoteMemory> Perseas<M> {
 
     /// Ack barrier across the healthy mirror set: awaits every remote
     /// write a pipelined backend has posted without waiting for its
-    /// acknowledgement. Called at durability points — before a commit
-    /// record is published, and after it — so the commit path can post
-    /// undo and data writes to all mirrors concurrently and only pay
-    /// round-trip latency here.
+    /// acknowledgement. Called wherever posted writes must be confirmed
+    /// before the engine relies on them — after a commit record, and
+    /// before one where the commit shape needs it (see
+    /// [`Perseas::publish_commit`]) — so writes go to all mirrors
+    /// concurrently and round-trip latency is paid only here.
     ///
     /// Each backend's refusal queue is drained completely (one refusal
     /// per `flush` call, looped until clean) so a failed operation's
     /// refusals cannot leak into a later transaction's barrier; the
     /// first refusal fails this barrier. A mirror whose connection died
     /// with the window unconfirmed is condemned and fenced like any
-    /// other transport failure. Inline-acknowledging backends make this
-    /// a no-op: no events, no crash points, no virtual time — the
-    /// simulated figures are unchanged.
+    /// other transport failure, before a refusal is reported.
+    /// Inline-acknowledging backends make this a no-op: no events, no
+    /// crash points, no virtual time — the simulated figures are
+    /// unchanged.
     pub(crate) fn flush_mirrors(&mut self) -> Result<(), TxnError> {
+        let (failed, refused) = self.drain_mirrors();
+        self.fence_failed(failed)?;
+        match refused.into_iter().next() {
+            Some((_, e)) => Err(unavailable(e)),
+            None => Ok(()),
+        }
+    }
+
+    /// The drain of [`Perseas::flush_mirrors`] without the fence: condemns
+    /// each mirror whose connection died with writes unconfirmed and
+    /// returns whether one did, with the first refusal of each mirror
+    /// that refused a posted write.
+    fn drain_mirrors(&mut self) -> (bool, Vec<(usize, RnError)>) {
         let mut any_failed = false;
+        let mut refused = Vec::new();
         let mut posted = 0usize;
         let mut bytes = 0usize;
-        let mut first_refusal: Option<RnError> = None;
         for mi in 0..self.mirrors.len() {
             if !self.mirrors[mi].is_healthy() {
                 continue;
             }
-            let mut down: Option<RnError> = None;
-            loop {
+            let mut first_refusal: Option<RnError> = None;
+            let down = loop {
                 match self.mirrors[mi].backend.flush() {
                     Ok(stats) => {
                         posted += stats.posted;
                         bytes += stats.bytes;
-                        break;
+                        break None;
                     }
-                    Err(e) if e.is_unavailable() => {
-                        down = Some(e);
-                        break;
-                    }
+                    Err(e) if e.is_unavailable() => break Some(e),
                     // A typed refusal of a posted write: keep draining so
-                    // later barriers start clean, report the first one.
+                    // later barriers start clean, keep the first one.
                     Err(e) => {
-                        if first_refusal.is_none() {
-                            first_refusal = Some(e);
-                        }
+                        first_refusal.get_or_insert(e);
                     }
                 }
-            }
+            };
             if let Some(e) = down {
                 self.mark_down(mi, &e);
                 any_failed = true;
+            } else if let Some(e) = first_refusal {
+                refused.push((mi, e));
             }
         }
         if posted > 0 {
             self.emit(TraceEvent::Flush { posted, bytes });
         }
-        if let Some(e) = first_refusal {
-            return Err(unavailable(e));
-        }
-        self.fence_failed(any_failed)
+        (any_failed, refused)
     }
 
     /// Advances the mirror-set epoch and writes it to every healthy
@@ -1827,10 +1840,12 @@ impl<M: RemoteMemory> Perseas<M> {
         }
     }
 
-    /// The batched commit pipeline: one vectored write per mirror for the
-    /// deferred undo log, one for the coalesced data ranges, and one for
-    /// the packet-atomic commit record — each phase fanned out to the
-    /// mirrors in parallel (see [`Perseas::fan_out_vectored`]).
+    /// The batched commit pipeline: the deferred undo log, the coalesced
+    /// data ranges and the packet-atomic commit record, in that order,
+    /// fanned out to the mirrors in parallel by
+    /// [`Perseas::publish_commit`]. At the default quorum of 1 that is one
+    /// vectored write and one ack barrier per mirror; above it, the undo
+    /// and data writes are confirmed before the record ships.
     fn commit_batched(
         &mut self,
         txn: &mut ActiveTxn,
@@ -1865,11 +1880,6 @@ impl<M: RemoteMemory> Perseas<M> {
                 .collect()
         });
 
-        // Phase 3: the durability point, same 8-byte record as the
-        // per-range path.
-        let meta_lists =
-            self.batches(|m| vec![(m.meta.id, OFF_COMMIT, txn.id.to_le_bytes().to_vec())]);
-
         let (batch_ranges, batch_bytes) = db_lists
             .first()
             .map_or((0, 0), |(_, l)| (l.len(), payload(l)));
@@ -1881,18 +1891,106 @@ impl<M: RemoteMemory> Perseas<M> {
             undo_bytes,
         });
 
-        self.fan_out_vectored(undo_lists)?;
-        txn.mirrors_dirty = true;
-        self.fan_out_vectored(db_lists)?;
-        // Ack barrier before the durability point: the undo and data
-        // fan-outs above may be posted without acknowledgement on
-        // pipelined transports (see `commit_unbatched`).
-        self.flush_mirrors()?;
-        // Durability point (see `commit_unbatched`): a failure past here
-        // cannot claim the transaction is not durable.
-        self.fan_out_vectored(meta_lists)
-            .and_then(|()| self.flush_mirrors())
-            .map_err(|e| self.durability_in_doubt(e, txn.id))
+        // Phase 3: the durability point, same 8-byte record as the
+        // per-range path.
+        let id = txn.id;
+        self.publish_commit(
+            id,
+            vec![undo_lists, db_lists],
+            |m| commit_record(m, id),
+            |_| txn.mirrors_dirty = true,
+        )
+    }
+
+    /// The durability point of the batched, group and redo commits.
+    /// `log` holds, in write-ahead order, what the record vouches for —
+    /// undo and data, or a redo burst — as one batch per healthy mirror
+    /// each; `record` builds a mirror's commit record. `logged` runs once
+    /// the log may rest on a mirror, so an abort knows to clean up after
+    /// it.
+    ///
+    /// This is the one place that decides between the two commit shapes:
+    /// - `commit_quorum == 1`: each mirror gets one vectored write, log
+    ///   then record, and one ack barrier confirms it. The write applies
+    ///   in order ([`RemoteMemory::remote_write_v`]), so a torn one is a
+    ///   prefix, and no prefix holds the record without everything ahead
+    ///   of it. A mirror lost on the way is fenced and the commit
+    ///   continues on the survivors, as a lost mirror would be after a
+    ///   barrier; losing every mirror passes the error through.
+    /// - `commit_quorum ≥ 2`: the log ships first and a barrier confirms
+    ///   it before the record ships. A failure that leaves fewer than
+    ///   quorum mirrors must stop the commit before any mirror holds the
+    ///   record, and only that barrier can tell.
+    ///
+    /// The paper's unbatched path ships range by range and keeps its own
+    /// barrier; it does not come here.
+    pub(crate) fn publish_commit<R>(
+        &mut self,
+        id: u64,
+        log: Vec<MirrorBatches>,
+        record: R,
+        logged: impl FnOnce(&mut Self),
+    ) -> Result<(), TxnError>
+    where
+        R: FnMut(&MirrorState<M>) -> Batch,
+    {
+        let mut phases = log.into_iter();
+        if self.cfg.commit_quorum > 1 {
+            if let Some(first) = phases.next() {
+                self.fan_out_vectored(first)?;
+                logged(self);
+                for phase in phases {
+                    self.fan_out_vectored(phase)?;
+                }
+                self.flush_mirrors()?;
+            }
+            let frame = self.batches(record);
+            return self.confirm_record(id, frame);
+        }
+        logged(self);
+        // Every batch was built from the same healthy set, so the k-th
+        // batch of each phase belongs to the same mirror.
+        let mut frame = phases
+            .next()
+            .unwrap_or_else(|| self.batches(|_| Vec::new()));
+        for phase in phases.chain([self.batches(record)]) {
+            for ((_, list), (_, more)) in frame.iter_mut().zip(phase) {
+                list.extend(more);
+            }
+        }
+        self.confirm_record(id, frame)
+    }
+
+    /// Ships each healthy mirror its batch of `frame`, which ends with the
+    /// commit record, and confirms them with one ack barrier. A mirror
+    /// that refuses its batch (a typed refusal such as `Overloaded`,
+    /// inline or at the barrier) did not apply the record:
+    /// - if every healthy mirror refused, no mirror holds the record, so
+    ///   the error is a plain one and the transaction stays open;
+    /// - otherwise the refusers are condemned and fenced with any mirror
+    ///   that failed, because their images lack a transaction the others
+    ///   hold, and a failure from here on is the caller's durability
+    ///   point (see [`Perseas::durability_in_doubt`]).
+    fn confirm_record(&mut self, id: u64, frame: MirrorBatches) -> Result<(), TxnError> {
+        let mut refused = Vec::new();
+        let mut failed = self.post_vectored(frame, Some(&mut refused))?;
+        let (down, late) = self.drain_mirrors();
+        failed |= down;
+        for (mi, e) in late {
+            if refused.iter().all(|(r, _)| *r != mi) {
+                refused.push((mi, e));
+            }
+        }
+        refused.retain(|(mi, _)| self.mirrors[*mi].is_healthy());
+        if !refused.is_empty() && refused.len() == self.healthy_mirror_count() {
+            self.fence_failed(failed)?;
+            return Err(unavailable(refused.swap_remove(0).1));
+        }
+        for (mi, e) in &refused {
+            self.mark_down(*mi, e);
+        }
+        self.fence_failed(failed || !refused.is_empty())
+            .map_err(|e| self.durability_in_doubt(e, id))
     }
 
     /// Issues one vectored write per listed mirror as a parallel fan-out:
@@ -1904,7 +2002,20 @@ impl<M: RemoteMemory> Perseas<M> {
     /// it targets; entries whose mirror has gone `Down` since the lists
     /// were built are skipped, and a mirror failing its write is fenced
     /// while the fan-out commits degraded on the survivors.
-    pub(crate) fn fan_out_vectored(&mut self, mut lists: MirrorBatches) -> Result<(), TxnError> {
+    pub(crate) fn fan_out_vectored(&mut self, lists: MirrorBatches) -> Result<(), TxnError> {
+        let failed = self.post_vectored(lists, None)?;
+        self.fence_failed(failed)
+    }
+
+    /// [`Perseas::fan_out_vectored`] without the fence: returns whether a
+    /// mirror was condemned. With `refused` given, a mirror that refuses
+    /// its write is listed there, counts no bytes and the fan-out carries
+    /// on; without it the refusal stops the fan-out.
+    fn post_vectored(
+        &mut self,
+        mut lists: MirrorBatches,
+        mut refused: Option<&mut Vec<(usize, RnError)>>,
+    ) -> Result<bool, TxnError> {
         let clocks: Vec<Option<SimClock>> = lists
             .iter()
             .map(|(mi, _)| self.mirrors[*mi].backend.virtual_clock())
@@ -1927,6 +2038,16 @@ impl<M: RemoteMemory> Perseas<M> {
         // dropped, the k-th list belongs to the k-th healthy mirror.
         lists.retain(|(mi, _)| self.mirrors[*mi].is_healthy());
         debug_assert_eq!(lists.len(), self.healthy_mirror_count());
+        let mut note = |mi: usize, written: Result<Option<usize>, RnError>| match (
+            written,
+            refused.as_deref_mut(),
+        ) {
+            (Err(e), Some(r)) if !e.is_unavailable() => {
+                r.push((mi, e));
+                Ok(None)
+            }
+            (written, _) => written,
+        };
         let failed = if sequential {
             // Sequential issue keeps crash points deterministic; when all
             // the mirrors share one simulated timeline the overlap is
@@ -1936,7 +2057,7 @@ impl<M: RemoteMemory> Perseas<M> {
             let mut t_end = t0;
             let mut next = lists.iter();
             let failed = self.fan_out_unfenced(|m, _| {
-                let (_, list) = next.next().expect("one list per healthy mirror");
+                let (mi, list) = next.next().expect("one list per healthy mirror");
                 if let (Some(c), Some(start)) = (shared.as_ref(), t0) {
                     c.rewind_to(start);
                 }
@@ -1947,7 +2068,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 if let (Some(c), Some(te)) = (shared.as_ref(), t_end.as_mut()) {
                     *te = (*te).max(c.now());
                 }
-                written
+                note(*mi, written)
             })?;
             if let (Some(c), Some(te)) = (shared.as_ref(), t_end) {
                 c.advance_to(te);
@@ -1974,11 +2095,11 @@ impl<M: RemoteMemory> Perseas<M> {
             });
             let mut next = lists.iter().zip(results);
             self.fan_out_unfenced(|_, _| {
-                let ((_, list), written) = next.next().expect("one result per healthy mirror");
-                written.map(|()| Some(payload(list)))
+                let ((mi, list), written) = next.next().expect("one result per healthy mirror");
+                note(*mi, written.map(|()| Some(payload(list))))
             })?
         };
-        self.fence_failed(failed)
+        Ok(failed)
     }
 
     /// Grows the undo log to at least `needed` bytes: allocate the larger
@@ -2138,6 +2259,11 @@ fn borrowed(list: &[(SegmentId, usize, Vec<u8>)]) -> Vec<(SegmentId, usize, &[u8
     list.iter()
         .map(|(s, o, d)| (*s, *o, d.as_slice()))
         .collect()
+}
+
+/// The packet-atomic commit record naming `id`, as mirror `m`'s batch.
+pub(crate) fn commit_record<M>(m: &MirrorState<M>, id: u64) -> Batch {
+    vec![(m.meta.id, OFF_COMMIT, id.to_le_bytes().to_vec())]
 }
 
 /// Payload bytes of one mirror's batch.

@@ -5,8 +5,10 @@
 //! appended — together with the packet-atomic log-tail line — in one
 //! vectored write per mirror to a log of fixed-size remote segments. The
 //! packet-atomic commit record (legacy) or watermark/slot write
-//! (concurrent) stays the durability point, published only after an ack
-//! barrier confirms the records and the tail, so a durable marker always
+//! (concurrent) stays the durability point. It rides behind the tail
+//! line in the same write, which applies in order, or, under a commit
+//! quorum above 1, follows an ack barrier on the burst (see
+//! [`Perseas::publish_commit`]); either way a durable marker always
 //! implies a durable log suffix. The mirrored database segments are
 //! **not** touched on the hot path: they hold the image of the last
 //! [`Perseas::redo_snapshot`], and recovery replays the committed log
@@ -45,13 +47,17 @@ use crate::layout::{
     redo_entry_offset, redo_header_offset, redo_snap_offset, redo_tail_offset, MetaHeader,
     RedoRecord, REDO_ENTRY_SIZE, REDO_TOMBSTONE_REGION,
 };
-use crate::perseas::{unavailable, Perseas, Phase};
+use crate::perseas::{commit_record, unavailable, Batch, MirrorState, Perseas, Phase};
 use crate::trace::TraceEvent;
 
 /// One write to be logged: `(txn id, region index, start, len)`. A
 /// `region` of [`REDO_TOMBSTONE_REGION`] (with zero length) logs an
 /// abort tombstone instead of an after-image.
 pub(crate) type RedoWrite = (u64, usize, usize, usize);
+
+/// A commit riding on an append: its id and the builder of each
+/// mirror's commit record (see [`Perseas::redo_append`]).
+pub(crate) type AppendedCommit<'a, M> = (u64, &'a mut dyn FnMut(&MirrorState<M>) -> Batch);
 
 /// Engine-side state of the segmented redo log.
 pub(crate) struct RedoState {
@@ -202,14 +208,23 @@ impl<M: RemoteMemory> Perseas<M> {
     /// packet-atomic tail line) to the log on every healthy mirror:
     /// fresh segments are opened and published in the directory as
     /// needed, then the directory entries, the records, and the tail
-    /// ride a single vectored write per mirror — per-connection FIFO
-    /// guarantees the tail can only ever name fully-received records —
-    /// and an ack barrier confirms the burst.
+    /// ride a single vectored write per mirror — it applies in order, so
+    /// the tail can only ever name fully-received records — and an ack
+    /// barrier confirms the burst.
     ///
-    /// Returns `(records appended, payload bytes)`.
-    pub(crate) fn redo_append(&mut self, writes: &[RedoWrite]) -> Result<(usize, usize), TxnError> {
+    /// With `commit` = `(id, record)`, the append is a commit's log and
+    /// `record` builds each mirror's commit record, which
+    /// [`Perseas::publish_commit`] ships behind the tail line: in the same
+    /// burst at a quorum of 1, after the burst's barrier above it. The
+    /// burst counts as landed, and the tail moves, when the commit
+    /// succeeds or is in doubt.
+    pub(crate) fn redo_append(
+        &mut self,
+        writes: &[RedoWrite],
+        commit: Option<AppendedCommit<'_, M>>,
+    ) -> Result<(), TxnError> {
         if writes.is_empty() {
-            return Ok((0, 0));
+            return Ok(());
         }
         let seg_size = self.cfg.redo_segment_bytes as u64;
         let slots = self.cfg.redo_segments;
@@ -221,7 +236,6 @@ impl<M: RemoteMemory> Perseas<M> {
             None => self.redo.tail,
         };
         let mut chunks: Vec<Placed> = Vec::with_capacity(writes.len());
-        let mut payload_bytes = 0usize;
         let mut encoded_bytes = 0usize;
         for &(txn_id, ri, start, len) in writes {
             let rec = if ri == REDO_TOMBSTONE_REGION as usize {
@@ -263,7 +277,6 @@ impl<M: RemoteMemory> Perseas<M> {
                 // range stays marked, which the dirty set tolerates.
                 self.redo.mark_dirty(ri, start, len);
             }
-            payload_bytes += len;
             encoded_bytes += total;
             chunks.push(Placed {
                 seq: pos / seg_size,
@@ -353,12 +366,17 @@ impl<M: RemoteMemory> Perseas<M> {
             ));
             list
         });
-        if let Err(e) = self
-            .fan_out_vectored(lists)
-            .and_then(|()| self.flush_mirrors())
-        {
-            self.redo.failed_end = Some(new_tail);
-            return Err(e);
+        let shipped = match commit {
+            Some((id, record)) => self.publish_commit(id, vec![lists], record, |_| {}),
+            None => self
+                .fan_out_vectored(lists)
+                .and_then(|()| self.flush_mirrors()),
+        };
+        if let Err(e) = &shipped {
+            if !matches!(e, TxnError::CommitInDoubt { .. }) {
+                self.redo.failed_end = Some(new_tail);
+                return shipped;
+            }
         }
         self.redo.failed_end = None;
         self.redo.tail = new_tail;
@@ -369,12 +387,12 @@ impl<M: RemoteMemory> Perseas<M> {
             tail: new_tail,
             live_bytes,
         });
-        Ok((chunks.len(), payload_bytes))
+        shipped
     }
 
-    /// The legacy-engine redo commit: append the after-images, then
-    /// publish the same packet-atomic commit record as the undo paths as
-    /// the durability point.
+    /// The legacy-engine redo commit: append the after-images with the
+    /// same packet-atomic commit record as the undo paths behind the
+    /// tail line, the durability point.
     pub(crate) fn commit_redo(
         &mut self,
         txn: &mut crate::perseas::ActiveTxn,
@@ -387,20 +405,14 @@ impl<M: RemoteMemory> Perseas<M> {
         // a tombstone (see `Perseas::redo_abort_mark`), not restore any
         // mirror bytes: the database segments are never touched.
         txn.mirrors_dirty = true;
-        self.redo_append(&writes)?;
-        // Durability point: published only after the ack barrier above,
-        // so a durable marker implies durable records and tail.
-        self.write_commit_records(id)
-            .and_then(|()| self.flush_mirrors())
-            .map_err(|e| self.durability_in_doubt(e, id))
+        self.redo_append(&writes, Some((id, &mut |m| commit_record(m, id))))
     }
 
     /// Publishes an abort tombstone for `id`, whose after-images already
     /// reached the log: replay must treat the records as dead even after
     /// the watermark passes the id. Confirmed before the abort returns.
     pub(crate) fn redo_abort_mark(&mut self, id: u64) -> Result<(), TxnError> {
-        self.redo_append(&[(id, REDO_TOMBSTONE_REGION as usize, 0, 0)])
-            .map(|_| ())
+        self.redo_append(&[(id, REDO_TOMBSTONE_REGION as usize, 0, 0)], None)
     }
 
     /// Takes a snapshot of the database into the mirrored db segments

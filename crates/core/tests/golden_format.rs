@@ -15,7 +15,7 @@ use perseas_core::{
 };
 use perseas_rnram::protocol::{encode_write_v, frame_bytes, read_frame, Request};
 use perseas_rnram::SimRemote;
-use perseas_sci::{NodeMemory, SciParams};
+use perseas_sci::{NodeMemory, SciLink, SciParams};
 use perseas_simtime::SimClock;
 
 const GOLDEN: &str = "\
@@ -101,23 +101,39 @@ fn encoded_artefacts() -> Vec<String> {
     ]
 }
 
+/// How the third transaction dies before its commit record lands.
+#[derive(Clone, Copy)]
+enum Death {
+    /// The primary crashes after this many protocol steps of the
+    /// transaction's remote traffic.
+    CrashAfter(u64),
+    /// The link drops the last packet of the commit, the commit record,
+    /// and everything after it.
+    RecordCut,
+}
+
 /// The three engine configurations whose mirrors are pinned: the name
-/// their golden lines carry, and how many protocol steps of the third
-/// transaction's remote traffic complete before the primary dies. Undo:
+/// their golden lines carry, and how the third transaction dies. Undo:
 /// before-images and new data are on the mirror, the commit record is
 /// not. Redo: the record is in the log and under the tail, the commit
-/// record does not cover it.
-fn mirror_configs() -> [(&'static str, PerseasConfig, u64); 3] {
+/// record does not cover it. The batched and redo commits ship as one
+/// vectored write, so no crash step falls between their data and their
+/// record; a link cut inside the write does.
+fn mirror_configs() -> [(&'static str, PerseasConfig, Death); 3] {
     let small = PerseasConfig::new()
         .with_max_regions(2)
         .with_initial_undo_capacity(256);
     [
-        ("mirror_undo", small, 2),
-        ("mirror_batched", small.with_batched_commit(true), 2),
+        ("mirror_undo", small, Death::CrashAfter(2)),
+        (
+            "mirror_batched",
+            small.with_batched_commit(true),
+            Death::RecordCut,
+        ),
         (
             "mirror_redo",
             small.with_redo(true).with_redo_log(256, 4),
-            1,
+            Death::RecordCut,
         ),
     ]
 }
@@ -137,11 +153,11 @@ fn committed_image() -> Vec<u8> {
     v
 }
 
-/// Two committed transactions, then a third that dies `steps` remote
-/// operations in; returns the mirror the dead primary leaves behind.
-fn build_mirror(cfg: PerseasConfig, steps: u64) -> NodeMemory {
+/// A fresh single-mirror database with transactions 1 and 2 committed:
+/// the database, its region, and the mirror's node and link.
+fn two_commits(cfg: PerseasConfig) -> (Perseas<SimRemote>, RegionId, NodeMemory, SciLink) {
     let backend = SimRemote::new("golden");
-    let node = backend.node().clone();
+    let (node, link) = (backend.node().clone(), backend.link().clone());
     let mut db = Perseas::init(vec![backend], cfg).unwrap();
     let r = db.malloc(REGION_LEN).unwrap();
     db.write(r, 0, &initial_image()).unwrap();
@@ -158,15 +174,40 @@ fn build_mirror(cfg: PerseasConfig, steps: u64) -> NodeMemory {
     db.set_range(r, 20, 10).unwrap();
     db.write(r, 20, &[0xDD; 10]).unwrap();
     db.commit_transaction().unwrap();
+    (db, r, node, link)
+}
 
-    db.set_fault_plan(FaultPlan::crash_after(steps));
-    let died = (|| {
-        db.begin_transaction()?;
-        db.set_range(r, 4, 16)?;
-        db.write(r, 4, &[0xCC; 16])?;
-        db.commit_transaction()
-    })();
-    assert_eq!(died, Err(TxnError::Crashed));
+fn third_txn(db: &mut Perseas<SimRemote>, r: RegionId) -> Result<(), TxnError> {
+    db.begin_transaction()?;
+    db.set_range(r, 4, 16)?;
+    db.write(r, 4, &[0xCC; 16])?;
+    db.commit_transaction()
+}
+
+fn packets(link: &SciLink) -> u64 {
+    let st = link.stats();
+    st.packets64 + st.packets16
+}
+
+/// Two committed transactions, then a third that dies as `death` says;
+/// returns the mirror the dead primary leaves behind.
+fn build_mirror(cfg: PerseasConfig, death: Death) -> NodeMemory {
+    let (mut db, r, node, link) = two_commits(cfg);
+    match death {
+        Death::CrashAfter(steps) => {
+            db.set_fault_plan(FaultPlan::crash_after(steps));
+            assert_eq!(third_txn(&mut db, r), Err(TxnError::Crashed));
+        }
+        Death::RecordCut => {
+            // A clean twin counts the commit's packets.
+            let (mut twin, tr, _, twin_link) = two_commits(cfg);
+            let before = packets(&twin_link);
+            third_txn(&mut twin, tr).unwrap();
+            link.cut_after_packets(packets(&twin_link) - before - 1);
+            let died = third_txn(&mut db, r);
+            assert!(matches!(died, Err(TxnError::Unavailable(_))), "{died:?}");
+        }
+    }
     node
 }
 
@@ -218,8 +259,8 @@ fn load_mirror(name: &str) -> NodeMemory {
 #[test]
 fn encoders_reproduce_the_golden_bytes() {
     let mut lines = encoded_artefacts();
-    for (name, cfg, steps) in mirror_configs() {
-        lines.extend(dump_mirror(name, &build_mirror(cfg, steps)));
+    for (name, cfg, death) in mirror_configs() {
+        lines.extend(dump_mirror(name, &build_mirror(cfg, death)));
     }
     let golden: Vec<&str> = GOLDEN.lines().collect();
     for (got, want) in lines.iter().zip(&golden) {

@@ -2,9 +2,10 @@
 //!
 //! Connects to one or two running mirror servers (for instance
 //! `perseas serve`), commits multi-range transactions with
-//! `batched_commit` enabled — each commit is three `WriteV` frames per
-//! mirror, posted into a pipelined connection's window and confirmed at
-//! the commit's barriers, instead of one round-trip per range — and
+//! `batched_commit` enabled — each commit is one `WriteV` frame per
+//! mirror (undo, data, then the commit record), posted into a pipelined
+//! connection's window and confirmed at the commit's barrier, instead of
+//! one round-trip per range — and
 //! prints the `CommitBatch` trace for the first transaction so the batch
 //! shape is visible.
 //!

@@ -10,16 +10,19 @@
 //! point is a whole vectored write, so recovery must also cope with
 //! partially applied batches (torn-prefix delivery inside one message).
 
-use perseas_core::{FaultPlan, Perseas, PerseasConfig, RegionId, TxnError};
+use perseas_core::{
+    decode_region_entry, FaultPlan, MetaHeader, Perseas, PerseasConfig, RegionId, TxnError,
+    META_TAG,
+};
 use perseas_integration::reopen;
-use perseas_rnram::SimRemote;
-use perseas_sci::{NodeMemory, SciParams};
+use perseas_rnram::{RemoteMemory, SimRemote};
+use perseas_sci::{NodeMemory, SciLink, SciParams, SegmentId};
 use perseas_simtime::SimClock;
 
 const LEN_A: usize = 256;
 const LEN_B: usize = 128;
 
-fn setup2(batched: bool) -> (Perseas<SimRemote>, [RegionId; 2], NodeMemory, NodeMemory) {
+fn setup2(cfg: PerseasConfig) -> (Perseas<SimRemote>, [RegionId; 2], NodeMemory, NodeMemory) {
     let clock = SimClock::new();
     let a = SimRemote::with_parts(
         clock.clone(),
@@ -32,7 +35,6 @@ fn setup2(batched: bool) -> (Perseas<SimRemote>, [RegionId; 2], NodeMemory, Node
         SciParams::dolphin_1998(),
     );
     let (na, nb) = (a.node().clone(), b.node().clone());
-    let cfg = PerseasConfig::default().with_batched_commit(batched);
     let mut db = Perseas::init_with_clock(vec![a, b], cfg, clock).unwrap();
     let ra = db.malloc(LEN_A).unwrap();
     let rb = db.malloc(LEN_B).unwrap();
@@ -80,14 +82,19 @@ fn post() -> (Vec<u8>, Vec<u8>) {
 }
 
 fn sweep(batched: bool) -> u64 {
+    sweep_with(PerseasConfig::default().with_batched_commit(batched))
+}
+
+fn sweep_with(cfg: PerseasConfig) -> u64 {
+    let batched = cfg.batched_commit;
     // Count the protocol steps of one clean run.
-    let (mut db, r, _, _) = setup2(batched);
+    let (mut db, r, _, _) = setup2(cfg);
     run_txn(&mut db, r).unwrap();
     let total = db.steps_taken();
 
     // Crash after every step, including one plan the transaction outlives.
     for crash_at in 0..=total + 1 {
-        let (mut db, r, na, nb) = setup2(batched);
+        let (mut db, r, na, nb) = setup2(cfg);
         db.set_fault_plan(FaultPlan::crash_after(crash_at));
         let res = run_txn(&mut db, r);
         if crash_at > total {
@@ -135,66 +142,147 @@ fn legacy_path_survives_every_crash_point() {
 #[test]
 fn batched_path_survives_every_crash_point() {
     let total = sweep(true);
-    // Exactly one crash point per vectored write: 3 phases x 2 mirrors.
-    assert_eq!(total, 6, "batched path should have 3 writes per mirror");
+    // Exactly one crash point per vectored write: undo, data and the
+    // commit record ride one write per mirror, 2 mirrors.
+    assert_eq!(total, 2, "batched path should have 1 write per mirror");
+}
+
+/// The same sweep under a commit quorum of 2, where the record ships
+/// only after a barrier confirms undo and data: three writes per mirror,
+/// each its own crash point.
+#[test]
+fn two_barrier_batched_path_survives_every_crash_point() {
+    let cfg = PerseasConfig::default()
+        .with_batched_commit(true)
+        .with_commit_quorum(2);
+    let total = sweep_with(cfg);
+    assert_eq!(total, 6, "quorum-2 path should have 3 writes per mirror");
+}
+
+/// Mirror `m`'s commit record and database regions, straight off its
+/// memory: what a cut left there, before recovery rolls anything back.
+fn raw_mirror(node: &NodeMemory) -> (u64, Vec<Vec<u8>>) {
+    let mut backend = reopen(node);
+    let meta = backend.connect_segment(META_TAG).unwrap();
+    let mut image = vec![0u8; meta.len];
+    backend.remote_read(meta.id, 0, &mut image).unwrap();
+    let header = MetaHeader::decode(&image).unwrap();
+    let regions = (0..header.region_count as usize)
+        .map(|i| {
+            let (seg, len) = decode_region_entry(&image, i).unwrap();
+            let mut data = vec![0u8; len as usize];
+            backend
+                .remote_read(SegmentId::from_raw(seg), 0, &mut data)
+                .unwrap();
+            data
+        })
+        .collect();
+    (header.last_committed, regions)
+}
+
+fn packets(link: &SciLink) -> u64 {
+    let st = link.stats();
+    st.packets64 + st.packets16
 }
 
 /// A vectored write is one crash *point*, but the SCI link can still die
 /// mid-message, leaving a packet-aligned prefix of the batch applied.
-/// Sweep the cut across every packet of the three commit batches: the
-/// recovered state must always be all-or-nothing.
+/// Sweep the cut across every packet of the commit's one write, on the
+/// only mirror and on one of two: the recovered state must always be
+/// all-or-nothing, and the sweep must cut inside the undo part, inside
+/// the data part, and just before the record.
 #[test]
 fn torn_vectored_batches_roll_back_cleanly() {
-    for cut_at in 0..=24u64 {
+    let cfg = PerseasConfig::default().with_batched_commit(true);
+    let setup = |mirrors: usize| {
         let clock = SimClock::new();
-        let backend = SimRemote::with_parts(
-            clock.clone(),
-            NodeMemory::new("m"),
-            SciParams::dolphin_1998(),
-        );
-        let node = backend.node().clone();
-        let link = backend.link().clone();
-        let cfg = PerseasConfig::default().with_batched_commit(true);
-        let mut db = Perseas::init_with_clock(vec![backend], cfg, clock).unwrap();
+        let backends: Vec<SimRemote> = (0..mirrors)
+            .map(|i| {
+                SimRemote::with_parts(
+                    clock.clone(),
+                    NodeMemory::new(format!("m{i}")),
+                    SciParams::dolphin_1998(),
+                )
+            })
+            .collect();
+        let nodes: Vec<NodeMemory> = backends.iter().map(|b| b.node().clone()).collect();
+        let link = backends[0].link().clone();
+        let mut db = Perseas::init_with_clock(backends, cfg, clock).unwrap();
         let ra = db.malloc(LEN_A).unwrap();
         let rb = db.malloc(LEN_B).unwrap();
         let (pa, pb) = pre();
         db.write(ra, 0, &pa).unwrap();
         db.write(rb, 0, &pb).unwrap();
         db.init_remote_db().unwrap();
+        (db, [ra, rb], nodes, link)
+    };
+    // The packets of the commit's write to one mirror.
+    let total = {
+        let (mut db, r, _, link) = setup(1);
+        let before = packets(&link);
+        run_txn(&mut db, r).unwrap();
+        packets(&link) - before
+    };
 
-        link.cut_after_packets(cut_at);
-        let res = run_txn(&mut db, [ra, rb]);
-        link.heal();
-        if let Err(e) = &res {
-            assert!(
-                matches!(e, TxnError::Unavailable(_)),
-                "cut_at={cut_at}: unexpected error {e}"
-            );
+    let (pa, pb) = pre();
+    let (qa, qb) = post();
+    for mirrors in [1, 2] {
+        let (mut in_undo, mut in_data, mut before_record) = (false, false, false);
+        for cut_at in 0..=total {
+            let (mut db, r, nodes, link) = setup(mirrors);
+            link.cut_after_packets(cut_at);
+            let res = run_txn(&mut db, r);
+            link.heal();
+            let at = format!("mirrors={mirrors} cut_at={cut_at}");
+            match &res {
+                // The survivor holds the whole write: degraded, durable.
+                Ok(()) => assert!(cut_at == total || mirrors == 2, "{at}"),
+                Err(e) => {
+                    assert!(matches!(e, TxnError::Unavailable(_)), "{at}: {e}");
+                    assert_eq!(mirrors, 1, "{at}: the survivor must carry the commit");
+                }
+            }
+
+            // What the cut left on the cut mirror.
+            let (record, regions) = raw_mirror(&nodes[0]);
+            if cut_at < total {
+                assert_eq!(record, 0, "{at}: the record must be the last packet");
+                if regions == [qa.clone(), qb.clone()] {
+                    before_record = true;
+                } else if regions == [pa.clone(), pb.clone()] {
+                    in_undo |= cut_at > 0;
+                } else {
+                    in_data = true;
+                }
+            }
+
+            for (i, node) in nodes.iter().enumerate() {
+                let (db2, _) = Perseas::recover(reopen(node), PerseasConfig::default())
+                    .unwrap_or_else(|e| panic!("{at}: mirror {i} unrecoverable: {e}"));
+                let ga = db2.region_snapshot(r[0]).unwrap();
+                let gb = db2.region_snapshot(r[1]).unwrap();
+                let is_pre = ga == pa && gb == pb;
+                let is_post = ga == qa && gb == qb;
+                assert!(is_pre || is_post, "{at}: torn batch left a partial state");
+                // The cut mirror holds the commit only if its write
+                // arrived whole; the other one always does.
+                assert_eq!(is_post, i == 1 || cut_at == total, "{at}: mirror {i}");
+            }
         }
-
-        let (db2, _) = Perseas::recover(reopen(&node), PerseasConfig::default())
-            .unwrap_or_else(|e| panic!("cut_at={cut_at}: unrecoverable: {e}"));
-        let ga = db2.region_snapshot(ra).unwrap();
-        let gb = db2.region_snapshot(rb).unwrap();
-        let (qa, qb) = post();
-        let is_pre = ga == pa && gb == pb;
-        let is_post = ga == qa && gb == qb;
         assert!(
-            is_pre || is_post,
-            "cut_at={cut_at}: torn batch left a partial state"
+            in_undo && in_data && before_record,
+            "mirrors={mirrors}: the sweep missed a part of the write \
+             (undo {in_undo}, data {in_data}, before the record {before_record})"
         );
-        if res.is_ok() {
-            assert!(is_post, "cut_at={cut_at}: durable txn lost");
-        }
     }
 }
 
 #[test]
 fn batching_shrinks_the_crash_surface() {
-    let (mut legacy_db, r, _, _) = setup2(false);
+    let cfg = PerseasConfig::default();
+    let (mut legacy_db, r, _, _) = setup2(cfg);
     run_txn(&mut legacy_db, r).unwrap();
-    let (mut batched_db, r, _, _) = setup2(true);
+    let (mut batched_db, r, _, _) = setup2(cfg.with_batched_commit(true));
     run_txn(&mut batched_db, r).unwrap();
     assert!(
         batched_db.steps_taken() < legacy_db.steps_taken(),

@@ -594,6 +594,207 @@ fn durability_point_quorum_failure_is_commit_in_doubt() {
     assert_eq!(&db2.region_snapshot(r).unwrap()[8..16], &[2; 8]);
 }
 
+/// Delegating backend that refuses one vectored write once armed, the
+/// way a saturated server answers: the write is dropped without being
+/// applied, and the next barrier reports `RnError::Overloaded` — or, with
+/// `inline`, the write itself does, as on a connection that confirms every
+/// write.
+#[derive(Debug)]
+struct RefusingMirror {
+    inner: SimRemote,
+    inline: bool,
+    switch: RefusalSwitch,
+    refusal_queued: bool,
+}
+
+/// The test's hold on a [`RefusingMirror`]: arms the refusal and counts
+/// the vectored writes posted.
+#[derive(Debug, Clone, Default)]
+struct RefusalSwitch {
+    /// Vectored writes to let through before the refused one; `None`
+    /// while disarmed.
+    refuse_after: std::sync::Arc<std::sync::Mutex<Option<usize>>>,
+    posted: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl RefusalSwitch {
+    fn arm(&self, writes_before: usize) {
+        *self.refuse_after.lock().unwrap() = Some(writes_before);
+    }
+
+    fn posted(&self) -> usize {
+        self.posted.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+impl RemoteMemory for RefusingMirror {
+    fn remote_malloc(&mut self, len: usize, tag: u64) -> Result<RemoteSegment, RnError> {
+        self.inner.remote_malloc(len, tag)
+    }
+    fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {
+        self.inner.remote_free(seg)
+    }
+    fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
+        self.inner.remote_write(seg, offset, data)
+    }
+    fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
+        self.switch
+            .posted
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut armed = self.switch.refuse_after.lock().unwrap();
+        match *armed {
+            Some(0) => {
+                *armed = None;
+                if self.inline {
+                    return Err(RnError::Overloaded);
+                }
+                self.refusal_queued = true;
+                Ok(())
+            }
+            Some(n) => {
+                *armed = Some(n - 1);
+                self.inner.remote_write_v(writes)
+            }
+            None => self.inner.remote_write_v(writes),
+        }
+    }
+    fn flush(&mut self) -> Result<perseas_rnram::FlushStats, RnError> {
+        if std::mem::take(&mut self.refusal_queued) {
+            return Err(RnError::Overloaded);
+        }
+        self.inner.flush()
+    }
+    fn virtual_clock(&self) -> Option<SimClock> {
+        self.inner.virtual_clock()
+    }
+    fn remote_read(
+        &mut self,
+        seg: SegmentId,
+        offset: usize,
+        buf: &mut [u8],
+    ) -> Result<(), RnError> {
+        self.inner.remote_read(seg, offset, buf)
+    }
+    fn connect_segment(&mut self, tag: u64) -> Result<RemoteSegment, RnError> {
+        self.inner.connect_segment(tag)
+    }
+    fn segment_info(&mut self, seg: SegmentId) -> Result<RemoteSegment, RnError> {
+        self.inner.segment_info(seg)
+    }
+    fn node_name(&self) -> String {
+        self.inner.node_name()
+    }
+}
+
+/// A batched database over one refusing mirror per name, with
+/// transaction 1 (`[1; 8]` at 0) committed: the database, its region,
+/// and each mirror's node and switch.
+fn refusing_setup(
+    names: &[&str],
+    inline: bool,
+) -> (
+    Perseas<RefusingMirror>,
+    RegionId,
+    Vec<(NodeMemory, RefusalSwitch)>,
+) {
+    let clock = SimClock::new();
+    let mirrors: Vec<RefusingMirror> = names
+        .iter()
+        .map(|name| RefusingMirror {
+            inner: SimRemote::with_parts(
+                clock.clone(),
+                NodeMemory::new(*name),
+                SciParams::dolphin_1998(),
+            ),
+            inline,
+            switch: RefusalSwitch::default(),
+            refusal_queued: false,
+        })
+        .collect();
+    let handles = mirrors
+        .iter()
+        .map(|m| (m.inner.node().clone(), m.switch.clone()))
+        .collect();
+    let cfg = PerseasConfig::default().with_batched_commit(true);
+    let mut db = Perseas::init_with_clock(mirrors, cfg, clock).unwrap();
+    let r = db.malloc(64).unwrap();
+    db.init_remote_db().unwrap();
+    commit_fill(&mut db, r, 0, 1).unwrap();
+    (db, r, handles)
+}
+
+/// The vectored writes one batched commit posts to each mirror.
+fn writes_per_commit() -> usize {
+    let (mut db, r, handles) = refusing_setup(&["m"], false);
+    let before = handles[0].1.posted();
+    commit_fill(&mut db, r, 8, 2).unwrap();
+    handles[0].1.posted() - before
+}
+
+#[test]
+fn a_refused_commit_is_never_in_doubt() {
+    // The only mirror refuses one of the commit's writes — each in turn,
+    // at the barrier and inline. It holds no commit record, so nothing
+    // is durable anywhere: the commit must fail plainly and leave the
+    // transaction open, not report it committed-but-under-replicated.
+    let writes = writes_per_commit();
+    assert!(writes >= 1);
+    for inline in [false, true] {
+        for k in 0..writes {
+            let at = format!("inline={inline} refused write {k} of {writes}");
+            let (mut db, r, handles) = refusing_setup(&["m"], inline);
+            handles[0].1.arm(k);
+            let err = commit_fill(&mut db, r, 8, 2).unwrap_err();
+            assert!(matches!(err, TxnError::Unavailable(_)), "{at}: {err:?}");
+            assert!(db.in_transaction(), "{at}: the transaction must stay open");
+            assert_eq!(db.mirror_status()[0].health, MirrorHealth::Healthy, "{at}");
+
+            db.abort_transaction().unwrap();
+            assert_eq!(
+                &db.region_snapshot(r).unwrap()[..16],
+                &[[1; 8], [0; 8]].concat()[..]
+            );
+            db.crash();
+            let (db2, report) =
+                Perseas::recover(reopen(&handles[0].0), PerseasConfig::default()).unwrap();
+            assert_eq!(report.last_committed, 1, "{at}");
+            assert_eq!(
+                &db2.region_snapshot(r).unwrap()[..16],
+                &[[1; 8], [0; 8]].concat()[..],
+                "{at}: recovery must give the pre-transaction image"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_mirror_refusing_the_commit_is_condemned() {
+    // Mirror b refuses one of the commit's writes; a applies them all.
+    // b's image now lacks a transaction a holds, so b must go Down (and
+    // be fenced) while the commit succeeds degraded on a.
+    let writes = writes_per_commit();
+    for inline in [false, true] {
+        for k in 0..writes {
+            let at = format!("inline={inline} refused write {k} of {writes}");
+            let (mut db, r, handles) = refusing_setup(&["a", "b"], inline);
+            handles[1].1.arm(k);
+            commit_fill(&mut db, r, 8, 2).unwrap_or_else(|e| panic!("{at}: {e:?}"));
+            assert_eq!(db.mirror_status()[0].health, MirrorHealth::Healthy, "{at}");
+            assert_eq!(db.mirror_status()[1].health, MirrorHealth::Down, "{at}");
+
+            db.crash();
+            let (db2, report) =
+                Perseas::recover(reopen(&handles[0].0), PerseasConfig::default()).unwrap();
+            assert_eq!(report.last_committed, 2, "{at}");
+            assert_eq!(&db2.region_snapshot(r).unwrap()[8..16], &[2; 8], "{at}");
+            // The fence: a outranks b.
+            let (ha, _) = mirror_image(&handles[0].0);
+            let (hb, _) = mirror_image(&handles[1].0);
+            assert!(ha.epoch > hb.epoch, "{at}: b was not fenced");
+        }
+    }
+}
+
 #[test]
 fn failed_rejoins_leak_no_segments_on_the_rejoiner() {
     // Control run: the footprint a clean resync leaves on the rejoiner.

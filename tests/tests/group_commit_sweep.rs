@@ -1,7 +1,8 @@
 //! Crash-point sweep over multi-transaction group commits.
 //!
-//! A group commit is three vectored fan-outs (undo arena, data, commit
-//! records + watermark). This sweep cuts the pipeline at every fault
+//! A group commit is one vectored write per mirror: the undo arena, the
+//! data, then the commit records and the watermark (three fan-outs under
+//! a commit quorum of 2). This sweep cuts the pipeline at every fault
 //! step and — separately — at every SCI packet boundary, then checks the
 //! fundamental guarantee: recovery commits exactly the transactions
 //! whose commit records are durable on the mirror, rolls back every
@@ -9,12 +10,12 @@
 //! durable subset.
 
 use perseas_core::{
-    commit_table_offset, decode_commit_table, FaultPlan, MetaHeader, Perseas, PerseasConfig,
-    RegionId, TxnError, TxnToken, META_TAG, OFF_COMMIT,
+    commit_table_offset, decode_commit_table, decode_region_entry, FaultPlan, MetaHeader, Perseas,
+    PerseasConfig, RegionId, TxnError, TxnToken, META_TAG, OFF_COMMIT,
 };
 use perseas_integration::reopen;
 use perseas_rnram::SimRemote;
-use perseas_sci::NodeMemory;
+use perseas_sci::{NodeMemory, SegmentId};
 
 const REGION_LEN: usize = 256;
 const GROUP: usize = 3;
@@ -24,9 +25,16 @@ fn conc_cfg() -> PerseasConfig {
 }
 
 fn setup(mirrors: &[&str]) -> (Perseas<SimRemote>, RegionId, Vec<NodeMemory>) {
+    setup_with(mirrors, conc_cfg())
+}
+
+fn setup_with(
+    mirrors: &[&str],
+    cfg: PerseasConfig,
+) -> (Perseas<SimRemote>, RegionId, Vec<NodeMemory>) {
     let backends: Vec<SimRemote> = mirrors.iter().map(|n| SimRemote::new(*n)).collect();
     let nodes: Vec<NodeMemory> = backends.iter().map(|b| b.node().clone()).collect();
-    let mut db = Perseas::init(backends, conc_cfg()).unwrap();
+    let mut db = Perseas::init(backends, cfg).unwrap();
     let r = db.malloc(REGION_LEN).unwrap();
     let init: Vec<u8> = (0..REGION_LEN).map(|i| i as u8).collect();
     db.write(r, 0, &init).unwrap();
@@ -82,19 +90,42 @@ fn is_durable(id: u64, watermark: u64, table: &[u64]) -> bool {
     id <= watermark || table.contains(&id)
 }
 
+/// The region's bytes straight off the mirror's memory, before recovery
+/// rolls anything back.
+fn raw_region(node: &NodeMemory) -> Vec<u8> {
+    let seg = node.find_by_tag(META_TAG).expect("meta segment");
+    let mut image = vec![0u8; seg.len];
+    node.read(seg.id, 0, &mut image).unwrap();
+    let (id, len) = decode_region_entry(&image, 0).unwrap();
+    let mut data = vec![0u8; len as usize];
+    node.read(SegmentId::from_raw(id), 0, &mut data).unwrap();
+    data
+}
+
 #[test]
 fn group_commit_fault_step_sweep() {
+    // 1 write per mirror x 2 mirrors.
+    fault_step_sweep(conc_cfg(), 2);
+}
+
+#[test]
+fn two_barrier_group_commit_fault_step_sweep() {
+    // Under a quorum of 2 the record waits for a barrier on the rest:
+    // 3 fan-out phases x 2 mirrors.
+    fault_step_sweep(conc_cfg().with_commit_quorum(2), 6);
+}
+
+fn fault_step_sweep(cfg: PerseasConfig, shape: u64) {
     // Count the fault steps of a clean two-mirror group commit first.
-    let (mut db, r, _) = setup(&["a", "b"]);
+    let (mut db, r, _) = setup_with(&["a", "b"], cfg);
     db.set_fault_plan(FaultPlan::none());
     let tokens = open_group(&mut db, r);
     db.commit_group(&tokens).unwrap();
     let total = db.steps_taken();
-    // 3 fan-out phases x 2 mirrors.
-    assert_eq!(total, 6, "group commit fan-out shape changed");
+    assert_eq!(total, shape, "group commit fan-out shape changed");
 
     for crash_at in 0..=total {
-        let (mut db, r, nodes) = setup(&["a", "b"]);
+        let (mut db, r, nodes) = setup_with(&["a", "b"], cfg);
         db.set_fault_plan(FaultPlan::crash_after(crash_at));
         let tokens = open_group(&mut db, r);
         let res = db.commit_group(&tokens);
@@ -144,15 +175,19 @@ fn group_commit_fault_step_sweep() {
     }
 }
 
+fn packets(l: &perseas_sci::SciLink) -> u64 {
+    let st = l.stats();
+    st.packets64 + st.packets16
+}
+
 #[test]
 fn group_commit_packet_cut_sweep() {
     // Single mirror, cut the SCI link after every packet count inside the
-    // group commit. The commit-record fan-out writes each member's slot
-    // (one packet each) before the watermark (last packet): a torn cut
-    // must durably commit exactly a prefix-closed subset readable from
-    // the mirror's own bytes.
-    let mut saw_partial_group = false;
-    for cut_after in 0..96u64 {
+    // group commit's one write: undo arena, data, each member's slot (one
+    // packet each), then the watermark (last packet). A torn cut must
+    // durably commit exactly a prefix-closed subset readable from the
+    // mirror's own bytes.
+    let setup = || {
         let backend = SimRemote::new("mirror");
         let node = backend.node().clone();
         let link = backend.link().clone();
@@ -161,7 +196,20 @@ fn group_commit_packet_cut_sweep() {
         let init: Vec<u8> = (0..REGION_LEN).map(|i| i as u8).collect();
         db.write(r, 0, &init).unwrap();
         db.init_remote_db().unwrap();
+        (db, r, node, link)
+    };
+    let total = {
+        let (mut db, r, _, link) = setup();
+        let tokens = open_group(&mut db, r);
+        let before = packets(&link);
+        db.commit_group(&tokens).unwrap();
+        packets(&link) - before
+    };
 
+    let mut saw_partial_group = false;
+    let (mut in_undo, mut in_data, mut before_record) = (false, false, false);
+    for cut_after in 0..=total {
+        let (mut db, r, node, link) = setup();
         let tokens = open_group(&mut db, r);
         link.cut_after_packets(cut_after);
         let res = db.commit_group(&tokens);
@@ -179,6 +227,16 @@ fn group_commit_packet_cut_sweep() {
             );
         } else if !durable.is_empty() && durable.len() < GROUP {
             saw_partial_group = true;
+        } else if durable.is_empty() {
+            // Where in the write the cut fell, by what reached the data.
+            let data = raw_region(&node);
+            if data == oracle(1, |_| true) {
+                before_record = true;
+            } else if data == oracle(1, |_| false) {
+                in_undo |= cut_after > 0;
+            } else {
+                in_data = true;
+            }
         }
 
         db.crash();
@@ -195,6 +253,11 @@ fn group_commit_packet_cut_sweep() {
     assert!(
         saw_partial_group,
         "the sweep never produced a torn group — widen the cut range"
+    );
+    assert!(
+        in_undo && in_data && before_record,
+        "the sweep missed a part of the write \
+         (undo {in_undo}, data {in_data}, before the record {before_record})"
     );
 }
 
@@ -213,11 +276,7 @@ fn torn_watermark_never_uncommits_slots() {
 
     // Find the packet count of the full group commit, then cut one
     // packet earlier — dropping exactly the watermark write (the last
-    // packet of the record fan-out, which is the last phase).
-    let packets = |l: &perseas_sci::SciLink| {
-        let st = l.stats();
-        st.packets64 + st.packets16
-    };
+    // packet of the commit's write).
     let tokens = open_group(&mut db, r);
     let before = packets(&link);
     db.commit_group(&tokens).unwrap();
@@ -323,10 +382,6 @@ fn prepared_packet_cut_sweep() {
     // Count the clean pipeline's packets once, then cut at every packet
     // boundary of a fresh run: recovery must always equal the durable
     // subset read from the mirror's own bytes.
-    let packets = |l: &perseas_sci::SciLink| {
-        let st = l.stats();
-        st.packets64 + st.packets16
-    };
     let clean = {
         let backend = SimRemote::new("mirror");
         let link = backend.link().clone();

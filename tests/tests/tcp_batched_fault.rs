@@ -5,15 +5,16 @@
 //! the survivor, and the database must recover against a restarted
 //! server.
 
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use perseas_core::{MetaHeader, Perseas, PerseasConfig, RegionId, TxnError, META_TAG};
+use perseas_core::{MetaHeader, Perseas, PerseasConfig, RegionId, TxnError, META_TAG, OFF_COMMIT};
 use perseas_integration::TcpMode;
-use perseas_rnram::protocol::{read_frame, write_frame};
-use perseas_rnram::server::Server;
+use perseas_rnram::protocol::{frame_bytes, read_frame, write_frame, Request};
+use perseas_rnram::server::{Server, ServerHandle};
 use perseas_rnram::{ReconnectingRemote, TcpRemote};
 
 fn batched() -> PerseasConfig {
@@ -142,21 +143,29 @@ fn two_tcp_mirrors_commit_batched_in_parallel_and_survive_one_loss() {
 // ---------------------------------------------------------------------
 
 /// A single-connection TCP proxy that forwards request frames to the
-/// server until its budget runs out, then severs both directions.
-/// Responses are pumped back verbatim. `remaining` starts unlimited;
-/// arm it with `store(k)` while the client is idle.
+/// server until its budget runs out, then severs both directions; the
+/// frame that finds the budget spent reaches the server only as its first
+/// `tail_bytes` bytes. Responses are pumped back verbatim. `remaining`
+/// starts unlimited; arm it with `store(k)` while the client is idle.
+/// `frames` keeps every forwarded request body.
 struct CutProxy {
     addr: SocketAddr,
     remaining: Arc<AtomicU64>,
-    forwarded: Arc<AtomicU64>,
+    tail_bytes: Arc<AtomicU64>,
+    frames: Arc<Mutex<Vec<Vec<u8>>>>,
 }
 
 fn spawn_cut_proxy(server_addr: SocketAddr) -> CutProxy {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let remaining = Arc::new(AtomicU64::new(u64::MAX));
-    let forwarded = Arc::new(AtomicU64::new(0));
-    let (rem, fwd) = (Arc::clone(&remaining), Arc::clone(&forwarded));
+    let tail_bytes = Arc::new(AtomicU64::new(0));
+    let frames = Arc::new(Mutex::new(Vec::new()));
+    let (rem, tail, kept) = (
+        Arc::clone(&remaining),
+        Arc::clone(&tail_bytes),
+        Arc::clone(&frames),
+    );
     std::thread::spawn(move || {
         let (client, _) = match listener.accept() {
             Ok(c) => c,
@@ -175,13 +184,17 @@ fn spawn_cut_proxy(server_addr: SocketAddr) -> CutProxy {
         let mut up_write = upstream;
         while let Ok(body) = read_frame(&mut client_read) {
             if rem.load(Ordering::SeqCst) == 0 {
-                break; // budget exhausted: this frame is never delivered
+                // Budget exhausted: this frame is never delivered whole.
+                let wire = frame_bytes(&body);
+                let prefix = (tail.load(Ordering::SeqCst) as usize).min(wire.len());
+                let _ = up_write.write_all(&wire[..prefix]);
+                break;
             }
             rem.fetch_sub(1, Ordering::SeqCst);
-            // Counted before it is forwarded: the client can see the
+            // Kept before it is forwarded: the client can see the
             // server's answer to this frame before this thread runs
-            // again, and must not read a count that lacks it.
-            fwd.fetch_add(1, Ordering::SeqCst);
+            // again, and must not read a list that lacks it.
+            kept.lock().unwrap().push(body.clone());
             if write_frame(&mut up_write, &body).is_err() {
                 break;
             }
@@ -195,7 +208,8 @@ fn spawn_cut_proxy(server_addr: SocketAddr) -> CutProxy {
     CutProxy {
         addr,
         remaining,
-        forwarded,
+        tail_bytes,
+        frames,
     }
 }
 
@@ -203,10 +217,17 @@ const SWEEP_REGION: usize = 256;
 const SWEEP_OPS: usize = 8;
 
 /// Builds a pipelined database through the proxy and commits the
-/// baseline transaction (id 1: `[1; 32]` at offset 0).
-fn sweep_setup(proxy: &CutProxy, cfg: PerseasConfig) -> (Perseas<ReconnectingRemote>, RegionId) {
-    let mirror = ReconnectingRemote::connect_pipelined(proxy.addr, 2).unwrap();
-    let mut db = Perseas::init(vec![mirror], cfg).unwrap();
+/// baseline transaction (id 1: `[1; 32]` at offset 0). Under a commit
+/// quorum above 1, a second mirror at `direct` is dialled without a
+/// proxy.
+fn sweep_setup(
+    proxy: &CutProxy,
+    direct: Option<SocketAddr>,
+    cfg: PerseasConfig,
+) -> (Perseas<ReconnectingRemote>, RegionId) {
+    let mut mirrors = vec![ReconnectingRemote::connect_pipelined(proxy.addr, 2).unwrap()];
+    mirrors.extend(direct.map(|a| ReconnectingRemote::connect_pipelined(a, 2).unwrap()));
+    let mut db = Perseas::init(mirrors, cfg).unwrap();
     let r = db.malloc(SWEEP_REGION).unwrap();
     db.init_remote_db().unwrap();
     db.begin_transaction().unwrap();
@@ -249,69 +270,103 @@ fn durable_watermark(server: &perseas_rnram::server::ServerHandle) -> u64 {
     MetaHeader::decode(&image).unwrap().last_committed
 }
 
+/// A quorum above 1 needs a second mirror; the sweep cuts the first.
+fn second_mirror(cfg: PerseasConfig) -> Option<ServerHandle> {
+    (cfg.commit_quorum > 1).then(|| Server::bind("direct", "127.0.0.1:0").unwrap().start())
+}
+
+/// A clean run through the proxy: the request frames the swept
+/// transaction sends, in order. The budget is armed only between
+/// transactions (the window is drained, so the count is exact).
+fn sweep_shape(cfg: PerseasConfig) -> Vec<Vec<u8>> {
+    let server = Server::bind("shape", "127.0.0.1:0").unwrap().start();
+    let direct = second_mirror(cfg);
+    let proxy = spawn_cut_proxy(server.addr());
+    let (mut db, r) = sweep_setup(&proxy, direct.as_ref().map(ServerHandle::addr), cfg);
+    let before = proxy.frames.lock().unwrap().len();
+    sweep_txn(&mut db, r).unwrap();
+    assert_eq!(db.last_committed(), 2);
+    let frames = proxy.frames.lock().unwrap().split_off(before);
+    server.shutdown();
+    if let Some(direct) = direct {
+        direct.shutdown();
+    }
+    frames
+}
+
+/// Runs the swept transaction with the proxy delivering `frames` whole
+/// request frames and then `tail_bytes` bytes of the next one, and checks
+/// the outcome against the durability oracle: read from the cut mirror's
+/// own bytes, then through recovery over a restarted server. Under a
+/// commit quorum above 1 the other mirror keeps the transaction only if
+/// the cut spared everything but the commit record's frame, and then the
+/// commit is in doubt.
+fn cut_and_check(cfg: PerseasConfig, frames: u64, tail_bytes: u64, at: &str) {
+    let server = Server::bind("sweep", "127.0.0.1:0").unwrap().start();
+    let direct = second_mirror(cfg);
+    let node = server.node().clone();
+    let addr = server.addr();
+    let proxy = spawn_cut_proxy(addr);
+    let (mut db, r) = sweep_setup(&proxy, direct.as_ref().map(ServerHandle::addr), cfg);
+
+    proxy.tail_bytes.store(tail_bytes, Ordering::SeqCst);
+    proxy.remaining.store(frames, Ordering::SeqCst);
+    let started = Instant::now();
+    let err = sweep_txn(&mut db, r).unwrap_err();
+    let in_doubt = matches!(err, TxnError::CommitInDoubt { .. });
+    assert!(
+        matches!(err, TxnError::Unavailable(_)) || (in_doubt && direct.is_some()),
+        "{at}: {err}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "{at}: failure took {:?} — not bounded",
+        started.elapsed()
+    );
+    drop(db);
+
+    // The commit record is the transaction's last frame, and the
+    // replacement listener refuses re-dials: with any earlier frame
+    // undelivered the transaction must not be durable here.
+    server.shutdown();
+    let server2 = Server::with_node(node, addr).unwrap().start();
+    let watermark = durable_watermark(&server2);
+    assert_eq!(
+        watermark, 1,
+        "{at}: txn 2 became durable with its record frame cut"
+    );
+
+    let (db2, report) = Perseas::recover(TcpRemote::connect(addr).unwrap(), cfg)
+        .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+    assert_eq!(report.last_committed, 1, "{at}");
+    assert_eq!(
+        db2.region_snapshot(r).unwrap(),
+        sweep_oracle(false),
+        "{at}: recovered image diverges from the durability oracle"
+    );
+    server2.shutdown();
+
+    if let Some(direct) = direct {
+        assert_eq!(durable_watermark(&direct), 1 + in_doubt as u64, "{at}");
+        let (db3, _) = Perseas::recover(TcpRemote::connect(direct.addr()).unwrap(), cfg)
+            .unwrap_or_else(|e| panic!("{at}: recovery of the direct mirror failed: {e}"));
+        assert_eq!(
+            db3.region_snapshot(r).unwrap(),
+            sweep_oracle(in_doubt),
+            "{at}"
+        );
+        direct.shutdown();
+    }
+}
+
 fn pipelined_window_sweep(cfg: PerseasConfig, min_positions: u64) {
-    // Shape first: a clean run through the proxy counts the frames the
-    // swept transaction sends. The budget is armed only between
-    // transactions (the window is drained, so the count is exact).
-    let total = {
-        let server = Server::bind("shape", "127.0.0.1:0").unwrap().start();
-        let proxy = spawn_cut_proxy(server.addr());
-        let (mut db, r) = sweep_setup(&proxy, cfg);
-        let before = proxy.forwarded.load(Ordering::SeqCst);
-        sweep_txn(&mut db, r).unwrap();
-        let total = proxy.forwarded.load(Ordering::SeqCst) - before;
-        assert_eq!(db.last_committed(), 2);
-        server.shutdown();
-        total
-    };
+    let total = sweep_shape(cfg).len() as u64;
     assert!(
         total >= min_positions,
         "swept txn sent {total} frames — window sweep has lost its breadth"
     );
-
     for cut_at in 0..total {
-        let server = Server::bind("sweep", "127.0.0.1:0").unwrap().start();
-        let node = server.node().clone();
-        let addr = server.addr();
-        let proxy = spawn_cut_proxy(addr);
-        let (mut db, r) = sweep_setup(&proxy, cfg);
-
-        proxy.remaining.store(cut_at, Ordering::SeqCst);
-        let started = Instant::now();
-        let err = sweep_txn(&mut db, r).unwrap_err();
-        assert!(
-            matches!(err, TxnError::Unavailable(_)),
-            "cut_at={cut_at}: {err}"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "cut_at={cut_at}: failure took {:?} — not bounded",
-            started.elapsed()
-        );
-        drop(db);
-
-        // The commit record is the transaction's last frame, and the
-        // replacement listener refuses re-dials: with any earlier frame
-        // undelivered the transaction must not be durable. Check the
-        // oracle against the mirror's own bytes, then against recovery
-        // over a restarted server.
-        server.shutdown();
-        let server2 = Server::with_node(node, addr).unwrap().start();
-        let watermark = durable_watermark(&server2);
-        assert_eq!(
-            watermark, 1,
-            "cut_at={cut_at}: txn 2 became durable with its record frame cut"
-        );
-
-        let (db2, report) = Perseas::recover(TcpRemote::connect(addr).unwrap(), cfg)
-            .unwrap_or_else(|e| panic!("cut_at={cut_at}: recovery failed: {e}"));
-        assert_eq!(report.last_committed, 1, "cut_at={cut_at}");
-        assert_eq!(
-            db2.region_snapshot(r).unwrap(),
-            sweep_oracle(false),
-            "cut_at={cut_at}: recovered image diverges from the durability oracle"
-        );
-        server2.shutdown();
+        cut_and_check(cfg, cut_at, 0, &format!("cut_at={cut_at}"));
     }
 }
 
@@ -325,7 +380,60 @@ fn pipelined_window_sweep_legacy_commit() {
 
 #[test]
 fn pipelined_window_sweep_batched_commit() {
-    // The batched path coalesces into vectored frames; the sweep still
-    // cuts at every one of its (fewer) boundaries.
-    pipelined_window_sweep(batched(), 3);
+    // The batched path ships undo, data and record as one vectored frame.
+    pipelined_window_sweep(batched(), 1);
+}
+
+#[test]
+fn pipelined_window_sweep_two_barrier_batched_commit() {
+    // Under a commit quorum of 2 the record ships only after a barrier on
+    // the undo and data frames: three frames, cut at each one on one of
+    // two mirrors.
+    pipelined_window_sweep(batched().with_commit_quorum(2), 3);
+}
+
+/// The batched commit's one frame, cut short at byte positions inside
+/// it: the server applies whole CRC-checked frames only, so no prefix of
+/// the frame — not even everything but the record — reaches the mirror.
+#[test]
+fn batched_commit_frame_cut_inside() {
+    let frames = sweep_shape(batched());
+    let [body] = &frames[..] else {
+        panic!("the batched commit sent {} frames, not one", frames.len());
+    };
+    let Request::Mux { inner, .. } = Request::decode(body).unwrap() else {
+        panic!("not a session frame");
+    };
+    let Request::WriteV { ranges } = *inner else {
+        panic!("not a vectored write");
+    };
+    assert!(ranges.len() >= 3, "undo, data and record: {}", ranges.len());
+    assert_eq!(
+        ranges[1].2, [0xB0; 8],
+        "the first data range follows the undo log"
+    );
+    let (_, offset, record) = ranges.last().unwrap();
+    assert_eq!(
+        (*offset, &record[..]),
+        (OFF_COMMIT as u64, &2u64.to_le_bytes()[..])
+    );
+    // Wire offsets: a 4-byte length, the body's headers, then per range a
+    // 24-byte header and the bytes; the CRC trails.
+    let headers = body.len() - ranges.iter().map(|(_, _, d)| 24 + d.len()).sum::<usize>();
+    let mut starts = Vec::with_capacity(ranges.len());
+    let mut at = 4 + headers;
+    for (_, _, data) in &ranges {
+        starts.push(at);
+        at += 24 + data.len();
+    }
+    let middle = |k: usize| (starts[k] + 24 + ranges[k].2.len() / 2) as u64;
+    let cuts = [
+        ("in the undo part", middle(0)),
+        ("in the data part", middle(1)),
+        ("just before the record", starts[ranges.len() - 1] as u64),
+        ("one byte short", (body.len() + 8 - 1) as u64),
+    ];
+    for (part, bytes) in cuts {
+        cut_and_check(batched(), 0, bytes, part);
+    }
 }
