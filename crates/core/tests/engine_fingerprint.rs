@@ -27,10 +27,10 @@ use perseas_simtime::SimClock;
 
 const PINNED: &str = "\
 unbatched steps=62 clock_ns=2420929 events=51/16009bc5 stats=0513588a a=cf610570 b=c2f8f078 crashes=2185b9ab
-batched steps=49 clock_ns=2344329 events=57/6b316d92 stats=c31c4cf1 a=cf610570 b=c2f8f078 crashes=7e82a88e
-group steps=49 clock_ns=2433077 events=74/8bc54b28 stats=e923a422 a=808d08e3 b=c44634db crashes=825eb13b
+batched steps=31 clock_ns=2323029 events=57/6b316d92 stats=bf76e52a a=cf610570 b=c2f8f078 crashes=674ccfde
+group steps=31 clock_ns=2410877 events=74/8bc54b28 stats=95490df9 a=808d08e3 b=c44634db crashes=17173ae6
 prepared steps=51 clock_ns=2472063 events=68/465e1251 stats=f7aa5109 a=808d08e3 b=3335a7b9 crashes=61febff8
-redo steps=54 clock_ns=2369519 events=62/6ea09dbc stats=2e0d6a18 a=b0939c7a b=cbce38cd crashes=343a3c06
+redo steps=45 clock_ns=2351219 events=62/6ea09dbc stats=e45a5283 a=b0939c7a b=cbce38cd crashes=e6287ea9
 ";
 
 /// The five commit paths. All of them keep a 64-byte initial undo log,
