@@ -28,7 +28,8 @@ use crate::layout::{
     commit_table_offset, encode_group_header, UndoRecord, GROUP_HEADER_SIZE, OFF_COMMIT,
 };
 use crate::perseas::{
-    coalesce, first_uncovered, payload, push_range, Batch, MirrorState, Perseas, Phase,
+    coalesce, commit_completes, first_uncovered, payload, push_range, Batch, Member, MirrorState,
+    Perseas, Phase,
 };
 use crate::trace::TraceEvent;
 
@@ -319,41 +320,16 @@ impl<M: RemoteMemory> Perseas<M> {
             // instead of staging undo records and data: the transaction
             // is frozen, so the local bytes of its (disjoint) claims are
             // final, and its later commit is record-only exactly as on
-            // the undo path. `redo_append` confirms the burst; even a
-            // failed one may reach some mirrors, so an abort from here
-            // on tombstones the log.
-            let id_copy = id;
-            let ranges = coalesce(&self.conc.txns[&id].declared);
-            let writes: Vec<crate::redo::RedoWrite> = ranges
-                .iter()
-                .map(|&(ri, s, l)| (id_copy, ri, s, l))
-                .collect();
-            self.conc.txns.get_mut(&id).expect("open").mirrors_dirty = true;
+            // the undo path. `redo_append` confirms the burst.
+            let writes = self.redo_writes(&[id]);
             self.redo_append(&writes, None)?;
             self.conc.txns.get_mut(&id).expect("open").prepared = true;
             return Ok(());
         }
 
         // Stage the records in the shared arena, exactly as a commit
-        // would, and stamp the header so recovery sees the new reach.
-        let new = txn.undo.len();
-        let hw = self.conc.undo_hw;
-        if hw + new > self.undo_shadow.len() {
-            self.undo_off = hw;
-            self.grow_undo(hw + new)?;
-        }
-        let txn = self.conc.txns.get_mut(&id).expect("open");
-        self.undo_shadow[hw..hw + new].copy_from_slice(&txn.undo);
-        txn.extent = Some((hw, new));
-        let at = hw + new;
-        self.conc.undo_hw = at;
-        self.undo_off = at;
-        let header = encode_group_header((at - GROUP_HEADER_SIZE) as u64);
-        self.undo_shadow[..GROUP_HEADER_SIZE].copy_from_slice(&header);
-        self.cfg
-            .mem_cost
-            .charge_memcpy(&self.clock, new + GROUP_HEADER_SIZE);
-        self.stats.add_local_copy(new + GROUP_HEADER_SIZE);
+        // would.
+        let (hw, at) = self.stage_records(&[id])?;
 
         // Header, records, then data, all in one vectored write per
         // mirror: ranges apply in order, so any torn prefix still honours
@@ -435,7 +411,7 @@ impl<M: RemoteMemory> Perseas<M> {
         if nonempty.is_empty() {
             // Nothing was written: resolve every member locally, no
             // durable trace needed.
-            self.finish_group(&ids, &[], &[], self.last_committed, 0, 0, 0);
+            self.finish_group(&ids, &[], &[], self.last_committed, None);
             self.record_group_latency(timer);
             return Ok(());
         }
@@ -472,36 +448,8 @@ impl<M: RemoteMemory> Perseas<M> {
             .copied()
             .filter(|id| !self.conc.txns[id].prepared)
             .collect();
-        let total_new: usize = unstaged
-            .iter()
-            .map(|id| self.conc.txns[id].undo.len())
-            .sum();
         if !self.cfg.redo {
-            let hw = self.conc.undo_hw;
-            if hw + total_new > self.undo_shadow.len() {
-                // `grow_undo` re-pushes `[0, undo_off)`: keep the live arena
-                // prefix (header included) intact on the larger segment.
-                self.undo_off = hw;
-                self.grow_undo(hw + total_new)?;
-            }
-            let mut at = hw;
-            for id in &unstaged {
-                let txn = self.conc.txns.get_mut(id).expect("member open");
-                let len = txn.undo.len();
-                self.undo_shadow[at..at + len].copy_from_slice(&txn.undo);
-                txn.extent = Some((at, len));
-                at += len;
-            }
-            self.conc.undo_hw = at;
-            self.undo_off = at;
-            if !unstaged.is_empty() {
-                let header = encode_group_header((at - GROUP_HEADER_SIZE) as u64);
-                self.undo_shadow[..GROUP_HEADER_SIZE].copy_from_slice(&header);
-                self.cfg
-                    .mem_cost
-                    .charge_memcpy(&self.clock, total_new + GROUP_HEADER_SIZE);
-                self.stats.add_local_copy(total_new + GROUP_HEADER_SIZE);
-            }
+            self.stage_records(&unstaged)?;
         }
 
         // New watermark: ids are dense, so it advances while the next id
@@ -542,17 +490,7 @@ impl<M: RemoteMemory> Perseas<M> {
             // record behind its tail line. Prepared members' records are
             // already in the log; claims are disjoint, so each member's
             // local bytes are its own.
-            let mut writes: Vec<crate::redo::RedoWrite> = Vec::new();
-            for id in &unstaged {
-                for &(ri, s, l) in coalesce(&self.conc.txns[id].declared).iter() {
-                    writes.push((*id, ri, s, l));
-                }
-                // The append, even a failed one, may put the member's
-                // after-images on the mirrors, so its abort must
-                // tombstone the log.
-                let txn = self.conc.txns.get_mut(id).expect("member open");
-                txn.mirrors_dirty = true;
-            }
+            let writes = self.redo_writes(&unstaged);
             batch_ranges = writes.len();
             batch_bytes = writes.iter().map(|&(_, _, _, len)| len).sum();
             self.redo_append(&writes, Some((max_id, &mut record)))
@@ -599,40 +537,20 @@ impl<M: RemoteMemory> Perseas<M> {
                 }
             })
         };
-        match shipped {
-            Ok(()) => {
-                self.finish_group(
-                    &ids,
-                    &nonempty,
-                    &free,
-                    new_w,
-                    batch_ranges,
-                    batch_bytes,
-                    undo_bytes,
-                );
-                self.record_group_latency(timer);
-                Ok(())
-            }
-            Err(e @ TxnError::CommitInDoubt { .. }) => {
-                // The record fan-out visited every mirror: the group is
-                // durable on each survivor, merely under-replicated.
-                self.finish_group(
-                    &ids,
-                    &nonempty,
-                    &free,
-                    new_w,
-                    batch_ranges,
-                    batch_bytes,
-                    undo_bytes,
-                );
-                self.record_group_latency(timer);
-                Err(e)
-            }
-            // Crashed, every healthy mirror refused the record, or no
-            // healthy mirror holds it reliably: nothing is durable, every
-            // member stays open (a crash cleared them already).
-            Err(e) => Err(e),
+        // Otherwise (crashed, every healthy mirror refused the record, or
+        // no healthy mirror holds it reliably) nothing is durable and every
+        // member stays open; a crash cleared them already.
+        if commit_completes(&shipped) {
+            let group = TraceEvent::GroupCommit {
+                txns: ids.clone(),
+                ranges: batch_ranges,
+                bytes: batch_bytes,
+                undo_bytes,
+            };
+            self.finish_group(&ids, &nonempty, &free, new_w, Some(group));
+            self.record_group_latency(timer);
         }
+        shipped
     }
 
     /// Aborts the token's transaction: the before-images are restored
@@ -661,52 +579,65 @@ impl<M: RemoteMemory> Perseas<M> {
         if self.conc.legacy_token == Some(id) {
             self.conc.legacy_token = None;
         }
-        // Restore in reverse, so overlapping claims resolve to the oldest
-        // (pre-transaction) image.
-        let mut recs = Vec::new();
-        let mut off = 0;
-        while off < txn.undo.len() {
-            let (rec, payload) =
-                UndoRecord::decode_at(&txn.undo, off).expect("local undo log is never torn");
-            off += rec.encoded_len();
-            recs.push((rec, payload));
-        }
-        for (rec, payload) in recs.iter().rev() {
-            let ri = rec.region as usize;
-            let o = rec.offset as usize;
-            let bytes = txn.undo[payload.clone()].to_vec();
-            self.regions[ri][o..o + bytes.len()].copy_from_slice(&bytes);
-            self.cfg.mem_cost.charge_memcpy(&self.clock, bytes.len());
-            self.stats.add_local_copy(bytes.len());
-        }
+        self.roll_back(id, &txn.undo);
         self.release_claims(id);
         self.conc.resolved_above.insert(id);
-        self.stats.aborts += 1;
-        self.emit(TraceEvent::TxnAborted { id });
-
-        // Mirror cleanup after a failed commit attempt: restore the data
-        // ranges *before* tombstoning the records — until the tombstones
-        // land, the live records still let recovery restore the
-        // before-images of whatever the failed attempt propagated.
-        let mut result = Ok(());
-        if self.cfg.redo {
-            // The log is append-only: a tombstone record marks every
-            // earlier after-image of this id dead for replay.
-            if txn.mirrors_dirty {
-                result = self.redo_abort_mark(id);
-            }
-        } else {
-            if txn.mirrors_dirty {
-                result = self.restore_mirror_ranges(&coalesce(&txn.declared));
-            }
-            if result.is_ok() {
-                if let (Some((start, len)), true) = (txn.extent, txn.undo_remote) {
-                    result = self.tombstone_extent(start, len);
-                }
-            }
-        }
+        let staged = txn.extent.filter(|_| txn.undo_remote);
+        let result = self.clean_up_mirrors(id, &txn.declared, txn.mirrors_dirty, staged);
         self.maybe_reset_arena();
         result
+    }
+
+    /// Stages the records of the `ids` members in the shared undo arena,
+    /// after its high-water mark, and stamps the group header so recovery
+    /// knows how far the arena reaches. Returns the arena's old and new
+    /// high-water marks.
+    fn stage_records(&mut self, ids: &[u64]) -> Result<(usize, usize), TxnError> {
+        let hw = self.conc.undo_hw;
+        let new: usize = ids.iter().map(|id| self.conc.txns[id].undo.len()).sum();
+        if hw + new > self.undo_shadow.len() {
+            // `grow_undo` re-pushes `[0, undo_off)`: keep the live arena
+            // prefix (header included) intact on the larger segment.
+            self.undo_off = hw;
+            self.grow_undo(hw + new)?;
+        }
+        let mut at = hw;
+        for id in ids {
+            let txn = self.conc.txns.get_mut(id).expect("member open");
+            let len = txn.undo.len();
+            self.undo_shadow[at..at + len].copy_from_slice(&txn.undo);
+            txn.extent = Some((at, len));
+            at += len;
+        }
+        self.conc.undo_hw = at;
+        self.undo_off = at;
+        if !ids.is_empty() {
+            let header = encode_group_header((at - GROUP_HEADER_SIZE) as u64);
+            self.undo_shadow[..GROUP_HEADER_SIZE].copy_from_slice(&header);
+            self.cfg
+                .mem_cost
+                .charge_memcpy(&self.clock, new + GROUP_HEADER_SIZE);
+            self.stats.add_local_copy(new + GROUP_HEADER_SIZE);
+        }
+        Ok((hw, at))
+    }
+
+    /// The redo-log writes of the `ids` members: each one's declared
+    /// ranges, coalesced. The append, even a failed one, may put a
+    /// member's after-images on the mirrors, so each is marked for its
+    /// abort to tombstone the log.
+    fn redo_writes(&mut self, ids: &[u64]) -> Vec<crate::redo::RedoWrite> {
+        let mut writes = Vec::new();
+        for id in ids {
+            let txn = self.conc.txns.get_mut(id).expect("member open");
+            txn.mirrors_dirty = true;
+            writes.extend(
+                coalesce(&txn.declared)
+                    .into_iter()
+                    .map(|(ri, s, l)| (*id, ri, s, l)),
+            );
+        }
+        writes
     }
 
     /// Appends the claim and before-image of a validated, conflict-free
@@ -809,17 +740,15 @@ impl<M: RemoteMemory> Perseas<M> {
     }
 
     /// Applies a successful (or in-doubt) group commit locally: slots,
-    /// watermark, transaction resolution, claims, stats, and events.
-    #[allow(clippy::too_many_arguments)]
+    /// watermark, transaction resolution, claims, stats, and events —
+    /// `group` is its `GroupCommit` event, `None` when no member wrote.
     fn finish_group(
         &mut self,
         ids: &[u64],
         nonempty: &[u64],
         free: &[usize],
         new_w: u64,
-        ranges: usize,
-        bytes: usize,
-        undo_bytes: usize,
+        group: Option<TraceEvent>,
     ) {
         for (id, &slot) in nonempty.iter().zip(free) {
             self.conc.slot_ids[slot] = *id;
@@ -837,52 +766,23 @@ impl<M: RemoteMemory> Perseas<M> {
         let w = self.last_committed;
         self.conc.committed_above.retain(|&x| x > w);
         self.conc.resolved_above.retain(|&x| x > w);
+        let txns: Vec<ConcTxn> = ids
+            .iter()
+            .map(|id| self.conc.txns.remove(id).expect("member open"))
+            .collect();
+        let ranges: Vec<_> = txns.iter().map(|txn| coalesce(&txn.declared)).collect();
+        let members: Vec<Member<'_>> = ids
+            .iter()
+            .zip(&txns)
+            .zip(&ranges)
+            .map(|((&id, txn), ranges)| (id, txn.undo.as_slice(), ranges.as_slice()))
+            .collect();
+        self.finish_commits(&members, group);
         for id in ids {
-            let txn = self.conc.txns.remove(id).expect("member open");
-            if self.cfg.mvcc && !txn.undo.is_empty() {
-                let mut records = Vec::new();
-                let mut off = 0;
-                while off < txn.undo.len() {
-                    let (rec, payload) = UndoRecord::decode_at(&txn.undo, off)
-                        .expect("local undo log is never torn");
-                    off += rec.encoded_len();
-                    records.push((
-                        rec.region as usize,
-                        rec.offset as usize,
-                        txn.undo[payload].to_vec(),
-                    ));
-                }
-                self.capture_version(*id, records);
-            }
-            let tr = coalesce(&txn.declared);
-            let tb = tr.iter().map(|&(_, _, l)| l).sum();
-            self.emit(TraceEvent::TxnCommitted {
-                id: *id,
-                ranges: tr.len(),
-                bytes: tb,
-            });
             self.release_claims(*id);
             if self.conc.legacy_token == Some(*id) {
                 self.conc.legacy_token = None;
             }
-        }
-        self.stats.commits += ids.len() as u64;
-        if !nonempty.is_empty() {
-            self.stats.group_commits += 1;
-            self.emit(TraceEvent::GroupCommit {
-                txns: ids.to_vec(),
-                ranges,
-                bytes,
-                undo_bytes,
-            });
-        }
-        let (healthy, total) = (self.healthy_mirror_count(), self.mirrors.len());
-        if healthy < total {
-            self.emit(TraceEvent::DegradedCommit {
-                id: *ids.last().expect("nonempty group"),
-                healthy,
-                mirrors: total,
-            });
         }
         self.maybe_reset_arena();
     }
@@ -893,7 +793,7 @@ impl<M: RemoteMemory> Perseas<M> {
     /// in the log. A torn tombstone push is safe either way: the mirror
     /// that missed it is fenced, and rolling the still-live records back
     /// restores before-images the data restore already re-published.
-    fn tombstone_extent(&mut self, start: usize, len: usize) -> Result<(), TxnError> {
+    pub(crate) fn tombstone_extent(&mut self, start: usize, len: usize) -> Result<(), TxnError> {
         let end = start + len;
         let mut off = start;
         while off < end {

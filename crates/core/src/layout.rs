@@ -621,6 +621,35 @@ impl UndoRecord {
     }
 }
 
+/// The undo records encoded back to back from `from` in `buf`, with their
+/// payload ranges, up to the first record that starts at or past `end` or
+/// does not decode. Every reader of an undo log walks it through here.
+pub(crate) fn undo_records(
+    buf: &[u8],
+    from: usize,
+    end: usize,
+) -> impl Iterator<Item = (UndoRecord, std::ops::Range<usize>)> + '_ {
+    let mut off = from;
+    std::iter::from_fn(move || {
+        if off >= end {
+            return None;
+        }
+        let (rec, payload) = UndoRecord::decode_at(buf, off)?;
+        off += rec.encoded_len();
+        Some((rec, payload))
+    })
+}
+
+/// [`undo_records`] over all of `undo`, newest first: the order a
+/// rollback applies them in, so that overlapping ranges resolve to the
+/// oldest before-image.
+pub(crate) fn undo_newest_first(
+    undo: &[u8],
+) -> impl Iterator<Item = (UndoRecord, std::ops::Range<usize>)> {
+    let records: Vec<_> = undo_records(undo, 0, undo.len()).collect();
+    records.into_iter().rev()
+}
+
 /// The header of one redo record: the **after**-image of one committed
 /// `set_range`. Identical self-validating framing to [`UndoRecord`]
 /// (magic + transaction id + CRC-32 over header and payload) under its

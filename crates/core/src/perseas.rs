@@ -11,8 +11,8 @@ use crate::config::PerseasConfig;
 use crate::fault::FaultPlan;
 use crate::layout::{
     commit_table_offset, encode_region_entry, meta_segment_size, meta_segment_size_concurrent,
-    MetaHeader, UndoRecord, FLAG_CONCURRENT, OFF_COMMIT, OFF_EPOCH, OFF_REGION_TABLE, OFF_UNDO,
-    REGION_ENTRY_SIZE, UNDO_HEADER_SIZE,
+    undo_newest_first, undo_records, MetaHeader, UndoRecord, FLAG_CONCURRENT, OFF_COMMIT,
+    OFF_EPOCH, OFF_REGION_TABLE, OFF_UNDO, REGION_ENTRY_SIZE, UNDO_HEADER_SIZE,
 };
 use crate::metrics::CoreMetrics;
 use crate::mvcc::MvccState;
@@ -25,6 +25,10 @@ pub(crate) type MirrorBatches = Vec<(usize, Batch)>;
 /// One mirror's vectored write: `(segment, offset, bytes)` per range, in
 /// the order they apply.
 pub(crate) type Batch = Vec<(SegmentId, usize, Vec<u8>)>;
+
+/// One committed transaction as [`Perseas::finish_commits`] takes it: its
+/// id, its encoded undo records, and its declared ranges, coalesced.
+pub(crate) type Member<'a> = (u64, &'a [u8], &'a [(usize, usize, usize)]);
 
 /// The local state a [`Perseas::fan_out`] step may read while it holds
 /// one mirror mutably.
@@ -114,18 +118,13 @@ impl<M> MirrorState<M> {
     }
 }
 
-/// One logged before-image of the open transaction (an offset into the
-/// undo shadow where the record starts).
-pub(crate) struct RecordRef {
-    pub(crate) shadow_off: usize,
-}
-
-/// State of the open transaction.
+/// State of the open transaction. Its undo records are always
+/// `undo_shadow[..undo_off]`: `begin_transaction` empties that prefix and
+/// `set_ranges` appends to it.
 pub(crate) struct ActiveTxn {
     pub(crate) id: u64,
     /// Declared writable ranges: `(region index, start, len)`.
     pub(crate) declared: Vec<(usize, usize, usize)>,
-    pub(crate) records: Vec<RecordRef>,
     /// `true` once a commit attempt has started pushing data ranges to
     /// the mirrors: an abort after a failed commit must then restore the
     /// mirrored images too, not just the local one.
@@ -207,17 +206,36 @@ impl<M: RemoteMemory> Perseas<M> {
                 .map_err(unavailable)?;
             states.push(MirrorState::new(backend, meta, undo));
         }
-        Ok(Perseas {
+        let mut db = Perseas::assemble(cfg, clock, states, Vec::new(), 1, 0);
+        db.phase = Phase::Setup;
+        Ok(db)
+    }
+
+    /// An idle instance over `mirrors` at `epoch`, holding the local
+    /// `regions`, with every id through `last_committed` resolved. Its
+    /// undo shadow is empty and as long as the mirrors' undo segments,
+    /// and its version store is fresh: snapshots opened before a crash
+    /// fail typed on a recovered instance.
+    pub(crate) fn assemble(
+        cfg: PerseasConfig,
+        clock: SimClock,
+        mirrors: Vec<MirrorState<M>>,
+        regions: Vec<Vec<u8>>,
+        epoch: u64,
+        last_committed: u64,
+    ) -> Self {
+        Perseas {
+            cfg,
             clock,
-            mirrors: states,
-            regions: Vec::new(),
-            undo_shadow: vec![0; cfg.initial_undo_capacity],
+            undo_shadow: vec![0; mirrors[0].undo.len],
+            mirrors,
+            regions,
             undo_off: 0,
-            phase: Phase::Setup,
+            phase: Phase::Ready,
             txn: None,
-            epoch: 1,
-            last_committed: 0,
-            next_txn_id: 1,
+            epoch,
+            last_committed,
+            next_txn_id: last_committed + 1,
             stats: TxnStats::new(),
             fault: FaultPlan::none(),
             tracer: None,
@@ -225,8 +243,7 @@ impl<M: RemoteMemory> Perseas<M> {
             conc: ConcState::new(cfg.commit_slots),
             mvcc: MvccState::new(cfg.version_bytes, cfg.version_entries),
             redo: crate::redo::RedoState::new(cfg.redo_segments),
-            cfg,
-        })
+        }
     }
 
     /// Size of the metadata segment under `cfg`: the legacy layout plus,
@@ -347,7 +364,6 @@ impl<M: RemoteMemory> Perseas<M> {
         self.txn = Some(ActiveTxn {
             id: self.next_txn_id,
             declared: Vec::new(),
-            records: Vec::new(),
             mirrors_dirty: false,
         });
         self.next_txn_id += 1;
@@ -460,13 +476,10 @@ impl<M: RemoteMemory> Perseas<M> {
         }
 
         self.undo_off = at;
-        let mut shadow_off = start;
         for rec in declared() {
             let (region, offset, len) = (rec.region, rec.offset as usize, rec.len as usize);
             let txn = self.txn.as_mut().expect("in txn");
             txn.declared.push((region as usize, offset, len));
-            txn.records.push(RecordRef { shadow_off });
-            shadow_off += rec.encoded_len();
             self.stats.set_ranges += 1;
             self.emit(TraceEvent::SetRange {
                 id: txn_id,
@@ -647,11 +660,20 @@ impl<M: RemoteMemory> Perseas<M> {
         self.mvcc.version_bytes()
     }
 
-    /// Retains a committed transaction's before-images in the version
-    /// store and emits the capture/eviction telemetry. Charges nothing to
-    /// the virtual clock, so enabling MVCC never perturbs sim-mode
-    /// measurements.
-    pub(crate) fn capture_version(&mut self, txn_id: u64, records: Vec<(usize, usize, Vec<u8>)>) {
+    /// Retains a committed transaction's before-images, its undo records
+    /// `undo`, in the version store and emits the capture/eviction
+    /// telemetry. Charges nothing to the virtual clock, so enabling MVCC
+    /// never perturbs sim-mode measurements.
+    fn capture_version(&mut self, txn_id: u64, undo: &[u8]) {
+        let records = undo_records(undo, 0, undo.len())
+            .map(|(rec, payload)| {
+                (
+                    rec.region as usize,
+                    rec.offset as usize,
+                    undo[payload].to_vec(),
+                )
+            })
+            .collect();
         let (seq, evicted) = self.mvcc.capture(records);
         self.emit(TraceEvent::VersionCaptured {
             seq,
@@ -679,35 +701,73 @@ impl<M: RemoteMemory> Perseas<M> {
     /// distinct open transactions never overlap; within one transaction
     /// records apply in reverse log order, matching the abort path.
     fn overlay_open_txns(&self, ri: usize, offset: usize, buf: &mut [u8]) {
-        if let Some(txn) = self.txn.as_ref() {
-            for rec in txn.records.iter().rev() {
-                let (urec, payload) = UndoRecord::decode_at(&self.undo_shadow, rec.shadow_off)
-                    .expect("local undo log is never torn");
-                if urec.region as usize == ri {
-                    overlay_bytes(
-                        buf,
-                        offset,
-                        urec.offset as usize,
-                        &self.undo_shadow[payload],
-                    );
-                }
-            }
-        }
-        for txn in self.conc.txns.values() {
-            let mut recs = Vec::new();
-            let mut off = 0;
-            while off < txn.undo.len() {
-                let (rec, payload) =
-                    UndoRecord::decode_at(&txn.undo, off).expect("local undo log is never torn");
-                off += rec.encoded_len();
-                recs.push((rec, payload));
-            }
-            for (rec, payload) in recs.iter().rev() {
+        let legacy = self
+            .txn
+            .as_ref()
+            .map(|_| &self.undo_shadow[..self.undo_off]);
+        let open = self.conc.txns.values().map(|txn| txn.undo.as_slice());
+        for undo in legacy.into_iter().chain(open) {
+            for (rec, payload) in undo_newest_first(undo) {
                 if rec.region as usize == ri {
-                    overlay_bytes(buf, offset, rec.offset as usize, &txn.undo[payload.clone()]);
+                    overlay_bytes(buf, offset, rec.offset as usize, &undo[payload]);
                 }
             }
         }
+    }
+
+    /// The tail every commit shares once its durability point has passed.
+    /// Each member, `(id, undo records, coalesced ranges)`, has its
+    /// before-images kept as a version and its `TxnCommitted` emitted;
+    /// then comes the `group` event of a group commit, then
+    /// `DegradedCommit` if a mirror is missing.
+    pub(crate) fn finish_commits(&mut self, members: &[Member<'_>], group: Option<TraceEvent>) {
+        for &(id, undo, ranges) in members {
+            if self.cfg.mvcc && !undo.is_empty() {
+                self.capture_version(id, undo);
+            }
+            self.emit(TraceEvent::TxnCommitted {
+                id,
+                ranges: ranges.len(),
+                bytes: ranges.iter().map(|&(_, _, l)| l).sum(),
+            });
+        }
+        self.stats.commits += members.len() as u64;
+        if let Some(event) = group {
+            self.stats.group_commits += 1;
+            self.emit(event);
+        }
+        let (healthy, total) = (self.healthy_mirror_count(), self.mirrors.len());
+        if healthy < total {
+            let (id, _, _) = *members.last().expect("a commit has members");
+            self.emit(TraceEvent::DegradedCommit {
+                id,
+                healthy,
+                mirrors: total,
+            });
+        }
+    }
+
+    /// Local rollback of transaction `id` from its undo records `undo`:
+    /// every before-image is copied back, newest first, and charged as a
+    /// local copy; then the abort is counted and traced.
+    pub(crate) fn roll_back(&mut self, id: u64, undo: &[u8]) {
+        for (rec, payload) in undo_newest_first(undo) {
+            let (ri, at) = (rec.region as usize, rec.offset as usize);
+            self.regions[ri][at..at + payload.len()].copy_from_slice(&undo[payload.clone()]);
+            self.cfg.mem_cost.charge_memcpy(&self.clock, payload.len());
+            self.stats.add_local_copy(payload.len());
+        }
+        self.stats.aborts += 1;
+        self.emit(TraceEvent::TxnAborted { id });
+    }
+
+    /// Runs `f` with the open transaction's undo records, lent out of
+    /// the undo shadow so that `f` may change the rest of the instance.
+    fn with_txn_records<R>(&mut self, f: impl FnOnce(&mut Self, &[u8]) -> R) -> R {
+        let shadow = std::mem::take(&mut self.undo_shadow);
+        let r = f(self, &shadow[..self.undo_off]);
+        self.undo_shadow = shadow;
+        r
     }
 
     /// Forwards an event to the metrics sink only (used on `&self` read
@@ -761,81 +821,33 @@ impl<M: RemoteMemory> Perseas<M> {
         let mut txn = self.txn.take().expect("in txn");
         let ranges = coalesce(&txn.declared);
 
-        let mut in_doubt = None;
-        if !txn.records.is_empty() {
-            let result = if self.cfg.redo {
-                self.commit_redo(&mut txn, &ranges)
-            } else if self.cfg.batched_commit {
-                self.commit_batched(&mut txn, &ranges)
-            } else {
-                self.commit_unbatched(&mut txn, &ranges)
-            };
-            match result {
-                Ok(()) => {}
-                // A failure at the durability point: the record already
-                // rests on every surviving mirror (each would replay the
-                // transaction as committed), so finish the commit and
-                // report the under-replication after the fact.
-                Err(e @ TxnError::CommitInDoubt { .. }) => in_doubt = Some(e),
-                Err(e) => {
-                    // Nothing durable was published. Keep the transaction
-                    // open so the caller can abort or retry instead of
-                    // wedging the instance; a crash already cleared it.
-                    if self.phase == Phase::InTxn {
-                        self.txn = Some(txn);
-                    }
-                    return Err(e);
-                }
-            }
-            self.last_committed = txn.id;
-            if self.cfg.mvcc {
-                let records = txn
-                    .records
-                    .iter()
-                    .map(|rec| {
-                        let (urec, payload) =
-                            UndoRecord::decode_at(&self.undo_shadow, rec.shadow_off)
-                                .expect("local undo log is never torn");
-                        (
-                            urec.region as usize,
-                            urec.offset as usize,
-                            self.undo_shadow[payload].to_vec(),
-                        )
-                    })
-                    .collect();
-                self.capture_version(txn.id, records);
-            }
-            let bytes = ranges.iter().map(|&(_, _, l)| l).sum();
-            self.emit(TraceEvent::TxnCommitted {
-                id: txn.id,
-                ranges: ranges.len(),
-                bytes,
-            });
+        let result = if ranges.is_empty() {
+            Ok(())
+        } else if self.cfg.redo {
+            self.commit_redo(&mut txn, &ranges)
+        } else if self.cfg.batched_commit {
+            self.commit_batched(&mut txn, &ranges)
         } else {
-            self.emit(TraceEvent::TxnCommitted {
-                id: txn.id,
-                ranges: 0,
-                bytes: 0,
-            });
+            self.commit_unbatched(&mut txn, &ranges)
+        };
+        if !commit_completes(&result) {
+            // Nothing durable was published. Keep the transaction open so
+            // the caller can abort or retry instead of wedging the
+            // instance; a crash already cleared it.
+            if self.phase == Phase::InTxn {
+                self.txn = Some(txn);
+            }
+            return result;
         }
-
-        let (healthy, total) = (self.healthy_mirror_count(), self.mirrors.len());
-        if healthy < total {
-            self.emit(TraceEvent::DegradedCommit {
-                id: txn.id,
-                healthy,
-                mirrors: total,
-            });
+        if !ranges.is_empty() {
+            self.last_committed = txn.id;
         }
+        self.with_txn_records(|s, undo| s.finish_commits(&[(txn.id, undo, &ranges)], None));
         self.phase = Phase::Ready;
-        self.stats.commits += 1;
         if let (Some(m), Some((sim0, wall0))) = (self.metrics.as_ref(), timer) {
             m.record_commit(self.clock.now().duration_since(sim0), wall0.elapsed());
         }
-        match in_doubt {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        result
     }
 
     /// The paper's per-range commit path: propagate every coalesced
@@ -869,24 +881,22 @@ impl<M: RemoteMemory> Perseas<M> {
         // received.
         self.flush_mirrors()?;
         // Durability point: one 8-byte, packet-atomic remote write per
-        // surviving mirror. A mirror failing here is fenced: the
-        // survivors get the new epoch before the commit is reported
-        // durable, so the failed mirror (which may lack the record) can
-        // never outrank them in recovery. The record write is posted too,
-        // so its own barrier follows before the commit is reported.
-        self.write_commit_records(txn.id)
-            .and_then(|()| self.flush_mirrors())
-            .map_err(|e| self.durability_in_doubt(e, txn.id))
-    }
-
-    /// Writes the commit record to every surviving mirror. The loop
-    /// never stops early on a transport failure, so on return every
-    /// mirror that is still `Healthy` carries the record.
-    pub(crate) fn write_commit_records(&mut self, id: u64) -> Result<(), TxnError> {
-        self.fan_out(|m, _| {
-            m.backend
-                .remote_write(m.meta.id, OFF_COMMIT, &id.to_le_bytes())
-                .map(|()| Some(8))
+        // healthy mirror, in turn, under the refusal rule of
+        // `confirm_record`. The loop never stops early, so afterwards every
+        // mirror still `Healthy` carries the record. A mirror failing here
+        // is fenced: the survivors get the new epoch before the commit is
+        // reported durable, so the failed mirror (which may lack the
+        // record) can never outrank them in recovery.
+        let id = txn.id;
+        let mut healthy = self.batches(|_| Vec::new()).into_iter();
+        self.confirm_record(id, |s, refused| {
+            s.fan_out_unfenced(|m, _| {
+                let (mi, _) = healthy.next().expect("one entry per healthy mirror");
+                let written = m
+                    .backend
+                    .remote_write(m.meta.id, OFF_COMMIT, &id.to_le_bytes());
+                refusal(mi, written.map(|()| Some(8)), Some(refused))
+            })
         })
     }
 
@@ -914,34 +924,40 @@ impl<M: RemoteMemory> Perseas<M> {
         }
         self.ensure_phase(Phase::InTxn)?;
         let txn = self.txn.take().expect("in txn");
-        // Restore in reverse, so overlapping set_ranges resolve to the
-        // oldest (pre-transaction) image.
-        for rec in txn.records.iter().rev() {
-            let (urec, payload) = UndoRecord::decode_at(&self.undo_shadow, rec.shadow_off)
-                .expect("local undo log is never torn");
-            let ri = urec.region as usize;
-            let off = urec.offset as usize;
-            let payload = self.undo_shadow[payload].to_vec();
-            self.regions[ri][off..off + payload.len()].copy_from_slice(&payload);
-            self.cfg.mem_cost.charge_memcpy(&self.clock, payload.len());
-            self.stats.add_local_copy(payload.len());
-        }
+        self.with_txn_records(|s, undo| s.roll_back(txn.id, undo));
         self.phase = Phase::Ready;
-        self.stats.aborts += 1;
-        self.emit(TraceEvent::TxnAborted { id: txn.id });
-        if txn.mirrors_dirty {
-            if self.cfg.redo {
-                // The failed commit appended this transaction's
-                // after-images to the log; the database segments were
-                // never touched. Publish an abort tombstone so replay
-                // treats the records as dead even once the watermark
-                // passes the id.
-                self.redo_abort_mark(txn.id)?;
+        self.clean_up_mirrors(txn.id, &txn.declared, txn.mirrors_dirty, None)
+    }
+
+    /// Removes from the mirrors what a failed commit of transaction `id`
+    /// left there, once its local rollback is done. `dirty` says the
+    /// attempt began to ship its data: in redo mode an abort tombstone is
+    /// published, so replay treats the logged after-images as dead even
+    /// once the watermark passes the id; otherwise the `declared` ranges
+    /// are restored. `staged` is the undo-arena extent whose records
+    /// reached the mirrors: they are tombstoned after the restore, since
+    /// until then they let recovery undo whatever the attempt propagated.
+    pub(crate) fn clean_up_mirrors(
+        &mut self,
+        id: u64,
+        declared: &[(usize, usize, usize)],
+        dirty: bool,
+        staged: Option<(usize, usize)>,
+    ) -> Result<(), TxnError> {
+        if self.cfg.redo {
+            return if dirty {
+                self.redo_abort_mark(id)
             } else {
-                self.restore_mirror_ranges(&coalesce(&txn.declared))?;
-            }
+                Ok(())
+            };
         }
-        Ok(())
+        if dirty {
+            self.restore_mirror_ranges(&coalesce(declared))?;
+        }
+        match staged {
+            Some((start, len)) => self.tombstone_extent(start, len),
+            None => Ok(()),
+        }
     }
 
     /// Pushes the (already locally restored) images of `ranges` back to
@@ -1181,83 +1197,32 @@ impl<M: RemoteMemory> Perseas<M> {
     /// # Errors
     ///
     /// Fails inside a transaction, before publication, or if the new
-    /// mirror cannot hold the database.
-    pub fn add_mirror(&mut self, mut backend: M) -> Result<(), TxnError> {
+    /// mirror cannot hold the database. The mirror set is then unchanged
+    /// and the segments the attempt allocated on the newcomer are freed.
+    pub fn add_mirror(&mut self, backend: M) -> Result<(), TxnError> {
         self.ensure_phase(Phase::Ready)?;
         self.ensure_no_open_txns()?;
         // Membership change: the survivors move to a fresh epoch before
         // the newcomer is built, so a half-streamed newcomer can never
         // look like the newest image to a later recovery.
         self.bump_epoch()?;
-        let meta_size = Perseas::<M>::meta_len_for(&self.cfg);
-        let meta = backend
-            .remote_malloc(meta_size, self.cfg.meta_tag)
-            .map_err(unavailable)?;
-        let undo = backend
-            .remote_malloc(self.undo_shadow.len(), 0)
-            .map_err(unavailable)?;
-        let mut db = Vec::with_capacity(self.regions.len());
-        for region in &self.regions {
-            let seg = backend
-                .remote_malloc(region.len(), 0)
-                .map_err(unavailable)?;
-            if !region.is_empty() {
-                push_range(
-                    &mut backend,
-                    seg,
-                    region,
-                    0,
-                    region.len(),
-                    self.cfg.aligned_memcpy,
-                )
-                .map_err(unavailable)?;
-                self.stats.add_remote_write(region.len());
-            }
-            db.push(seg);
+        // The newcomer joins `Down`, so no other step reaches it before
+        // its image is published; the stream allocates its segments.
+        let vacant = RemoteSegment {
+            id: SegmentId::from_raw(0),
+            len: 0,
+            tag: 0,
+            base_addr: 0,
+        };
+        let mut newcomer = MirrorState::new(backend, vacant, vacant);
+        newcomer.health = MirrorHealth::Down;
+        self.mirrors.push(newcomer);
+        let index = self.mirrors.len() - 1;
+        if let Err(e) = self.stream_image(index, false) {
+            self.mirrors.pop();
+            return Err(e);
         }
-        let mut m = MirrorState::new(backend, meta, undo);
-        m.db = db;
-        if self.cfg.redo {
-            // Fresh (zeroed) log segments for the live slots — no log
-            // content is copied. The newcomer's snapshot position is the
-            // current tail: the region images streamed above already
-            // contain every committed write, so recovery from this
-            // mirror has nothing to replay until the next commit.
-            m.redo = vec![None; self.cfg.redo_segments];
-            for (slot, seq) in self.redo.slot_seqs.iter().enumerate() {
-                if seq.is_some() {
-                    let seg = m
-                        .backend
-                        .remote_malloc(self.cfg.redo_segment_bytes, 0)
-                        .map_err(unavailable)?;
-                    m.redo[slot] = Some(seg);
-                }
-            }
-            m.redo_snap = self.redo.tail;
-        }
-        let image = self.meta_image_for(&m);
-        // Publish region table first, magic-bearing header last: a torn
-        // publication leaves no valid magic, so recovery skips the
-        // newcomer instead of trusting a half-built image. An ack
-        // barrier between the two writes makes "first" real on a
-        // pipelined transport, and one after the header confirms the
-        // newcomer before it joins the set.
-        m.backend
-            .remote_write(m.meta.id, OFF_REGION_TABLE, &image[OFF_REGION_TABLE..])
-            .and_then(|()| m.backend.flush().map(|_| ()))
-            .map_err(unavailable)?;
-        m.backend
-            .remote_write(m.meta.id, 0, &image[..OFF_REGION_TABLE])
-            .and_then(|()| m.backend.flush().map(|_| ()))
-            .map_err(unavailable)?;
-        self.stats.add_remote_write(image.len());
-        if let Some(met) = self.metrics.as_ref() {
-            met.resynced(self.regions.iter().map(Vec::len).sum());
-        }
-        self.mirrors.push(m);
-        self.emit(TraceEvent::MirrorAdded {
-            index: self.mirrors.len() - 1,
-        });
+        self.emit(TraceEvent::MirrorAdded { index });
         Ok(())
     }
 
@@ -1313,15 +1278,30 @@ impl<M: RemoteMemory> Perseas<M> {
             }
         }
 
-        // 3. Allocate and stream: meta, undo capacity, region images. On
-        //    any failure from here to the header publish, the segments
-        //    allocated so far are freed again (best effort): the header
-        //    never becomes valid, so a later scrub could not find them
-        //    and repeated failed rejoins would otherwise leak the
-        //    rejoiner's memory.
+        // 3. Stream the current image and promote.
+        self.stream_image(index, true)?;
+        self.emit(TraceEvent::MirrorRejoined {
+            index,
+            epoch: self.epoch,
+        });
+        Ok(())
+    }
+
+    /// Streams a full image to the unhealthy mirror `index` and promotes
+    /// it to `Healthy`: fresh meta and undo segments, every region image,
+    /// fresh redo-log segments for the live slots, then the metadata.
+    /// With `crash_points` each step is a crash point.
+    ///
+    /// On any failure after the meta and undo allocation, the segments
+    /// allocated so far are freed again (best effort, see
+    /// [`Perseas::abandon_stream`]): the header never becomes valid, so a
+    /// later scrub could not find them and repeated failures would
+    /// otherwise leak the mirror's memory.
+    fn stream_image(&mut self, index: usize, crash_points: bool) -> Result<(), TxnError> {
+        let step = |s: &mut Self| if crash_points { s.fault_step() } else { Ok(()) };
         let meta_size = Perseas::<M>::meta_len_for(&self.cfg);
         let undo_len = self.undo_shadow.len();
-        self.fault_step()?;
+        step(self)?;
         let alloc = {
             let m = &mut self.mirrors[index];
             m.backend
@@ -1348,16 +1328,16 @@ impl<M: RemoteMemory> Perseas<M> {
         self.mirrors[index].db.clear();
         let mut resynced = 0usize;
         for ri in 0..self.regions.len() {
-            self.fault_step()?;
+            step(self)?;
             let aligned = self.cfg.aligned_memcpy;
             let region_len = self.regions[ri].len();
             let m = &mut self.mirrors[index];
             // Register the segment before streaming into it, so a failed
-            // stream still finds (and frees) it in `abandon_rejoin`.
+            // stream still finds (and frees) it in `abandon_stream`.
             let seg = match m.backend.remote_malloc(region_len, 0) {
                 Ok(seg) => seg,
                 Err(e) => {
-                    self.abandon_rejoin(index, &e);
+                    self.abandon_stream(index, &e);
                     return Err(unavailable(e));
                 }
             };
@@ -1372,7 +1352,7 @@ impl<M: RemoteMemory> Perseas<M> {
                     region_len,
                     aligned,
                 ) {
-                    self.abandon_rejoin(index, &e);
+                    self.abandon_stream(index, &e);
                     return Err(unavailable(e));
                 }
             }
@@ -1380,12 +1360,12 @@ impl<M: RemoteMemory> Perseas<M> {
             resynced += region_len;
         }
 
-        // 3b. Fresh (zeroed) redo-log segments for the live slots, as in
-        //     `add_mirror`: the streamed region images are current
-        //     through the tail, so the rejoiner's snapshot position is
-        //     the tail and its log holds only post-rejoin appends.
+        // Fresh (zeroed) redo-log segments for the live slots: the
+        // streamed region images are current through the tail, so the
+        // mirror's snapshot position is the tail and its log holds only
+        // later appends.
         if self.cfg.redo {
-            self.fault_step()?;
+            step(self)?;
             let slots = self.cfg.redo_segments;
             self.mirrors[index].redo = vec![None; slots];
             for slot in 0..slots {
@@ -1396,7 +1376,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 match m.backend.remote_malloc(self.cfg.redo_segment_bytes, 0) {
                     Ok(seg) => m.redo[slot] = Some(seg),
                     Err(e) => {
-                        self.abandon_rejoin(index, &e);
+                        self.abandon_stream(index, &e);
                         return Err(unavailable(e));
                     }
                 }
@@ -1404,17 +1384,18 @@ impl<M: RemoteMemory> Perseas<M> {
             self.mirrors[index].redo_snap = self.redo.tail;
         }
 
-        // 4. Publish the metadata: region table first, the magic-bearing
-        //    header last, so a torn publication leaves no valid image.
-        //    The barrier after each part confirms the streamed regions
-        //    and the table before the magic goes out, and the header
-        //    itself before the promotion below.
+        // Publish the metadata: region table first, the magic-bearing
+        // header last, so a torn publication leaves no valid image and
+        // recovery skips the mirror. The barrier after each part makes
+        // "first" real on a pipelined transport: it confirms the streamed
+        // regions and the table before the magic goes out, and the header
+        // itself before the promotion below.
         let image = self.meta_image_for(&self.mirrors[index]);
         for (off, part) in [
             (OFF_REGION_TABLE, &image[OFF_REGION_TABLE..]),
             (0, &image[..OFF_REGION_TABLE]),
         ] {
-            self.fault_step()?;
+            step(self)?;
             let m = &mut self.mirrors[index];
             let meta_id = m.meta.id;
             if let Err(e) = m
@@ -1422,22 +1403,17 @@ impl<M: RemoteMemory> Perseas<M> {
                 .remote_write(meta_id, off, part)
                 .and_then(|()| m.backend.flush().map(|_| ()))
             {
-                self.abandon_rejoin(index, &e);
+                self.abandon_stream(index, &e);
                 return Err(unavailable(e));
             }
             self.stats.add_remote_write(part.len());
         }
 
-        // 5. Promote.
         self.mirrors[index].health = MirrorHealth::Healthy;
         self.mirrors[index].probes = 0;
         if let Some(m) = self.metrics.as_ref() {
             m.resynced(resynced);
         }
-        self.emit(TraceEvent::MirrorRejoined {
-            index,
-            epoch: self.epoch,
-        });
         Ok(())
     }
 
@@ -1492,13 +1468,13 @@ impl<M: RemoteMemory> Perseas<M> {
     // internals
     // ------------------------------------------------------------------
 
-    /// Reclaims a failed rejoin's partial image: frees the segments
+    /// Reclaims a failed stream's partial image: frees the segments
     /// allocated so far — their header was never published, so no later
-    /// scrub could find them and repeated failed rejoins would leak the
-    /// rejoiner's memory. Ids whose free also fails (the transport died
+    /// scrub could find them and repeated failed streams would leak the
+    /// mirror's memory. Ids whose free also fails (the transport died
     /// under us) are recorded in `orphans` and reclaimed by the next
     /// rejoin attempt. Transport failures condemn the mirror again.
-    fn abandon_rejoin(&mut self, index: usize, error: &RnError) {
+    fn abandon_stream(&mut self, index: usize, error: &RnError) {
         let m = &mut self.mirrors[index];
         let stale: Vec<SegmentId> = [m.meta.id, m.undo.id]
             .into_iter()
@@ -1945,7 +1921,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 self.flush_mirrors()?;
             }
             let frame = self.batches(record);
-            return self.confirm_record(id, frame);
+            return self.confirm_record(id, |s, refused| s.post_vectored(frame, Some(refused)));
         }
         logged(self);
         // Every batch was built from the same healthy set, so the k-th
@@ -1958,22 +1934,27 @@ impl<M: RemoteMemory> Perseas<M> {
                 list.extend(more);
             }
         }
-        self.confirm_record(id, frame)
+        self.confirm_record(id, |s, refused| s.post_vectored(frame, Some(refused)))
     }
 
-    /// Ships each healthy mirror its batch of `frame`, which ends with the
-    /// commit record, and confirms them with one ack barrier. A mirror
-    /// that refuses its batch (a typed refusal such as `Overloaded`,
-    /// inline or at the barrier) did not apply the record:
+    /// The refusal rule at the durability point. `post` ships each healthy
+    /// mirror the writes that end with the commit record, listing the
+    /// mirrors that refuse them, and reports whether one failed; one ack
+    /// barrier then confirms them. A mirror that refuses (a typed refusal
+    /// such as `Overloaded`, inline or at the barrier) did not apply the
+    /// record:
     /// - if every healthy mirror refused, no mirror holds the record, so
     ///   the error is a plain one and the transaction stays open;
     /// - otherwise the refusers are condemned and fenced with any mirror
     ///   that failed, because their images lack a transaction the others
     ///   hold, and a failure from here on is the caller's durability
     ///   point (see [`Perseas::durability_in_doubt`]).
-    fn confirm_record(&mut self, id: u64, frame: MirrorBatches) -> Result<(), TxnError> {
+    fn confirm_record<P>(&mut self, id: u64, post: P) -> Result<(), TxnError>
+    where
+        P: FnOnce(&mut Self, &mut Vec<(usize, RnError)>) -> Result<bool, TxnError>,
+    {
         let mut refused = Vec::new();
-        let mut failed = self.post_vectored(frame, Some(&mut refused))?;
+        let mut failed = post(self, &mut refused)?;
         let (down, late) = self.drain_mirrors();
         failed |= down;
         for (mi, e) in late {
@@ -2038,16 +2019,7 @@ impl<M: RemoteMemory> Perseas<M> {
         // dropped, the k-th list belongs to the k-th healthy mirror.
         lists.retain(|(mi, _)| self.mirrors[*mi].is_healthy());
         debug_assert_eq!(lists.len(), self.healthy_mirror_count());
-        let mut note = |mi: usize, written: Result<Option<usize>, RnError>| match (
-            written,
-            refused.as_deref_mut(),
-        ) {
-            (Err(e), Some(r)) if !e.is_unavailable() => {
-                r.push((mi, e));
-                Ok(None)
-            }
-            (written, _) => written,
-        };
+        let mut note = |mi, written| refusal(mi, written, refused.as_deref_mut());
         let failed = if sequential {
             // Sequential issue keeps crash points deterministic; when all
             // the mirrors share one simulated timeline the overlap is
@@ -2249,6 +2221,14 @@ pub(crate) fn overlay_bytes(buf: &mut [u8], offset: usize, roff: usize, image: &
     }
 }
 
+/// Whether a commit's result completes it: it succeeded, or failed at
+/// the durability point ([`TxnError::CommitInDoubt`]), when the record
+/// already rests on every surviving mirror and each would replay the
+/// transaction as committed. Any other error published nothing durable.
+pub(crate) fn commit_completes(result: &Result<(), TxnError>) -> bool {
+    matches!(result, Ok(()) | Err(TxnError::CommitInDoubt { .. }))
+}
+
 /// Maps a backend failure to the shared error type.
 pub(crate) fn unavailable(e: RnError) -> TxnError {
     TxnError::Unavailable(e.to_string())
@@ -2259,6 +2239,23 @@ fn borrowed(list: &[(SegmentId, usize, Vec<u8>)]) -> Vec<(SegmentId, usize, &[u8
     list.iter()
         .map(|(s, o, d)| (*s, *o, d.as_slice()))
         .collect()
+}
+
+/// Passes mirror `mi`'s write result through, except that with
+/// `refused` given a typed refusal is listed there and counts as a write
+/// of no bytes, so the step carries on.
+fn refusal(
+    mi: usize,
+    written: Result<Option<usize>, RnError>,
+    refused: Option<&mut Vec<(usize, RnError)>>,
+) -> Result<Option<usize>, RnError> {
+    match (written, refused) {
+        (Err(e), Some(r)) if !e.is_unavailable() => {
+            r.push((mi, e));
+            Ok(None)
+        }
+        (written, _) => written,
+    }
 }
 
 /// The packet-atomic commit record naming `id`, as mirror `m`'s batch.

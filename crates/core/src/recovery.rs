@@ -17,16 +17,14 @@
 use perseas_rnram::{RemoteMemory, RemoteSegment};
 use perseas_sci::SegmentId;
 use perseas_simtime::SimClock;
-use perseas_txn::{TxnError, TxnStats};
+use perseas_txn::TxnError;
 
-use crate::conc::ConcState;
 use crate::config::PerseasConfig;
-use crate::fault::FaultPlan;
 use crate::layout::{
-    decode_commit_table, decode_group_header, MetaHeader, UndoRecord, FLAG_CONCURRENT,
-    GROUP_HEADER_SIZE, OFF_COMMIT, OFF_EPOCH,
+    decode_commit_table, decode_group_header, undo_records, MetaHeader, UndoRecord,
+    FLAG_CONCURRENT, GROUP_HEADER_SIZE, OFF_COMMIT, OFF_EPOCH,
 };
-use crate::perseas::{unavailable, MirrorState, Perseas, Phase};
+use crate::perseas::{unavailable, MirrorState, Perseas};
 
 /// What [`Perseas::recover`] found and did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,43 +174,7 @@ impl<M: RemoteMemory> Perseas<M> {
             .remote_read(undo_seg.id, 0, &mut undo_shadow)
             .map_err(unavailable)?;
         let region_lens: Vec<usize> = db_segs.iter().map(|s| s.len).collect();
-        let to_undo: Vec<(UndoRecord, std::ops::Range<usize>)> = if concurrent {
-            // Concurrent image: the arena opens with a CRC-guarded group
-            // header, and a transaction is committed when its id is at or
-            // below the watermark *or* occupies a commit-table slot above
-            // it. Records of every other live id are rolled back.
-            let table = decode_commit_table(&meta_image, cfg.commit_slots);
-            scan_uncommitted_concurrent(&undo_shadow, header.last_committed, &table, &region_lens)
-        } else {
-            // Only the single newest transaction can be in flight (the
-            // legacy library is sequential), and its records form a
-            // prefix of the undo log starting at offset 0. Records of
-            // *older* transactions beyond that prefix are stale — and
-            // must not be replayed: an aborted transaction with
-            // overlapping `set_range`s leaves stale records whose
-            // before-images contain its own uncommitted mid-transaction
-            // values. The scan therefore stops at the first record whose
-            // transaction id differs from the first record's.
-            let mut to_undo: Vec<(UndoRecord, std::ops::Range<usize>)> = Vec::new();
-            let mut off = 0usize;
-            let mut in_flight_txn: Option<u64> = None;
-            while let Some((rec, payload)) = UndoRecord::decode_at(&undo_shadow, off) {
-                if rec.txn_id <= header.last_committed {
-                    break;
-                }
-                if *in_flight_txn.get_or_insert(rec.txn_id) != rec.txn_id {
-                    break;
-                }
-                let ri = rec.region as usize;
-                let sane = ri < db_segs.len() && (rec.offset + rec.len) as usize <= db_segs[ri].len;
-                if !sane {
-                    break;
-                }
-                off += rec.encoded_len();
-                to_undo.push((rec, payload));
-            }
-            to_undo
-        };
+        let to_undo = scan_uncommitted(&undo_shadow, &meta_image, &header, &region_lens);
 
         // 4. Roll the mirrored database back, newest record first.
         let mut rolled_back_txns: Vec<u64> = to_undo.iter().map(|(r, _)| r.txn_id).collect();
@@ -237,33 +199,10 @@ impl<M: RemoteMemory> Perseas<M> {
                 .map_err(unavailable)?;
             highest = highest.max(rec.txn_id);
         }
-        if highest != header.last_committed {
-            // Mark the rolled-back id as consumed so a crash during or
-            // right after recovery cannot replay the rollback against a
-            // database that new transactions have since modified.
-            backend
-                .remote_write(meta.id, OFF_COMMIT, &highest.to_le_bytes())
-                .map_err(unavailable)?;
-        }
-        // Ack barrier: the rollback writes and the consumed-id record may
-        // be posted unacknowledged on a pipelined transport; all must be
-        // confirmed before the mirror image is read back as recovered.
-        backend.flush().map_err(unavailable)?;
+        consume_through(&mut backend, meta.id, &header, highest)?;
 
-        // 5. Rebuild the local image: one remote-to-local copy per region.
-        let mut regions = Vec::with_capacity(db_segs.len());
-        let mut bytes_recovered = 0usize;
-        for seg in &db_segs {
-            let mut data = vec![0u8; seg.len];
-            if seg.len > 0 {
-                backend
-                    .remote_read(seg.id, 0, &mut data)
-                    .map_err(unavailable)?;
-            }
-            cfg.mem_cost.charge_memcpy(&clock, seg.len);
-            bytes_recovered += seg.len;
-            regions.push(data);
-        }
+        // 5. Rebuild the local image.
+        let (regions, bytes_recovered) = read_regions(&mut backend, &db_segs, &cfg, &clock)?;
 
         let report = RecoveryReport {
             last_committed: header.last_committed,
@@ -278,32 +217,9 @@ impl<M: RemoteMemory> Perseas<M> {
             replay_virtual_nanos: 0,
         };
 
-        let undo_capacity = undo_shadow.len();
         let mut mirror = MirrorState::new(backend, meta, undo_seg);
         mirror.db = db_segs;
-        let redo_state = crate::redo::RedoState::new(cfg.redo_segments);
-        let db = Perseas {
-            cfg,
-            clock,
-            mirrors: vec![mirror],
-            regions,
-            undo_shadow: vec![0; undo_capacity],
-            undo_off: 0,
-            phase: Phase::Ready,
-            txn: None,
-            epoch: header.epoch,
-            last_committed: highest,
-            next_txn_id: highest + 1,
-            stats: TxnStats::new(),
-            fault: FaultPlan::none(),
-            tracer: None,
-            metrics: None,
-            conc: ConcState::new(cfg.commit_slots),
-            // A fresh store with a fresh generation: snapshots opened
-            // before the crash fail typed on the recovered instance.
-            mvcc: crate::mvcc::MvccState::new(cfg.version_bytes, cfg.version_entries),
-            redo: redo_state,
-        };
+        let db = Perseas::assemble(cfg, clock, vec![mirror], regions, header.epoch, highest);
         Ok((db, report))
     }
 
@@ -363,30 +279,13 @@ impl<M: RemoteMemory> Perseas<M> {
                 highest = highest.max(sid);
             }
         }
-        if highest != header.last_committed {
-            backend
-                .remote_write(meta.id, OFF_COMMIT, &highest.to_le_bytes())
-                .map_err(unavailable)?;
-        }
-        backend.flush().map_err(unavailable)?;
+        consume_through(&mut backend, meta.id, &header, highest)?;
 
         // 5. Rebuild the local image from the snapshot in the db
         //    segments, then replay the committed suffix over it. The
         //    replay cost scales with the live tail — this is the instant
         //    restart the log-structured design buys.
-        let mut regions = Vec::with_capacity(db_segs.len());
-        let mut bytes_recovered = 0usize;
-        for seg in &db_segs {
-            let mut data = vec![0u8; seg.len];
-            if seg.len > 0 {
-                backend
-                    .remote_read(seg.id, 0, &mut data)
-                    .map_err(unavailable)?;
-            }
-            cfg.mem_cost.charge_memcpy(&clock, seg.len);
-            bytes_recovered += seg.len;
-            regions.push(data);
-        }
+        let (mut regions, bytes_recovered) = read_regions(&mut backend, &db_segs, &cfg, &clock)?;
         let replay_start = clock.now();
         let (replayed_records, replayed_bytes) =
             replay_committed(&mut regions, &fates.committed, &cfg, &clock)?;
@@ -434,27 +333,8 @@ impl<M: RemoteMemory> Perseas<M> {
                 redo_state.slot_seqs[slot] = Some(*seq);
             }
         }
-        let undo_capacity = undo_seg.len;
-        let db = Perseas {
-            cfg,
-            clock,
-            mirrors: vec![mirror],
-            regions,
-            undo_shadow: vec![0; undo_capacity],
-            undo_off: 0,
-            phase: Phase::Ready,
-            txn: None,
-            epoch: header.epoch,
-            last_committed: highest,
-            next_txn_id: highest + 1,
-            stats: TxnStats::new(),
-            fault: FaultPlan::none(),
-            tracer: None,
-            metrics: None,
-            conc: ConcState::new(cfg.commit_slots),
-            mvcc: crate::mvcc::MvccState::new(cfg.version_bytes, cfg.version_entries),
-            redo: redo_state,
-        };
+        let mut db = Perseas::assemble(cfg, clock, vec![mirror], regions, header.epoch, highest);
+        db.redo = redo_state;
         Ok((db, report))
     }
 
@@ -561,37 +441,95 @@ impl<M: RemoteMemory> Perseas<M> {
     }
 }
 
-/// Scans a concurrent undo arena for records of **uncommitted**
-/// transactions: live ids above `watermark` that hold no commit-table
-/// slot. Tombstoned records (id 0) and committed ids are skipped; the
-/// scan stops at the first torn record or the end the group header
-/// declares. Shared by [`Perseas::recover`] and
-/// [`crate::ReadReplica::refresh`].
-pub(crate) fn scan_uncommitted_concurrent(
+/// Moves the watermark of the image `header` describes to `highest`,
+/// marking every id up to it consumed, so a crash during or right after
+/// recovery cannot resolve a rolled-back transaction again against a
+/// database that new transactions have since modified. Then an ack
+/// barrier: the resolution writes and the watermark may be posted
+/// unacknowledged on a pipelined transport, and all must be confirmed
+/// before the mirror image is read back as recovered.
+fn consume_through<M: RemoteMemory>(
+    backend: &mut M,
+    meta: SegmentId,
+    header: &MetaHeader,
+    highest: u64,
+) -> Result<(), TxnError> {
+    if highest != header.last_committed {
+        backend
+            .remote_write(meta, OFF_COMMIT, &highest.to_le_bytes())
+            .map_err(unavailable)?;
+    }
+    backend.flush().map(|_| ()).map_err(unavailable)
+}
+
+/// One remote-to-local copy per region segment, each charged as a local
+/// copy: the local image recovery rebuilds, with its size in bytes.
+fn read_regions<M: RemoteMemory>(
+    backend: &mut M,
+    segs: &[RemoteSegment],
+    cfg: &PerseasConfig,
+    clock: &SimClock,
+) -> Result<(Vec<Vec<u8>>, usize), TxnError> {
+    let mut regions = Vec::with_capacity(segs.len());
+    for seg in segs {
+        let mut data = vec![0u8; seg.len];
+        if seg.len > 0 {
+            backend
+                .remote_read(seg.id, 0, &mut data)
+                .map_err(unavailable)?;
+        }
+        cfg.mem_cost.charge_memcpy(clock, seg.len);
+        regions.push(data);
+    }
+    Ok((regions, segs.iter().map(|s| s.len).sum()))
+}
+
+/// The records of **uncommitted** transactions in a mirror's undo log
+/// `undo`, oldest first, by the rules of the engine that wrote the image
+/// (`header`, with its metadata segment `meta_image`). A record that
+/// does not fit the regions `region_lens` ends the scan. Shared by
+/// [`Perseas::recover`] and [`crate::ReadReplica::refresh`].
+///
+/// - Concurrent image: the arena opens with a CRC-guarded group header
+///   that says how far it reaches, and a transaction is committed when
+///   its id is at or below the watermark *or* holds a commit-table slot
+///   above it. Tombstoned records (id 0) and committed ids are skipped.
+/// - Legacy image: only the single newest transaction can be in flight
+///   (the legacy library is sequential), and its records form a prefix
+///   of the log from offset 0. Records of *older* transactions beyond
+///   that prefix are stale — and must not be replayed: an aborted
+///   transaction with overlapping `set_range`s leaves stale records whose
+///   before-images contain its own uncommitted mid-transaction values.
+///   The scan therefore stops at the first record whose transaction id
+///   differs from the first record's.
+pub(crate) fn scan_uncommitted(
     undo: &[u8],
-    watermark: u64,
-    table: &[u64],
+    meta_image: &[u8],
+    header: &MetaHeader,
     region_lens: &[usize],
 ) -> Vec<(UndoRecord, std::ops::Range<usize>)> {
+    let watermark = header.last_committed;
+    let fits = |rec: &UndoRecord| {
+        let ri = rec.region as usize;
+        ri < region_lens.len() && (rec.offset + rec.len) as usize <= region_lens[ri]
+    };
+    if header.flags & FLAG_CONCURRENT == 0 {
+        let mut in_flight = None;
+        return undo_records(undo, 0, undo.len())
+            .take_while(|(rec, _)| {
+                rec.txn_id > watermark
+                    && *in_flight.get_or_insert(rec.txn_id) == rec.txn_id
+                    && fits(rec)
+            })
+            .collect();
+    }
     let Some(record_bytes) = decode_group_header(undo) else {
         return Vec::new();
     };
     let end = (GROUP_HEADER_SIZE as u64 + record_bytes).min(undo.len() as u64) as usize;
-    let mut out = Vec::new();
-    let mut off = GROUP_HEADER_SIZE;
-    while off < end {
-        let Some((rec, payload)) = UndoRecord::decode_at(undo, off) else {
-            break;
-        };
-        off += rec.encoded_len();
-        if rec.txn_id == 0 || rec.txn_id <= watermark || table.contains(&rec.txn_id) {
-            continue;
-        }
-        let ri = rec.region as usize;
-        if ri >= region_lens.len() || (rec.offset + rec.len) as usize > region_lens[ri] {
-            break;
-        }
-        out.push((rec, payload));
-    }
-    out
+    let table = decode_commit_table(meta_image, header.commit_slots as usize);
+    undo_records(undo, GROUP_HEADER_SIZE, end)
+        .filter(|(rec, _)| rec.txn_id > watermark && !table.contains(&rec.txn_id))
+        .take_while(|(rec, _)| fits(rec))
+        .collect()
 }

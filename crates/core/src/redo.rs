@@ -47,7 +47,9 @@ use crate::layout::{
     redo_entry_offset, redo_header_offset, redo_snap_offset, redo_tail_offset, MetaHeader,
     RedoRecord, REDO_ENTRY_SIZE, REDO_TOMBSTONE_REGION,
 };
-use crate::perseas::{commit_record, unavailable, Batch, MirrorState, Perseas, Phase};
+use crate::perseas::{
+    commit_completes, commit_record, unavailable, Batch, MirrorState, Perseas, Phase,
+};
 use crate::trace::TraceEvent;
 
 /// One write to be logged: `(txn id, region index, start, len)`. A
@@ -372,11 +374,9 @@ impl<M: RemoteMemory> Perseas<M> {
                 .fan_out_vectored(lists)
                 .and_then(|()| self.flush_mirrors()),
         };
-        if let Err(e) = &shipped {
-            if !matches!(e, TxnError::CommitInDoubt { .. }) {
-                self.redo.failed_end = Some(new_tail);
-                return shipped;
-            }
+        if !commit_completes(&shipped) {
+            self.redo.failed_end = Some(new_tail);
+            return shipped;
         }
         self.redo.failed_end = None;
         self.redo.tail = new_tail;
@@ -707,7 +707,7 @@ pub(crate) fn split_suffix_fates(
 
 /// Distinct transaction ids holding live (uncommitted, un-tombstoned)
 /// records in a redo image's log suffix — the redo analogue of
-/// [`crate::recovery::scan_uncommitted_concurrent`] for the sharded
+/// [`crate::recovery::scan_uncommitted`] for the sharded
 /// in-doubt check.
 pub(crate) fn redo_uncommitted_ids<M: RemoteMemory>(
     backend: &mut M,

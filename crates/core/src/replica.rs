@@ -14,10 +14,10 @@ use perseas_txn::{RegionId, TxnError};
 
 use crate::config::PerseasConfig;
 use crate::layout::{
-    commit_table_offset, decode_commit_table, MetaHeader, UndoRecord, FLAG_CONCURRENT, OFF_COMMIT,
+    commit_table_offset, decode_commit_table, MetaHeader, FLAG_CONCURRENT, OFF_COMMIT,
 };
 use crate::perseas::unavailable;
-use crate::recovery::scan_uncommitted_concurrent;
+use crate::recovery::scan_uncommitted;
 
 /// A read-only, transactionally consistent copy of a PERSEAS database,
 /// built from a mirror without modifying it.
@@ -230,29 +230,7 @@ impl<M: RemoteMemory> ReadReplica<M> {
 
         // Roll back the in-flight transactions *locally*, using the
         // same rules as recovery.
-        let to_undo: Vec<(UndoRecord, std::ops::Range<usize>)> = if concurrent {
-            let table = decode_commit_table(&meta_image, slots);
-            scan_uncommitted_concurrent(&undo, header.last_committed, &table, &region_lens)
-        } else {
-            let mut to_undo: Vec<(UndoRecord, std::ops::Range<usize>)> = Vec::new();
-            let mut off = 0usize;
-            let mut in_flight: Option<u64> = None;
-            while let Some((rec, payload)) = UndoRecord::decode_at(&undo, off) {
-                if rec.txn_id <= header.last_committed {
-                    break;
-                }
-                if *in_flight.get_or_insert(rec.txn_id) != rec.txn_id {
-                    break;
-                }
-                let ri = rec.region as usize;
-                if ri >= region_lens.len() || (rec.offset + rec.len) as usize > region_lens[ri] {
-                    break;
-                }
-                off += rec.encoded_len();
-                to_undo.push((rec, payload));
-            }
-            to_undo
-        };
+        let to_undo = scan_uncommitted(&undo, &meta_image, &header, &region_lens);
         for (rec, payload) in to_undo.iter().rev() {
             let ri = rec.region as usize;
             let at = rec.offset as usize;

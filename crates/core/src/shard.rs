@@ -1194,15 +1194,10 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
                             .map_err(TxnError::Unavailable)
                     })
                     .collect::<Result<_, _>>()?;
-                crate::recovery::scan_uncommitted_concurrent(
-                    &undo,
-                    watermark,
-                    &table,
-                    &region_lens,
-                )
-                .iter()
-                .map(|(rec, _)| rec.txn_id)
-                .collect()
+                crate::recovery::scan_uncommitted(&undo, &p.image, &p.header, &region_lens)
+                    .iter()
+                    .map(|(rec, _)| rec.txn_id)
+                    .collect()
             };
             for (_, local, global, home) in intents {
                 if local <= watermark || table.contains(&local) || !in_doubt.contains(&local) {

@@ -6,7 +6,7 @@
 //! database — never anything in between — and every transaction whose
 //! commit record reached the mirror must survive.
 
-use perseas_core::{FaultPlan, Perseas, PerseasConfig, RegionId, TxnError};
+use perseas_core::{FaultPlan, Perseas, PerseasConfig, ReadReplica, RegionId, TxnError};
 use perseas_rnram::SimRemote;
 use perseas_sci::{NodeMemory, SciParams};
 use perseas_simtime::SimClock;
@@ -413,6 +413,59 @@ fn batched_ranges_crash_sweep() {
         } else {
             assert_eq!(got, pre_image(), "crash_at={crash_at}");
         }
+    }
+}
+
+#[test]
+fn a_replica_agrees_with_recovery_at_every_torn_commit() {
+    // A read replica rolls a torn commit back locally by the same rules
+    // recovery applies on the mirror. Cut the link at every packet of a
+    // second commit spanning two regions, on each undo engine: a replica
+    // attached to the torn mirror must show exactly what recovery from it
+    // rebuilds.
+    for (name, cfg) in [
+        ("unbatched", PerseasConfig::default()),
+        (
+            "batched",
+            PerseasConfig::default().with_batched_commit(true),
+        ),
+        ("concurrent", PerseasConfig::default().with_concurrent(true)),
+    ] {
+        let mut torn = 0;
+        for cut in 0.. {
+            let backend = SimRemote::new("mirror");
+            let (node, link) = (backend.node().clone(), backend.link().clone());
+            let mut db = Perseas::init(vec![backend], cfg).unwrap();
+            let (r, s) = (db.malloc(256).unwrap(), db.malloc(128).unwrap());
+            db.write(r, 0, &pre_image()).unwrap();
+            db.init_remote_db().unwrap();
+            run_txn(&mut db, r).unwrap();
+
+            link.cut_after_packets(cut);
+            let second = (|| {
+                db.begin_transaction()?;
+                db.set_ranges(&[(r, 16, 64), (s, 8, 32)])?;
+                db.write(r, 16, &[0xCC; 64])?;
+                db.write(s, 8, &[0xDD; 32])?;
+                db.commit_transaction()
+            })();
+            link.heal();
+            if second.is_ok() {
+                break;
+            }
+            torn += 1;
+
+            let replica = ReadReplica::attach(reopen(&node), cfg).unwrap();
+            let (recovered, _) = Perseas::recover(reopen(&node), cfg).unwrap();
+            for region in [r, s] {
+                assert_eq!(
+                    replica.region_snapshot(region).unwrap(),
+                    recovered.region_snapshot(region).unwrap(),
+                    "{name} cut={cut}: replica and recovery disagree on {region:?}"
+                );
+            }
+        }
+        assert!(torn > 0, "{name}: no cut tore the commit");
     }
 }
 

@@ -594,11 +594,11 @@ fn durability_point_quorum_failure_is_commit_in_doubt() {
     assert_eq!(&db2.region_snapshot(r).unwrap()[8..16], &[2; 8]);
 }
 
-/// Delegating backend that refuses one vectored write once armed, the
-/// way a saturated server answers: the write is dropped without being
-/// applied, and the next barrier reports `RnError::Overloaded` — or, with
-/// `inline`, the write itself does, as on a connection that confirms every
-/// write.
+/// Delegating backend that refuses one write, plain or vectored, once
+/// armed, the way a saturated server answers: the write is dropped
+/// without being applied, and the next barrier reports
+/// `RnError::Overloaded` — or, with `inline`, the write itself does, as on
+/// a connection that confirms every write.
 #[derive(Debug)]
 struct RefusingMirror {
     inner: SimRemote,
@@ -608,11 +608,11 @@ struct RefusingMirror {
 }
 
 /// The test's hold on a [`RefusingMirror`]: arms the refusal and counts
-/// the vectored writes posted.
+/// the writes posted.
 #[derive(Debug, Clone, Default)]
 struct RefusalSwitch {
-    /// Vectored writes to let through before the refused one; `None`
-    /// while disarmed.
+    /// Writes to let through before the refused one; `None` while
+    /// disarmed.
     refuse_after: std::sync::Arc<std::sync::Mutex<Option<usize>>>,
     posted: std::sync::Arc<std::sync::atomic::AtomicUsize>,
 }
@@ -627,17 +627,10 @@ impl RefusalSwitch {
     }
 }
 
-impl RemoteMemory for RefusingMirror {
-    fn remote_malloc(&mut self, len: usize, tag: u64) -> Result<RemoteSegment, RnError> {
-        self.inner.remote_malloc(len, tag)
-    }
-    fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {
-        self.inner.remote_free(seg)
-    }
-    fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
-        self.inner.remote_write(seg, offset, data)
-    }
-    fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
+impl RefusingMirror {
+    /// Counts one posted write and refuses it if it is the armed one:
+    /// then `Some` holds what the write returns, and it is not applied.
+    fn refusal(&mut self) -> Option<Result<(), RnError>> {
         self.switch
             .posted
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -646,17 +639,34 @@ impl RemoteMemory for RefusingMirror {
             Some(0) => {
                 *armed = None;
                 if self.inline {
-                    return Err(RnError::Overloaded);
+                    return Some(Err(RnError::Overloaded));
                 }
                 self.refusal_queued = true;
-                Ok(())
+                Some(Ok(()))
             }
             Some(n) => {
                 *armed = Some(n - 1);
-                self.inner.remote_write_v(writes)
+                None
             }
-            None => self.inner.remote_write_v(writes),
+            None => None,
         }
+    }
+}
+
+impl RemoteMemory for RefusingMirror {
+    fn remote_malloc(&mut self, len: usize, tag: u64) -> Result<RemoteSegment, RnError> {
+        self.inner.remote_malloc(len, tag)
+    }
+    fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {
+        self.inner.remote_free(seg)
+    }
+    fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
+        self.refusal()
+            .unwrap_or_else(|| self.inner.remote_write(seg, offset, data))
+    }
+    fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
+        self.refusal()
+            .unwrap_or_else(|| self.inner.remote_write_v(writes))
     }
     fn flush(&mut self) -> Result<perseas_rnram::FlushStats, RnError> {
         if std::mem::take(&mut self.refusal_queued) {
@@ -686,10 +696,11 @@ impl RemoteMemory for RefusingMirror {
     }
 }
 
-/// A batched database over one refusing mirror per name, with
+/// A database under `cfg` over one refusing mirror per name, with
 /// transaction 1 (`[1; 8]` at 0) committed: the database, its region,
 /// and each mirror's node and switch.
 fn refusing_setup(
+    cfg: PerseasConfig,
     names: &[&str],
     inline: bool,
 ) -> (
@@ -715,7 +726,6 @@ fn refusing_setup(
         .iter()
         .map(|m| (m.inner.node().clone(), m.switch.clone()))
         .collect();
-    let cfg = PerseasConfig::default().with_batched_commit(true);
     let mut db = Perseas::init_with_clock(mirrors, cfg, clock).unwrap();
     let r = db.malloc(64).unwrap();
     db.init_remote_db().unwrap();
@@ -723,9 +733,22 @@ fn refusing_setup(
     (db, r, handles)
 }
 
-/// The vectored writes one batched commit posts to each mirror.
-fn writes_per_commit() -> usize {
-    let (mut db, r, handles) = refusing_setup(&["m"], false);
+/// The two single-transaction undo paths: the paper's per-range one and
+/// the batched one.
+fn refusing_configs() -> [(&'static str, PerseasConfig); 2] {
+    [
+        ("unbatched", PerseasConfig::default()),
+        (
+            "batched",
+            PerseasConfig::default().with_batched_commit(true),
+        ),
+    ]
+}
+
+/// The writes one transaction of `commit_fill` posts to each mirror under
+/// `cfg`; the last of them is the commit record.
+fn writes_per_commit(cfg: PerseasConfig) -> usize {
+    let (mut db, r, handles) = refusing_setup(cfg, &["m"], false);
     let before = handles[0].1.posted();
     commit_fill(&mut db, r, 8, 2).unwrap();
     handles[0].1.posted() - before
@@ -733,36 +756,37 @@ fn writes_per_commit() -> usize {
 
 #[test]
 fn a_refused_commit_is_never_in_doubt() {
-    // The only mirror refuses one of the commit's writes — each in turn,
-    // at the barrier and inline. It holds no commit record, so nothing
-    // is durable anywhere: the commit must fail plainly and leave the
-    // transaction open, not report it committed-but-under-replicated.
-    let writes = writes_per_commit();
-    assert!(writes >= 1);
-    for inline in [false, true] {
-        for k in 0..writes {
-            let at = format!("inline={inline} refused write {k} of {writes}");
-            let (mut db, r, handles) = refusing_setup(&["m"], inline);
-            handles[0].1.arm(k);
-            let err = commit_fill(&mut db, r, 8, 2).unwrap_err();
-            assert!(matches!(err, TxnError::Unavailable(_)), "{at}: {err:?}");
-            assert!(db.in_transaction(), "{at}: the transaction must stay open");
-            assert_eq!(db.mirror_status()[0].health, MirrorHealth::Healthy, "{at}");
+    // The only mirror refuses one of the transaction's writes — each in
+    // turn, at the barrier and inline. It holds no commit record, so
+    // nothing is durable anywhere: the commit must fail plainly and leave
+    // the transaction open, not report it committed-but-under-replicated.
+    for (name, cfg) in refusing_configs() {
+        let writes = writes_per_commit(cfg);
+        assert!(writes >= 1);
+        for inline in [false, true] {
+            for k in 0..writes {
+                let at = format!("{name} inline={inline} refused write {k} of {writes}");
+                let (mut db, r, handles) = refusing_setup(cfg, &["m"], inline);
+                handles[0].1.arm(k);
+                let err = commit_fill(&mut db, r, 8, 2).unwrap_err();
+                assert!(matches!(err, TxnError::Unavailable(_)), "{at}: {err:?}");
+                assert!(db.in_transaction(), "{at}: the transaction must stay open");
+                assert_eq!(db.mirror_status()[0].health, MirrorHealth::Healthy, "{at}");
 
-            db.abort_transaction().unwrap();
-            assert_eq!(
-                &db.region_snapshot(r).unwrap()[..16],
-                &[[1; 8], [0; 8]].concat()[..]
-            );
-            db.crash();
-            let (db2, report) =
-                Perseas::recover(reopen(&handles[0].0), PerseasConfig::default()).unwrap();
-            assert_eq!(report.last_committed, 1, "{at}");
-            assert_eq!(
-                &db2.region_snapshot(r).unwrap()[..16],
-                &[[1; 8], [0; 8]].concat()[..],
-                "{at}: recovery must give the pre-transaction image"
-            );
+                db.abort_transaction().unwrap();
+                assert_eq!(
+                    &db.region_snapshot(r).unwrap()[..16],
+                    &[[1; 8], [0; 8]].concat()[..]
+                );
+                db.crash();
+                let (db2, report) = Perseas::recover(reopen(&handles[0].0), cfg).unwrap();
+                assert_eq!(report.last_committed, 1, "{at}");
+                assert_eq!(
+                    &db2.region_snapshot(r).unwrap()[..16],
+                    &[[1; 8], [0; 8]].concat()[..],
+                    "{at}: recovery must give the pre-transaction image"
+                );
+            }
         }
     }
 }
@@ -771,28 +795,81 @@ fn a_refused_commit_is_never_in_doubt() {
 fn a_mirror_refusing_the_commit_is_condemned() {
     // Mirror b refuses one of the commit's writes; a applies them all.
     // b's image now lacks a transaction a holds, so b must go Down (and
-    // be fenced) while the commit succeeds degraded on a.
-    let writes = writes_per_commit();
-    for inline in [false, true] {
-        for k in 0..writes {
-            let at = format!("inline={inline} refused write {k} of {writes}");
-            let (mut db, r, handles) = refusing_setup(&["a", "b"], inline);
-            handles[1].1.arm(k);
-            commit_fill(&mut db, r, 8, 2).unwrap_or_else(|e| panic!("{at}: {e:?}"));
-            assert_eq!(db.mirror_status()[0].health, MirrorHealth::Healthy, "{at}");
-            assert_eq!(db.mirror_status()[1].health, MirrorHealth::Down, "{at}");
+    // be fenced) while the commit succeeds degraded on a. On the
+    // unbatched path only the record write is swept: its earlier writes
+    // are per-range steps, where a refusal stops the step and fails the
+    // commit plainly, which the test above covers.
+    for (name, cfg) in refusing_configs() {
+        let writes = writes_per_commit(cfg);
+        let first = if cfg.batched_commit { 0 } else { writes - 1 };
+        for inline in [false, true] {
+            for k in first..writes {
+                let at = format!("{name} inline={inline} refused write {k} of {writes}");
+                let (mut db, r, handles) = refusing_setup(cfg, &["a", "b"], inline);
+                handles[1].1.arm(k);
+                commit_fill(&mut db, r, 8, 2).unwrap_or_else(|e| panic!("{at}: {e:?}"));
+                assert_eq!(db.mirror_status()[0].health, MirrorHealth::Healthy, "{at}");
+                assert_eq!(db.mirror_status()[1].health, MirrorHealth::Down, "{at}");
 
-            db.crash();
-            let (db2, report) =
-                Perseas::recover(reopen(&handles[0].0), PerseasConfig::default()).unwrap();
-            assert_eq!(report.last_committed, 2, "{at}");
-            assert_eq!(&db2.region_snapshot(r).unwrap()[8..16], &[2; 8], "{at}");
-            // The fence: a outranks b.
-            let (ha, _) = mirror_image(&handles[0].0);
-            let (hb, _) = mirror_image(&handles[1].0);
-            assert!(ha.epoch > hb.epoch, "{at}: b was not fenced");
+                db.crash();
+                let (db2, report) = Perseas::recover(reopen(&handles[0].0), cfg).unwrap();
+                assert_eq!(report.last_committed, 2, "{at}");
+                assert_eq!(&db2.region_snapshot(r).unwrap()[8..16], &[2; 8], "{at}");
+                // The fence: a outranks b.
+                let (ha, _) = mirror_image(&handles[0].0);
+                let (hb, _) = mirror_image(&handles[1].0);
+                assert!(ha.epoch > hb.epoch, "{at}: b was not fenced");
+            }
         }
     }
+}
+
+#[test]
+fn failed_add_mirrors_leak_no_segments_on_the_newcomer() {
+    // Sweep a link cut across every packet of the stream that builds a
+    // newcomer. A failed add must leave the mirror set as it was and free
+    // every segment it allocated on the newcomer; a retry must then build
+    // an exact copy of the survivor.
+    let mut failures = 0;
+    for cut in 0.. {
+        let clock = SimClock::new();
+        let mirror = |name| {
+            SimRemote::with_parts(
+                clock.clone(),
+                NodeMemory::new(name),
+                SciParams::dolphin_1998(),
+            )
+        };
+        let (a, c) = (mirror("a"), mirror("c"));
+        let (na, nc, lc) = (a.node().clone(), c.node().clone(), c.link().clone());
+        let mut db =
+            Perseas::init_with_clock(vec![a], PerseasConfig::default(), clock.clone()).unwrap();
+        let r = db.malloc(4096).unwrap();
+        db.init_remote_db().unwrap();
+        commit_fill(&mut db, r, 0, 1).unwrap();
+
+        lc.cut_after_packets(cut);
+        let res = db.add_mirror(c);
+        lc.heal();
+        let Err(e) = res else {
+            break;
+        };
+        failures += 1;
+        assert!(matches!(e, TxnError::Unavailable(_)), "cut={cut}: {e:?}");
+        assert_eq!(db.mirror_count(), 1, "cut={cut}");
+        assert_eq!(nc.used_bytes(), 0, "cut={cut}: leaked segments");
+
+        let again = SimRemote::with_parts(clock.clone(), nc.clone(), SciParams::dolphin_1998());
+        db.add_mirror(again).unwrap();
+        assert_eq!(db.healthy_mirror_count(), 2, "cut={cut}");
+        assert_eq!(nc.used_bytes(), na.used_bytes(), "cut={cut}");
+        let (ha, ra) = mirror_image(&na);
+        let (hc, rc) = mirror_image(&nc);
+        assert_eq!(ha.epoch, hc.epoch, "cut={cut}");
+        assert_eq!(ha.last_committed, hc.last_committed, "cut={cut}");
+        assert_eq!(ra, rc, "cut={cut}: region images diverge");
+    }
+    assert!(failures > 0);
 }
 
 #[test]
