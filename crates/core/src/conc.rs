@@ -807,7 +807,7 @@ impl<M: RemoteMemory> Perseas<M> {
             off += total;
         }
         self.cfg.mem_cost.charge_memcpy(&self.clock, len);
-        self.fan_out(|m, local| {
+        self.fan_out(|_, m, local| {
             push_range(
                 &mut m.backend,
                 m.undo,

@@ -462,7 +462,7 @@ impl<M: RemoteMemory> Perseas<M> {
         // that is the point of the design — the before-images stay local
         // for abort and snapshot reads only.
         if !self.cfg.batched_commit && !self.cfg.redo {
-            self.fan_out(|m, local| {
+            self.fan_out(|_, m, local| {
                 push_range(
                     &mut m.backend,
                     m.undo,
@@ -862,7 +862,7 @@ impl<M: RemoteMemory> Perseas<M> {
         // continues degraded.
         txn.mirrors_dirty = true;
         for &(ri, start, len) in ranges {
-            self.fan_out(|m, local| {
+            self.fan_out(|_, m, local| {
                 push_range(
                     &mut m.backend,
                     m.db[ri],
@@ -888,10 +888,8 @@ impl<M: RemoteMemory> Perseas<M> {
         // reported durable, so the failed mirror (which may lack the
         // record) can never outrank them in recovery.
         let id = txn.id;
-        let mut healthy = self.batches(|_| Vec::new()).into_iter();
         self.confirm_record(id, |s, refused| {
-            s.fan_out_unfenced(|m, _| {
-                let (mi, _) = healthy.next().expect("one entry per healthy mirror");
+            s.fan_out_unfenced(|mi, m, _| {
                 let written = m
                     .backend
                     .remote_write(m.meta.id, OFF_COMMIT, &id.to_le_bytes());
@@ -974,7 +972,7 @@ impl<M: RemoteMemory> Perseas<M> {
         let aligned = self.cfg.aligned_memcpy && !self.cfg.concurrent;
         let mut failed = false;
         for &(ri, start, len) in ranges {
-            failed |= self.fan_out_unfenced(|m, local| {
+            failed |= self.fan_out_unfenced(|_, m, local| {
                 push_range(
                     &mut m.backend,
                     m.db[ri],
@@ -1198,7 +1196,10 @@ impl<M: RemoteMemory> Perseas<M> {
     ///
     /// Fails inside a transaction, before publication, or if the new
     /// mirror cannot hold the database. The mirror set is then unchanged
-    /// and the segments the attempt allocated on the newcomer are freed.
+    /// and the segments the attempt allocated on the newcomer are freed,
+    /// best effort (see [`Perseas::abandon_stream`]): ids whose free also
+    /// fails are dropped with the newcomer, as nothing is left to retry
+    /// them.
     pub fn add_mirror(&mut self, backend: M) -> Result<(), TxnError> {
         self.ensure_phase(Phase::Ready)?;
         self.ensure_no_open_txns()?;
@@ -1473,7 +1474,8 @@ impl<M: RemoteMemory> Perseas<M> {
     /// scrub could find them and repeated failed streams would leak the
     /// mirror's memory. Ids whose free also fails (the transport died
     /// under us) are recorded in `orphans` and reclaimed by the next
-    /// rejoin attempt. Transport failures condemn the mirror again.
+    /// rejoin attempt; a failed `add_mirror` drops them with the newcomer.
+    /// Transport failures condemn the mirror again.
     fn abandon_stream(&mut self, index: usize, error: &RnError) {
         let m = &mut self.mirrors[index];
         let stale: Vec<SegmentId> = [m.meta.id, m.undo.id]
@@ -1502,7 +1504,8 @@ impl<M: RemoteMemory> Perseas<M> {
     }
 
     /// The engine's mirror-failure policy, for one remote step: runs `op`
-    /// on every healthy mirror in index order, one crash point each, and
+    /// on every healthy mirror in index order (passing the index), one
+    /// crash point each, and
     /// counts the bytes it reports writing (`None` for a step that writes
     /// nothing, such as an allocation). A mirror whose transport fails is
     /// condemned and the step carries on with the survivors; any other
@@ -1510,7 +1513,7 @@ impl<M: RemoteMemory> Perseas<M> {
     /// ([`Perseas::fence_failed`]).
     pub(crate) fn fan_out<F>(&mut self, op: F) -> Result<(), TxnError>
     where
-        F: FnMut(&mut MirrorState<M>, &Local<'_>) -> Result<Option<usize>, RnError>,
+        F: FnMut(usize, &mut MirrorState<M>, &Local<'_>) -> Result<Option<usize>, RnError>,
     {
         let failed = self.fan_out_unfenced(op)?;
         self.fence_failed(failed)
@@ -1520,7 +1523,7 @@ impl<M: RemoteMemory> Perseas<M> {
     /// once after several steps: returns whether a mirror was condemned.
     pub(crate) fn fan_out_unfenced<F>(&mut self, mut op: F) -> Result<bool, TxnError>
     where
-        F: FnMut(&mut MirrorState<M>, &Local<'_>) -> Result<Option<usize>, RnError>,
+        F: FnMut(usize, &mut MirrorState<M>, &Local<'_>) -> Result<Option<usize>, RnError>,
     {
         let mut failed = false;
         for mi in 0..self.mirrors.len() {
@@ -1533,7 +1536,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 undo_shadow: &self.undo_shadow,
                 cfg: &self.cfg,
             };
-            match op(&mut self.mirrors[mi], &local) {
+            match op(mi, &mut self.mirrors[mi], &local) {
                 Ok(Some(bytes)) => self.stats.add_remote_write(bytes),
                 Ok(None) => {}
                 Err(e) if e.is_unavailable() => {
@@ -2028,7 +2031,7 @@ impl<M: RemoteMemory> Perseas<M> {
             let t0 = shared.as_ref().map(SimClock::now);
             let mut t_end = t0;
             let mut next = lists.iter();
-            let failed = self.fan_out_unfenced(|m, _| {
+            let failed = self.fan_out_unfenced(|_, m, _| {
                 let (mi, list) = next.next().expect("one list per healthy mirror");
                 if let (Some(c), Some(start)) = (shared.as_ref(), t0) {
                     c.rewind_to(start);
@@ -2066,7 +2069,7 @@ impl<M: RemoteMemory> Perseas<M> {
                     .collect()
             });
             let mut next = lists.iter().zip(results);
-            self.fan_out_unfenced(|_, _| {
+            self.fan_out_unfenced(|_, _, _| {
                 let ((mi, list), written) = next.next().expect("one result per healthy mirror");
                 note(*mi, written.map(|()| Some(payload(list))))
             })?
@@ -2090,7 +2093,7 @@ impl<M: RemoteMemory> Perseas<M> {
             return Ok(());
         }
         let prefix_len = self.undo_off;
-        self.fan_out(|m, local| {
+        self.fan_out(|_, m, local| {
             let new_seg = m.backend.remote_malloc(new_len, 0)?;
             // Single 16-byte line: (undo_seg_id, undo_seg_len) flips
             // atomically.

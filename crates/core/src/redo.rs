@@ -305,7 +305,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 }
                 None => {}
             }
-            self.fan_out(|m, local| {
+            self.fan_out(|_, m, local| {
                 if m.redo.len() < slots {
                     m.redo.resize(slots, None);
                 }
@@ -533,7 +533,7 @@ impl<M: RemoteMemory> Perseas<M> {
         });
         self.fan_out_vectored(lists)?;
         self.flush_mirrors()?;
-        self.fan_out(|m, _| {
+        self.fan_out(|_, m, _| {
             for &(slot, _) in &retire {
                 if let Some(seg) = m.redo.get_mut(slot).and_then(Option::take) {
                     m.backend.remote_free(seg.id)?;
