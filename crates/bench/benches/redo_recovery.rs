@@ -35,7 +35,10 @@ fn run_arm(history: u64, snapshot: bool) -> Arm {
         .with_redo(true)
         .with_redo_log(256 << 10, 16);
     let clock = SimClock::new();
-    let name = format!("rrec-{}-{history}", if snapshot { "snap" } else { "nosnap" });
+    let name = format!(
+        "rrec-{}-{history}",
+        if snapshot { "snap" } else { "nosnap" }
+    );
     let backend = SimRemote::with_parts(
         clock.clone(),
         NodeMemory::new(&name),
@@ -118,7 +121,10 @@ fn main() {
             nosnap_512 = nosnap.recover_us;
         }
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/redo_recovery.csv");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/redo_recovery.csv"
+    );
     std::fs::write(path, &csv).expect("write csv");
     println!("redo_recovery: wrote {path}");
 

@@ -48,7 +48,9 @@ fn run_arm(size: usize, redo: bool) -> Arm {
         // The log holds the whole run, so no snapshot interrupts the
         // hot-path measurement (maintenance costs are redo_recovery's
         // subject).
-        PerseasConfig::default().with_redo(true).with_redo_log(4 << 20, 8)
+        PerseasConfig::default()
+            .with_redo(true)
+            .with_redo_log(4 << 20, 8)
     } else {
         PerseasConfig::default().with_batched_commit(true)
     };
@@ -77,8 +79,7 @@ fn run_arm(size: usize, redo: bool) -> Arm {
 
 fn main() {
     let sizes = [64usize, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10];
-    let mut csv =
-        String::from("size,arm,txns,commit_us,remote_bytes_per_txn\n");
+    let mut csv = String::from("size,arm,txns,commit_us,remote_bytes_per_txn\n");
     let mut report = BenchReport::new("redo_vs_undo");
     let mut ratio_64k = 0.0f64;
     for &size in &sizes {
@@ -117,7 +118,10 @@ fn main() {
             report = report.metric("redo_commit_us_4k", redo.commit_us);
         }
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/redo_vs_undo.csv");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/redo_vs_undo.csv"
+    );
     std::fs::write(path, &csv).expect("write csv");
     println!("redo_vs_undo: wrote {path}");
 

@@ -368,7 +368,7 @@ impl<M: RemoteMemory> Perseas<M> {
     /// the data and the commit record of the whole group ride one
     /// vectored write per mirror, confirmed by one ack barrier (under a
     /// commit quorum above 1 the record follows a barrier on the rest;
-    /// see [`Perseas::publish_commit`]). In redo mode the log burst
+    /// see `Perseas::publish_commit`). In redo mode the log burst
     /// takes the place of arena and data. Durability stays
     /// per-transaction — the record carries each transaction's 8-byte
     /// table slot (one packet each) before the watermark, so a torn

@@ -1133,7 +1133,10 @@ mod tests {
         let slots = 4;
         let len = meta_segment_size_sharded(8, 4, 2, 2) + redo_dir_size(slots);
         let dir_end = redo_dir_end(len, 4, 2, 2);
-        assert_eq!(dir_end + 2 * INTENT_SLOT_SIZE, decision_table_offset(len, 4, 2));
+        assert_eq!(
+            dir_end + 2 * INTENT_SLOT_SIZE,
+            decision_table_offset(len, 4, 2)
+        );
         assert_eq!(redo_header_offset(dir_end) + 16, dir_end);
         assert_eq!(redo_tail_offset(dir_end) + 16, redo_header_offset(dir_end));
         assert_eq!(redo_snap_offset(dir_end) + 16, redo_tail_offset(dir_end));

@@ -1197,7 +1197,7 @@ impl<M: RemoteMemory> Perseas<M> {
     /// Fails inside a transaction, before publication, or if the new
     /// mirror cannot hold the database. The mirror set is then unchanged
     /// and the segments the attempt allocated on the newcomer are freed,
-    /// best effort (see [`Perseas::abandon_stream`]): ids whose free also
+    /// best effort (see `Perseas::abandon_stream`): ids whose free also
     /// fails are dropped with the newcomer, as nothing is left to retry
     /// them.
     pub fn add_mirror(&mut self, backend: M) -> Result<(), TxnError> {
@@ -1481,7 +1481,12 @@ impl<M: RemoteMemory> Perseas<M> {
         let stale: Vec<SegmentId> = [m.meta.id, m.undo.id]
             .into_iter()
             .chain(std::mem::take(&mut m.db).into_iter().map(|s| s.id))
-            .chain(std::mem::take(&mut m.redo).into_iter().flatten().map(|s| s.id))
+            .chain(
+                std::mem::take(&mut m.redo)
+                    .into_iter()
+                    .flatten()
+                    .map(|s| s.id),
+            )
             .collect();
         for id in stale {
             if m.backend.remote_free(id).is_err() {
@@ -2194,8 +2199,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 self.cfg.redo_segment_bytes as u32,
                 slots as u32,
             ));
-            image[redo_tail_offset(dir_end)..][..8]
-                .copy_from_slice(&self.redo.tail.to_le_bytes());
+            image[redo_tail_offset(dir_end)..][..8].copy_from_slice(&self.redo.tail.to_le_bytes());
             // The snapshot position is per-mirror: a newcomer's streamed
             // image is current through the join-time tail even while the
             // veterans' images cover an older snapshot.

@@ -164,7 +164,9 @@ impl<M: RemoteMemory> Perseas<M> {
             .map_err(unavailable)?;
 
         if redo {
-            return Perseas::recover_redo(backend, cfg, clock, meta, meta_image, header, db_segs, undo_seg);
+            return Perseas::recover_redo(
+                backend, cfg, clock, meta, meta_image, header, db_segs, undo_seg,
+            );
         }
 
         // 3. Scan the mirrored undo log for records of uncommitted

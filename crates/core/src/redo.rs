@@ -43,9 +43,9 @@ use perseas_txn::TxnError;
 
 use crate::config::PerseasConfig;
 use crate::layout::{
-    decode_redo_dir_header, decode_redo_entry, encode_redo_entry, redo_dir_end,
-    redo_entry_offset, redo_header_offset, redo_snap_offset, redo_tail_offset, MetaHeader,
-    RedoRecord, REDO_ENTRY_SIZE, REDO_TOMBSTONE_REGION,
+    decode_redo_dir_header, decode_redo_entry, encode_redo_entry, redo_dir_end, redo_entry_offset,
+    redo_header_offset, redo_snap_offset, redo_tail_offset, MetaHeader, RedoRecord,
+    REDO_ENTRY_SIZE, REDO_TOMBSTONE_REGION,
 };
 use crate::perseas::{
     commit_completes, commit_record, unavailable, Batch, MirrorState, Perseas, Phase,
@@ -567,7 +567,9 @@ pub(crate) fn decode_redo_dir(meta_image: &[u8], header: &MetaHeader) -> Result<
     );
     let (seg_size, slot_count) = decode_redo_dir_header(meta_image, redo_header_offset(dir_end))
         .ok_or_else(|| {
-            TxnError::Unavailable("corrupt metadata: redo directory header is missing or torn".into())
+            TxnError::Unavailable(
+                "corrupt metadata: redo directory header is missing or torn".into(),
+            )
         })?;
     let slot_count = slot_count as usize;
     let tail = read_u64(meta_image, redo_tail_offset(dir_end));
@@ -886,15 +888,19 @@ mod tests {
     #[test]
     fn fates_split_by_watermark_table_and_tombstones() {
         let suffix = vec![
-            rec(0, 3, 0, 4),                          // committed: below watermark
-            rec(40, 5, 0, 4),                         // committed: in table
-            rec(80, 6, 0, 4),                         // live uncommitted
-            rec(120, 7, 0, 4),                        // aborted: tombstone below
-            rec(160, 7, REDO_TOMBSTONE_REGION, 0),    // the tombstone
+            rec(0, 3, 0, 4),                       // committed: below watermark
+            rec(40, 5, 0, 4),                      // committed: in table
+            rec(80, 6, 0, 4),                      // live uncommitted
+            rec(120, 7, 0, 4),                     // aborted: tombstone below
+            rec(160, 7, REDO_TOMBSTONE_REGION, 0), // the tombstone
         ];
         let fates = split_suffix_fates(suffix, 4, &[5]);
         assert_eq!(
-            fates.committed.iter().map(|s| s.rec.txn_id).collect::<Vec<_>>(),
+            fates
+                .committed
+                .iter()
+                .map(|s| s.rec.txn_id)
+                .collect::<Vec<_>>(),
             vec![3, 5]
         );
         assert_eq!(fates.live_uncommitted, vec![6]);
@@ -947,7 +953,9 @@ mod tests {
         assert_eq!((n, bytes), (2, 8));
         assert_eq!(&regions[0], &[1, 1, 2, 2, 2, 2, 0, 0]);
         assert!(
-            clock.now().duration_since(perseas_simtime::SimInstant::ORIGIN)
+            clock
+                .now()
+                .duration_since(perseas_simtime::SimInstant::ORIGIN)
                 > perseas_simtime::SimDuration::ZERO
         );
     }

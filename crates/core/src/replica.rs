@@ -417,7 +417,8 @@ mod tests {
     fn attach_refuses_redo_mirrors() {
         let backend = SimRemote::new("redo-m");
         let node = backend.node().clone();
-        let mut db = Perseas::init(vec![backend], PerseasConfig::default().with_redo(true)).unwrap();
+        let mut db =
+            Perseas::init(vec![backend], PerseasConfig::default().with_redo(true)).unwrap();
         let r = db.malloc(32).unwrap();
         db.init_remote_db().unwrap();
         db.transaction(|tx| tx.update(r, 0, &[5; 8])).unwrap();

@@ -2,7 +2,9 @@
 //!
 //! `GOLDEN` holds bytes produced by the encoders and the engine as they
 //! stood before the CRC-32 implementation was replaced (generated at
-//! commit a89fb7c, bit-at-a-time CRC). Today's encoders must reproduce
+//! commit a89fb7c, bit-at-a-time CRC); `read_response_frame` was generated
+//! at commit 0a6599c, before the server wrote a read's payload straight
+//! into its response frame. Today's encoders must reproduce
 //! them byte for byte, today's decoders must accept them, and a mirror
 //! written by that binary must recover under this one. A failure here
 //! means a durable or wire format changed: that needs a version bump and
@@ -13,7 +15,13 @@ use perseas_core::{
     encode_decision_slot, encode_group_header, encode_intent_slot, encode_redo_dir_header,
     FaultPlan, Perseas, PerseasConfig, RedoRecord, RegionId, TxnError, UndoRecord,
 };
-use perseas_rnram::protocol::{encode_write_v, frame_bytes, read_frame, Request};
+use std::io::Read as _;
+use std::net::TcpStream;
+
+use perseas_rnram::protocol::{
+    encode_mux, encode_write_v, frame_bytes, read_frame, write_frame, Request, Response,
+};
+use perseas_rnram::server::Server;
 use perseas_rnram::SimRemote;
 use perseas_sci::{NodeMemory, SciLink, SciParams};
 use perseas_simtime::SimClock;
@@ -27,6 +35,7 @@ intent_slot 31544e587ea8f7420700000000000000efcdab00000000000200000000000000
 decision_slot 314e4344c2f7c3e1efcdab0000000000
 redo_dir_header 314f44524a62222c000010000c000000
 write_v_frame 6f0000000b07000000000000000a020000000000000001000000000000004000000000000000050000000000000068656c6c6f020000000000000000100000000000002800000000000000a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a51193cd6f
+read_response_frame 1d00000086030000000000000009000000000000008262797465732c2072656164947055e3
 mirror_undo.1 5045525345415331 96 010041535544454d0100000001000000020000000000000000010000000000000100000000000000000000000000000000000000000000000200000000000000030000000000000040
 mirror_undo.2 0 256 4f444e5503000000000000000000000004000000000000001000000000000000d5eda3cbaaaaaaaa08090a0b0c0d0e0f101112130000000000000000200000000000000008000000000000004312ab582021222324252627
 mirror_undo.3 0 64 aaaaaaaaccccccccccccccccccccccccccccccccdddddddddddddddddddd1e1fbbbbbbbbbbbbbbbb28292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f
@@ -56,6 +65,12 @@ const REDO_PAYLOAD: &[u8] = b"after-image!";
 /// Records are encoded at this offset of a zeroed 64-byte buffer.
 const RECORD_AT: usize = 5;
 const WRITE_V: [(u64, u64, &[u8]); 2] = [(1, 64, b"hello"), (2, 4096, &[0xA5; 40])];
+/// A mirror segment's bytes, and the session read the server answers.
+const MIRROR_BYTES: &[u8] = b"mirror bytes, read once";
+const READ_SESSION: u64 = 3;
+const READ_SEQ: u64 = 9;
+const READ_AT: usize = 7;
+const READ_LEN: usize = 11;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -75,6 +90,28 @@ fn golden(name: &str) -> Vec<u8> {
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
         .unwrap_or_else(|| panic!("no golden line {name}"));
     unhex(line)
+}
+
+/// The wire frame a live server sends back for one session's `Read`.
+fn read_response_frame() -> Vec<u8> {
+    let node = NodeMemory::new("golden");
+    let seg = node.export_segment(MIRROR_BYTES.len(), 0).unwrap();
+    node.write(seg, 0, MIRROR_BYTES).unwrap();
+    let server = Server::with_node(node, "127.0.0.1:0").unwrap().start();
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    let read = Request::Read {
+        seg: seg.as_raw(),
+        offset: READ_AT as u64,
+        len: READ_LEN as u64,
+    };
+    write_frame(&mut s, &encode_mux(READ_SESSION, READ_SEQ, &read)).unwrap();
+    let mut frame = vec![0u8; 4];
+    s.read_exact(&mut frame).unwrap();
+    let body = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+    frame.resize(4 + body + 4, 0);
+    s.read_exact(&mut frame[4..]).unwrap();
+    server.shutdown();
+    frame
 }
 
 /// Every encoder-level artefact, as `name hex` lines.
@@ -98,6 +135,7 @@ fn encoded_artefacts() -> Vec<String> {
             "write_v_frame {}",
             hex(&frame_bytes(&encode_write_v(Some(7), &WRITE_V)))
         ),
+        format!("read_response_frame {}", hex(&read_response_frame())),
     ]
 }
 
@@ -307,6 +345,16 @@ fn decoders_accept_the_golden_bytes() {
         }),
     };
     assert_eq!(Request::decode(&body).unwrap(), want);
+
+    let body = read_frame(&mut golden("read_response_frame").as_slice()).unwrap();
+    let want = Response::Mux {
+        session: READ_SESSION,
+        seq: READ_SEQ,
+        inner: Box::new(Response::Data(
+            MIRROR_BYTES[READ_AT..READ_AT + READ_LEN].to_vec(),
+        )),
+    };
+    assert_eq!(Response::decode(&body).unwrap(), want);
 }
 
 #[test]

@@ -30,7 +30,7 @@ use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
-use crate::protocol::{encode_mux, read_frame, write_frame, Request, Response};
+use crate::protocol::{encode_mux, read_frame_into, write_frame, Request, Response, Sink};
 use crate::tcp::Kind;
 use crate::{FlushStats, PipelineConfig, RnError, TcpRemote};
 
@@ -43,6 +43,18 @@ fn dead_err() -> RnError {
         io::ErrorKind::BrokenPipe,
         "multiplexed connection is dead",
     ))
+}
+
+/// What routing one frame produced.
+enum Routed {
+    /// An ack resolved against its session's window, or a closed
+    /// session's straggler.
+    Absorbed,
+    /// The awaited `Data` answer, its payload already in the caller's
+    /// buffer.
+    Landed,
+    /// A response for `(session, seq)` that is not a posted write's ack.
+    Answer(u64, u64, Response),
 }
 
 /// Per-session pipelining state.
@@ -110,14 +122,24 @@ impl MuxIo {
         write_frame(&mut self.stream, body).inspect_err(|_| self.dead = true)
     }
 
-    fn read_mux(&mut self) -> Result<(u64, u64, Response), RnError> {
-        let body = read_frame(&mut self.stream).inspect_err(|_| self.dead = true)?;
+    /// Reads one frame, which must be a mux response. With `sink`, the
+    /// awaited `Data` answer lands in the caller's buffer (see
+    /// [`read_frame_into`]) and reads as `None`.
+    fn read_mux(
+        &mut self,
+        sink: Option<Sink<'_>>,
+    ) -> Result<Option<(u64, u64, Response)>, RnError> {
+        let Some(body) =
+            read_frame_into(&mut self.stream, sink).inspect_err(|_| self.dead = true)?
+        else {
+            return Ok(None);
+        };
         match Response::decode(&body) {
             Ok(Response::Mux {
                 session,
                 seq,
                 inner,
-            }) => Ok((session, seq, *inner)),
+            }) => Ok(Some((session, seq, *inner))),
             Ok(other) => {
                 self.dead = true;
                 Err(RnError::Protocol(format!(
@@ -133,13 +155,16 @@ impl MuxIo {
 
     /// Reads one frame and routes it: acks of posted writes resolve
     /// against their session's window (refusals queued for that session's
-    /// flush); everything else — necessarily the caller's awaited RPC
-    /// answer, or a straggler of a closed session (`None`) — is returned.
-    fn route_one(&mut self) -> Result<Option<(u64, u64, Response)>, RnError> {
-        let (session, seq, inner) = self.read_mux()?;
+    /// flush); a closed session's stragglers, including its SessClose
+    /// ack, are dropped. Everything else — necessarily the caller's
+    /// awaited RPC answer — is returned, with `Landed` for a `Data` answer
+    /// whose payload went straight into `sink`.
+    fn route_one(&mut self, sink: Option<Sink<'_>>) -> Result<Routed, RnError> {
+        let Some((session, seq, inner)) = self.read_mux(sink)? else {
+            return Ok(Routed::Landed);
+        };
         let Some(st) = self.sessions.get_mut(&session) else {
-            // A closed session's stragglers, including its SessClose ack.
-            return Ok(None);
+            return Ok(Routed::Absorbed);
         };
         if let Some(&(front, bytes)) = st.outstanding.front() {
             if seq == front {
@@ -156,17 +181,18 @@ impl MuxIo {
                         )));
                     }
                 }
-                return Ok(None);
+                return Ok(Routed::Absorbed);
             }
         }
-        Ok(Some((session, seq, inner)))
+        Ok(Routed::Answer(session, seq, inner))
     }
 
     /// Reads and routes one frame that must be an ack of a posted write.
     fn route_ack(&mut self) -> Result<(), RnError> {
-        match self.route_one()? {
-            None => Ok(()),
-            Some((s, q, _)) => {
+        match self.route_one(None)? {
+            Routed::Absorbed => Ok(()),
+            Routed::Landed => unreachable!("no sink to land in"),
+            Routed::Answer(s, q, _) => {
                 self.dead = true;
                 Err(RnError::Protocol(format!(
                     "unsolicited response for session {s} seq {q}"
@@ -177,27 +203,48 @@ impl MuxIo {
 
     /// One request/response exchange for `session` from its encoded,
     /// mux-wrapped `body`, routing other sessions' acks along the way. A
-    /// refusal is this call's error.
-    pub(crate) fn rpc(&mut self, session: u64, seq: u64, body: &[u8]) -> Result<Response, RnError> {
+    /// refusal is this call's error. With `sink` the request must be a
+    /// read of `sink.len()` bytes: its payload lands in `sink` and the
+    /// answer reads as [`Response::Ok`]; any answer but that or a refusal
+    /// kills the connection.
+    pub(crate) fn rpc(
+        &mut self,
+        session: u64,
+        seq: u64,
+        body: &[u8],
+        mut sink: Option<&mut [u8]>,
+    ) -> Result<Response, RnError> {
         self.send(body)?;
         loop {
-            match self.route_one()? {
-                None => {}
-                Some((s, q, resp)) if s == session && q == seq => {
-                    return match resp {
-                        Response::Err(m) => Err(RnError::Remote(m)),
-                        Response::Overloaded => Err(RnError::Overloaded),
-                        other => Ok(other),
-                    };
-                }
-                Some((s, q, _)) => {
+            let landing = sink.as_deref_mut().map(|buf| Sink { session, seq, buf });
+            let resp = match self.route_one(landing)? {
+                Routed::Absorbed => continue,
+                Routed::Landed => return Ok(Response::Ok),
+                Routed::Answer(s, q, resp) if s == session && q == seq => resp,
+                Routed::Answer(s, q, _) => {
                     self.dead = true;
                     return Err(RnError::Protocol(format!(
                         "response for session {s} seq {q} while awaiting \
                          session {session} seq {seq}"
                     )));
                 }
-            }
+            };
+            return match (resp, sink) {
+                (Response::Err(m), _) => Err(RnError::Remote(m)),
+                (Response::Overloaded, _) => Err(RnError::Overloaded),
+                (other, None) => Ok(other),
+                (other, Some(buf)) => {
+                    self.dead = true;
+                    let got = match other {
+                        Response::Data(d) => format!("{} bytes", d.len()),
+                        _ => "no data".into(),
+                    };
+                    Err(RnError::Protocol(format!(
+                        "read of {} bytes answered with {got}",
+                        buf.len()
+                    )))
+                }
+            };
         }
     }
 
@@ -468,6 +515,44 @@ mod tests {
         assert_eq!(buf[15], 15);
         assert_eq!(a.in_flight(), 0, "b's wait drained a's acks");
         a.flush().unwrap();
+        server.shutdown();
+    }
+
+    /// Reads land in their caller's buffer while another session's posted
+    /// acks, one of them a refusal, are routed around them: at lengths
+    /// around the 18-byte mux head (a 0-byte read's answer is exactly as
+    /// long as a write's ack) and at sizes that take many socket reads.
+    #[test]
+    fn reads_land_while_posted_acks_route() {
+        const BIG: usize = 33 << 20;
+        let server = Server::bind("landing", "127.0.0.1:0").unwrap().start();
+        let mux = SessionMux::connect(server.addr()).unwrap();
+        let mut a = mux.session();
+        let mut b = mux.session();
+        let aseg = a.remote_malloc(64, 0).unwrap();
+        let bseg = b.remote_malloc(BIG + 8, 1).unwrap();
+        let image: Vec<u8> = (0..BIG + 8).map(|i| (i % 251) as u8).collect();
+        b.remote_write(bseg.id, 0, &image).unwrap();
+        b.flush().unwrap();
+        for (round, len) in [0, 1, 17, 18, 19, 1 << 20, BIG].into_iter().enumerate() {
+            let v = round as u8 + 1;
+            a.remote_write(aseg.id, 0, &[v; 8]).unwrap();
+            a.remote_write(aseg.id, 60, &[v; 8]).unwrap(); // out of bounds
+            a.remote_write(aseg.id, 8, &[v; 8]).unwrap();
+            assert_eq!(a.in_flight(), 3);
+            let offset = round + 1;
+            let mut buf = vec![0xEE; len];
+            b.remote_read(bseg.id, offset, &mut buf).unwrap();
+            assert!(buf == image[offset..offset + len], "{len}-byte read");
+            // b's read came back behind a's acks, which it routed in order.
+            assert_eq!(a.in_flight(), 0, "{len}-byte read");
+            assert!(matches!(a.flush(), Err(RnError::Remote(_))));
+            a.flush().unwrap();
+            let mut got = [0u8; 16];
+            a.remote_read(aseg.id, 0, &mut got).unwrap();
+            assert_eq!(got, [v; 16]);
+        }
+        assert_eq!((a.in_flight(), b.in_flight()), (0, 0));
         server.shutdown();
     }
 

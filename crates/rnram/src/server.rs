@@ -30,7 +30,10 @@ use std::time::{Duration, Instant};
 use perseas_sci::{NodeMemory, SciError, SegmentId};
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{crc32, frame_bytes, Request, Response, MAX_FRAME};
+use crate::protocol::{
+    body_room, crc32, open_frame, put_data, put_mux_head, put_tagged_head, response_frame,
+    seal_frame, Request, Response, MAX_FRAME,
+};
 use crate::RnError;
 
 /// Readiness notification without new dependencies: a thin shim over the
@@ -654,7 +657,10 @@ fn ingest(conn: &mut Conn, body: &[u8], ctx: &mut Ctx) {
         m.bytes_in.add(body.len() as u64);
     }
     let entry = match Request::decode(body) {
-        Err(e) => ready_response(Response::Err(e.to_string()), "decode_error", received, ctx),
+        Err(e) => {
+            let frame = response_frame(&Response::Err(e.to_string()));
+            ready_response(frame, "decode_error", received, ctx)
+        }
         Ok(req) => {
             let op = op_name(&req);
             if conn.waiting == 0 && ctx.inflight < ctx.admission.max_inflight {
@@ -668,7 +674,7 @@ fn ingest(conn: &mut Conn, body: &[u8], ctx: &mut Ctx) {
                 if let Some(m) = ctx.metrics.as_deref() {
                     m.admission_refusals.inc();
                 }
-                ready_response(refusal_for(&req), op, received, ctx)
+                ready_response(response_frame(&refusal_for(&req)), op, received, ctx)
             }
         }
     };
@@ -685,8 +691,10 @@ fn apply_now(
     ctx: &mut Ctx,
 ) -> Entry {
     track_sessions(conn, &req, ctx);
-    let resp = handle_request(req, &ctx.node, &ctx.stop);
-    let mut entry = ready_response(resp, op, received, ctx);
+    let mut frame = open_frame(0);
+    respond(req, &ctx.node, &ctx.stop, &mut frame);
+    seal_frame(&mut frame);
+    let mut entry = ready_response(frame, op, received, ctx);
     if let Entry::Ready { slot, .. } = &mut entry {
         *slot = true;
     }
@@ -695,18 +703,18 @@ fn apply_now(
     entry
 }
 
-/// Encodes `resp` into a slotless `Ready` entry due after the injected
-/// latency, recording the per-opcode metrics.
-fn ready_response(resp: Response, op: &'static str, received: Instant, ctx: &Ctx) -> Entry {
-    let body = resp.encode();
+/// Wraps a sealed response `frame` into a slotless `Ready` entry due
+/// after the injected latency, recording the per-opcode metrics.
+fn ready_response(frame: Vec<u8>, op: &'static str, received: Instant, ctx: &Ctx) -> Entry {
     if let Some(m) = ctx.metrics.as_deref() {
-        m.bytes_out.add(body.len() as u64);
+        // The body: the frame less its length prefix and CRC.
+        m.bytes_out.add(frame.len() as u64 - 8);
         let o = m.op(op);
         o.requests.inc();
         o.latency.record_wall(received.elapsed());
     }
     Entry::Ready {
-        frame: frame_bytes(&body),
+        frame,
         due: received + ctx.latency,
         written: 0,
         slot: false,
@@ -846,21 +854,23 @@ fn op_name(req: &Request) -> &'static str {
     }
 }
 
-fn handle_request(req: Request, node: &NodeMemory, stop: &AtomicBool) -> Response {
-    match req {
-        Request::Seq { seq, inner } => Response::Tagged {
-            seq,
-            inner: Box::new(handle_request(*inner, node, stop)),
-        },
+/// Serves `req` against `node`, appending its encoded response to the
+/// open frame `out`. Wrappers write their head first; a read copies its
+/// payload once, from node memory straight into the frame.
+fn respond(req: Request, node: &NodeMemory, stop: &AtomicBool, out: &mut Vec<u8>) {
+    let resp = match req {
+        Request::Seq { seq, inner } => {
+            put_tagged_head(out, seq);
+            return respond(*inner, node, stop, out);
+        }
         Request::Mux {
             session,
             seq,
             inner,
-        } => Response::Mux {
-            session,
-            seq,
-            inner: Box::new(handle_request(*inner, node, stop)),
-        },
+        } => {
+            put_mux_head(out, session, seq);
+            return respond(*inner, node, stop, out);
+        }
         // Session retirement is connection-level bookkeeping (see
         // `track_sessions`); the memory side has nothing to undo.
         Request::SessClose => Response::Ok,
@@ -879,48 +889,50 @@ fn handle_request(req: Request, node: &NodeMemory, stop: &AtomicBool) -> Respons
             }
         }
         Request::Read { seg, offset, len } => {
-            // Bound the allocation before trusting the wire: a hostile or
-            // corrupt length must not abort the server.
-            if len > MAX_FRAME as u64 {
-                return Response::Err(format!("read of {len} bytes exceeds frame limit"));
-            }
-            let mut buf = vec![0u8; len as usize];
-            match node.read(SegmentId::from_raw(seg), offset as usize, &mut buf) {
-                Ok(()) => Response::Data(buf),
-                Err(e) => Response::Err(sci_error_msg(&e)),
+            // Bound the answer before trusting the wire: a hostile or
+            // corrupt length must not abort the server, and a frame the
+            // client would refuse as too large must not be sent. The
+            // answer's body is what `out` holds plus a tag and `len`.
+            if len >= body_room(out) as u64 {
+                Response::Err(format!("read of {len} bytes exceeds frame limit"))
+            } else {
+                let seg = SegmentId::from_raw(seg);
+                match put_data(out, len as usize, |buf| {
+                    node.read(seg, offset as usize, buf)
+                }) {
+                    Ok(()) => return,
+                    Err(e) => Response::Err(sci_error_msg(&e)),
+                }
             }
         }
         Request::ReadV { reads } => {
             // The whole batch is served here, between any two writes from
             // other sessions — that single-threaded cut is the atomicity
-            // a snapshot-taking replica relies on. Bound the total
-            // allocation before trusting the wire.
-            let total: u64 = reads.iter().map(|&(_, _, len)| len).sum();
-            if total > MAX_FRAME as u64 {
-                return Response::Err(format!(
+            // a snapshot-taking replica relies on. Bound the answer's
+            // body (tag, count, and a length before each buffer) before
+            // trusting the wire.
+            let total = reads
+                .iter()
+                .fold(0u64, |t, &(_, _, len)| t.saturating_add(len));
+            let body = total.saturating_add(9 + 8 * reads.len() as u64);
+            if body > body_room(out) as u64 {
+                Response::Err(format!(
                     "vectored read of {total} bytes exceeds frame limit"
-                ));
+                ))
+            } else {
+                read_v(&reads, node)
             }
-            let mut bufs = Vec::with_capacity(reads.len());
-            for (seg, offset, len) in reads {
-                let mut buf = vec![0u8; len as usize];
-                if let Err(e) = node.read(SegmentId::from_raw(seg), offset as usize, &mut buf) {
-                    return Response::Err(sci_error_msg(&e));
-                }
-                bufs.push(buf);
-            }
-            Response::DataV(bufs)
         }
         Request::WriteV { ranges } => {
             // Ranges apply in order; the first failure stops the batch and
             // leaves the earlier ranges applied (torn-prefix semantics, as
             // a real gathered burst would behave).
-            for (seg, offset, data) in &ranges {
-                if let Err(e) = node.write(SegmentId::from_raw(*seg), *offset as usize, data) {
-                    return Response::Err(sci_error_msg(&e));
-                }
-            }
-            Response::Ok
+            ranges
+                .iter()
+                .try_for_each(|(seg, offset, data)| {
+                    node.write(SegmentId::from_raw(*seg), *offset as usize, data)
+                })
+                .map_or_else(|e| Response::Err(sci_error_msg(&e)), |()| Response::Ok)
         }
         Request::Connect { tag } => match node.find_by_tag(tag) {
             Some(info) => segment_response(node, info.id),
@@ -933,7 +945,21 @@ fn handle_request(req: Request, node: &NodeMemory, stop: &AtomicBool) -> Respons
             stop.store(true, Ordering::SeqCst);
             Response::Ok
         }
+    };
+    resp.encode_into(out);
+}
+
+/// The `DataV` answer to a bounded vectored read, or its first failure.
+fn read_v(reads: &[(u64, u64, u64)], node: &NodeMemory) -> Response {
+    let mut bufs = Vec::with_capacity(reads.len());
+    for &(seg, offset, len) in reads {
+        let mut buf = vec![0u8; len as usize];
+        if let Err(e) = node.read(SegmentId::from_raw(seg), offset as usize, &mut buf) {
+            return Response::Err(sci_error_msg(&e));
+        }
+        bufs.push(buf);
     }
+    Response::DataV(bufs)
 }
 
 fn segment_response(node: &NodeMemory, id: SegmentId) -> Response {
@@ -1118,6 +1144,35 @@ mod tests {
         .unwrap();
         let _ = read_frame(&mut s).unwrap();
         assert!(registry.render().contains("perseas_server_sessions 1"));
+        server.shutdown();
+    }
+
+    /// A read is bounded by the frame its answer needs, not by its
+    /// payload alone: the mux head and the data tag count against
+    /// `MAX_FRAME` too. A read whose answer the client would refuse as too
+    /// large is refused with a typed error, and the connection lives on.
+    #[test]
+    fn reads_are_bounded_by_their_answer_frame() {
+        // Segments are allocated zeroed and this one is never written, so
+        // it costs next to no resident memory; neither does `buf`.
+        let node = NodeMemory::with_capacity("big", MAX_FRAME);
+        let seg = node.export_segment(MAX_FRAME - 17, 0).unwrap();
+        let server = Server::with_node(node, "127.0.0.1:0").unwrap().start();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
+        let mut buf = vec![0u8; MAX_FRAME - 17];
+        // 17 bytes of mux head plus the tag: one byte over the limit.
+        let err = c.remote_read(seg, 0, &mut buf).unwrap_err();
+        assert!(
+            matches!(&err, RnError::Remote(m) if m.contains("frame limit")),
+            "{err}"
+        );
+        // One byte less fits, so it reaches the segment's bounds check.
+        let err = c.remote_read(seg, 2, &mut buf[1..]).unwrap_err();
+        assert!(
+            matches!(&err, RnError::Remote(m) if m.contains("out of bounds")),
+            "{err}"
+        );
+        c.ping().unwrap();
         server.shutdown();
     }
 }

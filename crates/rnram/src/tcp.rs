@@ -164,7 +164,7 @@ impl TcpRemote {
     ///
     /// Fails if the server is unreachable.
     pub fn ping(&mut self) -> Result<(), RnError> {
-        self.rpc(&Request::Ping).and_then(expect_ok)
+        self.rpc(&Request::Ping, None).and_then(expect_ok)
     }
 
     /// Asks the server to stop accepting new connections.
@@ -173,7 +173,7 @@ impl TcpRemote {
     ///
     /// Fails if the server is unreachable.
     pub fn shutdown_server(&mut self) -> Result<(), RnError> {
-        self.rpc(&Request::Shutdown).and_then(expect_ok)
+        self.rpc(&Request::Shutdown, None).and_then(expect_ok)
     }
 
     /// Fetches and caches the server's node name.
@@ -182,7 +182,7 @@ impl TcpRemote {
     ///
     /// Fails if the server is unreachable.
     pub fn fetch_name(&mut self) -> Result<String, RnError> {
-        match self.rpc(&Request::Name)? {
+        match self.rpc(&Request::Name, None)? {
             Response::Name(n) => {
                 self.cached_name = Some(n.clone());
                 Ok(n)
@@ -197,8 +197,9 @@ impl TcpRemote {
         }
     }
 
-    /// One request/response exchange; a refusal is its error.
-    fn rpc(&self, req: &Request) -> Result<Response, RnError> {
+    /// One request/response exchange; a refusal is its error. A read
+    /// passes its destination as `sink` (see [`MuxIo::rpc`]).
+    fn rpc(&self, req: &Request, sink: Option<&mut [u8]>) -> Result<Response, RnError> {
         let mut io = lock(&self.io);
         let seq = io.take_seq(self.session);
         let body = encode_mux(self.session, seq, req);
@@ -206,7 +207,7 @@ impl TcpRemote {
             m.ops.inc();
             m.bytes.add(body.len() as u64);
         }
-        let resp = io.rpc(self.session, seq, &body);
+        let resp = io.rpc(self.session, seq, &body, sink);
         self.gauge_in_flight(&io);
         resp
     }
@@ -254,7 +255,7 @@ impl TcpRemote {
     }
 
     fn segment(&self, req: &Request) -> Result<RemoteSegment, RnError> {
-        match self.rpc(req)? {
+        match self.rpc(req, None)? {
             Response::Segment {
                 seg,
                 len,
@@ -323,7 +324,7 @@ impl RemoteMemory for TcpRemote {
     }
 
     fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {
-        self.rpc(&Request::Free { seg: seg.as_raw() })
+        self.rpc(&Request::Free { seg: seg.as_raw() }, None)
             .and_then(expect_ok)
     }
 
@@ -365,34 +366,26 @@ impl RemoteMemory for TcpRemote {
         offset: usize,
         buf: &mut [u8],
     ) -> Result<(), RnError> {
-        match self.rpc(&Request::Read {
+        // The payload is read from the socket straight into `buf`.
+        let req = Request::Read {
             seg: seg.as_raw(),
             offset: offset as u64,
             len: buf.len() as u64,
-        })? {
-            Response::Data(d) if d.len() == buf.len() => {
-                buf.copy_from_slice(&d);
-                Ok(())
-            }
-            Response::Data(d) => Err(RnError::Protocol(format!(
-                "short read: wanted {} bytes, got {}",
-                buf.len(),
-                d.len()
-            ))),
-            other => Err(unexpected(other)),
-        }
+        };
+        self.rpc(&req, Some(buf)).and_then(expect_ok)
     }
 
     fn remote_read_v(
         &mut self,
         reads: &[(SegmentId, usize, usize)],
     ) -> Result<Vec<Vec<u8>>, RnError> {
-        match self.rpc(&Request::ReadV {
+        let req = Request::ReadV {
             reads: reads
                 .iter()
                 .map(|&(seg, offset, len)| (seg.as_raw(), offset as u64, len as u64))
                 .collect(),
-        })? {
+        };
+        match self.rpc(&req, None)? {
             Response::DataV(bufs) => check_data_v(reads, bufs),
             other => Err(unexpected(other)),
         }

@@ -143,7 +143,9 @@ pub trait RemoteMemory: Send {
     ///
     /// # Errors
     ///
-    /// Fails on bounds violations or if the node is unreachable.
+    /// Fails on bounds violations or if the node is unreachable. On an
+    /// error `buf`'s contents are unspecified: a transport may land bytes
+    /// in it before it finds the answer corrupt.
     fn remote_read(&mut self, seg: SegmentId, offset: usize, buf: &mut [u8])
         -> Result<(), RnError>;
 

@@ -582,6 +582,171 @@ mod session_mux_fuzz {
     }
 }
 
+/// Hostile-mirror client battery: a scripted fake server answers the
+/// client's one `Read` with a corrupt, truncated, lying or misrouted
+/// frame, then hangs up. `remote_read` must return a typed error — never
+/// `Ok`, never a panic, never a hang — and leave the connection dead. The
+/// server-side half of this is `frame_fuzz`.
+mod hostile_mirror {
+    use super::*;
+    use perseas_rnram::protocol::{frame_bytes, read_frame, Request, Response};
+    use perseas_rnram::{RnError, SegmentId, SessionMux};
+    use std::io::Write as _;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// How the fake server answers a `Read` of `len` bytes.
+    #[derive(Debug, Clone)]
+    enum Answer {
+        /// The right frame with one bit flipped: length, body or CRC.
+        FlipBit(usize),
+        /// A strict prefix of the right frame.
+        Truncate(usize),
+        /// The right frame under a length prefix that is off by this much.
+        LieLength(i64),
+        /// A well-formed data frame for another session (`true`) or
+        /// another seq of this one, this far away.
+        Stranger(bool, u64),
+        /// A well-formed data frame for this read with a payload of the
+        /// wrong length.
+        WrongLength(usize),
+        /// A well-formed frame that is not a mux response.
+        NotMux(u8),
+        /// The right frame's head and a strict prefix of its payload and
+        /// CRC.
+        CutPayload(usize),
+    }
+
+    fn arb_answer() -> impl Strategy<Value = Answer> {
+        prop_oneof![
+            any::<usize>().prop_map(Answer::FlipBit),
+            any::<usize>().prop_map(Answer::Truncate),
+            (1i64..1 << 20, any::<bool>()).prop_map(|(d, shorter)| Answer::LieLength(if shorter {
+                -d
+            } else {
+                d
+            })),
+            (any::<bool>(), 1u64..1 << 40).prop_map(|(s, d)| Answer::Stranger(s, d)),
+            (0usize..600).prop_map(Answer::WrongLength),
+            (0u8..4).prop_map(Answer::NotMux),
+            any::<usize>().prop_map(Answer::CutPayload),
+        ]
+    }
+
+    /// The wire bytes `answer` puts on the socket for a read of `payload`
+    /// by `(session, seq)`.
+    fn script(answer: &Answer, session: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mux = |session, seq, inner| Response::Mux {
+            session,
+            seq,
+            inner: Box::new(inner),
+        };
+        let data = |len: usize| Response::Data(payload.iter().copied().cycle().take(len).collect());
+        let right = frame_bytes(&mux(session, seq, Response::Data(payload.to_vec())).encode());
+        match *answer {
+            Answer::FlipBit(bit) => {
+                let mut wire = right;
+                let bit = bit % (wire.len() * 8);
+                wire[bit / 8] ^= 1 << (bit % 8);
+                wire
+            }
+            Answer::Truncate(cut) => right[..cut % right.len()].to_vec(),
+            Answer::LieLength(delta) => {
+                let mut wire = right;
+                let claim = (payload.len() as i64 + 18 + delta) as u32;
+                wire[..4].copy_from_slice(&claim.to_le_bytes());
+                wire
+            }
+            Answer::Stranger(other_session, d) => {
+                let (s, q) = if other_session {
+                    (session.wrapping_add(d), seq)
+                } else {
+                    (session, seq.wrapping_add(d))
+                };
+                frame_bytes(&mux(s, q, data(payload.len())).encode())
+            }
+            Answer::WrongLength(len) => {
+                let len = if len == payload.len() { len + 1 } else { len };
+                frame_bytes(&mux(session, seq, data(len)).encode())
+            }
+            Answer::NotMux(kind) => {
+                let resp = match kind {
+                    0 => data(payload.len()),
+                    1 => Response::Ok,
+                    2 => Response::Overloaded,
+                    _ => Response::Tagged {
+                        seq,
+                        inner: Box::new(data(payload.len())),
+                    },
+                };
+                frame_bytes(&resp.encode())
+            }
+            Answer::CutPayload(cut) => {
+                // Past the length prefix and the 18-byte mux head.
+                let head = 4 + 18;
+                right[..head + cut % (right.len() - head)].to_vec()
+            }
+        }
+    }
+
+    /// Serves one connection: reads the client's request, answers it as
+    /// `answer` says and hangs up. Its socket times out rather than wait
+    /// forever for a client that never asks.
+    fn fake_mirror(listener: TcpListener, answer: Answer, payload: Vec<u8>) {
+        let Ok((mut stream, _)) = listener.accept() else {
+            return;
+        };
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let Ok(body) = read_frame(&mut stream) else {
+            return;
+        };
+        let Ok(Request::Mux { session, seq, .. }) = Request::decode(&body) else {
+            panic!("the client sent a non-mux request");
+        };
+        let _ = stream.write_all(&script(&answer, session, seq, &payload));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hostile_read_answers_are_typed_errors(
+            answer in arb_answer(),
+            payload in prop::collection::vec(any::<u8>(), 1..300),
+        ) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let len = payload.len();
+            let mirror = {
+                let answer = answer.clone();
+                std::thread::spawn(move || fake_mirror(listener, answer, payload))
+            };
+            // The client runs under a watchdog: a hang fails the case
+            // instead of wedging the suite.
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let mux = SessionMux::connect(addr).unwrap();
+                let mut session = mux.session();
+                let mut buf = vec![0u8; len];
+                let got = session.remote_read(SegmentId::from_raw(1), 0, &mut buf);
+                let _ = tx.send((got, mux.is_dead()));
+            });
+            let outcome = rx.recv_timeout(Duration::from_secs(20));
+            prop_assert!(outcome.is_ok(), "{answer:?}: remote_read hung or panicked");
+            let (got, dead) = outcome.unwrap();
+            prop_assert!(
+                matches!(got, Err(RnError::Protocol(_)) | Err(RnError::Io(_))),
+                "{answer:?}: {got:?}"
+            );
+            prop_assert!(dead, "{answer:?}: the connection outlived {got:?}");
+            mirror.join().unwrap();
+        }
+    }
+}
+
 #[test]
 fn hostile_lengths_do_not_kill_the_server() {
     use perseas_rnram::{server::Server, RnError, TcpRemote};

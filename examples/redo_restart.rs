@@ -40,10 +40,7 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let trace_path = std::env::args().nth(1).map_or_else(
-        || {
-            std::env::temp_dir()
-                .join(format!("perseas-redo-restart-{}.jsonl", std::process::id()))
-        },
+        || std::env::temp_dir().join(format!("perseas-redo-restart-{}.jsonl", std::process::id())),
         std::path::PathBuf::from,
     );
     let sink = JsonlSink::to_file(&trace_path)?;

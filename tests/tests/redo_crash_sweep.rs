@@ -354,8 +354,7 @@ fn aborted_prepared_member_never_replays() {
     db.commit_t(t2).unwrap();
 
     for (name, node) in [("a", &na), ("b", &nb)] {
-        let (db2, _) =
-            Perseas::recover(reopen(node), recover_cfg().with_concurrent(true)).unwrap();
+        let (db2, _) = Perseas::recover(reopen(node), recover_cfg().with_concurrent(true)).unwrap();
         let got = db2.region_snapshot(r[0]).unwrap();
         assert_eq!(&got[..32], &pa[..32], "mirror {name} replayed aborted data");
         assert_eq!(&got[64..72], &[0xEE; 8][..], "mirror {name} lost commit");

@@ -113,8 +113,9 @@ pub fn compare(baseline: &Json, current: &Json) -> Result<Vec<Check>, String> {
                     "{bench}/{metric}: \"better\" must be \"higher\" or \"lower\", got {other:?}"
                 ))
             }
-            None => class_better
-                .ok_or_else(|| format!("{bench}/{metric}: gate missing \"better\""))?,
+            None => {
+                class_better.ok_or_else(|| format!("{bench}/{metric}: gate missing \"better\""))?
+            }
         };
         let tolerance_pct = spec
             .get("tolerance_pct")
