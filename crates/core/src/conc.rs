@@ -170,6 +170,19 @@ impl<M: RemoteMemory> Perseas<M> {
         self.conc.txns.len()
     }
 
+    /// Commit-table slots still free once every open transaction has one.
+    pub(crate) fn spare_commit_slots(&self) -> usize {
+        let free = self.free_slots().count();
+        free.saturating_sub(self.conc.txns.len())
+    }
+
+    /// The commit-table slots whose id the durable watermark covers.
+    fn free_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let w = self.last_committed;
+        let ids = self.conc.slot_ids.iter().enumerate();
+        ids.filter(move |&(_, &id)| id <= w).map(|(i, _)| i)
+    }
+
     /// Declares `[offset, offset+len)` of `region` writable by the
     /// token's transaction: the range is claimed in the conflict table
     /// and its before-image appended to the transaction's undo records.
@@ -198,6 +211,39 @@ impl<M: RemoteMemory> Perseas<M> {
     ///
     /// Fails like [`Perseas::set_range_t`].
     pub fn set_ranges_t(
+        &mut self,
+        t: TxnToken,
+        ranges: &[(RegionId, usize, usize)],
+    ) -> Result<(), TxnError> {
+        self.claim_ranges(t, ranges)?;
+        for &(region, offset, len) in ranges.iter().filter(|&&(_, _, len)| len > 0) {
+            self.log_before_image(t.id, region.as_raw() as usize, offset, len);
+        }
+        Ok(())
+    }
+
+    /// Reads under the token's transaction. The range is first claimed as
+    /// [`Perseas::set_range_t`] claims it, minus the before-image, so the
+    /// bytes are committed or the transaction's own until it ends: a read
+    /// then a write of the range is a serialisable read-modify-write.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Perseas::set_range_t`], `Conflict` included.
+    pub fn read_t(
+        &mut self,
+        t: TxnToken,
+        region: RegionId,
+        offset: usize,
+        buf: &mut [u8],
+    ) -> Result<(), TxnError> {
+        self.claim_ranges(t, &[(region, offset, buf.len())])?;
+        self.read_as(Some(t.id), region, offset, buf)
+    }
+
+    /// Claims `ranges` for the token's transaction, all-or-nothing: every
+    /// range is bounds- and conflict-checked before any is claimed.
+    fn claim_ranges(
         &mut self,
         t: TxnToken,
         ranges: &[(RegionId, usize, usize)],
@@ -237,9 +283,7 @@ impl<M: RemoteMemory> Perseas<M> {
         // Intra-batch overlaps are same-owner by construction, so none of
         // these claims can conflict now.
         for &(region, offset, len) in ranges.iter().filter(|&&(_, _, len)| len > 0) {
-            let ri = region.as_raw() as usize;
-            self.claim_range(ri, offset, len, id);
-            self.log_before_image(id, ri, offset, len);
+            self.claim_range(region.as_raw() as usize, offset, len, id);
         }
         Ok(())
     }
@@ -421,15 +465,7 @@ impl<M: RemoteMemory> Perseas<M> {
         // — never the one this group is about to publish, since a torn
         // delivery could then overwrite a committed id recovery still
         // needs.
-        let free: Vec<usize> = self
-            .conc
-            .slot_ids
-            .iter()
-            .enumerate()
-            .filter(|&(_, &sid)| sid <= self.last_committed)
-            .map(|(i, _)| i)
-            .take(nonempty.len())
-            .collect();
+        let free: Vec<usize> = self.free_slots().take(nonempty.len()).collect();
         if free.len() < nonempty.len() {
             return Err(TxnError::Unavailable(format!(
                 "commit table full: {} free slots for {} transactions — \
@@ -640,8 +676,8 @@ impl<M: RemoteMemory> Perseas<M> {
         writes
     }
 
-    /// Appends the claim and before-image of a validated, conflict-free
-    /// range to the transaction's undo records.
+    /// Appends the before-image of a claimed range to the transaction's
+    /// undo records and declares the range writable.
     fn log_before_image(&mut self, id: u64, ri: usize, offset: usize, len: usize) {
         let rec = UndoRecord {
             txn_id: id,

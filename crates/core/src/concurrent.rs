@@ -1,18 +1,19 @@
-//! A `Send + Sync` front-end over the concurrent transaction engine.
+//! The `Send + Sync` front-end over the concurrent transaction engine.
 //!
-//! [`SharedPerseas`](crate::SharedPerseas) serialises whole transactions
-//! on one lock. [`ConcurrentPerseas`] instead hands out RAII
-//! [`TxnHandle`]s backed by [`Perseas::begin_concurrent`]: many OS
-//! threads keep transactions open against one instance at once, each
-//! operation takes the instance lock only for its own duration, and
-//! threads that reach commit together are batched into one **group
-//! commit** — a single undo/data/commit-record write per mirror covers
-//! all of them (the commit-desk pattern: the first committer becomes leader,
-//! drains the queue of every transaction waiting to commit, and runs one
+//! [`ConcurrentPerseas`] hands out RAII [`TxnHandle`]s backed by
+//! [`Perseas::begin_concurrent`]: many OS threads keep transactions open
+//! against one instance at once, each operation takes the instance lock
+//! only for its own duration, and a handle's reads and writes both claim
+//! their ranges, so every committed history is serialisable. Threads that
+//! reach commit together are batched into one **group commit** — a
+//! single undo/data/commit-record write per mirror covers all of them
+//! (the commit-desk pattern: the first committer becomes leader, drains
+//! the queue of every transaction waiting to commit, and runs one
 //! [`Perseas::commit_group`] for the whole batch).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use perseas_rnram::RemoteMemory;
 use perseas_txn::{RegionId, SnapshotToken, TxnError, TxnStats};
@@ -22,6 +23,7 @@ use crate::perseas::Perseas;
 
 /// Transactions queued for the next group commit, and the results the
 /// leader published for the previous one.
+#[derive(Default)]
 struct CommitDesk {
     /// Ids waiting to be committed by the next leader.
     queue: Vec<u64>,
@@ -98,9 +100,9 @@ impl<M: RemoteMemory> Shared<M> {
 /// One open transaction, owned by a thread.
 ///
 /// The handle releases the instance between operations, so other threads'
-/// transactions interleave freely; conflicting `set_range` claims are
-/// refused with [`TxnError::Conflict`]. Dropping an open handle aborts
-/// its transaction.
+/// transactions interleave freely; a read or claim overlapping another
+/// open transaction's claim is refused with [`TxnError::Conflict`].
+/// Dropping an open handle aborts its transaction.
 pub struct TxnHandle<M: RemoteMemory> {
     shared: Arc<Shared<M>>,
     token: TxnToken,
@@ -168,13 +170,17 @@ impl<M: RemoteMemory> TxnHandle<M> {
         db.write_t(self.token, region, offset, data)
     }
 
-    /// Reads from the shared local image (own writes included).
+    /// Claims the range, then reads committed bytes or this transaction's
+    /// own writes (see [`Perseas::read_t`]): `read` then
+    /// [`TxnHandle::update`] is a serialisable read-modify-write.
     ///
     /// # Errors
     ///
-    /// Fails on unknown regions or bounds violations.
+    /// Fails like [`TxnHandle::set_range`].
     pub fn read(&self, region: RegionId, offset: usize, buf: &mut [u8]) -> Result<(), TxnError> {
-        self.shared.lock_db().read(region, offset, buf)
+        self.shared
+            .lock_db()
+            .read_t(self.token, region, offset, buf)
     }
 
     /// Length of a region.
@@ -296,11 +302,7 @@ impl<M: RemoteMemory> ConcurrentPerseas<M> {
         Ok(ConcurrentPerseas {
             shared: Arc::new(Shared {
                 db: Mutex::new(db),
-                desk: Mutex::new(CommitDesk {
-                    queue: Vec::new(),
-                    leader: false,
-                    results: HashMap::new(),
-                }),
+                desk: Mutex::default(),
                 done: Condvar::new(),
             }),
         })
@@ -308,11 +310,23 @@ impl<M: RemoteMemory> ConcurrentPerseas<M> {
 
     /// Opens a new transaction and returns its handle.
     ///
+    /// Waits while the commit table has no slot to spare for it: a thread
+    /// preempted mid-transaction pins the watermark, and each later commit
+    /// holds a slot until it passes. The wait is bounded, as the pinning
+    /// transaction may be the caller's own.
+    ///
     /// # Errors
     ///
     /// Fails like [`Perseas::begin_concurrent`].
     pub fn begin_transaction(&self) -> Result<TxnHandle<M>, TxnError> {
-        let token = self.shared.lock_db().begin_concurrent()?;
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let mut db = self.shared.lock_db();
+        while db.spare_commit_slots() == 0 && Instant::now() < deadline {
+            drop(db);
+            std::thread::sleep(Duration::from_millis(1));
+            db = self.shared.lock_db();
+        }
+        let token = db.begin_concurrent()?;
         Ok(TxnHandle {
             shared: Arc::clone(&self.shared),
             token,
@@ -347,7 +361,8 @@ impl<M: RemoteMemory> ConcurrentPerseas<M> {
         }
     }
 
-    /// Reads outside any transaction.
+    /// Reads committed bytes outside any transaction: open handles'
+    /// uncommitted writes are masked, and no range is claimed.
     ///
     /// # Errors
     ///
@@ -438,14 +453,181 @@ mod tests {
     use super::*;
     use crate::PerseasConfig;
     use perseas_rnram::SimRemote;
+    use perseas_sci::{NodeMemory, SciParams};
+    use perseas_simtime::SimClock;
     use std::thread;
 
+    fn cfg() -> PerseasConfig {
+        PerseasConfig::default().with_concurrent(true)
+    }
+
+    fn built_on_node() -> (ConcurrentPerseas<SimRemote>, RegionId, NodeMemory) {
+        let backend = SimRemote::new("m");
+        let node = backend.node().clone();
+        let mut db = Perseas::init(vec![backend], cfg()).unwrap();
+        let r = db.malloc(256).unwrap();
+        db.init_remote_db().unwrap();
+        (ConcurrentPerseas::new(db).unwrap(), r, node)
+    }
+
     fn built() -> (ConcurrentPerseas<SimRemote>, RegionId) {
-        let cfg = PerseasConfig::default().with_concurrent(true);
+        let (shared, r, _) = built_on_node();
+        (shared, r)
+    }
+
+    /// One increment of the counter at offset 0 as a read-modify-write,
+    /// retried until no other transaction holds the counter's claim.
+    fn increment(db: &ConcurrentPerseas<SimRemote>, r: RegionId) {
+        loop {
+            match db.transaction(|tx| {
+                let mut buf = [0u8; 8];
+                tx.read(r, 0, &mut buf)?;
+                let v = u64::from_le_bytes(buf) + 1;
+                tx.update(r, 0, &v.to_le_bytes())
+            }) {
+                Ok(()) => return,
+                Err(TxnError::Conflict { .. }) => thread::yield_now(),
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_increments_are_serialised() {
+        let (shared, r) = built();
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let db = shared.clone();
+                thread::spawn(move || (0..25).for_each(|_| increment(&db, r)))
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let mut buf = [0u8; 8];
+        shared.read(r, 0, &mut buf).unwrap();
+        assert_eq!(u64::from_le_bytes(buf), 100);
+        assert_eq!(shared.stats().commits, 100);
+        assert_eq!(shared.open_txn_count(), 0);
+    }
+
+    #[test]
+    fn a_handle_read_claims_its_range() {
+        let (shared, r) = built();
+        shared.transaction(|tx| tx.update(r, 0, &[1; 8])).unwrap();
+        let w = shared.begin_transaction().unwrap();
+        w.update(r, 0, &[2; 8]).unwrap();
+        // Reads without a token see committed bytes only.
+        let mut buf = [0u8; 8];
+        shared.read(r, 0, &mut buf).unwrap();
+        assert_eq!(buf, [1; 8]);
+        // A handle read of a range another transaction claimed is refused.
+        let t = shared.begin_transaction().unwrap();
+        let err = t.read(r, 4, &mut buf).unwrap_err();
+        assert!(matches!(err, TxnError::Conflict { holder, .. } if holder == w.id()));
+        // Its own read claims, so the writer can no longer claim it.
+        t.read(r, 8, &mut buf).unwrap();
+        assert!(matches!(
+            w.set_range(r, 8, 8),
+            Err(TxnError::Conflict { .. })
+        ));
+        w.abort().unwrap();
+        t.read(r, 0, &mut buf).unwrap();
+        assert_eq!(buf, [1; 8], "the aborted write was never visible");
+    }
+
+    #[test]
+    fn concurrent_history_survives_crash() {
+        let (shared, r, node) = built_on_node();
+        let handles: Vec<_> = (0..4usize)
+            .map(|t| {
+                let db = shared.clone();
+                thread::spawn(move || {
+                    for i in 0..20u64 {
+                        db.transaction(|tx| tx.update(r, t * 8, &(i + 1).to_le_bytes()))
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let expected = shared.with(|db| {
+            let snap = db.region_snapshot(r).unwrap();
+            db.crash();
+            snap
+        });
+
+        let backend = SimRemote::with_parts(SimClock::new(), node, SciParams::dolphin_1998());
+        let (db2, _) = Perseas::recover(backend, cfg()).unwrap();
+        assert_eq!(db2.region_snapshot(r).unwrap(), expected);
+    }
+
+    #[test]
+    fn panicking_transaction_does_not_poison_the_database() {
+        let (shared, r) = built();
+        let db = shared.clone();
+        let result = thread::spawn(move || {
+            db.transaction(|tx| -> Result<(), TxnError> {
+                tx.update(r, 0, &[9; 8])?;
+                panic!("application bug inside a transaction");
+            })
+        })
+        .join();
+        assert!(result.is_err(), "the panic must propagate to join()");
+        // The unwound handle aborted its half-done transaction.
+        assert_eq!(shared.open_txn_count(), 0);
+
+        // A panic while holding the instance lock poisons it; the handle
+        // recovers the guard.
+        let db = shared.clone();
+        let held = thread::spawn(move || db.with(|_| panic!("bug under the lock"))).join();
+        assert!(held.is_err());
+
+        shared
+            .transaction(|tx| tx.update(r, 0, &7u64.to_le_bytes()))
+            .unwrap();
+        let mut buf = [0u8; 8];
+        shared.read(r, 0, &mut buf).unwrap();
+        assert_eq!(u64::from_le_bytes(buf), 7);
+    }
+
+    #[test]
+    fn a_pinned_watermark_never_costs_a_commit_slot() {
+        let cfg = cfg().with_commit_slots(4);
         let mut db = Perseas::init(vec![SimRemote::new("m")], cfg).unwrap();
         let r = db.malloc(256).unwrap();
         db.init_remote_db().unwrap();
-        (ConcurrentPerseas::new(db).unwrap(), r)
+        let shared = ConcurrentPerseas::new(db).unwrap();
+        // The oldest open transaction pins the watermark while another
+        // thread commits more transactions than the table has slots.
+        let pinned = shared.begin_transaction().unwrap();
+        pinned.update(r, 0, &[1; 8]).unwrap();
+        let db = shared.clone();
+        let others = thread::spawn(move || {
+            for i in 1..8 {
+                db.transaction(|tx| tx.update(r, i * 8, &[2; 8])).unwrap();
+            }
+        });
+        thread::sleep(Duration::from_millis(50));
+        pinned
+            .commit()
+            .expect("the pinned transaction kept its slot");
+        others.join().expect("no later commit ran out of slots");
+        assert_eq!(shared.stats().commits, 8);
+    }
+
+    #[test]
+    fn try_unwrap_returns_database_when_sole_owner() {
+        let (shared, r) = built();
+        let clone = shared.clone();
+        let back = shared.try_unwrap().expect_err("a clone is alive");
+        drop(clone);
+        let db = back
+            .try_unwrap()
+            .unwrap_or_else(|_| panic!("now sole owner"));
+        assert_eq!(db.region_len(r).unwrap(), 256);
     }
 
     #[test]

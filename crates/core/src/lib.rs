@@ -67,7 +67,6 @@ mod redo;
 mod replica;
 mod scope;
 mod shard;
-mod shared;
 mod trace;
 mod txn_impl;
 
@@ -90,7 +89,6 @@ pub use recovery::RecoveryReport;
 pub use replica::ReadReplica;
 pub use scope::TxnScope;
 pub use shard::{GlobalToken, ShardRecoveryReport, ShardedPerseas};
-pub use shared::SharedPerseas;
 pub use trace::{RecordingTracer, TraceEvent, Tracer};
 
 pub use perseas_rnram::BackoffPolicy;

@@ -527,17 +527,34 @@ impl<M: RemoteMemory> Perseas<M> {
     }
 
     /// Reads `buf.len()` bytes at `offset` of `region` from the local
-    /// image.
+    /// image. On the concurrent engine these are committed bytes or the
+    /// legacy facade's own writes, read without a claim: a facade
+    /// read-modify-write must declare its range before reading.
     ///
     /// # Errors
     ///
     /// Fails on unknown regions, bounds violations, or after a crash.
     pub fn read(&self, region: RegionId, offset: usize, buf: &mut [u8]) -> Result<(), TxnError> {
+        self.read_as(self.conc.legacy_token, region, offset, buf)
+    }
+
+    /// [`Perseas::read`] for the open transaction `own`: on the concurrent
+    /// engine, every other open transaction's writes are masked.
+    pub(crate) fn read_as(
+        &self,
+        own: Option<u64>,
+        region: RegionId,
+        offset: usize,
+        buf: &mut [u8],
+    ) -> Result<(), TxnError> {
         if self.phase == Phase::Crashed {
             return Err(TxnError::Crashed);
         }
         let ri = self.check_region_range(region, offset, buf.len())?;
         buf.copy_from_slice(&self.regions[ri][offset..offset + buf.len()]);
+        if self.cfg.concurrent {
+            self.overlay_open_txns(ri, offset, buf, own);
+        }
         self.cfg.mem_cost.charge_memcpy(&self.clock, buf.len());
         Ok(())
     }
@@ -614,7 +631,7 @@ impl<M: RemoteMemory> Perseas<M> {
         // Mask uncommitted writes: open transactions modify the local
         // image in place, so their logged before-images are overlaid to
         // recover the committed-current bytes first.
-        self.overlay_open_txns(ri, offset, buf);
+        self.overlay_open_txns(ri, offset, buf, None);
         // Then unwind every commit newer than the snapshot's pin.
         self.mvcc.overlay(read_seq, ri, offset, buf);
         self.cfg.mem_cost.charge_memcpy(&self.clock, buf.len());
@@ -696,16 +713,17 @@ impl<M: RemoteMemory> Perseas<M> {
     }
 
     /// Overlays onto `buf` (live bytes of region `ri` from `offset`) the
-    /// logged before-images of every open transaction — legacy or
-    /// concurrent — masking their uncommitted in-place writes. Claims of
-    /// distinct open transactions never overlap; within one transaction
-    /// records apply in reverse log order, matching the abort path.
-    fn overlay_open_txns(&self, ri: usize, offset: usize, buf: &mut [u8]) {
+    /// logged before-images of every open transaction but `own`, masking
+    /// their uncommitted in-place writes. Claims of distinct open
+    /// transactions never overlap; within one transaction records apply
+    /// in reverse log order, matching the abort path.
+    fn overlay_open_txns(&self, ri: usize, offset: usize, buf: &mut [u8], own: Option<u64>) {
         let legacy = self
             .txn
             .as_ref()
             .map(|_| &self.undo_shadow[..self.undo_off]);
-        let open = self.conc.txns.values().map(|txn| txn.undo.as_slice());
+        let open = self.conc.txns.iter().filter(|&(&id, _)| Some(id) != own);
+        let open = open.map(|(_, txn)| txn.undo.as_slice());
         for undo in legacy.into_iter().chain(open) {
             for (rec, payload) in undo_newest_first(undo) {
                 if rec.region as usize == ri {

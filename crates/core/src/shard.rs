@@ -273,6 +273,25 @@ pub struct ShardedPerseas<M: RemoteMemory> {
     crashed: bool,
 }
 
+/// A shard-local read error `e`, renamed to the global `region`.
+fn named_global(region: RegionId, e: TxnError) -> TxnError {
+    match e {
+        TxnError::UnknownRegion(_) => TxnError::UnknownRegion(region),
+        TxnError::OutOfBounds {
+            offset,
+            len,
+            region_len,
+            ..
+        } => TxnError::OutOfBounds {
+            region,
+            offset,
+            len,
+            region_len,
+        },
+        other => other,
+    }
+}
+
 /// The per-shard config: shard `s` keeps its metadata under
 /// `meta_tag + s` and stamps its identity into the durable header.
 fn shard_cfg(base: &PerseasConfig, index: usize, count: usize) -> PerseasConfig {
@@ -422,23 +441,11 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
                 len,
                 holder: self.locals[shard].get(&holder).copied().unwrap_or(holder),
             },
-            TxnError::UnknownRegion(_) => TxnError::UnknownRegion(gregion),
-            TxnError::OutOfBounds {
-                offset,
-                len,
-                region_len,
-                ..
-            } => TxnError::OutOfBounds {
-                region: gregion,
-                offset,
-                len,
-                region_len,
-            },
             TxnError::RangeNotDeclared { offset, .. } => TxnError::RangeNotDeclared {
                 region: gregion,
                 offset,
             },
-            other => other,
+            other => named_global(gregion, other),
         }
     }
 
@@ -503,10 +510,9 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
         self.ensure_alive()?;
         let (shard, local) = self.route(region)?;
         let tok = self.part(g, shard)?;
-        match self.shards[shard].set_range_t(tok, local, offset, len) {
-            Ok(()) => Ok(()),
-            Err(e) => Err(self.remap(shard, region, e)),
-        }
+        self.shards[shard]
+            .set_range_t(tok, local, offset, len)
+            .map_err(|e| self.remap(shard, region, e))
     }
 
     /// Transactionally writes `data` into a (global) region under `g`.
@@ -524,37 +530,36 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
         self.ensure_alive()?;
         let (shard, local) = self.route(region)?;
         let tok = self.part(g, shard)?;
-        match self.shards[shard].write_t(tok, local, offset, data) {
-            Ok(()) => Ok(()),
-            Err(e) => Err(self.remap(shard, region, e)),
-        }
+        self.shards[shard]
+            .write_t(tok, local, offset, data)
+            .map_err(|e| self.remap(shard, region, e))
     }
 
-    /// Reads from the owning shard's current local image (committed or
-    /// uncommitted, like [`Perseas::read`]).
+    /// Reads committed bytes from the owning shard's local image: open
+    /// transactions' uncommitted writes are masked, and no range is
+    /// claimed.
     ///
     /// # Errors
     ///
     /// Fails on unknown regions or out-of-range reads.
     pub fn read_g(&self, region: RegionId, offset: usize, buf: &mut [u8]) -> Result<(), TxnError> {
+        self.read_as(None, region, offset, buf)
+    }
+
+    /// [`ShardedPerseas::read_g`] on behalf of the open transaction `g`,
+    /// whose own writes stay visible.
+    fn read_as(
+        &self,
+        g: Option<GlobalToken>,
+        region: RegionId,
+        offset: usize,
+        buf: &mut [u8],
+    ) -> Result<(), TxnError> {
         let (shard, local) = self.route(region)?;
+        let own = g.and_then(|g| self.open.get(&g.id)?.parts.get(&shard).map(TxnToken::id));
         self.shards[shard]
-            .read(local, offset, buf)
-            .map_err(|e| match e {
-                TxnError::UnknownRegion(_) => TxnError::UnknownRegion(region),
-                TxnError::OutOfBounds {
-                    offset,
-                    len,
-                    region_len,
-                    ..
-                } => TxnError::OutOfBounds {
-                    region,
-                    offset,
-                    len,
-                    region_len,
-                },
-                other => other,
-            })
+            .read_as(own, local, offset, buf)
+            .map_err(|e| named_global(region, e))
     }
 
     /// Opens a cross-shard snapshot: a vector pinning one commit
@@ -611,21 +616,7 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
         let (shard, local) = self.route(region)?;
         self.shards[shard]
             .read_s(snaps[shard], local, offset, buf)
-            .map_err(|e| match e {
-                TxnError::UnknownRegion(_) => TxnError::UnknownRegion(region),
-                TxnError::OutOfBounds {
-                    offset,
-                    len,
-                    region_len,
-                    ..
-                } => TxnError::OutOfBounds {
-                    region,
-                    offset,
-                    len,
-                    region_len,
-                },
-                other => other,
-            })
+            .map_err(|e| named_global(region, e))
     }
 
     /// Closes a cross-shard snapshot, releasing every shard's pinned
@@ -1318,16 +1309,15 @@ impl<M: RemoteMemory> TransactionalMemory for ShardedPerseas<M> {
             // publish), delegate to the owning shard's plain write.
             None => {
                 let (shard, local) = self.route(region)?;
-                match self.shards[shard].write(local, offset, data) {
-                    Ok(()) => Ok(()),
-                    Err(e) => Err(self.remap(shard, region, e)),
-                }
+                self.shards[shard]
+                    .write(local, offset, data)
+                    .map_err(|e| self.remap(shard, region, e))
             }
         }
     }
 
     fn read(&self, region: RegionId, offset: usize, buf: &mut [u8]) -> Result<(), TxnError> {
-        self.read_g(region, offset, buf)
+        self.read_as(self.implicit, region, offset, buf)
     }
 
     fn commit_transaction(&mut self) -> Result<(), TxnError> {

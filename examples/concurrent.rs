@@ -4,7 +4,8 @@
 //! Four worker threads each run transfer transactions against their own
 //! account slice (no conflicts, every commit lands), then all workers
 //! fight over one hot account to show first-claimer-wins conflicts and
-//! retries. Finishes with a crash and recovery to prove the committed
+//! retries; every read claims its account, so no increment is lost.
+//! Finishes with a crash and recovery to prove the committed
 //! balances are durable on the simulated mirror.
 //!
 //! ```text
@@ -66,6 +67,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let mut buf = [0u8; 8];
         shared.read(accounts, w * 8, &mut buf)?;
         println!("  account {w}: balance {}", u64::from_le_bytes(buf));
+        assert_eq!(u64::from_le_bytes(buf), TRANSFERS as u64);
     }
 
     println!("{WORKERS} threads, one hot account (conflicts + retry):");
@@ -106,6 +108,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         u64::from_le_bytes(buf),
         retries
     );
+    // Each read claims the hot account, so no increment is lost.
+    assert_eq!(u64::from_le_bytes(buf), (WORKERS * TRANSFERS) as u64);
 
     let stats = shared.stats();
     println!(

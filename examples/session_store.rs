@@ -1,9 +1,11 @@
 //! Session store: a multi-threaded application on the typed record layer.
 //!
 //! Combines [`perseas_store`]'s tables and ring logs with
-//! [`perseas_core::SharedPerseas`] to build the kind of service a
+//! [`perseas_core::ConcurrentPerseas`] to build the kind of service a
 //! downstream user actually writes: a web session store whose sessions
-//! survive a server crash by living in network RAM.
+//! survive a server crash by living in network RAM. Each login runs as
+//! one scoped transaction under [`ConcurrentPerseas::with`], so the
+//! containers' read-modify-writes never interleave.
 //!
 //! ```text
 //! cargo run --release -p perseas-examples --bin session_store
@@ -11,7 +13,7 @@
 
 use std::thread;
 
-use perseas_core::{Perseas, PerseasConfig, SharedPerseas};
+use perseas_core::{ConcurrentPerseas, Perseas, PerseasConfig};
 use perseas_rnram::SimRemote;
 use perseas_sci::SciParams;
 use perseas_simtime::SimClock;
@@ -37,11 +39,12 @@ fixed_record! {
 fn main() -> Result<(), perseas_txn::TxnError> {
     let backend = SimRemote::new("session-mirror");
     let mirror_memory = backend.node().clone();
-    let mut db = Perseas::init(vec![backend], PerseasConfig::default())?;
+    let cfg = PerseasConfig::default().with_concurrent(true);
+    let mut db = Perseas::init(vec![backend], cfg)?;
     let sessions = Table::<Session>::create(&mut db, 256)?;
     let audit = RingLog::<AuditEvent>::create(&mut db, 128)?;
     db.init_remote_db()?;
-    let shared = SharedPerseas::new(db);
+    let shared = ConcurrentPerseas::new(db)?;
 
     // Four worker threads log users in and out concurrently.
     let workers: Vec<_> = (0..4u64)
@@ -50,21 +53,23 @@ fn main() -> Result<(), perseas_txn::TxnError> {
             thread::spawn(move || {
                 for i in 0..50u64 {
                     let user = t * 64 + (i % 64);
-                    db.transaction(|tx| {
-                        let tm = tx.inner_mut();
-                        let mut s = sessions.get(tm, user as usize)?;
-                        s.user = user;
-                        s.logins += 1;
-                        s.active = i % 2 == 0;
-                        sessions.put(tm, user as usize, &s)?;
-                        audit.push(
-                            tm,
-                            &AuditEvent {
-                                user,
-                                kind: (i % 2) as u8,
-                            },
-                        )?;
-                        Ok(())
+                    db.with(|db| {
+                        db.transaction(|tx| {
+                            let tm = tx.inner_mut();
+                            let mut s = sessions.get(tm, user as usize)?;
+                            s.user = user;
+                            s.logins += 1;
+                            s.active = i % 2 == 0;
+                            sessions.put(tm, user as usize, &s)?;
+                            audit.push(
+                                tm,
+                                &AuditEvent {
+                                    user,
+                                    kind: (i % 2) as u8,
+                                },
+                            )?;
+                            Ok(())
+                        })
                     })
                     .expect("session transaction");
                 }
@@ -91,7 +96,7 @@ fn main() -> Result<(), perseas_txn::TxnError> {
     shared.with(|db| db.crash());
     let reconnect =
         SimRemote::with_parts(SimClock::new(), mirror_memory, SciParams::dolphin_1998());
-    let (db2, report) = Perseas::recover(reconnect, PerseasConfig::default())?;
+    let (db2, report) = Perseas::recover(reconnect, cfg)?;
     let sessions2 = Table::<Session>::open(&db2, sessions.region())?;
     let recovered_logins: u32 = (0..256)
         .map(|i| sessions2.get(&db2, i).expect("session").logins)

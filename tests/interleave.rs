@@ -4,10 +4,13 @@
 //! explicit interleaving derived from a `simtime` RNG seed — no wall
 //! clock, no OS threads — so every failure replays byte-for-byte from
 //! the seed printed in its panic message. Each step the executor also
-//! predicts, from its own model of the claim table, whether a
-//! `set_range` must conflict, and with which holder; the engine has to
-//! agree. Used by both the fixed-seed sweep (`tests/interleave.rs`) and
-//! the property suite (`tests/concurrency_prop.rs`).
+//! predicts, from its own model of the claim table, whether a write's
+//! `set_range` or a read's claim must conflict, and with which holder;
+//! the engine has to agree. It records the bytes every read observed, and
+//! checks each committed transaction's reads against the serial image at
+//! its place in the commit order. Used by both the fixed-seed sweep
+//! (`tests/interleave.rs`) and the property suite
+//! (`tests/concurrency_prop.rs`).
 
 use perseas_core::{Perseas, PerseasConfig, RegionId, TxnError, TxnToken};
 use perseas_rnram::SimRemote;
@@ -35,29 +38,74 @@ pub fn build_concurrent() -> (Perseas<SimRemote>, RegionId, NodeMemory) {
     (db, r, node)
 }
 
-/// One planned transaction: claim-and-write each range in order, then
-/// commit or abort.
+/// One step of a planned transaction. Both kinds claim their range.
+#[derive(Debug, Clone, Copy)]
+pub enum Step {
+    /// Claim-and-write `len` bytes of `fill` at `off`.
+    Write { off: usize, len: usize, fill: u8 },
+    /// Claim-and-read `len` bytes at `off`.
+    Read { off: usize, len: usize },
+}
+
+impl Step {
+    fn range(self) -> (usize, usize) {
+        match self {
+            Step::Write { off, len, .. } | Step::Read { off, len } => (off, len),
+        }
+    }
+}
+
+/// One planned transaction: each step in order, then commit or abort.
 #[derive(Debug, Clone)]
 pub struct Plan {
-    /// `(offset, len, fill byte)` per range, executed in order.
-    pub ranges: Vec<(usize, usize, u8)>,
+    /// The claims, executed in order.
+    pub steps: Vec<Step>,
     /// Whether the plan ends in a commit (else a voluntary abort).
     pub commit: bool,
+}
+
+/// The bytes one read step observed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Observed {
+    /// Plan index of the reading transaction.
+    pub txn: usize,
+    /// Index of the read among the plan's steps.
+    pub step: usize,
+    /// How many transactions had committed when the read ran.
+    pub commits_before: usize,
+    /// The bytes returned.
+    pub bytes: Vec<u8>,
+}
+
+/// What one schedule did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run {
+    /// The recovered mirror image of the region.
+    pub image: Vec<u8>,
+    /// Committed plan indices, in commit order.
+    pub committed: Vec<usize>,
+    /// Every read that returned, committed or not, in execution order.
+    pub reads: Vec<Observed>,
 }
 
 fn gen_plans(rng: &mut DetRng, n: usize) -> Vec<Plan> {
     (0..n)
         .map(|i| {
             let k = 1 + rng.gen_index(3);
-            let ranges = (0..k)
+            let steps = (0..k)
                 .map(|_| {
                     let off = rng.gen_index(REGION_LEN - 1);
                     let len = 1 + rng.gen_index((REGION_LEN - off).min(48));
-                    (off, len, 1 + (i as u8 % 250))
+                    if rng.gen_bool(0.3) {
+                        Step::Read { off, len }
+                    } else {
+                        let fill = 1 + (i as u8 % 250);
+                        Step::Write { off, len, fill }
+                    }
                 })
                 .collect();
             Plan {
-                ranges,
+                steps,
                 commit: rng.gen_bool(0.8),
             }
         })
@@ -73,12 +121,11 @@ enum State {
     Done,
 }
 
-/// Runs one full schedule and returns `(recovered mirror image, committed
-/// plan indices in commit order)`. Panics (with the seed) on any
-/// divergence between the engine and the model: a mispredicted conflict,
-/// a wrong holder, or final bytes that match no serial order of the
-/// committed subset.
-pub fn run_schedule(seed: u64, ntxns: usize) -> (Vec<u8>, Vec<usize>) {
+/// Runs one full schedule. Panics (with the seed) on any divergence
+/// between the engine and the model: a mispredicted conflict, a wrong
+/// holder, a committed transaction's read or final bytes that differ from
+/// the serial order of the committed subset.
+pub fn run_schedule(seed: u64, ntxns: usize) -> Run {
     let mut rng = det_rng(seed);
     let plans = gen_plans(&mut rng, ntxns);
     let (mut db, r, node) = build_concurrent();
@@ -89,6 +136,7 @@ pub fn run_schedule(seed: u64, ntxns: usize) -> (Vec<u8>, Vec<usize>) {
     let mut claims: Vec<Vec<(usize, usize)>> = vec![Vec::new(); ntxns];
     let mut committed: Vec<usize> = Vec::new();
     let mut ready: Vec<usize> = Vec::new();
+    let mut reads: Vec<Observed> = Vec::new();
 
     let flush = |db: &mut Perseas<SimRemote>,
                  ready: &mut Vec<usize>,
@@ -140,7 +188,8 @@ pub fn run_schedule(seed: u64, ntxns: usize) -> (Vec<u8>, Vec<usize>) {
                 states[i] = State::Open(token, 0);
             }
             State::Open(token, next) => {
-                let (off, len, fill) = plans[i].ranges[next];
+                let step = plans[i].steps[next];
+                let (off, len) = step.range();
                 // Model prediction: conflict iff any *other* live
                 // transaction holds an overlapping claim.
                 let predicted = claims
@@ -150,7 +199,12 @@ pub fn run_schedule(seed: u64, ntxns: usize) -> (Vec<u8>, Vec<usize>) {
                         *j != i && held.iter().any(|&(s, e)| s < off + len && off < e)
                     })
                     .map(|(j, _)| j);
-                match db.set_range_t(token, r, off, len) {
+                let mut bytes = vec![0u8; len];
+                let claimed = match step {
+                    Step::Write { .. } => db.set_range_t(token, r, off, len),
+                    Step::Read { .. } => db.read_t(token, r, off, &mut bytes),
+                };
+                match claimed {
                     Ok(()) => {
                         assert!(
                             predicted.is_none(),
@@ -159,10 +213,19 @@ pub fn run_schedule(seed: u64, ntxns: usize) -> (Vec<u8>, Vec<usize>) {
                             off + len,
                             predicted
                         );
-                        db.write_t(token, r, off, &vec![fill; len])
-                            .unwrap_or_else(|e| panic!("seed {seed}: write failed: {e}"));
+                        match step {
+                            Step::Write { fill, .. } => db
+                                .write_t(token, r, off, &vec![fill; len])
+                                .unwrap_or_else(|e| panic!("seed {seed}: write failed: {e}")),
+                            Step::Read { .. } => reads.push(Observed {
+                                txn: i,
+                                step: next,
+                                commits_before: committed.len(),
+                                bytes,
+                            }),
+                        }
                         claims[i].push((off, off + len));
-                        if next + 1 == plans[i].ranges.len() {
+                        if next + 1 == plans[i].steps.len() {
                             if plans[i].commit {
                                 states[i] = State::Ready(token);
                                 ready.push(i);
@@ -225,12 +288,27 @@ pub fn run_schedule(seed: u64, ntxns: usize) -> (Vec<u8>, Vec<usize>) {
     }
 
     // Serial oracle: the committed subset applied in commit order on a
-    // single thread. Aborted and conflicted transactions contribute
-    // nothing.
+    // single thread, each read checked against the image at its step.
+    // Aborted and conflicted transactions contribute nothing.
     let mut model = vec![0u8; REGION_LEN];
     for &i in &committed {
-        for &(off, len, fill) in &plans[i].ranges {
-            model[off..off + len].fill(fill);
+        for (k, step) in plans[i].steps.iter().enumerate() {
+            match *step {
+                Step::Write { off, len, fill } => model[off..off + len].fill(fill),
+                Step::Read { off, len } => {
+                    let seen = reads
+                        .iter()
+                        .find(|o| o.txn == i && o.step == k)
+                        .expect("a committed transaction ran every read");
+                    assert_eq!(
+                        seen.bytes,
+                        model[off..off + len],
+                        "seed {seed}: txn {i} read [{off}, {}) differently from \
+                         the serial order {committed:?}",
+                        off + len
+                    );
+                }
+            }
         }
     }
     assert_eq!(
@@ -261,5 +339,9 @@ pub fn run_schedule(seed: u64, ntxns: usize) -> (Vec<u8>, Vec<usize>) {
             report.last_committed,
         );
     }
-    (recovered, committed)
+    Run {
+        image: recovered,
+        committed,
+        reads,
+    }
 }

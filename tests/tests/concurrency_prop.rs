@@ -13,28 +13,41 @@ use perseas_integration::interleave::{run_schedule, REGION_LEN};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random transaction mixes over a shared region must match some
-    /// serial order of the committed subset (the harness checks the
-    /// commit-order oracle on both the local image and the recovered
-    /// mirror bytes), and aborted or conflicted transactions leave no
-    /// trace in the mirror.
+    /// Random mixes of reads and writes over a shared region must match
+    /// the serial order of the committed subset: the harness checks the
+    /// commit-order oracle on the local image, on the recovered mirror
+    /// bytes, and on every committed transaction's reads. Aborted or
+    /// conflicted transactions leave no trace in the mirror, and no read —
+    /// even one whose transaction later aborts — sees another
+    /// transaction's uncommitted bytes.
     #[test]
     fn concurrent_serializability_prop(seed in any::<u64>(), ntxns in 2usize..8) {
-        let (recovered, committed) = run_schedule(seed, ntxns);
-        prop_assert_eq!(recovered.len(), REGION_LEN);
+        let run = run_schedule(seed, ntxns);
+        prop_assert_eq!(run.image.len(), REGION_LEN);
+        // The harness's fill bytes are 1 + (plan % 250), so any non-zero
+        // byte maps back to the plan that wrote it.
+        let writer = |b: u8| (b - 1) as usize;
         // Every byte is either untouched or written by a *committed*
-        // transaction: the harness's fill bytes are 1 + (plan % 250), so
-        // any non-zero byte must map back to a committed plan index.
-        for (at, &b) in recovered.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            let writer = (b - 1) as usize;
+        // transaction.
+        for (at, &b) in run.image.iter().enumerate() {
             prop_assert!(
-                committed.contains(&writer),
+                b == 0 || run.committed.contains(&writer(b)),
                 "seed {}: byte {} holds {} from uncommitted txn {}",
-                seed, at, b, writer
+                seed, at, b, writer(b)
             );
+        }
+        // A read sees committed bytes or its own writes: each byte was
+        // written by the reader or by a transaction committed before the
+        // read ran.
+        for read in &run.reads {
+            let before = &run.committed[..read.commits_before];
+            for &b in &read.bytes {
+                prop_assert!(
+                    b == 0 || writer(b) == read.txn || before.contains(&writer(b)),
+                    "seed {}: txn {}'s read #{} saw {} from txn {}, uncommitted then",
+                    seed, read.txn, read.step, b, writer(b)
+                );
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Fixed-seed sweeps of the deterministic interleaving harness
-//! (`perseas_integration::interleave`), plus the conflict-release and
-//! scope-propagation regression tests.
+//! (`perseas_integration::interleave`), plus the conflict-release,
+//! scope-propagation and dirty-read regression tests.
 
-use perseas_core::TxnError;
+use perseas_core::{ConcurrentPerseas, TxnError};
 use perseas_integration::interleave::{build_concurrent, run_schedule};
 
 #[test]
@@ -22,6 +22,54 @@ fn failing_schedules_replay_byte_for_byte() {
         let second = run_schedule(seed, 5);
         assert_eq!(first, second, "seed {seed}: schedule replay diverged");
     }
+}
+
+#[test]
+fn an_aborted_writers_debit_is_never_read() {
+    // Regression: W debits a balance 100 → 90, T reads it, W conflicts on
+    // its credit cell and aborts, T writes back its read minus one. The
+    // only serial order of the committed subset (T alone) leaves 99; a
+    // read of W's uncommitted 90 would leave 89.
+    let (db, r, _) = build_concurrent();
+    let shared = ConcurrentPerseas::new(db).unwrap();
+    let balance = |v: u64| v.to_le_bytes();
+    shared
+        .transaction(|tx| tx.update(r, 0, &balance(100)))
+        .unwrap();
+    // Another transaction holds W's credit cell.
+    let holder = shared.begin_transaction().unwrap();
+    holder.set_range(r, 8, 8).unwrap();
+
+    let w = shared.begin_transaction().unwrap();
+    w.update(r, 0, &balance(90)).unwrap();
+    let t = shared.begin_transaction().unwrap();
+    let mut buf = [0u8; 8];
+    let first = t.read(r, 0, &mut buf);
+    let err = w.update(r, 8, &balance(10)).unwrap_err();
+    assert!(matches!(err, TxnError::Conflict { .. }), "{err}");
+    let w_id = w.id();
+    w.abort().unwrap();
+
+    match first {
+        Ok(()) => assert_eq!(u64::from_le_bytes(buf), 100, "T read W's uncommitted debit"),
+        Err(TxnError::Conflict { holder, .. }) => {
+            assert_eq!(holder, w_id);
+            t.read(r, 0, &mut buf).unwrap();
+            assert_eq!(u64::from_le_bytes(buf), 100);
+        }
+        Err(e) => panic!("unexpected read error: {e}"),
+    }
+    let seen = u64::from_le_bytes(buf);
+    t.update(r, 0, &balance(seen - 1)).unwrap();
+    t.commit().unwrap();
+    holder.abort().unwrap();
+
+    shared.read(r, 0, &mut buf).unwrap();
+    assert_eq!(
+        u64::from_le_bytes(buf),
+        99,
+        "the image matches no serial order"
+    );
 }
 
 #[test]

@@ -65,13 +65,13 @@ fn transfer(
     let t = db.begin_concurrent().unwrap();
     db.set_range_t(t, r, from * CELL, CELL).unwrap();
     let mut buf = [0u8; CELL];
-    db.read(r, from * CELL, &mut buf).unwrap();
+    db.read_t(t, r, from * CELL, &mut buf).unwrap();
     let f = i64::from_le_bytes(buf) - amount;
     db.write_t(t, r, from * CELL, &f.to_le_bytes()).unwrap();
     if to != from {
         db.set_range_t(t, r, to * CELL, CELL).unwrap();
     }
-    db.read(r, to * CELL, &mut buf).unwrap();
+    db.read_t(t, r, to * CELL, &mut buf).unwrap();
     let g = i64::from_le_bytes(buf) + amount;
     db.write_t(t, r, to * CELL, &g.to_le_bytes()).unwrap();
     db.commit_group(&[t]).unwrap();
