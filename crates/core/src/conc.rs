@@ -29,7 +29,7 @@ use crate::layout::{
 };
 use crate::perseas::{
     coalesce, commit_completes, first_uncovered, payload, push_range, Batch, Member, MirrorState,
-    Perseas, Phase,
+    Perseas, Phase, Src,
 };
 use crate::trace::TraceEvent;
 
@@ -382,8 +382,8 @@ impl<M: RemoteMemory> Perseas<M> {
         let ranges = coalesce(&self.conc.txns[&id].declared);
         let lists = self.batches(|m| {
             let mut list = vec![
-                (m.undo.id, 0, self.undo_shadow[..GROUP_HEADER_SIZE].to_vec()),
-                (m.undo.id, hw, self.undo_shadow[hw..at].to_vec()),
+                (m.undo.id, 0, Src::Undo(0..GROUP_HEADER_SIZE)),
+                (m.undo.id, hw, Src::Undo(hw..at)),
             ];
             list.extend(self.data_ranges(m, &ranges));
             list
@@ -511,9 +511,9 @@ impl<M: RemoteMemory> Perseas<M> {
             let mut list: Batch = nonempty
                 .iter()
                 .zip(&free)
-                .map(|(id, &slot)| (m.meta.id, base + slot * 8, id.to_le_bytes().to_vec()))
+                .map(|(id, &slot)| (m.meta.id, base + slot * 8, Src::copied(&id.to_le_bytes())))
                 .collect();
-            list.push((m.meta.id, OFF_COMMIT, new_w.to_le_bytes().to_vec()));
+            list.push((m.meta.id, OFF_COMMIT, Src::copied(&new_w.to_le_bytes())));
             list
         };
 
@@ -751,10 +751,10 @@ impl<M: RemoteMemory> Perseas<M> {
         &'a self,
         m: &'a MirrorState<M>,
         ranges: &'a [(usize, usize, usize)],
-    ) -> impl Iterator<Item = (SegmentId, usize, Vec<u8>)> + 'a {
+    ) -> impl Iterator<Item = (SegmentId, usize, Src)> + 'a {
         ranges
             .iter()
-            .map(|&(ri, s, l)| (m.db[ri].id, s, self.regions[ri][s..s + l].to_vec()))
+            .map(|&(ri, s, l)| (m.db[ri].id, s, Src::Region(ri, s..s + l)))
     }
 
     /// Drops every claim transaction `id` holds, in every region.

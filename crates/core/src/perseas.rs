@@ -19,12 +19,64 @@ use crate::mvcc::MvccState;
 use crate::trace::{TraceEvent, Tracer};
 
 /// Per-mirror vectored write batch: each entry pairs a mirror index with
-/// the `(segment, offset, bytes)` ranges destined for that mirror.
+/// the ranges destined for that mirror.
 pub(crate) type MirrorBatches = Vec<(usize, Batch)>;
 
-/// One mirror's vectored write: `(segment, offset, bytes)` per range, in
+/// One mirror's vectored write: `(segment, offset, source)` per range, in
 /// the order they apply.
-pub(crate) type Batch = Vec<(SegmentId, usize, Vec<u8>)>;
+pub(crate) type Batch = Vec<(SegmentId, usize, Src)>;
+
+/// Bytes a [`Src::copied`] range holds in place: the longest record,
+/// tail or slot the engine writes.
+const INLINE: usize = 32;
+
+/// Where one range of a [`Batch`] takes its bytes from. A range of the
+/// local undo log or of a region is named, not copied: the fan-out
+/// resolves it through the [`Local`] it lends ([`Src::bytes`]), so the
+/// transport reads the payload where the engine keeps it.
+pub(crate) enum Src {
+    /// `undo_shadow[range]`.
+    Undo(std::ops::Range<usize>),
+    /// `regions[ri][range]`.
+    Region(usize, std::ops::Range<usize>),
+    /// A record, tail or slot, held in place: its first `len` bytes.
+    Inline { bytes: [u8; INLINE], len: usize },
+    /// Bytes encoded for this write alone (log records).
+    Owned(Vec<u8>),
+}
+
+impl Src {
+    /// `bytes` held by the batch itself: in place when they fit.
+    pub(crate) fn copied(bytes: &[u8]) -> Src {
+        if bytes.len() > INLINE {
+            return Src::Owned(bytes.to_vec());
+        }
+        let mut inline = [0; INLINE];
+        inline[..bytes.len()].copy_from_slice(bytes);
+        Src::Inline {
+            bytes: inline,
+            len: bytes.len(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Src::Undo(r) | Src::Region(_, r) => r.len(),
+            Src::Inline { len, .. } => *len,
+            Src::Owned(b) => b.len(),
+        }
+    }
+
+    /// The bytes this source names.
+    pub(crate) fn bytes<'a>(&'a self, local: &Local<'a>) -> &'a [u8] {
+        match self {
+            Src::Undo(r) => &local.undo_shadow[r.clone()],
+            Src::Region(ri, r) => &local.regions[*ri][r.clone()],
+            Src::Inline { bytes, len } => &bytes[..*len],
+            Src::Owned(b) => b,
+        }
+    }
+}
 
 /// One committed transaction as [`Perseas::finish_commits`] takes it: its
 /// id, its encoded undo records, and its declared ranges, coalesced.
@@ -1598,7 +1650,7 @@ impl<M: RemoteMemory> Perseas<M> {
             } else {
                 (0, len)
             };
-            vec![(m.undo.id, off, self.undo_shadow[off..off + len].to_vec())]
+            vec![(m.undo.id, off, Src::Undo(off..off + len))]
         })
     }
 
@@ -1878,7 +1930,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 .collect();
             coalesce(&planned)
                 .into_iter()
-                .map(|(ri, s, l)| (m.db[ri].id, s, self.regions[ri][s..s + l].to_vec()))
+                .map(|(ri, s, l)| (m.db[ri].id, s, Src::Region(ri, s..s + l)))
                 .collect()
         });
 
@@ -2054,14 +2106,14 @@ impl<M: RemoteMemory> Perseas<M> {
             let t0 = shared.as_ref().map(SimClock::now);
             let mut t_end = t0;
             let mut next = lists.iter();
-            let failed = self.fan_out_unfenced(|_, m, _| {
+            let failed = self.fan_out_unfenced(|_, m, local| {
                 let (mi, list) = next.next().expect("one list per healthy mirror");
                 if let (Some(c), Some(start)) = (shared.as_ref(), t0) {
                     c.rewind_to(start);
                 }
                 let written = m
                     .backend
-                    .remote_write_v(&borrowed(list))
+                    .remote_write_v(&borrowed(list, local))
                     .map(|()| Some(payload(list)));
                 if let (Some(c), Some(te)) = (shared.as_ref(), t_end.as_mut()) {
                     *te = (*te).max(c.now());
@@ -2077,6 +2129,11 @@ impl<M: RemoteMemory> Perseas<M> {
             // thread per listed healthy mirror, whose results then pass
             // through the usual step. Crash-point accounting is unchanged
             // (one step per mirror; an unarmed plan never fires).
+            let local = Local {
+                regions: &self.regions,
+                undo_shadow: &self.undo_shadow,
+                cfg: &self.cfg,
+            };
             let results: Vec<Result<(), RnError>> = std::thread::scope(|scope| {
                 let mut next = lists.iter().peekable();
                 let mut handles = Vec::with_capacity(lists.len());
@@ -2084,7 +2141,8 @@ impl<M: RemoteMemory> Perseas<M> {
                     let Some((_, list)) = next.next_if(|(i, _)| *i == mi) else {
                         continue;
                     };
-                    handles.push(scope.spawn(move || m.backend.remote_write_v(&borrowed(list))));
+                    let writes = borrowed(list, &local);
+                    handles.push(scope.spawn(move || m.backend.remote_write_v(&writes)));
                 }
                 handles
                     .into_iter()
@@ -2259,10 +2317,14 @@ pub(crate) fn unavailable(e: RnError) -> TxnError {
     TxnError::Unavailable(e.to_string())
 }
 
-/// A batch's ranges as the borrowed slices `remote_write_v` takes.
-fn borrowed(list: &[(SegmentId, usize, Vec<u8>)]) -> Vec<(SegmentId, usize, &[u8])> {
+/// A batch's ranges as the borrowed slices `remote_write_v` takes, each
+/// source resolved where it lies.
+fn borrowed<'a>(
+    list: &'a [(SegmentId, usize, Src)],
+    local: &Local<'a>,
+) -> Vec<(SegmentId, usize, &'a [u8])> {
     list.iter()
-        .map(|(s, o, d)| (*s, *o, d.as_slice()))
+        .map(|(s, o, src)| (*s, *o, src.bytes(local)))
         .collect()
 }
 
@@ -2285,11 +2347,11 @@ fn refusal(
 
 /// The packet-atomic commit record naming `id`, as mirror `m`'s batch.
 pub(crate) fn commit_record<M>(m: &MirrorState<M>, id: u64) -> Batch {
-    vec![(m.meta.id, OFF_COMMIT, id.to_le_bytes().to_vec())]
+    vec![(m.meta.id, OFF_COMMIT, Src::copied(&id.to_le_bytes()))]
 }
 
 /// Payload bytes of one mirror's batch.
-pub(crate) fn payload(list: &[(SegmentId, usize, Vec<u8>)]) -> usize {
+pub(crate) fn payload(list: &[(SegmentId, usize, Src)]) -> usize {
     list.iter().map(|(_, _, d)| d.len()).sum()
 }
 

@@ -48,7 +48,7 @@ use crate::layout::{
     REDO_ENTRY_SIZE, REDO_TOMBSTONE_REGION,
 };
 use crate::perseas::{
-    commit_completes, commit_record, unavailable, Batch, MirrorState, Perseas, Phase,
+    commit_completes, commit_record, unavailable, Batch, MirrorState, Perseas, Phase, Src,
 };
 use crate::trace::TraceEvent;
 
@@ -348,7 +348,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 list.push((
                     m.meta.id,
                     redo_entry_offset(dir_end, slots, slot),
-                    encode_redo_entry(seg.id.as_raw(), seq).to_vec(),
+                    Src::copied(&encode_redo_entry(seg.id.as_raw(), seq)),
                 ));
             }
             for c in &mut chunks {
@@ -359,12 +359,12 @@ impl<M: RemoteMemory> Perseas<M> {
                 } else {
                     c.bytes.clone()
                 };
-                list.push((seg.id, c.off, bytes));
+                list.push((seg.id, c.off, Src::Owned(bytes)));
             }
             list.push((
                 m.meta.id,
                 redo_tail_offset(dir_end),
-                new_tail.to_le_bytes().to_vec(),
+                Src::copied(&new_tail.to_le_bytes()),
             ));
             list
         });
@@ -458,11 +458,7 @@ impl<M: RemoteMemory> Perseas<M> {
                     .dirty
                     .iter()
                     .map(|&(ri, start, len)| {
-                        (
-                            m.db[ri].id,
-                            start,
-                            self.regions[ri][start..start + len].to_vec(),
-                        )
+                        (m.db[ri].id, start, Src::Region(ri, start..start + len))
                     })
                     .collect()
             });
@@ -477,7 +473,7 @@ impl<M: RemoteMemory> Perseas<M> {
         let snap_lists = self.batches(|m| {
             let dir_end = self.redo_dir_end_local(m.meta.len);
             let off = redo_snap_offset(dir_end);
-            vec![(m.meta.id, off, tail.to_le_bytes().to_vec())]
+            vec![(m.meta.id, off, Src::copied(&tail.to_le_bytes()))]
         });
         self.fan_out_vectored(snap_lists)?;
         self.flush_mirrors()?;
@@ -527,7 +523,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 .iter()
                 .map(|&(slot, _)| {
                     let off = redo_entry_offset(dir_end, slots, slot);
-                    (m.meta.id, off, vec![0u8; REDO_ENTRY_SIZE])
+                    (m.meta.id, off, Src::copied(&[0; REDO_ENTRY_SIZE]))
                 })
                 .collect()
         });

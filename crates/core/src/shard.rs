@@ -56,7 +56,7 @@ use crate::layout::{
     decode_region_entry, encode_decision_slot, encode_intent_slot, intent_table_offset, MetaHeader,
     DECISION_SLOT_SIZE, FLAG_SHARDED, INTENT_SLOT_SIZE, OFF_COMMIT, OFF_EPOCH,
 };
-use crate::perseas::{Perseas, Phase};
+use crate::perseas::{Perseas, Phase, Src};
 use crate::recovery::RecoveryReport;
 use crate::trace::{TraceEvent, Tracer};
 use crate::PerseasConfig;
@@ -130,7 +130,7 @@ impl<M: RemoteMemory> Perseas<M> {
     ) -> Result<(), TxnError> {
         self.ensure_phase(Phase::Ready)?;
         self.check_commit_quorum()?;
-        let lists = self.batches(|m| vec![(m.meta.id, off_of(m.meta.len), bytes.to_vec())]);
+        let lists = self.batches(|m| vec![(m.meta.id, off_of(m.meta.len), Src::copied(bytes))]);
         self.fan_out_vectored(lists)?;
         if flush {
             self.flush_mirrors()?;

@@ -16,6 +16,7 @@ use perseas_core::{
     FaultPlan, Perseas, PerseasConfig, RedoRecord, RegionId, TxnError, UndoRecord,
 };
 use std::io::Read as _;
+use std::net::TcpListener;
 use std::net::TcpStream;
 
 use perseas_rnram::protocol::{
@@ -23,6 +24,7 @@ use perseas_rnram::protocol::{
 };
 use perseas_rnram::server::Server;
 use perseas_rnram::SimRemote;
+use perseas_rnram::{RemoteMemory, SegmentId, TcpRemote};
 use perseas_sci::{NodeMemory, SciLink, SciParams};
 use perseas_simtime::SimClock;
 
@@ -36,6 +38,8 @@ decision_slot 314e4344c2f7c3e1efcdab0000000000
 redo_dir_header 314f44524a62222c000010000c000000
 write_v_frame 6f0000000b07000000000000000a020000000000000001000000000000004000000000000000050000000000000068656c6c6f020000000000000000100000000000002800000000000000a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a51193cd6f
 read_response_frame 1d00000086030000000000000009000000000000008262797465732c2072656164947055e3
+mux_write_frame 280400000c000000000000000000000000000000000305000000000000001800000000000000030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f26ae497b1d
+mux_write_v_frame 8d0400000c000000000000000000000000000000000a040000000000000001000000000000004000000000000000050000000000000068656c6c6f020000000000000000000000000000000000000000000000030000000000000000100000000000000604000000000000030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f26010000000000000008000000000000000800000000000000a5a5a5a5a5a5a5a511a1cb2f
 mirror_undo.1 5045525345415331 96 010041535544454d0100000001000000020000000000000000010000000000000100000000000000000000000000000000000000000000000200000000000000030000000000000040
 mirror_undo.2 0 256 4f444e5503000000000000000000000004000000000000001000000000000000d5eda3cbaaaaaaaa08090a0b0c0d0e0f101112130000000000000000200000000000000008000000000000004312ab582021222324252627
 mirror_undo.3 0 64 aaaaaaaaccccccccccccccccccccccccccccccccdddddddddddddddddddd1e1fbbbbbbbbbbbbbbbb28292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f
@@ -71,6 +75,50 @@ const READ_SESSION: u64 = 3;
 const READ_SEQ: u64 = 9;
 const READ_AT: usize = 7;
 const READ_LEN: usize = 11;
+/// Ranges of the recorded `TcpRemote` writes: short ones, an empty one,
+/// and one long enough to be gathered from the caller's buffer. Their
+/// golden lines were recorded at commit de04c21, when a write frame was
+/// still encoded into one buffer.
+const MUX_WRITE_AT: (u64, usize) = (5, 24);
+const MUX_WRITE_V: [(u64, usize, &[u8]); 3] = [(1, 64, b"hello"), (2, 0, b""), (1, 8, &[0xA5; 8])];
+
+/// 1 030 bytes of a pattern: longer than any range a frame's head copies.
+fn long_payload() -> Vec<u8> {
+    (0..1030u32).map(|i| (i * 7 + 3) as u8).collect()
+}
+
+/// The frame a fresh private `TcpRemote` session puts on the wire for
+/// the one posted write `write` makes, as a recording peer reads it.
+fn recorded_write_frame(write: impl FnOnce(&mut TcpRemote)) -> Vec<u8> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = TcpRemote::connect_pipelined(listener.local_addr().unwrap()).unwrap();
+    let (mut peer, _) = listener.accept().unwrap();
+    write(&mut client);
+    let mut frame = vec![0u8; 4];
+    peer.read_exact(&mut frame).unwrap();
+    let body = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+    frame.resize(4 + body + 4, 0);
+    peer.read_exact(&mut frame[4..]).unwrap();
+    frame
+}
+
+fn mux_write_frame() -> Vec<u8> {
+    let (seg, offset) = MUX_WRITE_AT;
+    recorded_write_frame(|c| {
+        c.remote_write(SegmentId::from_raw(seg), offset, &long_payload())
+            .unwrap()
+    })
+}
+
+fn mux_write_v_frame() -> Vec<u8> {
+    let long = long_payload();
+    let mut writes: Vec<(SegmentId, usize, &[u8])> = MUX_WRITE_V
+        .iter()
+        .map(|&(s, o, d)| (SegmentId::from_raw(s), o, d))
+        .collect();
+    writes.insert(2, (SegmentId::from_raw(3), 4096, &long));
+    recorded_write_frame(|c| c.remote_write_v(&writes).unwrap())
+}
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -136,6 +184,8 @@ fn encoded_artefacts() -> Vec<String> {
             hex(&frame_bytes(&encode_write_v(Some(7), &WRITE_V)))
         ),
         format!("read_response_frame {}", hex(&read_response_frame())),
+        format!("mux_write_frame {}", hex(&mux_write_frame())),
+        format!("mux_write_v_frame {}", hex(&mux_write_v_frame())),
     ]
 }
 
@@ -355,6 +405,37 @@ fn decoders_accept_the_golden_bytes() {
         )),
     };
     assert_eq!(Response::decode(&body).unwrap(), want);
+}
+
+/// The recorded write frames decode to the session writes that made them.
+#[test]
+fn the_recorded_write_frames_decode() {
+    let long = long_payload();
+    let body = read_frame(&mut golden("mux_write_frame").as_slice()).unwrap();
+    let (seg, offset) = MUX_WRITE_AT;
+    let want = Request::Mux {
+        session: 0,
+        seq: 0,
+        inner: Box::new(Request::Write {
+            seg,
+            offset: offset as u64,
+            data: long.clone(),
+        }),
+    };
+    assert_eq!(Request::decode(&body).unwrap(), want);
+
+    let body = read_frame(&mut golden("mux_write_v_frame").as_slice()).unwrap();
+    let mut ranges: Vec<(u64, u64, Vec<u8>)> = MUX_WRITE_V
+        .iter()
+        .map(|&(s, o, d)| (s, o as u64, d.to_vec()))
+        .collect();
+    ranges.insert(2, (3, 4096, long));
+    let want = Request::Mux {
+        session: 0,
+        seq: 0,
+        inner: Box::new(Request::WriteV { ranges }),
+    };
+    assert_eq!(Request::decode(&body).unwrap(), want);
 }
 
 #[test]

@@ -30,7 +30,9 @@ use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
-use crate::protocol::{encode_mux, read_frame_into, write_frame, Request, Response, Sink};
+use crate::protocol::{
+    encode_mux, read_frame_into, write_frame, Request, Response, Sink, WriteFrame, MAX_FRAME,
+};
 use crate::tcp::Kind;
 use crate::{FlushStats, PipelineConfig, RnError, TcpRemote};
 
@@ -77,6 +79,8 @@ pub(crate) struct MuxIo {
     dead: bool,
     sessions: BTreeMap<u64, SessState>,
     next_session: u64,
+    /// The head buffer of the last [`WriteFrame`], kept for the next.
+    head: Vec<u8>,
 }
 
 impl MuxIo {
@@ -116,10 +120,27 @@ impl MuxIo {
     }
 
     fn send(&mut self, body: &[u8]) -> Result<(), RnError> {
+        self.send_with(|s| write_frame(s, body))
+    }
+
+    fn send_with(
+        &mut self,
+        write: impl FnOnce(&mut TcpStream) -> Result<(), RnError>,
+    ) -> Result<(), RnError> {
         if self.dead {
             return Err(dead_err());
         }
-        write_frame(&mut self.stream, body).inspect_err(|_| self.dead = true)
+        write(&mut self.stream).inspect_err(|_| self.dead = true)
+    }
+
+    /// The buffer a new [`WriteFrame`] builds its head in.
+    pub(crate) fn take_head(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.head)
+    }
+
+    /// Keeps a sent [`WriteFrame`]'s head buffer for the next one.
+    pub(crate) fn keep_head(&mut self, head: Vec<u8>) {
+        self.head = head;
     }
 
     /// Reads one frame, which must be a mux response. With `sink`, the
@@ -248,16 +269,24 @@ impl MuxIo {
         }
     }
 
-    /// Posts an encoded, mux-wrapped write without waiting for its
-    /// acknowledgement, draining acks (of any session) until this
-    /// session's window has room. Returns whether it had to wait.
+    /// Posts a write frame without waiting for its acknowledgement,
+    /// draining acks (of any session) until this session's window has
+    /// room. Returns whether it had to wait. A frame whose body exceeds
+    /// [`MAX_FRAME`], which the server would refuse by hanging up, is
+    /// refused here before a byte is sent.
     pub(crate) fn post(
         &mut self,
         session: u64,
-        body: &[u8],
+        frame: &WriteFrame<'_>,
         seq: u64,
         bytes: usize,
     ) -> Result<bool, RnError> {
+        if frame.body_len() > MAX_FRAME {
+            return Err(RnError::Protocol(format!(
+                "write frame of {} bytes exceeds frame limit",
+                frame.body_len()
+            )));
+        }
         let mut stalled = false;
         loop {
             let st = self.state(session);
@@ -272,7 +301,7 @@ impl MuxIo {
             }
             self.route_ack()?;
         }
-        self.send(body)?;
+        self.send_with(|s| frame.write_to(s))?;
         let st = self.state(session);
         st.outstanding.push_back((seq, bytes));
         st.outstanding_bytes += bytes;
@@ -372,6 +401,7 @@ impl SessionMux {
                 dead: false,
                 sessions: BTreeMap::new(),
                 next_session: 0,
+                head: Vec::new(),
             })),
         })
     }

@@ -18,19 +18,18 @@ use crate::RnError;
 /// slack.
 pub const MAX_FRAME: usize = 96 << 20;
 
-/// Requests a client may send.
+/// Requests a client may send. `P` holds a write's payload: a client
+/// builds requests over owned `Vec<u8>`s, and [`Request::decode`] yields
+/// them over `&[u8]`s borrowed from the frame body it parses, so a server
+/// copies a written byte once, when it applies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<P = Vec<u8>> {
     /// Allocate `len` bytes tagged `tag`.
     Malloc { len: u64, tag: u64 },
     /// Free a segment.
     Free { seg: u64 },
     /// Write `data` at `offset` of `seg`.
-    Write {
-        seg: u64,
-        offset: u64,
-        data: Vec<u8>,
-    },
+    Write { seg: u64, offset: u64, data: P },
     /// Read `len` bytes at `offset` of `seg`.
     Read { seg: u64, offset: u64, len: u64 },
     /// Read several `(seg, offset, len)` ranges as one message with one
@@ -52,7 +51,7 @@ pub enum Request {
     /// ranges stay applied, mirroring a torn SCI burst.
     WriteV {
         /// The `(seg, offset, data)` ranges, applied in order.
-        ranges: Vec<(u64, u64, Vec<u8>)>,
+        ranges: Vec<(u64, u64, P)>,
     },
     /// Ask the server for its node name.
     Name,
@@ -70,7 +69,7 @@ pub enum Request {
         /// Client-chosen sequence number echoed in the response.
         seq: u64,
         /// The wrapped request.
-        inner: Box<Request>,
+        inner: Box<Request<P>>,
     },
     /// A multiplexed request: `inner` belongs to the logical client
     /// session `session` and carries that session's sequence number
@@ -87,7 +86,7 @@ pub enum Request {
         /// The session's sequence number, echoed in the response.
         seq: u64,
         /// The wrapped request.
-        inner: Box<Request>,
+        inner: Box<Request<P>>,
     },
     /// Retires the wrapping [`Request::Mux`]'s session: the server
     /// forgets the session id (gauge bookkeeping only — sessions hold no
@@ -173,6 +172,7 @@ const RE_MUX: u8 = 134;
 const RE_OVERLOADED: u8 = 135;
 const RE_DATA_V: u8 = 136;
 
+use perseas_sci::crc32 as crc_state;
 /// Computes the IEEE CRC-32 of `data`.
 pub use perseas_sci::crc32::checksum as crc32;
 use perseas_sci::crc32::checksum_parts as crc32_parts;
@@ -194,84 +194,104 @@ impl Request {
     /// Serializes the request into a frame body.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match self {
-            Request::Malloc { len, tag } => {
-                out.push(OP_MALLOC);
-                put_u64(&mut out, *len);
-                put_u64(&mut out, *tag);
-            }
-            Request::Free { seg } => {
-                out.push(OP_FREE);
-                put_u64(&mut out, *seg);
-            }
-            Request::Write { seg, offset, data } => {
-                out.push(OP_WRITE);
-                put_u64(&mut out, *seg);
-                put_u64(&mut out, *offset);
-                out.extend_from_slice(data);
-            }
-            Request::Read { seg, offset, len } => {
-                out.push(OP_READ);
-                put_u64(&mut out, *seg);
-                put_u64(&mut out, *offset);
-                put_u64(&mut out, *len);
-            }
-            Request::Connect { tag } => {
-                out.push(OP_CONNECT);
-                put_u64(&mut out, *tag);
-            }
-            Request::Info { seg } => {
-                out.push(OP_INFO);
-                put_u64(&mut out, *seg);
-            }
-            Request::WriteV { ranges } => {
-                out.push(OP_WRITE_V);
-                put_u64(&mut out, ranges.len() as u64);
-                for (seg, offset, data) in ranges {
-                    put_u64(&mut out, *seg);
-                    put_u64(&mut out, *offset);
-                    put_u64(&mut out, data.len() as u64);
-                    out.extend_from_slice(data);
-                }
-            }
-            Request::ReadV { reads } => {
-                out.push(OP_READ_V);
-                put_u64(&mut out, reads.len() as u64);
-                for (seg, offset, len) in reads {
-                    put_u64(&mut out, *seg);
-                    put_u64(&mut out, *offset);
-                    put_u64(&mut out, *len);
-                }
-            }
-            Request::Name => out.push(OP_NAME),
-            Request::Ping => out.push(OP_PING),
-            Request::Shutdown => out.push(OP_SHUTDOWN),
-            Request::Seq { seq, inner } => {
-                out.push(OP_SEQ);
-                put_u64(&mut out, *seq);
-                out.extend_from_slice(&inner.encode());
-            }
-            Request::Mux {
-                session,
-                seq,
-                inner,
-            } => {
-                out.push(OP_MUX);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *seq);
-                out.extend_from_slice(&inner.encode());
-            }
-            Request::SessClose => out.push(OP_SESS_CLOSE),
-        }
+        encode_request(self, &mut out);
         out
     }
+}
 
-    /// Parses a frame body into a request.
+/// Appends `req`'s frame body to `out`, whatever holds its payloads.
+fn encode_request<P: AsRef<[u8]>>(req: &Request<P>, out: &mut Vec<u8>) {
+    match req {
+        Request::Malloc { len, tag } => {
+            out.push(OP_MALLOC);
+            put_u64(out, *len);
+            put_u64(out, *tag);
+        }
+        Request::Free { seg } => {
+            out.push(OP_FREE);
+            put_u64(out, *seg);
+        }
+        Request::Write { seg, offset, data } => {
+            out.push(OP_WRITE);
+            put_u64(out, *seg);
+            put_u64(out, *offset);
+            out.extend_from_slice(data.as_ref());
+        }
+        Request::Read { seg, offset, len } => {
+            out.push(OP_READ);
+            put_u64(out, *seg);
+            put_u64(out, *offset);
+            put_u64(out, *len);
+        }
+        Request::Connect { tag } => {
+            out.push(OP_CONNECT);
+            put_u64(out, *tag);
+        }
+        Request::Info { seg } => {
+            out.push(OP_INFO);
+            put_u64(out, *seg);
+        }
+        Request::WriteV { ranges } => {
+            out.push(OP_WRITE_V);
+            put_u64(out, ranges.len() as u64);
+            for (seg, offset, data) in ranges {
+                let data = data.as_ref();
+                put_u64(out, *seg);
+                put_u64(out, *offset);
+                put_u64(out, data.len() as u64);
+                out.extend_from_slice(data);
+            }
+        }
+        Request::ReadV { reads } => {
+            out.push(OP_READ_V);
+            put_u64(out, reads.len() as u64);
+            for (seg, offset, len) in reads {
+                put_u64(out, *seg);
+                put_u64(out, *offset);
+                put_u64(out, *len);
+            }
+        }
+        Request::Name => out.push(OP_NAME),
+        Request::Ping => out.push(OP_PING),
+        Request::Shutdown => out.push(OP_SHUTDOWN),
+        Request::Seq { seq, inner } => {
+            out.push(OP_SEQ);
+            put_u64(out, *seq);
+            encode_request(inner, out);
+        }
+        Request::Mux {
+            session,
+            seq,
+            inner,
+        } => {
+            out.push(OP_MUX);
+            put_u64(out, *session);
+            put_u64(out, *seq);
+            encode_request(inner, out);
+        }
+        Request::SessClose => out.push(OP_SESS_CLOSE),
+    }
+}
+
+/// A decoded request equals an owned one when both encode to the same
+/// frame body.
+impl PartialEq<Request> for Request<&[u8]> {
+    fn eq(&self, other: &Request) -> bool {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        encode_request(self, &mut a);
+        encode_request(other, &mut b);
+        a == b
+    }
+}
+
+impl<'a> Request<&'a [u8]> {
+    /// Parses a frame body into a request whose write payloads borrow
+    /// from `body`.
     ///
     /// # Errors
     ///
     /// Returns [`RnError::Protocol`] on malformed input.
-    pub fn decode(body: &[u8]) -> Result<Request, RnError> {
+    pub fn decode(body: &'a [u8]) -> Result<Request<&'a [u8]>, RnError> {
         let (&op, rest) = body
             .split_first()
             .ok_or_else(|| RnError::Protocol("empty frame".into()))?;
@@ -290,7 +310,7 @@ impl Request {
                 Request::Write {
                     seg,
                     offset,
-                    data: rest[pos..].to_vec(),
+                    data: &rest[pos..],
                 }
             }
             OP_READ => Request::Read {
@@ -323,7 +343,7 @@ impl Request {
                         .checked_add(len)
                         .filter(|&e| e <= rest.len())
                         .ok_or_else(|| RnError::Protocol("truncated range data".into()))?;
-                    ranges.push((seg, offset, rest[pos..end].to_vec()));
+                    ranges.push((seg, offset, &rest[pos..end]));
                     pos = end;
                 }
                 Request::WriteV { ranges }
@@ -418,37 +438,112 @@ pub fn encode_mux(session: u64, seq: u64, req: &Request) -> Vec<u8> {
     out
 }
 
-/// Encodes a session-wrapped `Write` body straight from a borrowed
-/// payload: one allocation, one copy of `data`.
-pub fn encode_write_mux(session: u64, seq: u64, seg: u64, offset: u64, data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + 42);
-    out.push(OP_MUX);
-    put_u64(&mut out, session);
-    put_u64(&mut out, seq);
-    out.push(OP_WRITE);
-    put_u64(&mut out, seg);
-    put_u64(&mut out, offset);
-    out.extend_from_slice(data);
-    out
+/// A range at least this long rides in a [`WriteFrame`] as an iovec of
+/// its own, straight from the caller's buffer; a shorter one is copied
+/// into the frame's head, where the copy costs less than the iovec.
+const GATHER_MIN: usize = 1024;
+
+/// A session's `Write` or `WriteV` frame in gathered form: `head` holds
+/// the mux head, every range header and every range shorter than
+/// [`GATHER_MIN`], and each longer range stays in the caller's buffer,
+/// spliced in after the head byte it follows. The wire bytes are those of
+/// [`encode_mux`] over the owned request, framed by [`write_frame`].
+pub(crate) struct WriteFrame<'a> {
+    head: Vec<u8>,
+    /// `(head offset, range)`, in body order.
+    spliced: Vec<(usize, &'a [u8])>,
 }
 
-/// Encodes a session-wrapped `WriteV` body straight from borrowed ranges
-/// (the [`Request::Mux`] counterpart of [`encode_write_v`]).
-pub fn encode_write_v_mux(session: u64, seq: u64, ranges: &[(u64, u64, &[u8])]) -> Vec<u8> {
-    let payload: usize = ranges.iter().map(|(_, _, d)| d.len()).sum();
-    let mut out = Vec::with_capacity(payload + 24 * ranges.len() + 26);
-    out.push(OP_MUX);
-    put_u64(&mut out, session);
-    put_u64(&mut out, seq);
-    out.push(OP_WRITE_V);
-    put_u64(&mut out, ranges.len() as u64);
-    for &(seg, offset, data) in ranges {
-        put_u64(&mut out, seg);
-        put_u64(&mut out, offset);
-        put_u64(&mut out, data.len() as u64);
-        out.extend_from_slice(data);
+impl<'a> WriteFrame<'a> {
+    fn open(mut head: Vec<u8>, session: u64, seq: u64, op: u8) -> WriteFrame<'a> {
+        head.clear();
+        head.push(OP_MUX);
+        put_u64(&mut head, session);
+        put_u64(&mut head, seq);
+        head.push(op);
+        WriteFrame {
+            head,
+            spliced: Vec::new(),
+        }
     }
-    out
+
+    /// Session `session`'s write number `seq` of `data` at `offset` of
+    /// `seg`, built in the reused buffer `head`.
+    pub(crate) fn write(
+        head: Vec<u8>,
+        session: u64,
+        seq: u64,
+        (seg, offset, data): (u64, u64, &'a [u8]),
+    ) -> WriteFrame<'a> {
+        let mut f = WriteFrame::open(head, session, seq, OP_WRITE);
+        put_u64(&mut f.head, seg);
+        put_u64(&mut f.head, offset);
+        f.push_data(data);
+        f
+    }
+
+    /// Session `session`'s vectored write number `seq` of `ranges`, built
+    /// in the reused buffer `head`.
+    pub(crate) fn write_v(
+        head: Vec<u8>,
+        session: u64,
+        seq: u64,
+        ranges: impl ExactSizeIterator<Item = (u64, u64, &'a [u8])>,
+    ) -> WriteFrame<'a> {
+        let mut f = WriteFrame::open(head, session, seq, OP_WRITE_V);
+        put_u64(&mut f.head, ranges.len() as u64);
+        for (seg, offset, data) in ranges {
+            put_u64(&mut f.head, seg);
+            put_u64(&mut f.head, offset);
+            put_u64(&mut f.head, data.len() as u64);
+            f.push_data(data);
+        }
+        f
+    }
+
+    fn push_data(&mut self, data: &'a [u8]) {
+        if data.len() >= GATHER_MIN {
+            self.spliced.push((self.head.len(), data));
+        } else {
+            self.head.extend_from_slice(data);
+        }
+    }
+
+    /// The body's length on the wire.
+    pub(crate) fn body_len(&self) -> usize {
+        self.head.len() + self.spliced.iter().map(|(_, d)| d.len()).sum::<usize>()
+    }
+
+    /// The head buffer, for the next frame.
+    pub(crate) fn into_head(self) -> Vec<u8> {
+        self.head
+    }
+
+    /// Writes the frame — length prefix, body parts, CRC — as one
+    /// gathered write (see [`write_frame`]). The caller has checked the
+    /// body against [`MAX_FRAME`].
+    pub(crate) fn write_to<W: Write>(&self, w: &mut W) -> Result<(), RnError> {
+        debug_assert!(self.body_len() <= MAX_FRAME);
+        if self.spliced.is_empty() {
+            return write_frame(w, &self.head);
+        }
+        let len = (self.body_len() as u32).to_le_bytes();
+        let mut parts = Vec::with_capacity(2 * self.spliced.len() + 3);
+        parts.push(IoSlice::new(&len));
+        let mut at = 0;
+        for &(cut, data) in &self.spliced {
+            parts.push(IoSlice::new(&self.head[at..cut]));
+            parts.push(IoSlice::new(data));
+            at = cut;
+        }
+        parts.push(IoSlice::new(&self.head[at..]));
+        let state = parts[1..]
+            .iter()
+            .fold(crc_state::INIT, |s, p| crc_state::update(s, p));
+        let crc = crc_state::finish(state).to_le_bytes();
+        parts.push(IoSlice::new(&crc));
+        write_parts(w, &mut parts)
+    }
 }
 
 impl Response {
@@ -604,8 +699,16 @@ impl Response {
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> Result<(), RnError> {
     let len = (body.len() as u32).to_le_bytes();
     let crc = crc32(body).to_le_bytes();
-    let mut parts = [IoSlice::new(&len), IoSlice::new(body), IoSlice::new(&crc)];
-    let mut parts = &mut parts[..];
+    write_parts(
+        w,
+        &mut [IoSlice::new(&len), IoSlice::new(body), IoSlice::new(&crc)],
+    )
+}
+
+/// Writes `parts` in order with as few `write_vectored` calls as the
+/// writer allows: a short write, or a cap on the iovecs one call takes
+/// (`IOV_MAX`), is continued where it stopped.
+fn write_parts<W: Write>(w: &mut W, mut parts: &mut [IoSlice<'_>]) -> Result<(), RnError> {
     while !parts.is_empty() {
         match w.write_vectored(parts) {
             Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
@@ -1090,43 +1193,38 @@ mod tests {
         assert!(Request::decode(&body).is_err());
     }
 
+    /// The wire bytes of a gathered frame, written through `w`.
+    fn gathered<W: Write>(frame: &WriteFrame<'_>, mut w: W) -> W {
+        frame.write_to(&mut w).unwrap();
+        w
+    }
+
     #[test]
     fn borrowed_mux_encoders_match_the_owned_forms() {
-        let data = [5u8; 33];
-        assert_eq!(
-            encode_write_mux(6, 9, 4, 12, &data),
-            Request::Mux {
-                session: 6,
-                seq: 9,
-                inner: Box::new(Request::Write {
+        let data = [5u8; GATHER_MIN + 3];
+        for data in [&data[..33], &data[..]] {
+            let frame = WriteFrame::write(Vec::new(), 6, 9, (4, 12, data));
+            let owned = encode_mux(
+                6,
+                9,
+                &Request::Write {
                     seg: 4,
                     offset: 12,
                     data: data.to_vec(),
-                }),
-            }
-            .encode()
-        );
-        let ranges: [(u64, u64, &[u8]); 2] = [(1, 0, &data[..2]), (2, 64, &data[..0])];
+                },
+            );
+            assert_eq!(frame.body_len(), owned.len());
+            assert_eq!(gathered(&frame, Vec::new()), frame_bytes(&owned));
+        }
+        let ranges: [(u64, u64, &[u8]); 3] =
+            [(1, 0, &data[..2]), (2, 64, &data[..0]), (3, 8, &data[..])];
         let owned = Request::WriteV {
             ranges: ranges.iter().map(|&(s, o, d)| (s, o, d.to_vec())).collect(),
         };
+        let frame = WriteFrame::write_v(vec![0xEE; 7], 6, 3, ranges.into_iter());
         assert_eq!(
-            encode_write_v_mux(6, 3, &ranges),
-            Request::Mux {
-                session: 6,
-                seq: 3,
-                inner: Box::new(owned.clone()),
-            }
-            .encode()
-        );
-        assert_eq!(
-            encode_mux(6, 8, &owned),
-            Request::Mux {
-                session: 6,
-                seq: 8,
-                inner: Box::new(owned),
-            }
-            .encode()
+            gathered(&frame, Vec::new()),
+            frame_bytes(&encode_mux(6, 3, &owned))
         );
     }
 
@@ -1419,6 +1517,100 @@ mod tests {
             seal_frame(&mut frame);
             proptest::prop_assert_eq!(frame.capacity(), cap, "sealing moved the frame");
             proptest::prop_assert_eq!(frame, frame_bytes(&reference_encode(&read)));
+        }
+    }
+
+    /// `encode_write_v_mux` as it stood before write frames were
+    /// gathered: one buffer holding every byte of the body.
+    fn reference_write_v_mux(session: u64, seq: u64, ranges: &[(u64, u64, &[u8])]) -> Vec<u8> {
+        let payload: usize = ranges.iter().map(|(_, _, d)| d.len()).sum();
+        let mut out = Vec::with_capacity(payload + 24 * ranges.len() + 26);
+        out.push(OP_MUX);
+        put_u64(&mut out, session);
+        put_u64(&mut out, seq);
+        out.push(OP_WRITE_V);
+        put_u64(&mut out, ranges.len() as u64);
+        for &(seg, offset, data) in ranges {
+            put_u64(&mut out, seg);
+            put_u64(&mut out, offset);
+            put_u64(&mut out, data.len() as u64);
+            out.extend_from_slice(data);
+        }
+        out
+    }
+
+    /// `frame_bytes` as it stood: prefix, body, CRC in one buffer.
+    fn reference_frame(body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(body.len() + 8);
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(body);
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out
+    }
+
+    /// A writer that passes a socket's `IOV_MAX` of parts per call on to
+    /// `W`, as the kernel would take them.
+    struct IovCapped<W>(W);
+
+    impl<W: Write> Write for IovCapped<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.write(buf)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.0.write_vectored(&bufs[..bufs.len().min(1024)])
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.flush()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A gathered write frame is byte for byte the frame the old
+        /// one-buffer encoder built: with no ranges, with empty ones, with
+        /// ranges on both sides of `GATHER_MIN`, with more parts than one
+        /// vectored write takes, and through short writes.
+        #[test]
+        fn gathered_frames_match_the_one_buffer_encoding(
+            session in proptest::prelude::any::<u64>(),
+            seq in proptest::prelude::any::<u64>(),
+            shape in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>(), 0u8..4, 0usize..64),
+                0..6,
+            ),
+            wide in 0u8..8,
+            max in 1usize..1 << 20,
+        ) {
+            let lens = |(class, extra): (u8, usize)| match class {
+                0 => 0,
+                1 => extra,
+                2 => GATHER_MIN - 1 + extra % 3,
+                _ => GATHER_MIN + 16 * extra,
+            };
+            let mut shape: Vec<(u64, u64, usize)> =
+                shape.into_iter().map(|(s, o, c, e)| (s, o, lens((c, e)))).collect();
+            if wide == 0 {
+                // Over 1 024 parts: 600 spliced ranges, two iovecs each.
+                shape.extend((0..600u64).map(|i| (i, i * 8, GATHER_MIN)));
+            }
+            let data: Vec<Vec<u8>> = shape
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, _, len))| (0..len).map(|b| (b * 7 + i) as u8).collect())
+                .collect();
+            let ranges: Vec<(u64, u64, &[u8])> = shape
+                .iter()
+                .zip(&data)
+                .map(|(&(s, o, _), d)| (s, o, d.as_slice()))
+                .collect();
+            let body = reference_write_v_mux(session, seq, &ranges);
+            let frame = WriteFrame::write_v(vec![9; 40], session, seq, ranges.iter().copied());
+            proptest::prop_assert_eq!(frame.body_len(), body.len());
+            let wire = gathered(&frame, IovCapped(Metered::new(Vec::new(), max, false)));
+            proptest::prop_assert!(wire.0.inner == reference_frame(&body));
         }
     }
 

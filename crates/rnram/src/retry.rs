@@ -474,7 +474,7 @@ mod tests {
     fn spawn_window_dropper() -> SocketAddr {
         use crate::protocol::{read_frame, write_frame, Request, Response};
 
-        fn reply(req: &Request) -> Response {
+        fn reply(req: &Request<&[u8]>) -> Response {
             match req {
                 Request::Mux {
                     session,

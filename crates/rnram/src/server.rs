@@ -260,7 +260,6 @@ impl Server {
                 admission: self.admission,
                 inflight: 0,
                 queued: 0,
-                scratch: vec![0; 64 * 1024],
             },
         };
         let thread = thread::spawn(move || ev.run());
@@ -325,8 +324,6 @@ struct Ctx {
     inflight: usize,
     /// `Entry::Waiting` requests across all connections.
     queued: usize,
-    /// Where `read` lands before the bytes join a connection's buffer.
-    scratch: Vec<u8>,
 }
 
 impl Ctx {
@@ -349,14 +346,15 @@ impl Ctx {
     }
 }
 
-/// One response owed to a connection, in receipt order. `Waiting` holds a
-/// decoded request parked in the admission queue; `Ready` holds the full
-/// wire frame of a produced response, due no earlier than its deadline.
-/// `slot` marks entries holding an admission slot (released when the
-/// frame finishes writing, or when the connection dies).
+/// One response owed to a connection, in receipt order. `Waiting` holds
+/// the body of a request parked in the admission queue, a copy of its own:
+/// the read buffer it arrived in moves on before it is admitted. `Ready`
+/// holds the full wire frame of a produced response, due no earlier than
+/// its deadline. `slot` marks entries holding an admission slot (released
+/// when the frame finishes writing, or when the connection dies).
 enum Entry {
     Waiting {
-        req: Request,
+        body: Vec<u8>,
         received: Instant,
         op: &'static str,
     },
@@ -370,8 +368,11 @@ enum Entry {
 
 struct Conn {
     stream: TcpStream,
+    /// The socket's bytes land here: `rbuf[rpos..rend]` are received and
+    /// not yet parsed, and `rbuf[rend..]` is room for the next read.
     rbuf: Vec<u8>,
     rpos: usize,
+    rend: usize,
     queue: VecDeque<Entry>,
     /// `Entry::Waiting` count in `queue` (the first Waiting always has only
     /// Ready entries before it, so admitting it preserves apply order).
@@ -382,6 +383,24 @@ struct Conn {
     dead: bool,
     errored: bool,
     write_blocked: bool,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            rbuf: Vec::new(),
+            rpos: 0,
+            rend: 0,
+            queue: VecDeque::new(),
+            waiting: 0,
+            sessions: BTreeSet::new(),
+            eof: false,
+            dead: false,
+            errored: false,
+            write_blocked: false,
+        }
+    }
 }
 
 struct EventLoop {
@@ -489,18 +508,7 @@ impl EventLoop {
                         m.connections_total.inc();
                         m.connections.add(1);
                     }
-                    self.conns.push(Conn {
-                        stream,
-                        rbuf: Vec::new(),
-                        rpos: 0,
-                        queue: VecDeque::new(),
-                        waiting: 0,
-                        sessions: BTreeSet::new(),
-                        eof: false,
-                        dead: false,
-                        errored: false,
-                        write_blocked: false,
-                    });
+                    self.conns.push(Conn::new(stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -541,12 +549,13 @@ impl EventLoop {
                     slot: false,
                 };
                 let taken = std::mem::replace(&mut conn.queue[pos], placeholder);
-                let Entry::Waiting { req, received, op } = taken else {
+                let Entry::Waiting { body, received, op } = taken else {
                     unreachable!("position() returned a Waiting entry");
                 };
                 conn.waiting -= 1;
                 ctx.queued -= 1;
                 ctx.gauge_queue(-1);
+                let req = Request::decode(&body).expect("decoded once on receipt");
                 conn.queue[pos] = apply_now(conn, req, received, op, ctx);
                 progressed = true;
             }
@@ -565,8 +574,8 @@ impl EventLoop {
                 self.ctx.gauge_queue(-(conn.waiting as i64));
                 conn.waiting = 0;
             }
-            conn.rbuf.clear();
             conn.rpos = 0;
+            conn.rend = 0;
         }
     }
 
@@ -588,15 +597,28 @@ impl EventLoop {
     }
 }
 
-/// Drains the socket's receive buffer and parses complete frames.
+/// The least a connection's read buffer holds once it has read anything.
+const RBUF_MIN: usize = 64 * 1024;
+
+/// Drains the socket's receive buffer straight into the connection's read
+/// buffer and parses complete frames.
 fn read_ready(conn: &mut Conn, ctx: &mut Ctx) {
     loop {
-        match conn.stream.read(&mut ctx.scratch) {
+        if conn.rend == conn.rbuf.len() {
+            // Whole frames are served before a full buffer grows, so it
+            // grows only for a frame still arriving.
+            parse_frames(conn, ctx);
+            if conn.dead || ctx.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            make_room(conn);
+        }
+        match conn.stream.read(&mut conn.rbuf[conn.rend..]) {
             Ok(0) => {
                 conn.eof = true;
                 break;
             }
-            Ok(n) => conn.rbuf.extend_from_slice(&ctx.scratch[..n]),
+            Ok(n) => conn.rend += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
@@ -609,6 +631,30 @@ fn read_ready(conn: &mut Conn, ctx: &mut Ctx) {
     parse_frames(conn, ctx);
 }
 
+/// Leaves room at the end of a full read buffer without trusting a length
+/// prefix with memory, so the buffer grows with the bytes received: the
+/// unparsed bytes move to the front if they fill at most half of it, and
+/// otherwise it doubles — to no further than the end of the frame being
+/// received, once a valid prefix announces that end.
+fn make_room(conn: &mut Conn) {
+    let (pos, end, len) = (conn.rpos, conn.rend, conn.rbuf.len());
+    if len > 0 && 2 * (end - pos) <= len {
+        conn.rbuf.copy_within(pos..end, 0);
+        conn.rpos = 0;
+        conn.rend = end - pos;
+        return;
+    }
+    let frame_end = conn.rbuf[pos..end]
+        .first_chunk::<4>()
+        .map(|p| u32::from_le_bytes(*p) as usize)
+        .filter(|&body| body <= MAX_FRAME)
+        .map(|body| pos + body + 8)
+        .filter(|&e| e > len);
+    let grown = (2 * len).max(RBUF_MIN);
+    conn.rbuf
+        .resize(frame_end.map_or(grown, |e| grown.min(e)), 0);
+}
+
 /// Splits complete frames out of the connection's read buffer, enforcing
 /// the same length and CRC rules as [`read_frame`]: a violation kills this
 /// connection (and only this connection).
@@ -617,7 +663,7 @@ fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
     // it, so each body is checked and decoded where it lies.
     let rbuf = std::mem::take(&mut conn.rbuf);
     while !conn.dead && !ctx.stop.load(Ordering::SeqCst) {
-        let buf = &rbuf[conn.rpos..];
+        let buf = &rbuf[conn.rpos..conn.rend];
         if buf.len() < 4 {
             break;
         }
@@ -641,9 +687,9 @@ fn parse_frames(conn: &mut Conn, ctx: &mut Ctx) {
         ingest(conn, body, ctx);
     }
     conn.rbuf = rbuf;
-    if conn.rpos > 0 && (conn.rpos >= conn.rbuf.len() || conn.rpos > 64 * 1024) {
-        conn.rbuf.drain(..conn.rpos);
+    if conn.rpos == conn.rend {
         conn.rpos = 0;
+        conn.rend = 0;
     }
 }
 
@@ -669,7 +715,11 @@ fn ingest(conn: &mut Conn, body: &[u8], ctx: &mut Ctx) {
                 ctx.queued += 1;
                 ctx.gauge_queue(1);
                 conn.waiting += 1;
-                Entry::Waiting { req, received, op }
+                Entry::Waiting {
+                    body: body.to_vec(),
+                    received,
+                    op,
+                }
             } else {
                 if let Some(m) = ctx.metrics.as_deref() {
                     m.admission_refusals.inc();
@@ -685,7 +735,7 @@ fn ingest(conn: &mut Conn, body: &[u8], ctx: &mut Ctx) {
 /// an admission slot until the frame is fully written.
 fn apply_now(
     conn: &mut Conn,
-    req: Request,
+    req: Request<&[u8]>,
     received: Instant,
     op: &'static str,
     ctx: &mut Ctx,
@@ -723,7 +773,7 @@ fn ready_response(frame: Vec<u8>, op: &'static str, received: Instant, ctx: &Ctx
 
 /// Session bookkeeping on apply: a `Mux` frame opens its session on first
 /// sight; a `Mux`-wrapped `SessClose` retires it.
-fn track_sessions(conn: &mut Conn, req: &Request, ctx: &Ctx) {
+fn track_sessions(conn: &mut Conn, req: &Request<&[u8]>, ctx: &Ctx) {
     if let Request::Mux { session, inner, .. } = req {
         if matches!(**inner, Request::SessClose) {
             if conn.sessions.remove(session) {
@@ -737,7 +787,7 @@ fn track_sessions(conn: &mut Conn, req: &Request, ctx: &Ctx) {
 
 /// An admission refusal shaped like its request, so a client can route
 /// it by session and seq.
-fn refusal_for(req: &Request) -> Response {
+fn refusal_for(req: &Request<&[u8]>) -> Response {
     match req {
         Request::Mux { session, seq, .. } => Response::Mux {
             session: *session,
@@ -836,7 +886,7 @@ fn release_conn(conn: Conn, ctx: &mut Ctx) {
 
 /// The metrics label for a request's opcode. `Seq` and `Mux` wrappers are
 /// attributed to the operation they carry.
-fn op_name(req: &Request) -> &'static str {
+fn op_name(req: &Request<&[u8]>) -> &'static str {
     match req {
         Request::Seq { inner, .. } | Request::Mux { inner, .. } => op_name(inner),
         Request::Malloc { .. } => "malloc",
@@ -857,7 +907,7 @@ fn op_name(req: &Request) -> &'static str {
 /// Serves `req` against `node`, appending its encoded response to the
 /// open frame `out`. Wrappers write their head first; a read copies its
 /// payload once, from node memory straight into the frame.
-fn respond(req: Request, node: &NodeMemory, stop: &AtomicBool, out: &mut Vec<u8>) {
+fn respond(req: Request<&[u8]>, node: &NodeMemory, stop: &AtomicBool, out: &mut Vec<u8>) {
     let resp = match req {
         Request::Seq { seq, inner } => {
             put_tagged_head(out, seq);
@@ -883,7 +933,7 @@ fn respond(req: Request, node: &NodeMemory, stop: &AtomicBool, out: &mut Vec<u8>
             Err(e) => Response::Err(sci_error_msg(&e)),
         },
         Request::Write { seg, offset, data } => {
-            match node.write(SegmentId::from_raw(seg), offset as usize, &data) {
+            match node.write(SegmentId::from_raw(seg), offset as usize, data) {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Err(sci_error_msg(&e)),
             }
@@ -1116,11 +1166,12 @@ mod tests {
         assert!(registry.render().contains("perseas_server_sessions 2"));
         // Write through session 1, read through session 2: same memory.
         let data = b"cross-session".to_vec();
-        write_frame(
-            &mut s,
-            &crate::protocol::encode_write_mux(1, 1, seg, 0, &data),
-        )
-        .unwrap();
+        let write = Request::Write {
+            seg,
+            offset: 0,
+            data: data.clone(),
+        };
+        write_frame(&mut s, &crate::protocol::encode_mux(1, 1, &write)).unwrap();
         let read = Request::Read {
             seg,
             offset: 0,
@@ -1174,5 +1225,79 @@ mod tests {
         );
         c.ping().unwrap();
         server.shutdown();
+    }
+
+    /// A write is bounded by its frame the way a read is by its answer's:
+    /// the client refuses a write whose body would pass `MAX_FRAME` before
+    /// sending a byte, so the server never sees a frame it would hang up
+    /// on, and the connection lives on.
+    #[test]
+    fn writes_are_bounded_by_their_frame() {
+        let server = Server::bind("bounded", "127.0.0.1:0").unwrap().start();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
+        let seg = c.remote_malloc(64, 0).unwrap();
+        // Never touched, so it costs next to no resident memory.
+        let big = vec![0u8; MAX_FRAME];
+        let err = c.remote_write(seg.id, 0, &big).unwrap_err();
+        assert!(
+            matches!(&err, RnError::Protocol(m) if m.contains("frame limit")),
+            "{err}"
+        );
+        assert!(!err.is_unavailable(), "a refusal is not an outage");
+        let err = c
+            .remote_write_v(&[(seg.id, 0, &[1; 8]), (seg.id, 8, &big[..MAX_FRAME - 60])])
+            .unwrap_err();
+        assert!(
+            matches!(&err, RnError::Protocol(m) if m.contains("frame limit")),
+            "{err}"
+        );
+        assert_eq!(c.in_flight(), 0);
+        c.ping().unwrap();
+        c.remote_write(seg.id, 0, &[7; 8]).unwrap();
+        let mut back = [0u8; 8];
+        c.remote_read(seg.id, 0, &mut back).unwrap();
+        assert_eq!(back, [7; 8]);
+        server.shutdown();
+    }
+
+    /// A length prefix is not trusted with memory: a peer announcing a
+    /// `MAX_FRAME` body and sending 10 bytes of it leaves the connection's
+    /// read buffer at the size the received bytes called for.
+    #[test]
+    fn a_hostile_length_prefix_allocates_nothing_up_front() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream);
+        let mut ctx = Ctx {
+            node: NodeMemory::new("hostile"),
+            stop: Arc::new(AtomicBool::new(false)),
+            latency: Duration::ZERO,
+            metrics: None,
+            admission: AdmissionConfig::default(),
+            inflight: 0,
+            queued: 0,
+        };
+        let mut receive = |sent: usize| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while conn.rend - conn.rpos < sent && Instant::now() < deadline {
+                read_ready(&mut conn, &mut ctx);
+                thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(conn.rend - conn.rpos, sent, "the bytes sent arrived");
+            assert!(!conn.dead, "a frame still arriving is no violation");
+            assert!(
+                conn.rbuf.capacity() < 1 << 20,
+                "{} bytes held",
+                conn.rbuf.capacity()
+            );
+        };
+        peer.write_all(&(MAX_FRAME as u32).to_le_bytes()).unwrap();
+        peer.write_all(&[0xAB; 10]).unwrap();
+        receive(14);
+        // More than the first buffer holds: it grows with what came.
+        peer.write_all(&[0xCD; 100 << 10]).unwrap();
+        receive(14 + (100 << 10));
     }
 }

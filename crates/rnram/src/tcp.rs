@@ -7,7 +7,7 @@ use perseas_sci::SegmentId;
 
 use crate::metrics::ClientMetrics;
 use crate::mux::{lock, MuxIo};
-use crate::protocol::{encode_mux, encode_write_mux, encode_write_v_mux, Request, Response};
+use crate::protocol::{encode_mux, Request, Response, WriteFrame};
 use crate::{FlushStats, RemoteMemory, RemoteSegment, RnError, SessionMux};
 
 /// Bounds on the pipelined in-flight window: how many write operations
@@ -212,18 +212,26 @@ impl TcpRemote {
         resp
     }
 
-    /// Posts the write `encode` builds for a sequence number, charging
-    /// `bytes` of payload against the window. A confirmed handle then
-    /// runs the barrier: its window holds only this write, so a failure
-    /// is this call's error and leaves nothing in flight.
-    fn post(&self, bytes: usize, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<(), RnError> {
+    /// Posts the write frame `build` makes from a reused head buffer and
+    /// a sequence number, charging `bytes` of payload against the window.
+    /// A confirmed handle then runs the barrier: its window holds only
+    /// this write, so a failure is this call's error and leaves nothing in
+    /// flight.
+    fn post<'a>(
+        &self,
+        bytes: usize,
+        build: impl FnOnce(Vec<u8>, u64) -> WriteFrame<'a>,
+    ) -> Result<(), RnError> {
         let mut io = lock(&self.io);
         let seq = io.take_seq(self.session);
-        let body = encode(seq);
-        let stalled = io.post(self.session, &body, seq, bytes)?;
+        let frame = build(io.take_head(), seq);
+        let body_len = frame.body_len();
+        let posted = io.post(self.session, &frame, seq, bytes);
+        io.keep_head(frame.into_head());
+        let stalled = posted?;
         if let Some(m) = self.metrics.as_ref() {
             m.posted.inc();
-            m.bytes.add(body.len() as u64);
+            m.bytes.add(body_len as u64);
             if stalled {
                 m.window_stalls.inc();
             }
@@ -329,24 +337,25 @@ impl RemoteMemory for TcpRemote {
     }
 
     fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
-        // The frame is encoded straight from the borrowed payload: one
-        // allocation, one copy, no intermediate `data.to_vec()`.
+        // The payload goes to the socket from `data` itself, gathered
+        // behind the frame's head (see `WriteFrame`).
         let session = self.session;
-        self.post(data.len(), |seq| {
-            encode_write_mux(session, seq, seg.as_raw(), offset as u64, data)
+        self.post(data.len(), |head, seq| {
+            WriteFrame::write(head, session, seq, (seg.as_raw(), offset as u64, data))
         })
     }
 
     fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
         // The whole batch rides in one frame and is confirmed by one ack;
-        // the frame is encoded straight from the borrowed ranges.
-        let ranges: Vec<(u64, u64, &[u8])> = writes
-            .iter()
-            .map(|&(seg, offset, data)| (seg.as_raw(), offset as u64, data))
-            .collect();
-        let bytes = ranges.iter().map(|(_, _, d)| d.len()).sum();
+        // each long range goes to the socket from the caller's buffer.
+        let bytes = writes.iter().map(|(_, _, d)| d.len()).sum();
         let session = self.session;
-        self.post(bytes, |seq| encode_write_v_mux(session, seq, &ranges))
+        self.post(bytes, |head, seq| {
+            let ranges = writes
+                .iter()
+                .map(|&(seg, offset, data)| (seg.as_raw(), offset as u64, data));
+            WriteFrame::write_v(head, session, seq, ranges)
+        })
     }
 
     fn flush(&mut self) -> Result<FlushStats, RnError> {

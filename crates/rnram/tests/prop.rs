@@ -769,3 +769,184 @@ fn hostile_lengths_do_not_kill_the_server() {
     c.remote_write(seg.id, 0, &[1; 16]).unwrap();
     server.shutdown();
 }
+
+/// The borrowed decoder against the owned one it replaced: a test-local
+/// copy of `Request::decode` as it stood when every write payload was
+/// copied out of the frame. Over valid bodies, their truncations, single
+/// byte changes and arbitrary bytes, the two must accept exactly the
+/// same bodies and, where they accept, yield the same request.
+mod borrowed_decoder {
+    use super::*;
+    use perseas_rnram::protocol::Request;
+    use perseas_rnram::RnError;
+
+    fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, RnError> {
+        let end = *pos + 8;
+        let bytes = buf
+            .get(*pos..end)
+            .ok_or_else(|| RnError::Protocol("truncated integer".into()))?;
+        *pos = end;
+        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    }
+
+    /// The owned decoder, opcodes spelled as numbers.
+    fn owned_decode(body: &[u8]) -> Result<Request, RnError> {
+        let (&op, rest) = body
+            .split_first()
+            .ok_or_else(|| RnError::Protocol("empty frame".into()))?;
+        let mut pos = 0;
+        let req = match op {
+            1 => Request::Malloc {
+                len: get_u64(rest, &mut pos)?,
+                tag: get_u64(rest, &mut pos)?,
+            },
+            2 => Request::Free {
+                seg: get_u64(rest, &mut pos)?,
+            },
+            3 => {
+                let seg = get_u64(rest, &mut pos)?;
+                let offset = get_u64(rest, &mut pos)?;
+                Request::Write {
+                    seg,
+                    offset,
+                    data: rest[pos..].to_vec(),
+                }
+            }
+            4 => Request::Read {
+                seg: get_u64(rest, &mut pos)?,
+                offset: get_u64(rest, &mut pos)?,
+                len: get_u64(rest, &mut pos)?,
+            },
+            5 => Request::Connect {
+                tag: get_u64(rest, &mut pos)?,
+            },
+            6 => Request::Info {
+                seg: get_u64(rest, &mut pos)?,
+            },
+            10 => {
+                let count = get_u64(rest, &mut pos)?;
+                if count > (rest.len() as u64) / 24 {
+                    return Err(RnError::Protocol("range count".into()));
+                }
+                let mut ranges = Vec::with_capacity(count as usize);
+                for _ in 0..count {
+                    let seg = get_u64(rest, &mut pos)?;
+                    let offset = get_u64(rest, &mut pos)?;
+                    let len = get_u64(rest, &mut pos)? as usize;
+                    let end = pos
+                        .checked_add(len)
+                        .filter(|&e| e <= rest.len())
+                        .ok_or_else(|| RnError::Protocol("truncated range data".into()))?;
+                    ranges.push((seg, offset, rest[pos..end].to_vec()));
+                    pos = end;
+                }
+                Request::WriteV { ranges }
+            }
+            14 => {
+                let count = get_u64(rest, &mut pos)?;
+                if count > (rest.len() as u64) / 24 {
+                    return Err(RnError::Protocol("range count".into()));
+                }
+                let mut reads = Vec::with_capacity(count as usize);
+                for _ in 0..count {
+                    let seg = get_u64(rest, &mut pos)?;
+                    let offset = get_u64(rest, &mut pos)?;
+                    let len = get_u64(rest, &mut pos)?;
+                    reads.push((seg, offset, len));
+                }
+                Request::ReadV { reads }
+            }
+            7 => Request::Name,
+            8 => Request::Ping,
+            9 => Request::Shutdown,
+            11 => {
+                let seq = get_u64(rest, &mut pos)?;
+                let inner = owned_decode(&rest[pos..])?;
+                if matches!(inner, Request::Seq { .. } | Request::Mux { .. }) {
+                    return Err(RnError::Protocol("nested seq frame".into()));
+                }
+                Request::Seq {
+                    seq,
+                    inner: Box::new(inner),
+                }
+            }
+            12 => {
+                let session = get_u64(rest, &mut pos)?;
+                let seq = get_u64(rest, &mut pos)?;
+                let inner = owned_decode(&rest[pos..])?;
+                if matches!(inner, Request::Seq { .. } | Request::Mux { .. }) {
+                    return Err(RnError::Protocol("nested mux frame".into()));
+                }
+                Request::Mux {
+                    session,
+                    seq,
+                    inner: Box::new(inner),
+                }
+            }
+            13 => Request::SessClose,
+            other => return Err(RnError::Protocol(format!("unknown opcode {other}"))),
+        };
+        Ok(req)
+    }
+
+    /// A valid request body: a write, a vectored write or a read, bare or
+    /// wrapped, with small fields so that mutations hit lengths.
+    fn arb_body() -> impl Strategy<Value = Vec<u8>> {
+        let data = || prop::collection::vec(any::<u8>(), 0..24);
+        let plain = prop_oneof![
+            (0u64..4, 0u64..64, data()).prop_map(|(seg, offset, data)| Request::Write {
+                seg,
+                offset,
+                data
+            }),
+            prop::collection::vec((0u64..4, 0u64..64, data()), 0..4)
+                .prop_map(|ranges| Request::WriteV { ranges }),
+            prop::collection::vec((0u64..4, 0u64..64, 0u64..64), 0..3)
+                .prop_map(|reads| Request::ReadV { reads }),
+            Just(Request::Ping),
+        ];
+        (0u8..3, 0u64..4, plain).prop_map(|(wrap, n, req)| {
+            let inner = Box::new(req);
+            match wrap {
+                0 => Request::Mux {
+                    session: n,
+                    seq: n,
+                    inner,
+                },
+                1 => Request::Seq { seq: n, inner },
+                _ => *inner,
+            }
+            .encode()
+        })
+    }
+
+    fn agree(body: &[u8]) -> Result<(), TestCaseError> {
+        match (Request::decode(body), owned_decode(body)) {
+            (Ok(b), Ok(o)) => prop_assert!(b == o, "{b:?} != {o:?}"),
+            (Err(_), Err(_)) => {}
+            (b, o) => prop_assert!(false, "borrowed {b:?}, owned {o:?}"),
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn borrowed_and_owned_decoders_agree(
+            body in arb_body(),
+            cut in any::<usize>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            noise in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            agree(&body)?;
+            agree(&body[..cut % (body.len() + 1)])?;
+            let mut changed = body.clone();
+            let at = at % changed.len();
+            changed[at] = byte;
+            agree(&changed)?;
+            agree(&noise)?;
+        }
+    }
+}

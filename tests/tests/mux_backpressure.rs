@@ -259,3 +259,56 @@ fn shutdown_with_a_thousand_live_sessions_is_prompt() {
     );
     drop(sessions); // best-effort SessClose against the dead socket: no panic
 }
+
+/// A request the admission queue parks keeps its own copy of its frame:
+/// the server reads the socket straight into the connection's buffer and
+/// applies a request where it lies, so by the time a parked `WriteV` is
+/// admitted later frames have refilled that buffer over the bytes it
+/// arrived in. It must still apply its own bytes.
+#[test]
+fn a_parked_write_v_applies_its_own_bytes() {
+    let server = Server::bind("parked", "127.0.0.1:0")
+        .unwrap()
+        .with_admission(AdmissionConfig {
+            max_inflight: 1,
+            max_queue: 64,
+        })
+        .with_request_latency(Duration::from_millis(100))
+        .start();
+    let mux = SessionMux::connect(server.addr()).unwrap();
+    let mut first = mux.session();
+    let mut parked = mux.session();
+    let seg = first.remote_malloc(1 << 20, 0).unwrap();
+
+    // `first` takes the one slot until its acknowledgement is due.
+    first.remote_write(seg.id, 0, &[1; 8]).unwrap();
+    // Parked behind it: a short range, copied into the frame's head, and
+    // a long one, sent from this buffer.
+    let long: Vec<u8> = (0..4096u32).map(|i| (i * 13 + 5) as u8).collect();
+    parked
+        .remote_write_v(&[(seg.id, 100, &[0x5A; 16]), (seg.id, 8192, &long)])
+        .unwrap();
+    // Later frames, in later reads, larger than the buffer holds.
+    std::thread::sleep(Duration::from_millis(20));
+    let filler = vec![0xC3; 256 << 10];
+    for k in 0..3 {
+        first
+            .remote_write(seg.id, (64 << 10) + k * filler.len(), &filler)
+            .unwrap();
+    }
+    first.flush().unwrap();
+    parked.flush().unwrap();
+
+    let mut short = [0u8; 16];
+    parked.remote_read(seg.id, 100, &mut short).unwrap();
+    assert_eq!(short, [0x5A; 16]);
+    let mut back = vec![0u8; long.len()];
+    parked.remote_read(seg.id, 8192, &mut back).unwrap();
+    assert!(back == long, "the parked write applied other bytes");
+    let mut tail = vec![0u8; filler.len()];
+    first
+        .remote_read(seg.id, (64 << 10) + 2 * filler.len(), &mut tail)
+        .unwrap();
+    assert!(tail == filler);
+    server.shutdown();
+}
