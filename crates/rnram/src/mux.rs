@@ -67,8 +67,9 @@ struct SessState {
     /// `(seq, payload_bytes)` of posted writes, oldest first.
     outstanding: VecDeque<(u64, usize)>,
     outstanding_bytes: usize,
-    /// Typed refusals earned by posted writes, one surfaced per flush.
-    refusals: VecDeque<RnError>,
+    /// Typed refusals earned by posted writes, with the refused write's
+    /// seq, one surfaced per flush.
+    refusals: VecDeque<(u64, RnError)>,
 }
 
 /// The socket and the routing table over it.
@@ -193,8 +194,8 @@ impl MuxIo {
                 st.outstanding_bytes -= bytes;
                 match inner {
                     Response::Ok => {}
-                    Response::Err(m) => st.refusals.push_back(RnError::Remote(m)),
-                    Response::Overloaded => st.refusals.push_back(RnError::Overloaded),
+                    Response::Err(m) => st.refusals.push_back((seq, RnError::Remote(m))),
+                    Response::Overloaded => st.refusals.push_back((seq, RnError::Overloaded)),
                     other => {
                         self.dead = true;
                         return Err(RnError::Protocol(format!(
@@ -328,7 +329,19 @@ impl MuxIo {
 
     /// The oldest refusal a posted write of `session` earned, if any.
     pub(crate) fn take_refusal(&mut self, session: u64) -> Option<RnError> {
-        self.state(session).refusals.pop_front()
+        self.state(session).refusals.pop_front().map(|(_, e)| e)
+    }
+
+    /// Drains `session`'s window, whose newest write is `seq`, and tells
+    /// whether that write was refused. Its refusal, if any, stays queued
+    /// for the next barrier.
+    pub(crate) fn confirm(&mut self, session: u64, seq: u64) -> Result<bool, RnError> {
+        self.drain(session)?;
+        let st = self.state(session);
+        Ok(st
+            .refusals
+            .back()
+            .is_some_and(|&(refused, _)| refused == seq))
     }
 
     /// Forgets `session`'s window after its owner reported the loss.

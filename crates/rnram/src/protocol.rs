@@ -18,6 +18,15 @@ use crate::RnError;
 /// slack.
 pub const MAX_FRAME: usize = 96 << 20;
 
+/// Upper bound on the body of a `Write` or `WriteV` frame a
+/// [`crate::TcpRemote`] sends, and on the bytes one of its `Read`s asks
+/// for. A longer transfer travels as a sequence of frames of at most this
+/// size, so no frame outgrows the caches its copy, CRC and socket passes
+/// run through, and neither side holds a buffer as large as the transfer.
+/// 256 KiB measured best of 256 KiB, 512 KiB, 1 MiB and 4 MiB
+/// (EXPERIMENTS.md has the sweep).
+pub const MAX_PIECE: usize = 256 << 10;
+
 /// Requests a client may send. `P` holds a write's payload: a client
 /// builds requests over owned `Vec<u8>`s, and [`Request::decode`] yields
 /// them over `&[u8]`s borrowed from the frame body it parses, so a server
@@ -443,6 +452,15 @@ pub fn encode_mux(session: u64, seq: u64, req: &Request) -> Vec<u8> {
 /// into the frame's head, where the copy costs less than the iovec.
 const GATHER_MIN: usize = 1024;
 
+/// Bytes of a session's `Write` frame body besides its data: the mux
+/// head, the opcode, the segment and the offset.
+pub(crate) const WRITE_HEAD: usize = 34;
+/// Bytes of a session's `WriteV` frame body besides its ranges: the mux
+/// head, the opcode and the range count.
+pub(crate) const WRITE_V_HEAD: usize = 26;
+/// Bytes of a `WriteV` range besides its data: segment, offset, length.
+pub(crate) const RANGE_HEAD: usize = 24;
+
 /// A session's `Write` or `WriteV` frame in gathered form: `head` holds
 /// the mux head, every range header and every range shorter than
 /// [`GATHER_MIN`], and each longer range stays in the caller's buffer,
@@ -783,20 +801,22 @@ pub(crate) fn put_mux_head(out: &mut Vec<u8>, session: u64, seq: u64) {
     put_u64(out, seq);
 }
 
-/// Appends a [`Response::Data`] of `len` bytes whose payload `fill`
-/// writes in place, so the bytes are copied once, into the frame. Room
-/// for the sealing CRC is reserved with it, so sealing does not move the
-/// frame. If `fill` fails, `out` is left as it was and the error returned.
+/// Appends a [`Response::Data`] whose `len`-byte payload `fill` appends
+/// to `out`, so the bytes are copied once, into the frame, and the frame
+/// is not zero-filled first. Room for the payload and the sealing CRC is
+/// reserved up front, so neither the fill nor sealing moves the frame. If
+/// `fill` fails, `out` is left as it was and the error returned.
 pub(crate) fn put_data<E>(
     out: &mut Vec<u8>,
     len: usize,
-    fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), E>,
 ) -> Result<(), E> {
     let start = out.len();
     out.reserve_exact(1 + len + FRAME_CRC);
     out.push(RE_DATA);
-    out.resize(start + 1 + len, 0);
-    fill(&mut out[start + 1..]).inspect_err(|_| out.truncate(start))
+    fill(out).inspect_err(|_| out.truncate(start))?;
+    debug_assert_eq!(out.len(), start + 1 + len, "the fill appends the payload");
+    Ok(())
 }
 
 /// Bytes of a [`Response::Mux`] body before its inner payload: the tag,
@@ -1200,6 +1220,16 @@ mod tests {
     }
 
     #[test]
+    fn write_frame_heads_are_as_declared() {
+        let data = [7u8; 5];
+        let f = WriteFrame::write(Vec::new(), 1, 2, (3, 4, &data));
+        assert_eq!(f.body_len(), WRITE_HEAD + data.len());
+        let ranges = [(3, 4, &data[..]), (5, 6, &[][..])];
+        let f = WriteFrame::write_v(Vec::new(), 1, 2, ranges.into_iter());
+        assert_eq!(f.body_len(), WRITE_V_HEAD + 2 * RANGE_HEAD + data.len());
+    }
+
+    #[test]
     fn borrowed_mux_encoders_match_the_owned_forms() {
         let data = [5u8; GATHER_MIN + 3];
         for data in [&data[..33], &data[..]] {
@@ -1508,8 +1538,8 @@ mod tests {
             let read = Response::Mux { session, seq, inner: Box::new(Response::Data(data.clone())) };
             let mut frame = open_frame(0);
             put_mux_head(&mut frame, session, seq);
-            put_data(&mut frame, data.len(), |buf| {
-                buf.copy_from_slice(&data);
+            put_data(&mut frame, data.len(), |out| {
+                out.extend_from_slice(&data);
                 Ok::<(), ()>(())
             })
             .unwrap();
@@ -1619,7 +1649,11 @@ mod tests {
         let mut frame = open_frame(0);
         put_mux_head(&mut frame, 1, 2);
         let before = frame.clone();
-        assert_eq!(put_data(&mut frame, 9, |_| Err("refused")), Err("refused"));
+        let fill = |out: &mut Vec<u8>| {
+            out.push(1);
+            Err("refused")
+        };
+        assert_eq!(put_data(&mut frame, 9, fill), Err("refused"));
         assert_eq!(frame, before);
     }
 

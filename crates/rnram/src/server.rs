@@ -947,8 +947,8 @@ fn respond(req: Request<&[u8]>, node: &NodeMemory, stop: &AtomicBool, out: &mut 
                 Response::Err(format!("read of {len} bytes exceeds frame limit"))
             } else {
                 let seg = SegmentId::from_raw(seg);
-                match put_data(out, len as usize, |buf| {
-                    node.read(seg, offset as usize, buf)
+                match put_data(out, len as usize, |out| {
+                    node.read_append(seg, offset as usize, len as usize, out)
                 }) {
                     Ok(()) => return,
                     Err(e) => Response::Err(sci_error_msg(&e)),
@@ -1202,61 +1202,127 @@ mod tests {
     /// payload alone: the mux head and the data tag count against
     /// `MAX_FRAME` too. A read whose answer the client would refuse as too
     /// large is refused with a typed error, and the connection lives on.
+    /// A `TcpRemote` asks for at most `MAX_PIECE` bytes a round trip, so
+    /// the oversized reads go out as raw frames; through `TcpRemote` a read
+    /// longer than one frame is a sequence of reads and lands byte-exact.
     #[test]
     fn reads_are_bounded_by_their_answer_frame() {
-        // Segments are allocated zeroed and this one is never written, so
-        // it costs next to no resident memory; neither does `buf`.
+        // Segments are allocated zeroed and this one is written only in
+        // its first few MiB, so it costs little resident memory.
         let node = NodeMemory::with_capacity("big", MAX_FRAME);
         let seg = node.export_segment(MAX_FRAME - 17, 0).unwrap();
-        let server = Server::with_node(node, "127.0.0.1:0").unwrap().start();
-        let mut c = TcpRemote::connect(server.addr()).unwrap();
-        let mut buf = vec![0u8; MAX_FRAME - 17];
+        let server = Server::with_node(node.clone(), "127.0.0.1:0")
+            .unwrap()
+            .start();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        let mut ask = |seq: u64, req: Request| {
+            write_frame(&mut s, &crate::protocol::encode_mux(1, seq, &req)).unwrap();
+            match Response::decode(&read_frame(&mut s).unwrap()).unwrap() {
+                Response::Mux {
+                    session: 1,
+                    seq: q,
+                    inner,
+                } if q == seq => *inner,
+                other => panic!("unexpected response {other:?}"),
+            }
+        };
+        let read = |offset: u64, len: usize| Request::Read {
+            seg: seg.as_raw(),
+            offset,
+            len: len as u64,
+        };
         // 17 bytes of mux head plus the tag: one byte over the limit.
-        let err = c.remote_read(seg, 0, &mut buf).unwrap_err();
+        let err = ask(0, read(0, MAX_FRAME - 17));
         assert!(
-            matches!(&err, RnError::Remote(m) if m.contains("frame limit")),
-            "{err}"
+            matches!(&err, Response::Err(m) if m.contains("frame limit")),
+            "{err:?}"
         );
         // One byte less fits, so it reaches the segment's bounds check.
-        let err = c.remote_read(seg, 2, &mut buf[1..]).unwrap_err();
+        let err = ask(1, read(2, MAX_FRAME - 18));
         assert!(
-            matches!(&err, RnError::Remote(m) if m.contains("out of bounds")),
-            "{err}"
+            matches!(&err, Response::Err(m) if m.contains("out of bounds")),
+            "{err:?}"
         );
+        assert_eq!(ask(2, Request::Ping), Response::Ok);
+
+        let len = 3 * crate::protocol::MAX_PIECE + 17;
+        let image: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        node.write(seg, 5, &image).unwrap();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
+        let mut buf = vec![0u8; len];
+        c.remote_read(seg, 5, &mut buf).unwrap();
+        assert!(buf == image, "a read of many frames lands byte-exact");
         c.ping().unwrap();
         server.shutdown();
     }
 
     /// A write is bounded by its frame the way a read is by its answer's:
-    /// the client refuses a write whose body would pass `MAX_FRAME` before
-    /// sending a byte, so the server never sees a frame it would hang up
-    /// on, and the connection lives on.
+    /// the mux refuses a write frame whose body would pass `MAX_FRAME`
+    /// before sending a byte, so the server never sees a frame it would
+    /// hang up on, and the connection lives on. A `TcpRemote` cuts a write
+    /// longer than `MAX_PIECE` into frames that fit, so the oversized
+    /// frames are built directly; through `TcpRemote` the same writes now
+    /// land byte-exact.
     #[test]
     fn writes_are_bounded_by_their_frame() {
+        use crate::mux::lock;
+        use crate::protocol::{WriteFrame, MAX_PIECE};
+
         let server = Server::bind("bounded", "127.0.0.1:0").unwrap().start();
-        let mut c = TcpRemote::connect(server.addr()).unwrap();
-        let seg = c.remote_malloc(64, 0).unwrap();
+        let mux = crate::SessionMux::connect(server.addr()).unwrap();
+        let mut c = mux.session();
+        let len = 3 * MAX_PIECE + 17;
+        let seg = c.remote_malloc(len + 64, 0).unwrap();
         // Never touched, so it costs next to no resident memory.
         let big = vec![0u8; MAX_FRAME];
-        let err = c.remote_write(seg.id, 0, &big).unwrap_err();
-        assert!(
-            matches!(&err, RnError::Protocol(m) if m.contains("frame limit")),
-            "{err}"
-        );
-        assert!(!err.is_unavailable(), "a refusal is not an outage");
-        let err = c
-            .remote_write_v(&[(seg.id, 0, &[1; 8]), (seg.id, 8, &big[..MAX_FRAME - 60])])
-            .unwrap_err();
-        assert!(
-            matches!(&err, RnError::Protocol(m) if m.contains("frame limit")),
-            "{err}"
-        );
-        assert_eq!(c.in_flight(), 0);
+        fn refused<'a>(
+            mux: &crate::SessionMux,
+            build: impl FnOnce(Vec<u8>, u64, u64) -> WriteFrame<'a>,
+        ) {
+            let mut io = lock(&mux.io);
+            let session = io.open_session(crate::PipelineConfig::default());
+            let seq = io.take_seq(session);
+            let frame = build(Vec::new(), session, seq);
+            let err = io.post(session, &frame, seq, 0).unwrap_err();
+            assert!(
+                matches!(&err, RnError::Protocol(m) if m.contains("frame limit")),
+                "{err}"
+            );
+            assert!(!err.is_unavailable(), "a refusal is not an outage");
+            assert_eq!(io.in_flight(session), 0);
+        }
+        let raw = seg.id.as_raw();
+        refused(&mux, |head, session, seq| {
+            WriteFrame::write(head, session, seq, (raw, 0, &big))
+        });
+        refused(&mux, |head, session, seq| {
+            let ranges = [(raw, 0, &[1; 8][..]), (raw, 8, &big[..MAX_FRAME - 60])];
+            WriteFrame::write_v(head, session, seq, ranges.into_iter())
+        });
         c.ping().unwrap();
         c.remote_write(seg.id, 0, &[7; 8]).unwrap();
+        c.flush().unwrap();
         let mut back = [0u8; 8];
         c.remote_read(seg.id, 0, &mut back).unwrap();
         assert_eq!(back, [7; 8]);
+
+        let image: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let mut back = vec![0u8; len];
+        c.remote_write(seg.id, 3, &image).unwrap();
+        c.flush().unwrap();
+        c.remote_read(seg.id, 3, &mut back).unwrap();
+        assert!(back == image, "a write of many frames lands byte-exact");
+        let tail = [9u8; 8];
+        c.remote_write_v(&[(seg.id, 0, &tail), (seg.id, 8, &image[1..])])
+            .unwrap();
+        c.flush().unwrap();
+        c.remote_read(seg.id, 8, &mut back[1..]).unwrap();
+        assert!(
+            back[1..] == image[1..],
+            "a vectored write of many frames too"
+        );
+        c.remote_read(seg.id, 0, &mut back[..8]).unwrap();
+        assert_eq!(back[..8], tail);
         server.shutdown();
     }
 

@@ -7,7 +7,9 @@ use perseas_sci::SegmentId;
 
 use crate::metrics::ClientMetrics;
 use crate::mux::{lock, MuxIo};
-use crate::protocol::{encode_mux, Request, Response, WriteFrame};
+use crate::protocol::{
+    encode_mux, Request, Response, WriteFrame, MAX_PIECE, RANGE_HEAD, WRITE_HEAD, WRITE_V_HEAD,
+};
 use crate::{FlushStats, RemoteMemory, RemoteSegment, RnError, SessionMux};
 
 /// Bounds on the pipelined in-flight window: how many write operations
@@ -63,6 +65,14 @@ pub(crate) enum Kind {
 /// - [`TcpRemote::connect_pipelined`] / [`TcpRemote::connect_with`] dial
 ///   a private socket and leave confirmation to `flush`.
 /// - [`SessionMux::session`] hands out handles sharing one socket.
+///
+/// No write frame's body and no read is longer than [`MAX_PIECE`]. A
+/// longer `remote_read` is a sequence of reads, each landing in its own
+/// slice of the caller's buffer. A longer `remote_write` or
+/// `remote_write_v` is cut into pieces, each its own frame, and each
+/// piece but the last is confirmed before the next is sent (see
+/// [`TcpRemote::post_pieces`]). `remote_read_v` is always one frame: the
+/// server serves it as one atomic cut, and replicas rely on that.
 #[derive(Debug)]
 pub struct TcpRemote {
     io: Arc<Mutex<MuxIo>>,
@@ -213,15 +223,15 @@ impl TcpRemote {
     }
 
     /// Posts the write frame `build` makes from a reused head buffer and
-    /// a sequence number, charging `bytes` of payload against the window.
-    /// A confirmed handle then runs the barrier: its window holds only
-    /// this write, so a failure is this call's error and leaves nothing in
-    /// flight.
+    /// a sequence number, charging `bytes` of payload against the window,
+    /// and returns its sequence number. A confirmed handle then runs the
+    /// barrier: its window holds only this write, so a failure is this
+    /// call's error and leaves nothing in flight.
     fn post<'a>(
         &self,
         bytes: usize,
         build: impl FnOnce(Vec<u8>, u64) -> WriteFrame<'a>,
-    ) -> Result<(), RnError> {
+    ) -> Result<u64, RnError> {
         let mut io = lock(&self.io);
         let seq = io.take_seq(self.session);
         let frame = build(io.take_head(), seq);
@@ -239,11 +249,46 @@ impl TcpRemote {
         if self.kind == Kind::Confirmed {
             return self
                 .barrier(&mut io)
-                .map(drop)
+                .map(|_| seq)
                 .inspect_err(|_| io.abandon(self.session));
         }
         self.gauge_in_flight(&io);
+        Ok(seq)
+    }
+
+    /// Sends a write too long for one frame as the `pieces` [`cut`] made,
+    /// in order, each its own `WriteV` frame. Each piece but the last is
+    /// confirmed before the next is sent, and the first refused piece
+    /// ends the write, its refusal queued for the barrier like any posted
+    /// write's (a confirmed handle's is this call's error). A refused
+    /// write has so applied the pieces before the refused one and nothing
+    /// after it: a write whose last range is a commit record keeps
+    /// PROTOCOL.md's rule that a refused record was not applied. Posting
+    /// the pieces without the confirmations would let admission refuse
+    /// one piece and then apply the next.
+    fn post_pieces(&self, pieces: Vec<Vec<Range<'_>>>) -> Result<(), RnError> {
+        let session = self.session;
+        let last = pieces.len() - 1;
+        for (i, piece) in pieces.iter().enumerate() {
+            let bytes = piece.iter().map(|&(_, _, d)| d.len()).sum();
+            let seq = self.post(bytes, |head, seq| {
+                WriteFrame::write_v(head, session, seq, piece.iter().copied())
+            })?;
+            if i < last && self.kind != Kind::Confirmed && lock(&self.io).confirm(session, seq)? {
+                break;
+            }
+        }
         Ok(())
+    }
+
+    /// One `Read` round trip, its payload landing in `buf`.
+    fn read_piece(&self, seg: SegmentId, offset: usize, buf: &mut [u8]) -> Result<(), RnError> {
+        let req = Request::Read {
+            seg: seg.as_raw(),
+            offset: offset as u64,
+            len: buf.len() as u64,
+        };
+        self.rpc(&req, Some(buf)).and_then(expect_ok)
     }
 
     /// The ack barrier: drains this session's window, then surfaces one
@@ -286,6 +331,40 @@ impl Drop for TcpRemote {
         // session on the server without a `SessClose`.
         lock(&self.io).close_session(self.session, self.kind == Kind::Shared);
     }
+}
+
+/// One range of a write on the wire: segment, offset and data.
+type Range<'a> = (u64, u64, &'a [u8]);
+
+/// Cuts a write's `ranges` into the pieces it travels in when one frame
+/// would pass [`MAX_PIECE`]: each piece is a `WriteV` frame whose body
+/// fits in `MAX_PIECE`, and the pieces hold the ranges in order. A range
+/// that does not fit in what is left of a piece goes on in the next, so
+/// cuts fall between ranges and inside long ones.
+fn cut<'a>(ranges: impl IntoIterator<Item = Range<'a>>) -> Vec<Vec<Range<'a>>> {
+    let mut pieces = Vec::new();
+    let mut piece = Vec::new();
+    let mut room = MAX_PIECE - WRITE_V_HEAD;
+    for (seg, mut offset, mut data) in ranges {
+        loop {
+            // A range starts in a piece with room for its header and, if
+            // it has any, one byte of its data.
+            if room < RANGE_HEAD + usize::from(!data.is_empty()) {
+                pieces.push(std::mem::take(&mut piece));
+                room = MAX_PIECE - WRITE_V_HEAD;
+            }
+            let (now, rest) = data.split_at(data.len().min(room - RANGE_HEAD));
+            piece.push((seg, offset, now));
+            room -= RANGE_HEAD + now.len();
+            if rest.is_empty() {
+                break;
+            }
+            offset += now.len() as u64;
+            data = rest;
+        }
+    }
+    pieces.push(piece);
+    pieces
 }
 
 fn unexpected(resp: Response) -> RnError {
@@ -339,23 +418,32 @@ impl RemoteMemory for TcpRemote {
     fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
         // The payload goes to the socket from `data` itself, gathered
         // behind the frame's head (see `WriteFrame`).
+        let range = (seg.as_raw(), offset as u64, data);
+        if WRITE_HEAD + data.len() > MAX_PIECE {
+            return self.post_pieces(cut([range]));
+        }
         let session = self.session;
         self.post(data.len(), |head, seq| {
-            WriteFrame::write(head, session, seq, (seg.as_raw(), offset as u64, data))
+            WriteFrame::write(head, session, seq, range)
         })
+        .map(drop)
     }
 
     fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
-        // The whole batch rides in one frame and is confirmed by one ack;
-        // each long range goes to the socket from the caller's buffer.
-        let bytes = writes.iter().map(|(_, _, d)| d.len()).sum();
+        // A batch that fits rides in one frame and is confirmed by one
+        // ack; each long range goes to the socket from the caller's buffer.
+        let bytes: usize = writes.iter().map(|(_, _, d)| d.len()).sum();
+        let ranges = writes
+            .iter()
+            .map(|&(seg, offset, data)| (seg.as_raw(), offset as u64, data));
+        if WRITE_V_HEAD + RANGE_HEAD * writes.len() + bytes > MAX_PIECE {
+            return self.post_pieces(cut(ranges));
+        }
         let session = self.session;
         self.post(bytes, |head, seq| {
-            let ranges = writes
-                .iter()
-                .map(|&(seg, offset, data)| (seg.as_raw(), offset as u64, data));
             WriteFrame::write_v(head, session, seq, ranges)
         })
+        .map(drop)
     }
 
     fn flush(&mut self) -> Result<FlushStats, RnError> {
@@ -375,13 +463,15 @@ impl RemoteMemory for TcpRemote {
         offset: usize,
         buf: &mut [u8],
     ) -> Result<(), RnError> {
-        // The payload is read from the socket straight into `buf`.
-        let req = Request::Read {
-            seg: seg.as_raw(),
-            offset: offset as u64,
-            len: buf.len() as u64,
-        };
-        self.rpc(&req, Some(buf)).and_then(expect_ok)
+        // The payload is read from the socket straight into `buf`, one
+        // slice of at most `MAX_PIECE` bytes per round trip.
+        if buf.len() <= MAX_PIECE {
+            return self.read_piece(seg, offset, buf);
+        }
+        for (i, piece) in buf.chunks_mut(MAX_PIECE).enumerate() {
+            self.read_piece(seg, offset.saturating_add(i * MAX_PIECE), piece)?;
+        }
+        Ok(())
     }
 
     fn remote_read_v(
@@ -424,6 +514,149 @@ impl RemoteMemory for TcpRemote {
 mod tests {
     use super::*;
     use crate::server::Server;
+
+    /// What a recording peer saw of each request frame: the body's length
+    /// and, for a `Read`, the length it asks for.
+    type Seen = Arc<Mutex<Vec<(usize, u64)>>>;
+
+    /// Spawns a peer in front of the server at `upstream` that forwards
+    /// every frame both ways and records what it saw of each request
+    /// frame a client sends it.
+    fn recording_peer(upstream: SocketAddr) -> (SocketAddr, Seen) {
+        use crate::protocol::{read_frame, write_frame};
+        use std::net::{TcpListener, TcpStream};
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let kept = Arc::clone(&seen);
+        std::thread::spawn(move || {
+            let (mut client, _) = listener.accept().unwrap();
+            let mut server = TcpStream::connect(upstream).unwrap();
+            let (mut down, mut back) = (server.try_clone().unwrap(), client.try_clone().unwrap());
+            let pump = std::thread::spawn(move || std::io::copy(&mut down, &mut back));
+            while let Ok(body) = read_frame(&mut client) {
+                let read = match Request::decode(&body) {
+                    Ok(Request::Mux { inner, .. }) => match *inner {
+                        Request::Read { len, .. } => len,
+                        _ => 0,
+                    },
+                    _ => 0,
+                };
+                kept.lock().unwrap().push((body.len(), read));
+                if write_frame(&mut server, &body).is_err() {
+                    break;
+                }
+            }
+            let _ = server.shutdown(std::net::Shutdown::Both);
+            let _ = pump.join();
+        });
+        (addr, seen)
+    }
+
+    /// Writes and reads of every length reach the server in frames of at
+    /// most `MAX_PIECE` bytes of body, and in one frame when they fit in
+    /// one, and every byte reads back: writes of no ranges, of empty
+    /// ranges, of thousands of 1-byte ranges whose headers alone pass the
+    /// bound, of ranges that straddle it, and reads of lengths around its
+    /// multiples.
+    #[test]
+    fn long_transfers_travel_in_bounded_frames() {
+        const SEG: usize = 4 * MAX_PIECE;
+        let server = Server::bind("pieces", "127.0.0.1:0").unwrap().start();
+        let (addr, seen) = recording_peer(server.addr());
+        let mut c = TcpRemote::connect_pipelined(addr).unwrap();
+        let seg = c.remote_malloc(SEG, 0).unwrap().id;
+        let mut model = vec![0u8; SEG];
+        // Each write sends a slice of this, starting at a drawn shift.
+        let pattern: Vec<u8> = (0..SEG + 4096).map(|i| (i % 251) as u8).collect();
+        let mut runner = proptest::test_runner::TestRunner::new(
+            proptest::test_runner::ProptestConfig::with_cases(256),
+        );
+        runner.run_named("long_transfers_travel_in_bounded_frames", |rng| {
+            let mut draw = |n: usize| (rng.next_u64() % n as u64) as usize;
+            // Lengths around `k` bounds: `k * MAX_PIECE - less`, give or
+            // take two bytes.
+            let near =
+                |k: usize, less: usize, d: usize| (k * MAX_PIECE + d).saturating_sub(less + 2);
+            let shift = draw(4096);
+            seen.lock().unwrap().clear();
+            let (mut lo, mut hi) = (SEG, 0);
+            let one_frame;
+            match draw(6) {
+                0 => {
+                    let len = near(1 + draw(3), WRITE_HEAD, draw(5)).min(SEG);
+                    let at = draw(SEG - len + 1);
+                    let data = &pattern[shift..shift + len];
+                    c.remote_write(seg, at, data).unwrap();
+                    model[at..at + len].copy_from_slice(data);
+                    (lo, hi) = (at, at + len);
+                    one_frame = WRITE_HEAD + len <= MAX_PIECE;
+                }
+                5 => {
+                    let len = near(draw(4), 0, draw(5)).min(SEG);
+                    let at = draw(SEG - len + 1);
+                    let mut buf = vec![0u8; len];
+                    c.remote_read(seg, at, &mut buf).unwrap();
+                    proptest::prop_assert!(buf[..] == model[at..at + len], "{len}-byte read");
+                    one_frame = len <= MAX_PIECE;
+                }
+                shape => {
+                    // (offset, length) of each range, by shape.
+                    let spans: Vec<(usize, usize)> = match shape {
+                        1 => Vec::new(),
+                        2 => (0..draw(60_000)).map(|_| (draw(SEG), 0)).collect(),
+                        3 => {
+                            let at = draw(SEG - 50_000);
+                            (0..MAX_PIECE / RANGE_HEAD + draw(2_000))
+                                .map(|_| (at + draw(50_000), 1))
+                                .collect()
+                        }
+                        _ => (0..1 + draw(4))
+                            .map(|_| {
+                                let len = match draw(3) {
+                                    0 => draw(64),
+                                    1 => near(1, WRITE_V_HEAD + RANGE_HEAD, draw(5)),
+                                    _ => near(1 + draw(2), draw(MAX_PIECE / 2), draw(5)),
+                                };
+                                (draw(SEG - len + 1), len)
+                            })
+                            .collect(),
+                    };
+                    let writes: Vec<(SegmentId, usize, &[u8])> = spans
+                        .iter()
+                        .enumerate()
+                        .map(|(r, &(at, len))| {
+                            let from = (shift + r) % 4096;
+                            (seg, at, &pattern[from..from + len])
+                        })
+                        .collect();
+                    c.remote_write_v(&writes).unwrap();
+                    for &(_, at, d) in &writes {
+                        model[at..at + d.len()].copy_from_slice(d);
+                        (lo, hi) = (lo.min(at), hi.max(at + d.len()));
+                    }
+                    let bytes: usize = spans.iter().map(|&(_, len)| len).sum();
+                    one_frame = WRITE_V_HEAD + RANGE_HEAD * spans.len() + bytes <= MAX_PIECE;
+                }
+            }
+            c.flush().unwrap();
+            let frames = std::mem::take(&mut *seen.lock().unwrap());
+            for &(body, read) in &frames {
+                proptest::prop_assert!(body <= MAX_PIECE, "a {body}-byte frame body");
+                proptest::prop_assert!(read <= MAX_PIECE as u64, "a {read}-byte read");
+            }
+            proptest::prop_assert!(!frames.is_empty());
+            proptest::prop_assert_eq!(frames.len() == 1, one_frame);
+            if lo < hi {
+                let mut back = vec![0u8; hi - lo];
+                c.remote_read(seg, lo, &mut back).unwrap();
+                proptest::prop_assert!(back[..] == model[lo..hi], "bytes {lo}..{hi} read back");
+            }
+            Ok(())
+        });
+        server.shutdown();
+    }
 
     #[test]
     fn ping_and_name() {

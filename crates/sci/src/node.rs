@@ -224,22 +224,50 @@ impl NodeMemory {
     /// Fails with [`SciError::SegmentNotFound`], [`SciError::OutOfBounds`],
     /// or [`SciError::NodeCrashed`].
     pub fn read(&self, id: SegmentId, offset: usize, buf: &mut [u8]) -> Result<(), SciError> {
+        self.with_bytes(id, offset, buf.len(), |src| buf.copy_from_slice(src))
+    }
+
+    /// Appends `len` bytes of segment `id` at byte `offset` to `out`,
+    /// copied once from the segment under its lock; on an error `out` is
+    /// left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`NodeMemory::read`].
+    pub fn read_append(
+        &self,
+        id: SegmentId,
+        offset: usize,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SciError> {
+        self.with_bytes(id, offset, len, |src| out.extend_from_slice(src))
+    }
+
+    /// Runs `f` over `len` bytes of segment `id` at byte `offset`, under
+    /// the node's lock.
+    fn with_bytes<T>(
+        &self,
+        id: SegmentId,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, SciError> {
         let g = self.inner.lock();
         if g.crashed {
             return Err(SciError::NodeCrashed);
         }
         let seg = g.segments.get(&id).ok_or(SciError::SegmentNotFound(id))?;
         let end = offset
-            .checked_add(buf.len())
+            .checked_add(len)
             .filter(|&e| e <= seg.data.len())
             .ok_or(SciError::OutOfBounds {
                 segment: id,
                 offset,
-                len: buf.len(),
+                len,
                 segment_len: seg.data.len(),
             })?;
-        buf.copy_from_slice(&seg.data[offset..end]);
-        Ok(())
+        Ok(f(&seg.data[offset..end]))
     }
 
     /// Metadata for segment `id`.
@@ -348,6 +376,18 @@ mod tests {
         let mut buf = [0u8; 3];
         n.read(s, 4, &mut buf).unwrap();
         assert_eq!(buf, [9, 8, 7]);
+    }
+
+    #[test]
+    fn read_append_extends_or_leaves_the_vec() {
+        let n = NodeMemory::new("n");
+        let s = n.export_segment(16, 0).unwrap();
+        n.write(s, 4, &[9, 8, 7]).unwrap();
+        let mut out = vec![1];
+        n.read_append(s, 4, 3, &mut out).unwrap();
+        assert_eq!(out, [1, 9, 8, 7]);
+        assert!(n.read_append(s, 14, 3, &mut out).is_err());
+        assert_eq!(out, [1, 9, 8, 7]);
     }
 
     #[test]

@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 
 use perseas_core::{MetaHeader, Perseas, PerseasConfig, RegionId, TxnError, META_TAG, OFF_COMMIT};
 use perseas_integration::TcpMode;
-use perseas_rnram::protocol::{frame_bytes, read_frame, write_frame, Request};
+use perseas_rnram::protocol::{frame_bytes, read_frame, write_frame, Request, Response, MAX_PIECE};
 use perseas_rnram::server::{Server, ServerHandle};
-use perseas_rnram::{ReconnectingRemote, TcpRemote};
+use perseas_rnram::{ReconnectingRemote, RemoteMemory, RnError, TcpRemote};
 
 fn batched() -> PerseasConfig {
     PerseasConfig::default().with_batched_commit(true)
@@ -435,5 +435,309 @@ fn batched_commit_frame_cut_inside() {
     ];
     for (part, bytes) in cuts {
         cut_and_check(batched(), 0, bytes, part);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Writes longer than one frame. `TcpRemote` cuts a write whose frame body
+// would pass `MAX_PIECE` into pieces and confirms each piece but the last
+// before it sends the next, so a refused or cut piece ends the write:
+// nothing after it, the commit record included, reaches the mirror.
+// ---------------------------------------------------------------------
+
+/// Whether a request body is a session's `Write` or `WriteV`.
+fn is_write(body: &[u8]) -> bool {
+    matches!(
+        Request::decode(body),
+        Ok(Request::Mux { inner, .. }) if matches!(*inner, Request::Write { .. } | Request::WriteV { .. })
+    )
+}
+
+/// A single-connection TCP proxy that forwards frames both ways, except
+/// one write frame: armed with `refuse.store(k)`, it lets `k` more write
+/// frames through and answers the next itself with `Overloaded`, as the
+/// server's admission answers a request it refuses, without forwarding
+/// it. `writes` counts the write frames forwarded.
+struct RefusingProxy {
+    addr: SocketAddr,
+    refuse: Arc<AtomicU64>,
+    writes: Arc<AtomicU64>,
+}
+
+fn spawn_refusing_proxy(server_addr: SocketAddr) -> RefusingProxy {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let refuse = Arc::new(AtomicU64::new(u64::MAX));
+    let writes = Arc::new(AtomicU64::new(0));
+    let (armed, forwarded) = (Arc::clone(&refuse), Arc::clone(&writes));
+    std::thread::spawn(move || {
+        let Ok((client, _)) = listener.accept() else {
+            return;
+        };
+        let upstream = TcpStream::connect(server_addr).unwrap();
+        // Answers and refusals reach the client as whole frames.
+        let back = Arc::new(Mutex::new(client.try_clone().unwrap()));
+        let (mut up_read, answers) = (upstream.try_clone().unwrap(), Arc::clone(&back));
+        let pump = std::thread::spawn(move || {
+            while let Ok(body) = read_frame(&mut up_read) {
+                if write_frame(&mut *answers.lock().unwrap(), &body).is_err() {
+                    break;
+                }
+            }
+        });
+        let (mut client_read, mut up_write) = (client, upstream);
+        while let Ok(body) = read_frame(&mut client_read) {
+            if is_write(&body) {
+                match armed.load(Ordering::SeqCst) {
+                    0 => {
+                        armed.store(u64::MAX, Ordering::SeqCst);
+                        let Ok(Request::Mux { session, seq, .. }) = Request::decode(&body) else {
+                            unreachable!("a session's write");
+                        };
+                        let refusal = Response::Mux {
+                            session,
+                            seq,
+                            inner: Box::new(Response::Overloaded),
+                        };
+                        if write_frame(&mut *back.lock().unwrap(), &refusal.encode()).is_err() {
+                            break;
+                        }
+                        continue;
+                    }
+                    u64::MAX => {}
+                    k => armed.store(k - 1, Ordering::SeqCst),
+                }
+                forwarded.fetch_add(1, Ordering::SeqCst);
+            }
+            if write_frame(&mut up_write, &body).is_err() {
+                break;
+            }
+        }
+        let _ = client_read.shutdown(Shutdown::Both);
+        let _ = up_write.shutdown(Shutdown::Both);
+        let _ = pump.join();
+    });
+    RefusingProxy {
+        addr,
+        refuse,
+        writes,
+    }
+}
+
+/// A write three frames long whose second frame admission refuses ends
+/// there: the first frame is applied, and neither the refused frame nor
+/// the third is. A confirmed handle reports the refusal as the write's
+/// error; a posting one queues it for the barrier.
+#[test]
+fn a_refused_piece_ends_the_write() {
+    let len = 2 * MAX_PIECE + MAX_PIECE / 2;
+    let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8 + 1).collect();
+    for mode in TcpMode::ALL {
+        let server = Server::bind("refuser", "127.0.0.1:0").unwrap().start();
+        let proxy = spawn_refusing_proxy(server.addr());
+        let mut c = mode.connect(proxy.addr);
+        let clean = c.remote_malloc(len, 0).unwrap();
+        let seg = c.remote_malloc(len, 1).unwrap();
+        c.remote_write(clean.id, 0, &data).unwrap();
+        c.flush().unwrap();
+        let frames = proxy.writes.load(Ordering::SeqCst);
+        assert_eq!(frames, 3, "{mode:?}: the write takes three frames");
+
+        proxy.refuse.store(1, Ordering::SeqCst);
+        let err = if mode.posts_writes() {
+            c.remote_write(seg.id, 0, &data).unwrap();
+            c.flush().unwrap_err()
+        } else {
+            c.remote_write(seg.id, 0, &data).unwrap_err()
+        };
+        assert!(matches!(err, RnError::Overloaded), "{mode:?}: {err}");
+        assert_eq!(
+            proxy.writes.load(Ordering::SeqCst),
+            frames + 1,
+            "{mode:?}: the first frame went through, the third was never sent"
+        );
+        let mut image = vec![0u8; len];
+        server.node().read(seg.id, 0, &mut image).unwrap();
+        let applied = image.iter().position(|&b| b == 0).unwrap_or(len);
+        assert!(
+            applied > 0 && applied < MAX_PIECE,
+            "{mode:?}: {applied} bytes applied"
+        );
+        assert!(image[..applied] == data[..applied], "{mode:?}");
+        assert!(
+            image[applied..].iter().all(|&b| b == 0),
+            "{mode:?}: bytes past the first frame were applied"
+        );
+        c.flush().unwrap();
+        drop(c);
+        server.shutdown();
+    }
+}
+
+/// A batched database over `mode` through a refusing proxy, whose first
+/// transaction filled the whole `len`-byte region with 1s.
+fn refusing_db(
+    mode: TcpMode,
+    len: usize,
+) -> (ServerHandle, RefusingProxy, Perseas<TcpRemote>, RegionId) {
+    let server = Server::bind("refused-commit", "127.0.0.1:0")
+        .unwrap()
+        .start();
+    let proxy = spawn_refusing_proxy(server.addr());
+    let mut db = Perseas::init(vec![mode.connect(proxy.addr)], batched()).unwrap();
+    let r = db.malloc(len).unwrap();
+    db.init_remote_db().unwrap();
+    fill_region(&mut db, r, len, 1).unwrap();
+    (server, proxy, db, r)
+}
+
+/// One transaction writing `byte` over the whole `len`-byte region.
+fn fill_region<M: perseas_rnram::RemoteMemory>(
+    db: &mut Perseas<M>,
+    r: RegionId,
+    len: usize,
+    byte: u8,
+) -> Result<(), TxnError> {
+    db.begin_transaction()?;
+    db.set_range(r, 0, len)?;
+    db.write(r, 0, &vec![byte; len])?;
+    db.commit_transaction()
+}
+
+/// The multi-frame case of `failover.rs`'s
+/// `a_refused_commit_is_never_in_doubt`: a batched commit longer than one
+/// frame, each of whose frames admission refuses in turn. The mirror is
+/// alive and holds no commit record, so the commit fails with a plain
+/// `Unavailable`, the transaction stays open, and the mirror recovers to
+/// the image before it.
+#[test]
+fn a_refused_multi_frame_commit_is_never_in_doubt() {
+    let len = MAX_PIECE + MAX_PIECE / 2;
+    for mode in TcpMode::ALL {
+        let frames = {
+            let (server, proxy, mut db, r) = refusing_db(mode, len);
+            let before = proxy.writes.load(Ordering::SeqCst);
+            fill_region(&mut db, r, len, 2).unwrap();
+            drop(db);
+            server.shutdown();
+            proxy.writes.load(Ordering::SeqCst) - before
+        };
+        assert!(frames >= 3, "{mode:?}: the commit took {frames} frames");
+        for k in 0..frames {
+            let at = format!("{mode:?}: refused frame {k} of {frames}");
+            let (server, proxy, mut db, r) = refusing_db(mode, len);
+            proxy.refuse.store(k, Ordering::SeqCst);
+            let err = fill_region(&mut db, r, len, 2).unwrap_err();
+            assert!(matches!(err, TxnError::Unavailable(_)), "{at}: {err:?}");
+            assert!(db.in_transaction(), "{at}: the transaction must stay open");
+            assert_eq!(
+                db.mirror_status()[0].health,
+                perseas_core::MirrorHealth::Healthy,
+                "{at}"
+            );
+            assert_eq!(
+                durable_watermark(&server),
+                1,
+                "{at}: the mirror holds the record"
+            );
+
+            db.abort_transaction().unwrap();
+            assert_eq!(db.region_snapshot(r).unwrap(), vec![1; len], "{at}");
+            db.crash();
+            let (db2, report) =
+                Perseas::recover(TcpRemote::connect(server.addr()).unwrap(), batched()).unwrap();
+            assert_eq!(report.last_committed, 1, "{at}");
+            assert_eq!(db2.region_snapshot(r).unwrap(), vec![1; len], "{at}");
+            server.shutdown();
+        }
+    }
+}
+
+/// The region of the multi-frame sweep: its batched commit (undo, data
+/// and record) takes several frames.
+const BIG_REGION: usize = MAX_PIECE + MAX_PIECE / 2;
+
+/// A pipelined database through the proxy whose first transaction filled
+/// the whole big region with 1s.
+fn big_setup(proxy: &CutProxy) -> (Perseas<ReconnectingRemote>, RegionId) {
+    let mirror = ReconnectingRemote::connect_pipelined(proxy.addr, 2).unwrap();
+    let mut db = Perseas::init(vec![mirror], batched()).unwrap();
+    let r = db.malloc(BIG_REGION).unwrap();
+    db.init_remote_db().unwrap();
+    fill_region(&mut db, r, BIG_REGION, 1).unwrap();
+    (db, r)
+}
+
+/// Runs the big transaction (2s over the whole region) with the proxy
+/// delivering `frames` whole request frames of its `total` and then
+/// `tail_bytes` bytes of the next, and checks the outcome: after recovery
+/// over a restarted server the image is the one before the transaction
+/// or the one after it, and the one after it exactly when the commit's
+/// last frame was delivered.
+fn big_cut_and_check(frames: u64, tail_bytes: u64, total: u64, at: &str) {
+    let server = Server::bind("big-sweep", "127.0.0.1:0").unwrap().start();
+    let node = server.node().clone();
+    let addr = server.addr();
+    let proxy = spawn_cut_proxy(addr);
+    let (mut db, r) = big_setup(&proxy);
+
+    proxy.tail_bytes.store(tail_bytes, Ordering::SeqCst);
+    proxy.remaining.store(frames, Ordering::SeqCst);
+    let outcome = fill_region(&mut db, r, BIG_REGION, 2);
+    let delivered = frames >= total;
+    match &outcome {
+        Ok(()) => assert!(delivered, "{at}: committed with a frame cut"),
+        Err(err) => {
+            assert!(!delivered, "{at}: {err}");
+            assert!(matches!(err, TxnError::Unavailable(_)), "{at}: {err}");
+        }
+    }
+    drop(db);
+
+    server.shutdown();
+    let server2 = Server::with_node(node, addr).unwrap().start();
+    let last = 1 + u64::from(delivered);
+    assert_eq!(durable_watermark(&server2), last, "{at}");
+    let (db2, report) = Perseas::recover(TcpRemote::connect(addr).unwrap(), batched())
+        .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+    assert_eq!(report.last_committed, last, "{at}");
+    assert!(
+        db2.region_snapshot(r).unwrap() == vec![last as u8; BIG_REGION],
+        "{at}: the recovered image is not the one before or after the commit"
+    );
+    server2.shutdown();
+}
+
+/// A batched commit longer than one frame, cut before each of its frames
+/// and in the middle of each: each frame but the last is confirmed before
+/// the next is sent, so a cut leaves the mirror a prefix of the frames,
+/// which recovery rolls back, and only a delivered last frame, which holds
+/// the record, makes the commit durable.
+#[test]
+fn multi_frame_commit_cut_at_every_frame() {
+    let frames = {
+        let server = Server::bind("big-shape", "127.0.0.1:0").unwrap().start();
+        let proxy = spawn_cut_proxy(server.addr());
+        let (mut db, r) = big_setup(&proxy);
+        let before = proxy.frames.lock().unwrap().len();
+        fill_region(&mut db, r, BIG_REGION, 2).unwrap();
+        let frames = proxy.frames.lock().unwrap().split_off(before);
+        server.shutdown();
+        frames
+    };
+    let total = frames.len() as u64;
+    assert!(total >= 3, "the commit took {total} frames");
+    assert!(frames.iter().all(|body| body.len() <= MAX_PIECE));
+    for k in 0..=total {
+        big_cut_and_check(k, 0, total, &format!("cut before frame {k} of {total}"));
+    }
+    for (k, body) in frames.iter().enumerate() {
+        let middle = (body.len() as u64 + 8) / 2;
+        big_cut_and_check(
+            k as u64,
+            middle,
+            total,
+            &format!("cut inside frame {k} of {total}"),
+        );
     }
 }
