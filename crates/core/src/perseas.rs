@@ -3,6 +3,7 @@
 use std::fmt;
 
 use perseas_rnram::{mirror_copy, plan_transfer, RemoteMemory, RemoteSegment, RnError, SegmentId};
+use perseas_sci::image::zeroed;
 use perseas_simtime::SimClock;
 use perseas_txn::{RegionId, SnapshotToken, TxnError, TxnStats};
 
@@ -279,7 +280,7 @@ impl<M: RemoteMemory> Perseas<M> {
         Perseas {
             cfg,
             clock,
-            undo_shadow: vec![0; mirrors[0].undo.len],
+            undo_shadow: zeroed(mirrors[0].undo.len),
             mirrors,
             regions,
             undo_off: 0,
@@ -342,7 +343,7 @@ impl<M: RemoteMemory> Perseas<M> {
             let seg = m.backend.remote_malloc(len, 0).map_err(unavailable)?;
             m.db.push(seg);
         }
-        self.regions.push(vec![0; len]);
+        self.regions.push(zeroed(len));
         Ok(RegionId::from_raw(self.regions.len() as u32 - 1))
     }
 

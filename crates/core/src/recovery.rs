@@ -15,6 +15,7 @@
 //! 4. rebuilds the local image with one remote-to-local copy per region.
 
 use perseas_rnram::{RemoteMemory, RemoteSegment};
+use perseas_sci::image::zeroed;
 use perseas_sci::SegmentId;
 use perseas_simtime::SimClock;
 use perseas_txn::TxnError;
@@ -171,7 +172,7 @@ impl<M: RemoteMemory> Perseas<M> {
 
         // 3. Scan the mirrored undo log for records of uncommitted
         //    transactions.
-        let mut undo_shadow = vec![0u8; undo_seg.len];
+        let mut undo_shadow = zeroed(undo_seg.len);
         backend
             .remote_read(undo_seg.id, 0, &mut undo_shadow)
             .map_err(unavailable)?;
@@ -474,7 +475,7 @@ fn read_regions<M: RemoteMemory>(
 ) -> Result<(Vec<Vec<u8>>, usize), TxnError> {
     let mut regions = Vec::with_capacity(segs.len());
     for seg in segs {
-        let mut data = vec![0u8; seg.len];
+        let mut data = zeroed(seg.len);
         if seg.len > 0 {
             backend
                 .remote_read(seg.id, 0, &mut data)

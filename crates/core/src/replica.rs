@@ -9,6 +9,7 @@
 //! monitoring, and warm standbys read while the primary keeps committing.
 
 use perseas_rnram::{RemoteMemory, RemoteSegment};
+use perseas_sci::image::zeroed;
 use perseas_sci::SegmentId;
 use perseas_txn::{RegionId, TxnError};
 
@@ -189,13 +190,13 @@ impl<M: RemoteMemory> ReadReplica<M> {
         } else {
             // Legacy per-segment copy loop: undo log first, then the
             // regions, then the re-checks.
-            let mut undo = vec![0u8; undo_seg.len];
+            let mut undo = zeroed(undo_seg.len);
             self.backend
                 .remote_read(undo_seg.id, 0, &mut undo)
                 .map_err(unavailable)?;
             let mut regions = Vec::with_capacity(segs.len());
             for seg in &segs {
-                let mut data = vec![0u8; seg.len];
+                let mut data = zeroed(seg.len);
                 if seg.len > 0 {
                     self.backend
                         .remote_read(seg.id, 0, &mut data)

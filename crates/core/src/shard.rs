@@ -46,6 +46,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use perseas_rnram::{RemoteMemory, SegmentId};
+use perseas_sci::image::zeroed;
 use perseas_simtime::SimClock;
 use perseas_txn::{RegionId, SnapshotToken, TransactionalMemory, TxnError, TxnStats};
 
@@ -1174,7 +1175,7 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
                     .collect()
             } else {
                 let undo_id = SegmentId::from_raw(p.header.undo_seg_id);
-                let mut undo = vec![0u8; p.header.undo_seg_len as usize];
+                let mut undo = zeroed(p.header.undo_seg_len as usize);
                 backend
                     .remote_read(undo_id, 0, &mut undo)
                     .map_err(unavailable)?;

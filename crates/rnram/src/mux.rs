@@ -357,6 +357,14 @@ impl MuxIo {
             .map_or(0, |st| st.outstanding.len())
     }
 
+    /// `session`'s posted writes that no barrier has reported yet: those
+    /// in flight and those whose refusal waits in the queue.
+    pub(crate) fn unreported(&self, session: u64) -> usize {
+        self.sessions
+            .get(&session)
+            .map_or(0, |st| st.outstanding.len() + st.refusals.len())
+    }
+
     /// Retires a session: its straggler acks will be ignored. With
     /// `notify` the server is told (best-effort) so its sessions gauge
     /// drops.

@@ -12,14 +12,17 @@
 //! write is safe.
 //!
 //! Connections that post writes add one hard rule: a connection that
-//! dies with posted-but-unconfirmed writes (`in_flight() > 0`) is
-//! **never** silently re-dialed, and [`RemoteMemory::flush`] is **never**
-//! retried. The lost window cannot be replayed — this wrapper does not
-//! buffer the posted frames — and flushing a freshly dialed connection
-//! would vacuously succeed while the writes it was supposed to confirm
-//! died with the old socket. Both paths surface `Unavailable` instead and
-//! leave re-dialing to the next operation, so the caller (the mirror
-//! fault-fencing layer) decides what the lost window means.
+//! dies with posted writes no barrier has reported yet is **never**
+//! silently re-dialed, and [`RemoteMemory::flush`] is **never** retried.
+//! Those writes are the ones in flight (`in_flight() > 0`) and the ones
+//! whose refusal the client has already read (an ack routed during an
+//! RPC, or a long write's piece confirmation) but not yet reported. The
+//! lost window cannot be replayed — this wrapper does not buffer the
+//! posted frames — and flushing a freshly dialed connection would
+//! vacuously succeed while the writes it was supposed to confirm died, or
+//! were refused, on the old socket. Both paths surface `Unavailable`
+//! instead and leave re-dialing to the next operation, so the caller (the
+//! mirror fault-fencing layer) decides what the lost window means.
 //!
 //! The converse case is kept transparent: a connection that died while
 //! *idle* lost nothing. A frame is one `write`, which the local socket
@@ -183,14 +186,16 @@ impl ReconnectingRemote {
     /// in the meantime is dropped here, so the write goes out on a fresh
     /// dial. Posted onto the dead socket it would be accepted locally and
     /// the barrier would report a lost window, although nothing was in
-    /// flight when the connection died. (A confirmed write reports its own
-    /// failure and is retried like any other operation.)
+    /// flight when the connection died. A connection with a refusal still
+    /// to report is not idle: it is kept, and that barrier reports the
+    /// loss. (A confirmed write reports its own failure and is retried like
+    /// any other operation.)
     fn drop_if_hung_up(&mut self) {
         if self.kind == Kind::Confirmed {
             return;
         }
         if let Some(conn) = self.inner.as_ref() {
-            if conn.in_flight() == 0 && conn.hung_up() {
+            if conn.unreported() == 0 && conn.hung_up() {
                 self.inner = None;
             }
         }
@@ -220,11 +225,12 @@ impl ReconnectingRemote {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_unavailable() => {
                     // The socket is suspect: drop it. But a connection
-                    // that died with posted writes unconfirmed took a
-                    // window we cannot replay — retrying the *current*
-                    // operation on a fresh socket would silently skip
-                    // the lost ones, so that loss must surface.
-                    let lost = conn.in_flight();
+                    // that died with posted writes unreported (in flight,
+                    // or refused) took a window we cannot replay —
+                    // retrying the *current* operation on a fresh socket
+                    // would silently skip the lost ones, so that loss
+                    // must surface.
+                    let lost = conn.unreported();
                     self.inner = None;
                     if lost > 0 {
                         return Err(e);

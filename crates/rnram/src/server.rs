@@ -70,6 +70,9 @@ mod readiness {
             ));
             return 0;
         }
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd entries, and `poll` writes only their
+        // `revents` fields, within the `fds.len()` entries it is given.
         let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
         n.max(0)
     }
@@ -251,6 +254,7 @@ impl Server {
         let ev = EventLoop {
             listener: self.listener,
             conns: Vec::new(),
+            fds: Vec::new(),
             next_admit: 0,
             ctx: Ctx {
                 node: self.node,
@@ -406,6 +410,8 @@ impl Conn {
 struct EventLoop {
     listener: TcpListener,
     conns: Vec<Conn>,
+    /// The `poll` list, rebuilt in place on every wake-up.
+    fds: Vec<readiness::PollFd>,
     /// Round-robin cursor for fair admission across connections.
     next_admit: usize,
     ctx: Ctx,
@@ -430,36 +436,37 @@ impl EventLoop {
                 }
             }
             let timeout = self.poll_timeout_ms();
-            let mut fds = Vec::with_capacity(self.conns.len() + 1);
+            // The listener first (not while draining), then one entry per
+            // connection, in a list kept across wake-ups.
+            self.fds.clear();
             if !draining {
-                fds.push(readiness::PollFd {
+                self.fds.push(readiness::PollFd {
                     fd: fd_of(&self.listener),
                     events: readiness::POLLIN,
                     revents: 0,
                 });
             }
-            for conn in &self.conns {
+            self.fds.extend(self.conns.iter().map(|conn| {
                 let mut events = if draining { 0 } else { readiness::POLLIN };
                 if conn.write_blocked {
                     events |= readiness::POLLOUT;
                 }
-                fds.push(readiness::PollFd {
+                readiness::PollFd {
                     fd: fd_of(&conn.stream),
                     events,
                     revents: 0,
-                });
-            }
-            readiness::poll_fds(&mut fds, timeout);
-            let conn_fds = if draining { &fds[..] } else { &fds[1..] };
-            let readable: Vec<bool> = conn_fds.iter().map(|f| f.revents != 0).collect();
-            if !draining {
-                if fds[0].revents != 0 {
-                    self.accept_ready();
                 }
-                for (i, was_ready) in readable.iter().enumerate() {
-                    if *was_ready && i < self.conns.len() {
-                        read_ready(&mut self.conns[i], &mut self.ctx);
+            }));
+            readiness::poll_fds(&mut self.fds, timeout);
+            if !draining {
+                // Connections accepted below join the next wake-up's list.
+                for (conn, fd) in self.conns.iter_mut().zip(&self.fds[1..]) {
+                    if fd.revents != 0 {
+                        read_ready(conn, &mut self.ctx);
                     }
+                }
+                if self.fds[0].revents != 0 {
+                    self.accept_ready();
                 }
             }
             // Two admit/write rounds so slots released by completed writes

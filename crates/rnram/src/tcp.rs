@@ -168,6 +168,11 @@ impl TcpRemote {
         lock(&self.io).hung_up()
     }
 
+    /// See [`MuxIo::unreported`]. Dropping a handle loses them.
+    pub(crate) fn unreported(&self) -> usize {
+        lock(&self.io).unreported(self.session)
+    }
+
     /// Sends a liveness probe.
     ///
     /// # Errors

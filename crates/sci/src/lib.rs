@@ -20,7 +20,9 @@
 //! * [`NodeMemory`] — a remote node's exported memory ("network RAM"),
 //!   which survives crashes of the *local* node;
 //! * [`SciLink`] — a unidirectional mapping from a local process onto a
-//!   remote node's memory, with packet-granularity fault injection.
+//!   remote node's memory, with packet-granularity fault injection;
+//! * [`image::zeroed`] — the zero-filled, huge-page-advised memory every
+//!   database image of the system is allocated in.
 //!
 //! # Examples
 //!
@@ -47,6 +49,7 @@
 mod addr;
 pub mod crc32;
 mod error;
+pub mod image;
 mod latency;
 mod link;
 mod node;

@@ -161,7 +161,7 @@ impl NodeMemory {
         g.segments.insert(
             id,
             Segment {
-                data: vec![0; len],
+                data: crate::image::zeroed(len),
                 tag,
                 base_addr,
             },

@@ -453,75 +453,101 @@ fn is_write(body: &[u8]) -> bool {
     )
 }
 
-/// A single-connection TCP proxy that forwards frames both ways, except
-/// one write frame: armed with `refuse.store(k)`, it lets `k` more write
-/// frames through and answers the next itself with `Overloaded`, as the
-/// server's admission answers a request it refuses, without forwarding
-/// it. `writes` counts the write frames forwarded.
+/// A TCP proxy that forwards frames both ways on every connection it
+/// accepts, except one write frame: armed with `refuse.store(k)`, it lets
+/// `k` more write frames through and answers the next itself with
+/// `Overloaded`, as the server's admission answers a request it refuses,
+/// without forwarding it. `writes` counts the write frames forwarded.
 struct RefusingProxy {
     addr: SocketAddr,
     refuse: Arc<AtomicU64>,
     writes: Arc<AtomicU64>,
+    /// The client side of every connection accepted so far.
+    clients: Arc<Mutex<Vec<TcpStream>>>,
+}
+
+impl RefusingProxy {
+    /// Closes every connection accepted so far, as a restarting server
+    /// would; the proxy goes on accepting re-dials.
+    fn hang_up(&self) {
+        for client in self.clients.lock().unwrap().drain(..) {
+            let _ = client.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 fn spawn_refusing_proxy(server_addr: SocketAddr) -> RefusingProxy {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let refuse = Arc::new(AtomicU64::new(u64::MAX));
-    let writes = Arc::new(AtomicU64::new(0));
-    let (armed, forwarded) = (Arc::clone(&refuse), Arc::clone(&writes));
+    let proxy = RefusingProxy {
+        addr: listener.local_addr().unwrap(),
+        refuse: Arc::new(AtomicU64::new(u64::MAX)),
+        writes: Arc::new(AtomicU64::new(0)),
+        clients: Arc::new(Mutex::new(Vec::new())),
+    };
+    let (armed, forwarded) = (Arc::clone(&proxy.refuse), Arc::clone(&proxy.writes));
+    let clients = Arc::clone(&proxy.clients);
     std::thread::spawn(move || {
-        let Ok((client, _)) = listener.accept() else {
-            return;
-        };
-        let upstream = TcpStream::connect(server_addr).unwrap();
-        // Answers and refusals reach the client as whole frames.
-        let back = Arc::new(Mutex::new(client.try_clone().unwrap()));
-        let (mut up_read, answers) = (upstream.try_clone().unwrap(), Arc::clone(&back));
-        let pump = std::thread::spawn(move || {
-            while let Ok(body) = read_frame(&mut up_read) {
-                if write_frame(&mut *answers.lock().unwrap(), &body).is_err() {
-                    break;
-                }
-            }
-        });
-        let (mut client_read, mut up_write) = (client, upstream);
-        while let Ok(body) = read_frame(&mut client_read) {
-            if is_write(&body) {
-                match armed.load(Ordering::SeqCst) {
-                    0 => {
-                        armed.store(u64::MAX, Ordering::SeqCst);
-                        let Ok(Request::Mux { session, seq, .. }) = Request::decode(&body) else {
-                            unreachable!("a session's write");
-                        };
-                        let refusal = Response::Mux {
-                            session,
-                            seq,
-                            inner: Box::new(Response::Overloaded),
-                        };
-                        if write_frame(&mut *back.lock().unwrap(), &refusal.encode()).is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    u64::MAX => {}
-                    k => armed.store(k - 1, Ordering::SeqCst),
-                }
-                forwarded.fetch_add(1, Ordering::SeqCst);
-            }
-            if write_frame(&mut up_write, &body).is_err() {
+        for client in listener.incoming() {
+            let Ok(client) = client else {
+                return;
+            };
+            clients.lock().unwrap().push(client.try_clone().unwrap());
+            let (armed, forwarded) = (Arc::clone(&armed), Arc::clone(&forwarded));
+            std::thread::spawn(move || refusing_relay(client, server_addr, &armed, &forwarded));
+        }
+    });
+    proxy
+}
+
+/// One connection of a [`RefusingProxy`].
+fn refusing_relay(
+    client: TcpStream,
+    server_addr: SocketAddr,
+    armed: &AtomicU64,
+    forwarded: &AtomicU64,
+) {
+    let upstream = TcpStream::connect(server_addr).unwrap();
+    // Answers and refusals reach the client as whole frames.
+    let back = Arc::new(Mutex::new(client.try_clone().unwrap()));
+    let (mut up_read, answers) = (upstream.try_clone().unwrap(), Arc::clone(&back));
+    let pump = std::thread::spawn(move || {
+        while let Ok(body) = read_frame(&mut up_read) {
+            if write_frame(&mut *answers.lock().unwrap(), &body).is_err() {
                 break;
             }
         }
-        let _ = client_read.shutdown(Shutdown::Both);
-        let _ = up_write.shutdown(Shutdown::Both);
-        let _ = pump.join();
     });
-    RefusingProxy {
-        addr,
-        refuse,
-        writes,
+    let (mut client_read, mut up_write) = (client, upstream);
+    while let Ok(body) = read_frame(&mut client_read) {
+        if is_write(&body) {
+            match armed.load(Ordering::SeqCst) {
+                0 => {
+                    armed.store(u64::MAX, Ordering::SeqCst);
+                    let Ok(Request::Mux { session, seq, .. }) = Request::decode(&body) else {
+                        unreachable!("a session's write");
+                    };
+                    let refusal = Response::Mux {
+                        session,
+                        seq,
+                        inner: Box::new(Response::Overloaded),
+                    };
+                    if write_frame(&mut *back.lock().unwrap(), &refusal.encode()).is_err() {
+                        break;
+                    }
+                    continue;
+                }
+                u64::MAX => {}
+                k => armed.store(k - 1, Ordering::SeqCst),
+            }
+            forwarded.fetch_add(1, Ordering::SeqCst);
+        }
+        if write_frame(&mut up_write, &body).is_err() {
+            break;
+        }
     }
+    let _ = client_read.shutdown(Shutdown::Both);
+    let _ = up_write.shutdown(Shutdown::Both);
+    let _ = pump.join();
 }
 
 /// A write three frames long whose second frame admission refuses ends
@@ -571,6 +597,59 @@ fn a_refused_piece_ends_the_write() {
         c.flush().unwrap();
         drop(c);
         server.shutdown();
+    }
+}
+
+/// A posted write's refusal that the client has read but no barrier has
+/// reported survives the death of its connection: a reconnecting client
+/// reports an error at the next operation or barrier before it re-dials,
+/// and never confirms the refused write as applied. The refusal reaches
+/// the client as an ack routed during an RPC or as a long write's piece
+/// confirmation; the dead connection is found by the idle check before a
+/// posted write or by a failed RPC.
+#[test]
+fn a_queued_refusal_is_reported_before_a_redial() {
+    let len = 2 * MAX_PIECE + MAX_PIECE / 2;
+    for mode in [TcpMode::Pipelined, TcpMode::Shared] {
+        for by_piece in [false, true] {
+            for then_read in [false, true] {
+                let at = format!("{mode:?}, refused by piece: {by_piece}, then read: {then_read}");
+                let server = Server::bind("redial", "127.0.0.1:0").unwrap().start();
+                let proxy = spawn_refusing_proxy(server.addr());
+                let mut r = mode.reconnecting(proxy.addr, 3);
+                let seg = r.remote_malloc(len, 0).unwrap();
+                let mut back = vec![0u8; 64];
+                proxy.refuse.store(u64::from(by_piece), Ordering::SeqCst);
+                if by_piece {
+                    r.remote_write(seg.id, 0, &vec![2; len]).unwrap();
+                } else {
+                    r.remote_write(seg.id, 0, &[2; 64]).unwrap();
+                    r.remote_read(seg.id, 0, &mut back).unwrap();
+                }
+                assert_eq!(r.in_flight(), 0, "{at}: the refusal was read");
+
+                proxy.hang_up();
+                // Time for the FIN to reach the client, so that the check
+                // before a posted write finds the hang-up. The outcome
+                // asserted below holds whether or not it does.
+                std::thread::sleep(Duration::from_millis(50));
+                let next = if then_read {
+                    r.remote_read(seg.id, 0, &mut back)
+                } else {
+                    r.remote_write(seg.id, len - 64, &[3; 64])
+                };
+                let reported = next.and_then(|()| r.flush().map(drop));
+                assert!(reported.is_err(), "{at}: the refused write was confirmed");
+
+                // Once reported, the loss is behind the client: it re-dials.
+                r.remote_write(seg.id, 0, &[4; 64]).unwrap();
+                r.flush().unwrap();
+                r.remote_read(seg.id, 0, &mut back).unwrap();
+                assert_eq!(back, [4; 64], "{at}");
+                drop(r);
+                server.shutdown();
+            }
+        }
     }
 }
 
