@@ -50,6 +50,7 @@ use crate::layout::{
 use crate::perseas::{
     commit_completes, commit_record, unavailable, Batch, MirrorState, Perseas, Phase, Src,
 };
+use crate::recovery::MirrorImage;
 use crate::trace::TraceEvent;
 
 /// One write to be logged: `(txn id, region index, start, len)`. A
@@ -705,36 +706,34 @@ pub(crate) fn split_suffix_fates(
 
 /// Distinct transaction ids holding live (uncommitted, un-tombstoned)
 /// records in a redo image's log suffix — the redo analogue of
-/// [`crate::recovery::scan_uncommitted`] for the sharded
-/// in-doubt check.
+/// [`MirrorImage::scan_uncommitted`] for the sharded in-doubt check.
 pub(crate) fn redo_uncommitted_ids<M: RemoteMemory>(
     backend: &mut M,
-    meta_image: &[u8],
-    header: &MetaHeader,
+    image: &MirrorImage,
     table: &[u64],
 ) -> Result<Vec<u64>, TxnError> {
-    let dir = decode_redo_dir(meta_image, header)?;
+    let dir = decode_redo_dir(&image.bytes, &image.header)?;
     let suffix = scan_redo_suffix(backend, &dir)?;
-    Ok(split_suffix_fates(suffix, header.last_committed, table).live_uncommitted)
+    Ok(split_suffix_fates(suffix, image.header.last_committed, table).live_uncommitted)
 }
 
-/// Appends abort tombstones for `ids` directly to one mirror's log
-/// during recovery (presumed abort of the stale suffix), opening fresh
-/// segments on that mirror as needed, and advances its tail line.
-/// Confirmed before the watermark may pass the ids.
+/// Appends abort tombstones for `ids` directly to the log of the mirror
+/// `image` was read from during recovery (presumed abort of the stale
+/// suffix), opening fresh segments on that mirror as needed, and
+/// advances its tail line. Confirmed before the watermark may pass the
+/// ids.
 pub(crate) fn append_recovery_tombstones<M: RemoteMemory>(
     backend: &mut M,
-    meta_seg_id: SegmentId,
-    meta_image_len: usize,
-    header: &MetaHeader,
+    image: &MirrorImage,
     dir: &mut RedoDir,
     ids: &[u64],
 ) -> Result<(), TxnError> {
     if ids.is_empty() {
         return Ok(());
     }
+    let (header, meta_seg_id) = (&image.header, image.meta.id);
     let dir_end = redo_dir_end(
-        meta_image_len,
+        image.bytes.len(),
         header.commit_slots as usize,
         header.intent_slots as usize,
         header.decision_slots as usize,

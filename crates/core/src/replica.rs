@@ -9,16 +9,12 @@
 //! monitoring, and warm standbys read while the primary keeps committing.
 
 use perseas_rnram::{RemoteMemory, RemoteSegment};
-use perseas_sci::image::zeroed;
-use perseas_sci::SegmentId;
 use perseas_txn::{RegionId, TxnError};
 
 use crate::config::PerseasConfig;
-use crate::layout::{
-    commit_table_offset, decode_commit_table, MetaHeader, FLAG_CONCURRENT, OFF_COMMIT,
-};
+use crate::layout::{commit_table_offset, OFF_COMMIT};
 use crate::perseas::unavailable;
-use crate::recovery::scan_uncommitted;
+use crate::recovery::MirrorImage;
 
 /// A read-only, transactionally consistent copy of a PERSEAS database,
 /// built from a mirror without modifying it.
@@ -64,17 +60,18 @@ impl<M: RemoteMemory> ReadReplica<M> {
     /// Re-snapshots the database, returning the id of the newest
     /// committed transaction now visible.
     ///
-    /// The snapshot is consistent: it retries if the mirror's commit
-    /// record moves while the regions are being copied, and applies the
-    /// before-images of any in-flight transaction to its **local** copy
-    /// (the mirror is never written).
+    /// The snapshot is consistent: each attempt copies the undo log,
+    /// every region, and the commit-record re-checks in **one vectored
+    /// read** — served atomically by the event-driven server, so a
+    /// committing primary cannot tear it — and retries if the commit
+    /// record moved since the metadata was read. The before-images of any
+    /// in-flight transaction are applied to the **local** copy (the
+    /// mirror is never written).
     ///
-    /// Snapshot-first: each attempt in the first half of the retry budget
-    /// copies the undo log, every region, and the commit-record re-checks
-    /// in **one vectored read** — served atomically by the event-driven
-    /// server, so a committing primary cannot tear it. The remaining
-    /// budget falls back to the legacy per-segment copy loop for backends
-    /// without an atomic vectored path.
+    /// Over TCP the whole cut travels in one frame, so an image larger
+    /// than `MAX_FRAME` (96 MiB) cannot be snapshotted: the server
+    /// refuses the request and the refresh fails
+    /// [`TxnError::Unavailable`].
     ///
     /// # Errors
     ///
@@ -85,18 +82,9 @@ impl<M: RemoteMemory> ReadReplica<M> {
     /// failures — when the primary outruns `cfg.snapshot_retries`
     /// attempts.
     pub fn refresh(&mut self) -> Result<u64, TxnError> {
-        let budget = self.cfg.snapshot_retries;
-        let vectored = budget.div_ceil(2);
-        let mut attempts = 0usize;
-        while attempts < vectored {
-            attempts += 1;
-            if let Some(last) = self.try_refresh(attempts, true)? {
-                return Ok(last);
-            }
-        }
-        while attempts < budget {
-            attempts += 1;
-            if let Some(last) = self.try_refresh(attempts, false)? {
+        let attempts = self.cfg.snapshot_retries;
+        for attempt in 1..=attempts {
+            if let Some(last) = self.try_refresh(attempt)? {
                 return Ok(last);
             }
         }
@@ -108,21 +96,10 @@ impl<M: RemoteMemory> ReadReplica<M> {
     /// One snapshot attempt. Returns `Ok(None)` when the primary
     /// committed mid-copy (fuzzy cut — retry); `attempt` is carried by
     /// any typed error so the caller learns the final attempt count.
-    fn try_refresh(&mut self, attempt: usize, use_vectored: bool) -> Result<Option<u64>, TxnError> {
-        let mut meta_image = vec![0u8; self.meta.len];
-        self.backend
-            .remote_read(self.meta.id, 0, &mut meta_image)
-            .map_err(unavailable)?;
-        let header = MetaHeader::decode(&meta_image)
-            .map_err(|m| TxnError::Unavailable(format!("corrupt metadata: {m}")))?;
-        if header.epoch < self.cfg.min_epoch {
-            return Err(TxnError::FencedMirror {
-                epoch: header.epoch,
-                required: self.cfg.min_epoch,
-                attempts: attempt,
-            });
-        }
-        if header.flags & crate::layout::FLAG_REDO != 0 {
+    fn try_refresh(&mut self, attempt: usize) -> Result<Option<u64>, TxnError> {
+        let mut image =
+            MirrorImage::read(&mut self.backend, self.meta, self.cfg.min_epoch, attempt)?;
+        if image.redo() {
             // A redo-mode mirror's db segments only hold the last
             // snapshot; the committed state lives partly in the log.
             // Materialising it would mean replaying the suffix here —
@@ -134,121 +111,42 @@ impl<M: RemoteMemory> ReadReplica<M> {
             ));
         }
 
-        let undo_seg = self
-            .backend
-            .segment_info(SegmentId::from_raw(header.undo_seg_id))
-            .map_err(unavailable)?;
-        let mut segs = Vec::with_capacity(header.region_count as usize);
-        let mut region_lens = Vec::with_capacity(header.region_count as usize);
-        for i in 0..header.region_count as usize {
-            let (seg_id, _) = crate::layout::decode_region_entry(&meta_image, i)
-                .map_err(|m| TxnError::Unavailable(format!("corrupt region table: {m}")))?;
-            let seg = self
-                .backend
-                .segment_info(SegmentId::from_raw(seg_id))
-                .map_err(unavailable)?;
-            region_lens.push(seg.len);
-            segs.push(seg);
+        // One cut: undo log first, then every region, then the
+        // commit-record re-check. A concurrent mirror publishes every
+        // group commit through its commit table, so the table is
+        // re-checked too — a watermark-only check would miss a group
+        // committed entirely above the watermark.
+        let slots = image.header.commit_slots as usize;
+        let table = commit_table_offset(image.bytes.len(), slots);
+        let mut reads = vec![(image.undo.id, 0usize, image.undo.len)];
+        reads.extend(image.db.iter().map(|seg| (seg.id, 0, seg.len)));
+        reads.push((self.meta.id, OFF_COMMIT, 8));
+        if slots > 0 {
+            reads.push((self.meta.id, table, slots * 8));
         }
-
-        let concurrent = header.flags & FLAG_CONCURRENT != 0;
-        let slots = header.commit_slots as usize;
-        let table_base = commit_table_offset(self.meta.len, slots);
-
-        let (undo, mut regions) = if use_vectored {
-            // One cut: undo log first, then every region, with the
-            // commit-record (and, for a concurrent image, commit-table)
-            // re-checks last in the same vector.
-            let mut reads = vec![(undo_seg.id, 0usize, undo_seg.len)];
-            for seg in &segs {
-                reads.push((seg.id, 0, seg.len));
-            }
-            reads.push((self.meta.id, OFF_COMMIT, 8));
-            if concurrent && slots > 0 {
-                reads.push((self.meta.id, table_base, slots * 8));
-            }
-            let bufs = self.backend.remote_read_v(&reads).map_err(unavailable)?;
-            let mut bufs = bufs.into_iter();
-            let undo = bufs.next().expect("undo buffer present");
-            let regions: Vec<Vec<u8>> = segs
-                .iter()
-                .map(|_| bufs.next().expect("region buffer"))
-                .collect();
-            let after = bufs.next().expect("commit-record buffer");
-            if after.len() != 8
-                || u64::from_le_bytes(after.try_into().expect("8 bytes")) != header.last_committed
-            {
-                return Ok(None);
-            }
-            if concurrent && slots > 0 {
-                let table_after = bufs.next().expect("commit-table buffer");
-                if table_after != meta_image[table_base..table_base + slots * 8] {
-                    return Ok(None);
-                }
-            }
-            (undo, regions)
-        } else {
-            // Legacy per-segment copy loop: undo log first, then the
-            // regions, then the re-checks.
-            let mut undo = zeroed(undo_seg.len);
-            self.backend
-                .remote_read(undo_seg.id, 0, &mut undo)
-                .map_err(unavailable)?;
-            let mut regions = Vec::with_capacity(segs.len());
-            for seg in &segs {
-                let mut data = zeroed(seg.len);
-                if seg.len > 0 {
-                    self.backend
-                        .remote_read(seg.id, 0, &mut data)
-                        .map_err(unavailable)?;
-                }
-                regions.push(data);
-            }
-            // If a commit landed while we copied, the snapshot may be
-            // fuzzy: retry. The replica adapts to whichever engine wrote
-            // the image: a concurrent mirror publishes every group commit
-            // through its commit table, so the table bytes are compared
-            // too — a watermark-only check would miss a group committed
-            // entirely above the watermark.
-            let mut after = [0u8; 8];
-            self.backend
-                .remote_read(self.meta.id, OFF_COMMIT, &mut after)
-                .map_err(unavailable)?;
-            if u64::from_le_bytes(after) != header.last_committed {
-                return Ok(None);
-            }
-            if concurrent && slots > 0 {
-                let mut table_after = vec![0u8; slots * 8];
-                self.backend
-                    .remote_read(self.meta.id, table_base, &mut table_after)
-                    .map_err(unavailable)?;
-                if table_after != meta_image[table_base..table_base + slots * 8] {
-                    return Ok(None);
-                }
-            }
-            (undo, regions)
-        };
+        let mut regions = self.backend.remote_read_v(&reads).map_err(unavailable)?;
+        if slots > 0 && regions.pop().as_deref() != Some(&image.bytes[table..]) {
+            return Ok(None);
+        }
+        if regions.pop().as_deref() != Some(&image.bytes[OFF_COMMIT..OFF_COMMIT + 8]) {
+            return Ok(None);
+        }
+        image.undo_log = Some(regions.remove(0));
 
         // Roll back the in-flight transactions *locally*, using the
         // same rules as recovery.
-        let to_undo = scan_uncommitted(&undo, &meta_image, &header, &region_lens);
-        for (rec, payload) in to_undo.iter().rev() {
-            let ri = rec.region as usize;
+        let undo = image.undo_log.as_deref().unwrap_or_default();
+        for (rec, payload) in image.scan_uncommitted().iter().rev() {
             let at = rec.offset as usize;
-            regions[ri][at..at + payload.len()].copy_from_slice(&undo[payload.clone()]);
+            regions[rec.region as usize][at..at + payload.len()]
+                .copy_from_slice(&undo[payload.clone()]);
         }
 
         self.regions = regions;
         // For a concurrent image, the newest *visible* commit may sit
         // in a table slot above the watermark.
-        self.last_committed = if concurrent {
-            decode_commit_table(&meta_image, slots)
-                .into_iter()
-                .fold(header.last_committed, u64::max)
-        } else {
-            header.last_committed
-        };
-        self.epoch = header.epoch;
+        self.last_committed = image.newest_commit();
+        self.epoch = image.header.epoch;
         Ok(Some(self.last_committed))
     }
 

@@ -45,26 +45,20 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use perseas_rnram::{RemoteMemory, SegmentId};
-use perseas_sci::image::zeroed;
+use perseas_rnram::RemoteMemory;
 use perseas_simtime::SimClock;
 use perseas_txn::{RegionId, SnapshotToken, TransactionalMemory, TxnError, TxnStats};
 
 use crate::conc::TxnToken;
 use crate::fault::FaultPlan;
 use crate::layout::{
-    commit_table_offset, decode_commit_table, decode_decision_table, decode_intent_table,
-    decode_region_entry, encode_decision_slot, encode_intent_slot, intent_table_offset, MetaHeader,
-    DECISION_SLOT_SIZE, FLAG_SHARDED, INTENT_SLOT_SIZE, OFF_COMMIT, OFF_EPOCH,
+    commit_table_offset, decode_decision_table, decode_intent_table, encode_decision_slot,
+    encode_intent_slot, intent_table_offset, DECISION_SLOT_SIZE, FLAG_SHARDED, INTENT_SLOT_SIZE,
 };
-use crate::perseas::{Perseas, Phase, Src};
-use crate::recovery::RecoveryReport;
+use crate::perseas::{unavailable, Perseas, Phase, Src};
+use crate::recovery::{best_image, RecoveryReport};
 use crate::trace::{TraceEvent, Tracer};
 use crate::PerseasConfig;
-
-fn unavailable(e: impl std::fmt::Display) -> TxnError {
-    TxnError::Unavailable(e.to_string())
-}
 
 /// A handle naming an open cross-shard transaction on a
 /// [`ShardedPerseas`]. Like [`TxnToken`], it is a plain copyable id.
@@ -1025,10 +1019,11 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
     /// Recovers the whole sharded database from each shard's surviving
     /// mirrors, resolving in-doubt cross-shard transactions first.
     ///
-    /// For every shard the best surviving image is ranked exactly as in
-    /// [`Perseas::recover_best`]. Valid intent slots naming a prepared,
-    /// uncommitted local part are then resolved against the home shard's
-    /// decision table: present → the part's id is written into a free
+    /// For every shard the best surviving image is chosen and read exactly
+    /// as in [`Perseas::recover_best`], and that image goes on to the
+    /// shard's recovery without being ranked or read again. Valid intent
+    /// slots naming a prepared, uncommitted local part are then resolved
+    /// against the home shard's decision table: present → the part's id is written into a free
     /// commit-table slot (an 8-byte packet-atomic write, flushed) so
     /// ordinary recovery keeps it; absent → presumed abort, ordinary
     /// recovery rolls it back. Only after **every** shard has recovered
@@ -1062,75 +1057,33 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
         let k = backends.len();
         assert!(k > 0, "a sharded database needs at least one shard");
 
-        // 1. Pick and read the best surviving meta image per shard, with
-        // the same ranking recover_best will apply below.
-        struct Peek {
-            best: usize,
-            meta_id: SegmentId,
-            image: Vec<u8>,
-            header: MetaHeader,
-        }
-        let mut peeks: Vec<Peek> = Vec::with_capacity(k);
+        // 1. Read the best surviving image per shard: the one ordinary
+        // recovery rebuilds below.
+        let mut images = Vec::with_capacity(k);
         for (s, (bs, _)) in backends.iter_mut().enumerate() {
-            let scfg = shard_cfg(&cfg, s, k);
-            let mut best: Option<(usize, u64, u64)> = None;
-            for (i, b) in bs.iter_mut().enumerate() {
-                let Ok(meta) = b.connect_segment(scfg.meta_tag) else {
-                    continue;
-                };
-                let mut commit = [0u8; 8];
-                let mut epoch = [0u8; 8];
-                if b.remote_read(meta.id, OFF_COMMIT, &mut commit).is_err()
-                    || b.remote_read(meta.id, OFF_EPOCH, &mut epoch).is_err()
-                {
-                    continue;
-                }
-                let epoch = u64::from_le_bytes(epoch);
-                if epoch < scfg.min_epoch {
-                    continue;
-                }
-                let committed = u64::from_le_bytes(commit);
-                let rank = (epoch, committed, std::cmp::Reverse(i));
-                if best.is_none_or(|(bi, be, bc)| rank > (be, bc, std::cmp::Reverse(bi))) {
-                    best = Some((i, epoch, committed));
-                }
-            }
-            let Some((bi, _, _)) = best else {
-                return Err(TxnError::Unavailable(format!(
-                    "shard {s}: no mirror holds recoverable PERSEAS metadata at an admissible epoch"
-                )));
-            };
-            let b = &mut bs[bi];
-            let meta = b.connect_segment(scfg.meta_tag).map_err(unavailable)?;
-            let mut image = vec![0u8; meta.len];
-            b.remote_read(meta.id, 0, &mut image).map_err(unavailable)?;
-            let header = MetaHeader::decode(&image).map_err(TxnError::Unavailable)?;
-            if header.flags & FLAG_SHARDED == 0
-                || header.shard_index as usize != s
-                || header.shard_count as usize != k
+            let (best, image) = best_image(bs, &shard_cfg(&cfg, s, k))?;
+            let h = &image.header;
+            if h.flags & FLAG_SHARDED == 0
+                || h.shard_index as usize != s
+                || h.shard_count as usize != k
             {
                 return Err(TxnError::Unavailable(format!(
                     "shard {s}: image is shard {}/{} (flags {:#x}), not shard {s} of {k}",
-                    header.shard_index, header.shard_count, header.flags
+                    h.shard_index, h.shard_count, h.flags
                 )));
             }
-            peeks.push(Peek {
-                best: bi,
-                meta_id: meta.id,
-                image,
-                header,
-            });
+            images.push((best, image));
         }
 
         // 2. The decision tables — the committed set of cross-shard
         // transactions, keyed by home shard.
-        let decisions: Vec<HashSet<u64>> = peeks
+        let decisions: Vec<HashSet<u64>> = images
             .iter()
-            .map(|p| {
+            .map(|(_, im)| {
                 decode_decision_table(
-                    &p.image,
-                    p.header.commit_slots as usize,
-                    p.header.decision_slots as usize,
+                    &im.bytes,
+                    im.header.commit_slots as usize,
+                    im.header.decision_slots as usize,
                 )
                 .into_iter()
                 .collect()
@@ -1143,16 +1096,15 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
         let mut resolved_aborts = vec![0usize; k];
         let mut resolutions: Vec<(usize, u64, bool)> = Vec::new();
         let mut max_global = 0u64;
-        for s in 0..k {
-            let p = &peeks[s];
-            let cs = p.header.commit_slots as usize;
-            let watermark = p.header.last_committed;
-            let mut table = decode_commit_table(&p.image, cs);
+        for (s, (best, image)) in images.iter_mut().enumerate() {
+            let cs = image.header.commit_slots as usize;
+            let watermark = image.header.last_committed;
+            let mut table = image.commit_table();
             let intents = decode_intent_table(
-                &p.image,
+                &image.bytes,
                 cs,
-                p.header.intent_slots as usize,
-                p.header.decision_slots as usize,
+                image.header.intent_slots as usize,
+                image.header.decision_slots as usize,
             );
             for &(_, _, global, _) in &intents {
                 max_global = max_global.max(global);
@@ -1166,27 +1118,17 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
             // Which local ids actually hold live prepared records? A stale
             // intent whose transaction aborted (tombstoned records) or
             // committed before the crash must not be re-resolved.
-            let backend = &mut backends[s].0[p.best];
-            let in_doubt: HashSet<u64> = if p.header.flags & crate::layout::FLAG_REDO != 0 {
+            let backend = &mut backends[s].0[*best];
+            let in_doubt: HashSet<u64> = if image.redo() {
                 // Redo shards: an intent is live while the log suffix
                 // still holds un-tombstoned records for the id.
-                crate::redo::redo_uncommitted_ids(backend, &p.image, &p.header, &table)?
+                crate::redo::redo_uncommitted_ids(backend, image, &table)?
                     .into_iter()
                     .collect()
             } else {
-                let undo_id = SegmentId::from_raw(p.header.undo_seg_id);
-                let mut undo = zeroed(p.header.undo_seg_len as usize);
-                backend
-                    .remote_read(undo_id, 0, &mut undo)
-                    .map_err(unavailable)?;
-                let region_lens: Vec<usize> = (0..p.header.region_count as usize)
-                    .map(|i| {
-                        decode_region_entry(&p.image, i)
-                            .map(|(_, len)| len as usize)
-                            .map_err(TxnError::Unavailable)
-                    })
-                    .collect::<Result<_, _>>()?;
-                crate::recovery::scan_uncommitted(&undo, &p.image, &p.header, &region_lens)
+                image.read_undo(backend)?;
+                image
+                    .scan_uncommitted()
                     .iter()
                     .map(|(rec, _)| rec.txn_id)
                     .collect()
@@ -1200,11 +1142,14 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
                     let free = (0..cs).position(|i| table[i] <= watermark).ok_or_else(|| {
                         TxnError::Unavailable(format!("shard {s}: commit table is full"))
                     })?;
-                    let off = commit_table_offset(p.image.len(), cs) + free * 8;
+                    let off = commit_table_offset(image.bytes.len(), cs) + free * 8;
+                    let slot = local.to_le_bytes();
                     backend
-                        .remote_write(p.meta_id, off, &local.to_le_bytes())
+                        .remote_write(image.meta.id, off, &slot)
                         .map_err(unavailable)?;
                     backend.flush().map_err(unavailable)?;
+                    // The image in hand is the one recovery rebuilds.
+                    image.bytes[off..off + 8].copy_from_slice(&slot);
                     table[free] = local;
                     resolved_commits[s] += 1;
                 } else {
@@ -1214,13 +1159,15 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
             }
         }
 
-        // 4. Ordinary per-shard recovery: the best image (unchanged in
+        // 4. Ordinary per-shard recovery: each shard's image (unchanged in
         // rank by the slot writes above) is rebuilt, uncommitted parts
         // are rolled back, survivors are re-mirrored.
         let mut shards = Vec::with_capacity(k);
         let mut reports = Vec::with_capacity(k);
-        for (s, (bs, clock)) in backends.into_iter().enumerate() {
-            let (db, report) = Perseas::recover_best(bs, shard_cfg(&cfg, s, k), clock)?;
+        for (s, ((mut bs, clock), (best, image))) in backends.into_iter().zip(images).enumerate() {
+            let chosen = bs.remove(best);
+            let (db, report) =
+                Perseas::recover_image(chosen, image, shard_cfg(&cfg, s, k), clock, bs)?;
             shards.push(db);
             reports.push(report);
         }

@@ -11,6 +11,8 @@ use perseas_integration::reopen;
 use perseas_rnram::{RemoteMemory, RemoteSegment, RnError, SimRemote};
 use perseas_sci::{NodeMemory, SciLink, SciParams, SegmentId};
 use perseas_simtime::SimClock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn setup2_with(
     cfg: PerseasConfig,
@@ -358,12 +360,14 @@ fn replica_attached_to_survivor_sees_degraded_commits() {
 
 /// Delegating backend that moves the mirror's commit record forward on
 /// every commit-record read, so a replica's snapshot never settles:
-/// perpetual snapshot contention without any transport failure.
+/// perpetual snapshot contention without any transport failure. It
+/// counts the vectored reads (snapshot cuts) it serves in `cuts`.
 #[derive(Debug)]
 struct ContentiousRemote {
     inner: SimRemote,
     node: NodeMemory,
     meta: Option<SegmentId>,
+    cuts: Arc<AtomicUsize>,
 }
 
 impl RemoteMemory for ContentiousRemote {
@@ -391,6 +395,21 @@ impl RemoteMemory for ContentiousRemote {
                 .unwrap();
         }
         self.inner.remote_read(seg, offset, buf)
+    }
+    fn remote_read_v(
+        &mut self,
+        reads: &[(SegmentId, usize, usize)],
+    ) -> Result<Vec<Vec<u8>>, RnError> {
+        // Served range by range through `remote_read`, as the trait's
+        // default does, so the re-check in the cut still moves the record.
+        self.cuts.fetch_add(1, Ordering::SeqCst);
+        reads
+            .iter()
+            .map(|&(seg, offset, len)| {
+                let mut buf = vec![0u8; len];
+                self.remote_read(seg, offset, &mut buf).map(|()| buf)
+            })
+            .collect()
     }
     fn connect_segment(&mut self, tag: u64) -> Result<RemoteSegment, RnError> {
         let seg = self.inner.connect_segment(tag)?;
@@ -1013,10 +1032,12 @@ fn snapshot_contention_is_a_distinct_error() {
     let (mut db, r, na, _nb, _lb) = setup2();
     commit_fill(&mut db, r, 0, 1).unwrap();
 
+    let cuts = Arc::new(AtomicUsize::new(0));
     let backend = ContentiousRemote {
         inner: reopen(&na),
         node: na.clone(),
         meta: None,
+        cuts: Arc::clone(&cuts),
     };
     let err = ReadReplica::attach(backend, PerseasConfig::default().with_snapshot_retries(3))
         .unwrap_err();
@@ -1025,6 +1046,9 @@ fn snapshot_contention_is_a_distinct_error() {
         "contention must not be reported as a transport failure: {err:?}"
     );
     assert!(err.to_string().contains("retry"), "{err}");
+    // Every attempt is one vectored cut: no attempt falls back to
+    // separate reads that could interleave with the primary's writes.
+    assert_eq!(cuts.load(Ordering::SeqCst), 3);
 }
 
 /// Like [`ContentiousRemote`], but after `fence_at - 1` header reads it

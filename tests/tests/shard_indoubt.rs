@@ -12,9 +12,15 @@
 //!
 //! [`ShardRecoveryReport`]: perseas_core::ShardRecoveryReport
 
-use perseas_core::{GlobalToken, PerseasConfig, RegionId, ShardedPerseas, TxnError};
+use std::sync::{Arc, Mutex};
+
+use perseas_core::{
+    GlobalToken, MetaHeader, PerseasConfig, RegionId, ShardedPerseas, TxnError, META_TAG,
+};
 use perseas_integration::shard_harness::{build_sharded, pre_image, reopen_sharded};
-use perseas_rnram::SimRemote;
+use perseas_rnram::{FlushStats, RemoteMemory, RemoteSegment, RnError, SimRemote};
+use perseas_sci::SegmentId;
+use perseas_simtime::SimClock;
 
 const K: usize = 3;
 const FILL: u8 = 0xE7;
@@ -36,7 +42,11 @@ fn post_image(s: usize) -> Vec<u8> {
     img
 }
 
-fn assert_all(db: &ShardedPerseas<SimRemote>, regions: &[RegionId], image: fn(usize) -> Vec<u8>) {
+fn assert_all<M: RemoteMemory>(
+    db: &ShardedPerseas<M>,
+    regions: &[RegionId],
+    image: fn(usize) -> Vec<u8>,
+) {
     for (s, &r) in regions.iter().enumerate() {
         assert_eq!(
             db.region_snapshot(r).unwrap(),
@@ -196,4 +206,96 @@ fn completed_transactions_are_not_re_resolved() {
     assert_eq!(report.resolved_commits, vec![0; K]);
     assert_eq!(report.resolved_aborts, vec![0; K]);
     assert_all(&db2, &regions, post_image);
+}
+
+/// Delegates to a [`SimRemote`] and logs every read as `(segment,
+/// offset, len)`.
+#[derive(Debug)]
+struct CountingRemote {
+    inner: SimRemote,
+    reads: Arc<Mutex<Vec<(SegmentId, usize, usize)>>>,
+}
+
+impl RemoteMemory for CountingRemote {
+    fn remote_malloc(&mut self, len: usize, tag: u64) -> Result<RemoteSegment, RnError> {
+        self.inner.remote_malloc(len, tag)
+    }
+    fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {
+        self.inner.remote_free(seg)
+    }
+    fn remote_write(&mut self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), RnError> {
+        self.inner.remote_write(seg, offset, data)
+    }
+    fn remote_write_v(&mut self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), RnError> {
+        self.inner.remote_write_v(writes)
+    }
+    fn flush(&mut self) -> Result<FlushStats, RnError> {
+        self.inner.flush()
+    }
+    fn virtual_clock(&self) -> Option<SimClock> {
+        self.inner.virtual_clock()
+    }
+    fn remote_read(
+        &mut self,
+        seg: SegmentId,
+        offset: usize,
+        buf: &mut [u8],
+    ) -> Result<(), RnError> {
+        self.reads.lock().unwrap().push((seg, offset, buf.len()));
+        self.inner.remote_read(seg, offset, buf)
+    }
+    fn connect_segment(&mut self, tag: u64) -> Result<RemoteSegment, RnError> {
+        self.inner.connect_segment(tag)
+    }
+    fn segment_info(&mut self, seg: SegmentId) -> Result<RemoteSegment, RnError> {
+        self.inner.segment_info(seg)
+    }
+    fn node_name(&self) -> String {
+        self.inner.node_name()
+    }
+}
+
+/// Sharded recovery reads each shard's chosen image once: the metadata
+/// segment and the undo log are each read in full a single time, and
+/// the commit slot written to resolve the in-doubt part is applied to
+/// the image already in hand rather than read back.
+#[test]
+fn sharded_recovery_reads_each_image_once() {
+    let (mut db, regions, cluster) = build_sharded(2, 1);
+    let g = stage_writes(&mut db, &regions);
+    db.prepare_parts(g).unwrap();
+    db.write_intents(g).unwrap();
+    db.write_decision(g).unwrap();
+    db.crash();
+
+    let logs: Vec<_> = (0..2).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+    let backends = reopen_sharded(&cluster)
+        .into_iter()
+        .zip(&logs)
+        .map(|(shard, log)| {
+            shard
+                .into_iter()
+                .map(|inner| CountingRemote {
+                    inner,
+                    reads: Arc::clone(log),
+                })
+                .collect()
+        })
+        .collect();
+    let (db2, report) = ShardedPerseas::recover(backends, PerseasConfig::default()).unwrap();
+    assert_eq!(report.resolved_commits, vec![1; 2]);
+    assert_all(&db2, &regions, post_image);
+
+    for (s, log) in logs.iter().enumerate() {
+        let node = &cluster.nodes[s][0];
+        let meta = node.find_by_tag(META_TAG + s as u64).unwrap();
+        let mut bytes = vec![0u8; meta.len];
+        node.read(meta.id, 0, &mut bytes).unwrap();
+        let undo_id = SegmentId::from_raw(MetaHeader::decode(&bytes).unwrap().undo_seg_id);
+        let undo_len = node.segment_info(undo_id).unwrap().len;
+        let log = log.lock().unwrap();
+        let full = |seg, len| log.iter().filter(|&&r| r == (seg, 0, len)).count();
+        assert_eq!(full(meta.id, meta.len), 1, "shard {s}: metadata reads");
+        assert_eq!(full(undo_id, undo_len), 1, "shard {s}: undo-log reads");
+    }
 }
