@@ -2,8 +2,9 @@
 //! 8 small ranges committed over a server that delays every response by
 //! 1 ms (the latency-injection knob, standing in for network RTT).
 //!
-//! The synchronous transport pays the full round trip per remote write —
-//! `ops x latency` per commit. The pipelined transport posts the same
+//! The synchronous row dials a window of one write, so every remote write
+//! waits out the previous one's round trip — `ops x latency` per commit.
+//! The pipelined row dials the default window and posts the same
 //! writes back-to-back and pays the latency only at the ack barriers
 //! before and after the commit record, so the same workload collapses to
 //! a few round trips per transaction. Writes `results/pipeline.csv` and
@@ -18,7 +19,7 @@ use perseas_bench::BenchReport;
 use perseas_core::{Perseas, PerseasConfig, RegionId};
 use perseas_obs::Registry;
 use perseas_rnram::server::Server;
-use perseas_rnram::TcpRemote;
+use perseas_rnram::{PipelineConfig, TcpRemote};
 
 const TXNS: usize = 8;
 const RANGES: usize = 8;
@@ -37,11 +38,15 @@ fn build(
         .expect("bind")
         .with_request_latency(LATENCY)
         .start();
-    let mut conn = if pipelined {
-        TcpRemote::connect_pipelined(server.addr()).expect("connect")
+    let cfg = if pipelined {
+        PipelineConfig::default()
     } else {
-        TcpRemote::connect(server.addr()).expect("connect")
+        PipelineConfig {
+            max_ops: 1,
+            ..PipelineConfig::default()
+        }
     };
+    let mut conn = TcpRemote::connect_with(server.addr(), cfg).expect("connect");
     let registry = Registry::new();
     conn.set_metrics(&registry);
     let mut db = Perseas::init(vec![conn], PerseasConfig::default()).expect("init");

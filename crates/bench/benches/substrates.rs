@@ -135,6 +135,7 @@ fn bench_tcp(c: &mut Criterion) {
         b.iter(|| {
             off = (off + 64) % 4_096;
             client.remote_write(seg.id, off, &data).expect("write");
+            client.flush().expect("flush");
         });
         server.shutdown();
     });

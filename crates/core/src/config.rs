@@ -31,9 +31,10 @@ pub struct PerseasConfig {
     /// Commit through the batched, vectored pipeline: undo pushes are
     /// deferred to commit time and each mirror then receives exactly one
     /// vectored write for the undo log, one for the coalesced data
-    /// ranges, and one for the commit record — with the mirrors written
-    /// in parallel (scoped threads on TCP, max-latency charging on the
-    /// shared simulated clock). `false` reproduces the paper's original
+    /// ranges, and one for the commit record — with the mirrors' writes
+    /// overlapping (each TCP write is posted and the barriers after them
+    /// confirm them together; a shared simulated clock is charged the
+    /// maximum latency). `false` reproduces the paper's original
     /// per-range protocol, where every `set_range` and every coalesced
     /// range is its own remote write. Crash-point counting follows the
     /// writes: on the batched path one vectored write is one crash point.

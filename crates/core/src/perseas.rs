@@ -1897,10 +1897,10 @@ impl<M: RemoteMemory> Perseas<M> {
 
     /// The batched commit pipeline: the deferred undo log, the coalesced
     /// data ranges and the packet-atomic commit record, in that order,
-    /// fanned out to the mirrors in parallel by
-    /// [`Perseas::publish_commit`]. At the default quorum of 1 that is one
-    /// vectored write and one ack barrier per mirror; above it, the undo
-    /// and data writes are confirmed before the record ships.
+    /// posted to every mirror by [`Perseas::publish_commit`]. At the
+    /// default quorum of 1 that is one vectored write and one ack barrier
+    /// per mirror; above it, the undo and data writes are confirmed before
+    /// the record ships.
     fn commit_batched(
         &mut self,
         txn: &mut ActiveTxn,
@@ -2053,11 +2053,11 @@ impl<M: RemoteMemory> Perseas<M> {
             .map_err(|e| self.durability_in_doubt(e, id))
     }
 
-    /// Issues one vectored write per listed mirror as a parallel fan-out:
-    /// mirrors sharing a simulated clock are charged the *maximum* of
-    /// their latencies (the rewind/advance pattern of
-    /// [`SimClock::rewind_to`]), and real-network mirrors are written from
-    /// scoped threads so the writes overlap on the wire. Each mirror's
+    /// Issues one vectored write per listed mirror, in mirror order. Each
+    /// write is posted, so the mirrors' writes overlap on the wire and
+    /// the barriers that follow confirm them; mirrors sharing a simulated
+    /// clock are charged the *maximum* of their latencies (the
+    /// rewind/advance pattern of [`SimClock::rewind_to`]). Each mirror's
     /// write is one crash point. Each list entry carries the mirror index
     /// it targets; entries whose mirror has gone `Down` since the lists
     /// were built are skipped, and a mirror failing its write is fenced
@@ -2080,7 +2080,6 @@ impl<M: RemoteMemory> Perseas<M> {
             .iter()
             .map(|(mi, _)| self.mirrors[*mi].backend.virtual_clock())
             .collect();
-        let any_sim = clocks.iter().any(Option::is_some);
         let shared = match clocks.first().and_then(Option::as_ref) {
             Some(first)
                 if clocks
@@ -2091,71 +2090,34 @@ impl<M: RemoteMemory> Perseas<M> {
             }
             _ => None,
         };
-
-        let sequential = self.fault.is_armed() || any_sim || lists.len() == 1;
         // Lists are built from the healthy set and no mirror is promoted
         // before they ship, so once the mirrors condemned since are
         // dropped, the k-th list belongs to the k-th healthy mirror.
         lists.retain(|(mi, _)| self.mirrors[*mi].is_healthy());
         debug_assert_eq!(lists.len(), self.healthy_mirror_count());
-        let mut note = |mi, written| refusal(mi, written, refused.as_deref_mut());
-        let failed = if sequential {
-            // Sequential issue keeps crash points deterministic; when all
-            // the mirrors share one simulated timeline the overlap is
-            // modelled by rewinding to the dispatch instant before each
-            // mirror and finally advancing to the latest completion.
-            let t0 = shared.as_ref().map(SimClock::now);
-            let mut t_end = t0;
-            let mut next = lists.iter();
-            let failed = self.fan_out_unfenced(|_, m, local| {
-                let (mi, list) = next.next().expect("one list per healthy mirror");
-                if let (Some(c), Some(start)) = (shared.as_ref(), t0) {
-                    c.rewind_to(start);
-                }
-                let written = m
-                    .backend
-                    .remote_write_v(&borrowed(list, local))
-                    .map(|()| Some(payload(list)));
-                if let (Some(c), Some(te)) = (shared.as_ref(), t_end.as_mut()) {
-                    *te = (*te).max(c.now());
-                }
-                note(*mi, written)
-            })?;
-            if let (Some(c), Some(te)) = (shared.as_ref(), t_end) {
-                c.advance_to(te);
+        // When all the mirrors share one simulated timeline the overlap is
+        // modelled by rewinding to the dispatch instant before each mirror
+        // and finally advancing to the latest completion.
+        let t0 = shared.as_ref().map(SimClock::now);
+        let mut t_end = t0;
+        let mut next = lists.iter();
+        let failed = self.fan_out_unfenced(|_, m, local| {
+            let (mi, list) = next.next().expect("one list per healthy mirror");
+            if let (Some(c), Some(start)) = (shared.as_ref(), t0) {
+                c.rewind_to(start);
             }
-            failed
-        } else {
-            // Real-network mirrors with no fault plan armed: one scoped
-            // thread per listed healthy mirror, whose results then pass
-            // through the usual step. Crash-point accounting is unchanged
-            // (one step per mirror; an unarmed plan never fires).
-            let local = Local {
-                regions: &self.regions,
-                undo_shadow: &self.undo_shadow,
-                cfg: &self.cfg,
-            };
-            let results: Vec<Result<(), RnError>> = std::thread::scope(|scope| {
-                let mut next = lists.iter().peekable();
-                let mut handles = Vec::with_capacity(lists.len());
-                for (mi, m) in self.mirrors.iter_mut().enumerate() {
-                    let Some((_, list)) = next.next_if(|(i, _)| *i == mi) else {
-                        continue;
-                    };
-                    let writes = borrowed(list, &local);
-                    handles.push(scope.spawn(move || m.backend.remote_write_v(&writes)));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("mirror writer panicked"))
-                    .collect()
-            });
-            let mut next = lists.iter().zip(results);
-            self.fan_out_unfenced(|_, _, _| {
-                let ((mi, list), written) = next.next().expect("one result per healthy mirror");
-                note(*mi, written.map(|()| Some(payload(list))))
-            })?
-        };
+            let written = m
+                .backend
+                .remote_write_v(&borrowed(list, local))
+                .map(|()| Some(payload(list)));
+            if let (Some(c), Some(te)) = (shared.as_ref(), t_end.as_mut()) {
+                *te = (*te).max(c.now());
+            }
+            refusal(*mi, written, refused.as_deref_mut())
+        })?;
+        if let (Some(c), Some(te)) = (shared.as_ref(), t_end) {
+            c.advance_to(te);
+        }
         Ok(failed)
     }
 

@@ -91,7 +91,7 @@ fn long_payload() -> Vec<u8> {
 /// the one posted write `write` makes, as a recording peer reads it.
 fn recorded_write_frame(write: impl FnOnce(&mut TcpRemote)) -> Vec<u8> {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let mut client = TcpRemote::connect_pipelined(listener.local_addr().unwrap()).unwrap();
+    let mut client = TcpRemote::connect(listener.local_addr().unwrap()).unwrap();
     let (mut peer, _) = listener.accept().unwrap();
     write(&mut client);
     let mut frame = vec![0u8; 4];

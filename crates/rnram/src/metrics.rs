@@ -149,10 +149,7 @@ pub(crate) struct ClientMetrics {
 impl ClientMetrics {
     pub(crate) fn new(registry: &Registry) -> ClientMetrics {
         ClientMetrics {
-            ops: registry.counter(
-                "perseas_client_ops_total",
-                "Request/response round trips.",
-            ),
+            ops: registry.counter("perseas_client_ops_total", "Request/response round trips."),
             posted: registry.counter(
                 "perseas_client_posted_total",
                 "Writes posted to the in-flight window without waiting.",
@@ -167,7 +164,7 @@ impl ClientMetrics {
             ),
             flush_barriers: registry.counter(
                 "perseas_client_flush_barriers_total",
-                "Ack barriers: flush calls, and the barrier after each write of a confirmed connection.",
+                "Ack barriers: flush calls.",
             ),
             flush_posted: registry.counter(
                 "perseas_client_flush_posted_total",

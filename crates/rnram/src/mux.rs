@@ -344,13 +344,6 @@ impl MuxIo {
             .is_some_and(|&(refused, _)| refused == seq))
     }
 
-    /// Forgets `session`'s window after its owner reported the loss.
-    pub(crate) fn abandon(&mut self, session: u64) {
-        let st = self.state(session);
-        st.outstanding.clear();
-        st.outstanding_bytes = 0;
-    }
-
     pub(crate) fn in_flight(&self, session: u64) -> usize {
         self.sessions
             .get(&session)

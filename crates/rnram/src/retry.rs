@@ -11,18 +11,19 @@
 //! writes bytes at an absolute offset), retrying a possibly-delivered
 //! write is safe.
 //!
-//! Connections that post writes add one hard rule: a connection that
-//! dies with posted writes no barrier has reported yet is **never**
-//! silently re-dialed, and [`RemoteMemory::flush`] is **never** retried.
-//! Those writes are the ones in flight (`in_flight() > 0`) and the ones
-//! whose refusal the client has already read (an ack routed during an
-//! RPC, or a long write's piece confirmation) but not yet reported. The
-//! lost window cannot be replayed — this wrapper does not buffer the
-//! posted frames — and flushing a freshly dialed connection would
-//! vacuously succeed while the writes it was supposed to confirm died, or
-//! were refused, on the old socket. Both paths surface `Unavailable`
-//! instead and leave re-dialing to the next operation, so the caller (the
-//! mirror fault-fencing layer) decides what the lost window means.
+//! Every connection posts its writes, which adds one hard rule: a
+//! connection that dies with posted writes no barrier has reported yet is
+//! **never** silently re-dialed, and [`RemoteMemory::flush`] is **never**
+//! retried. Those writes are the ones in flight (`in_flight() > 0`) and
+//! the ones whose refusal the client has already read (an ack routed
+//! during an RPC, or a long write's piece confirmation) but not yet
+//! reported. The lost window cannot be replayed — this wrapper does not
+//! buffer the posted frames — and flushing a freshly dialed connection
+//! would vacuously succeed while the writes it was supposed to confirm
+//! died, or were refused, on the old socket. Both paths surface
+//! `Unavailable` instead and leave re-dialing to the next operation, so
+//! the caller (the mirror fault-fencing layer) decides what the lost
+//! window means.
 //!
 //! The converse case is kept transparent: a connection that died while
 //! *idle* lost nothing. A frame is one `write`, which the local socket
@@ -46,9 +47,10 @@ use crate::tcp::Kind;
 use crate::{BackoffPolicy, FlushStats, RemoteMemory, RemoteSegment, RnError, TcpRemote};
 
 /// A TCP-backed [`RemoteMemory`] that re-dials the server on socket
-/// failures. The connection is a [`TcpRemote`] on a private socket
-/// (confirmed or pipelined) or a session on the process-wide shared
-/// socket ([`crate::SessionMux::shared`]); a re-dial always reproduces the
+/// failures. The connection is a [`TcpRemote`] on a private socket or a
+/// session on the process-wide shared socket
+/// ([`crate::SessionMux::shared`]); either posts its writes and confirms
+/// them at [`RemoteMemory::flush`], and a re-dial always reproduces the
 /// original kind.
 #[derive(Debug)]
 pub struct ReconnectingRemote {
@@ -61,10 +63,11 @@ pub struct ReconnectingRemote {
 }
 
 impl ReconnectingRemote {
-    /// Connects to `addr` with a confirmed [`TcpRemote::connect`]
-    /// connection, retrying each future operation up to `max_attempts`
-    /// times across reconnects, paced by the default [`BackoffPolicy`]
-    /// (1 ms doubling to a 500 ms cap).
+    /// Connects to `addr` with a [`TcpRemote::connect`] connection, whose
+    /// writes are posted and confirmed at [`RemoteMemory::flush`],
+    /// retrying each future operation up to `max_attempts` times across
+    /// reconnects, paced by the default [`BackoffPolicy`] (1 ms doubling
+    /// to a 500 ms cap).
     ///
     /// # Errors
     ///
@@ -92,30 +95,7 @@ impl ReconnectingRemote {
         max_attempts: usize,
         policy: BackoffPolicy,
     ) -> Result<Self, RnError> {
-        ReconnectingRemote::dial_first(addr, max_attempts, policy, Kind::Confirmed)
-    }
-
-    /// Like [`ReconnectingRemote::connect`] over a
-    /// [`TcpRemote::connect_pipelined`] connection: writes are posted and
-    /// confirmed at [`RemoteMemory::flush`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the initial connection cannot be established.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    pub fn connect_pipelined(
-        addr: impl ToSocketAddrs,
-        max_attempts: usize,
-    ) -> Result<Self, RnError> {
-        ReconnectingRemote::dial_first(
-            addr,
-            max_attempts,
-            BackoffPolicy::default(),
-            Kind::Pipelined,
-        )
+        ReconnectingRemote::dial_first(addr, max_attempts, policy, Kind::Private)
     }
 
     /// Opens a session on the process-wide shared socket for `addr` (see
@@ -188,12 +168,8 @@ impl ReconnectingRemote {
     /// the barrier would report a lost window, although nothing was in
     /// flight when the connection died. A connection with a refusal still
     /// to report is not idle: it is kept, and that barrier reports the
-    /// loss. (A confirmed write reports its own failure and is retried like
-    /// any other operation.)
+    /// loss.
     fn drop_if_hung_up(&mut self) {
-        if self.kind == Kind::Confirmed {
-            return;
-        }
         if let Some(conn) = self.inner.as_ref() {
             if conn.unreported() == 0 && conn.hung_up() {
                 self.inner = None;
@@ -344,6 +320,7 @@ mod tests {
         let mut r = ReconnectingRemote::connect(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         r.remote_write(seg.id, 0, &[1; 8]).unwrap();
+        r.flush().unwrap();
 
         // The server process restarts on the same port with the same
         // exported memory.
@@ -365,10 +342,12 @@ mod tests {
         let mut r = ReconnectingRemote::connect(server.addr(), 3).unwrap();
         let seg = r.remote_malloc(8, 0).unwrap();
         // Out-of-bounds is a real answer, not a transport failure.
-        let err = r.remote_write(seg.id, 6, &[0; 8]).unwrap_err();
+        r.remote_write(seg.id, 6, &[0; 8]).unwrap();
+        let err = r.flush().unwrap_err();
         assert!(matches!(err, RnError::Remote(_)));
         // Connection is still the original one and healthy.
         r.remote_write(seg.id, 0, &[1; 4]).unwrap();
+        r.flush().unwrap();
         server.shutdown();
     }
 
@@ -429,7 +408,7 @@ mod tests {
         let server = Server::bind("redial", "127.0.0.1:0").unwrap().start();
         let node = server.node().clone();
         let addr = server.addr();
-        let mut r = ReconnectingRemote::connect_pipelined(addr, 5).unwrap();
+        let mut r = ReconnectingRemote::connect(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         r.remote_write(seg.id, 0, &[1; 8]).unwrap();
         r.flush().unwrap();
@@ -438,7 +417,7 @@ mod tests {
         let server2 = Server::with_node(node, addr).unwrap().start();
 
         // The window was clean at the drop, so re-dialing is safe — and
-        // the replacement connection must be pipelined again.
+        // the replacement connection must post its writes again.
         let mut buf = [0u8; 8];
         r.remote_read(seg.id, 0, &mut buf).unwrap();
         assert_eq!(buf, [1; 8]);
@@ -453,7 +432,7 @@ mod tests {
         let server = Server::bind("idle", "127.0.0.1:0").unwrap().start();
         let node = server.node().clone();
         let addr = server.addr();
-        let mut r = ReconnectingRemote::connect_pipelined(addr, 5).unwrap();
+        let mut r = ReconnectingRemote::connect(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         r.remote_write(seg.id, 0, &[1; 8]).unwrap();
         r.flush().unwrap();
@@ -548,7 +527,7 @@ mod tests {
     #[test]
     fn lost_window_fails_the_op_instead_of_silently_retrying() {
         let addr = spawn_window_dropper();
-        let mut r = ReconnectingRemote::connect_pipelined(addr, 5).unwrap();
+        let mut r = ReconnectingRemote::connect(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         // The scripted server reads this posted write and hangs up
         // without acknowledging it.
@@ -570,7 +549,7 @@ mod tests {
     #[test]
     fn flush_is_never_retried() {
         let addr = spawn_window_dropper();
-        let mut r = ReconnectingRemote::connect_pipelined(addr, 5).unwrap();
+        let mut r = ReconnectingRemote::connect(addr, 5).unwrap();
         let seg = r.remote_malloc(16, 1).unwrap();
         r.remote_write(seg.id, 0, &[9; 8]).unwrap();
 

@@ -149,6 +149,7 @@ impl Default for AdmissionConfig {
 /// let mut client = TcpRemote::connect(server.addr())?;
 /// let seg = client.remote_malloc(64, 1)?;
 /// client.remote_write(seg.id, 0, b"over the wire")?;
+/// client.flush()?;
 /// server.shutdown();
 /// # Ok(())
 /// # }
@@ -1057,6 +1058,7 @@ mod tests {
         let mut b = TcpRemote::connect(server.addr()).unwrap();
         let seg = a.remote_malloc(16, 9).unwrap();
         a.remote_write(seg.id, 0, b"hello").unwrap();
+        a.flush().unwrap();
         // Client b reconnects by tag — the availability scenario.
         let found = b.connect_segment(9).unwrap();
         let mut buf = [0u8; 5];
@@ -1070,7 +1072,8 @@ mod tests {
         let server = Server::bind("err", "127.0.0.1:0").unwrap().start();
         let mut c = TcpRemote::connect(server.addr()).unwrap();
         let seg = c.remote_malloc(8, 0).unwrap();
-        let err = c.remote_write(seg.id, 6, &[0; 8]).unwrap_err();
+        c.remote_write(seg.id, 6, &[0; 8]).unwrap();
+        let err = c.flush().unwrap_err();
         assert!(matches!(err, RnError::Remote(_)));
         let err = c.connect_segment(404).unwrap_err();
         assert!(matches!(err, RnError::TagNotFound(404)));

@@ -36,12 +36,9 @@ impl Default for PipelineConfig {
 /// How a [`TcpRemote`] was opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
-    /// The only session on a private socket; every operation is confirmed
-    /// before it returns.
-    Confirmed,
-    /// The only session on a private socket, posting writes.
-    Pipelined,
-    /// One of many sessions on a [`SessionMux`] socket, posting writes.
+    /// The only session on a private socket.
+    Private,
+    /// One of many sessions on a [`SessionMux`] socket.
     Shared,
 }
 
@@ -54,25 +51,22 @@ pub(crate) enum Kind {
 /// Every handle is one session of a [`SessionMux`] connection, and every
 /// write is *posted*: `remote_write` and `remote_write_v` return as soon
 /// as the frame is on the wire (within a bounded window), and
-/// [`RemoteMemory::flush`] is the ack barrier that confirms them — the
-/// paper's "write now, confirm at the commit point" shape over a real
+/// [`RemoteMemory::flush`] is the only ack barrier that confirms them —
+/// the paper's "write now, confirm at the commit point" shape over a real
 /// network. A posted write's refusal never surfaces through another
 /// operation's result; it is queued and reported by `flush`, one per call.
 ///
-/// - [`TcpRemote::connect`] dials a private socket and runs the barrier
-///   after every write, so each operation is confirmed before it returns
-///   and a refusal is that call's error.
-/// - [`TcpRemote::connect_pipelined`] / [`TcpRemote::connect_with`] dial
-///   a private socket and leave confirmation to `flush`.
+/// - [`TcpRemote::connect`] / [`TcpRemote::connect_with`] dial a private
+///   socket, with the default or an explicit window.
 /// - [`SessionMux::session`] hands out handles sharing one socket.
 ///
 /// No write frame's body and no read is longer than [`MAX_PIECE`]. A
 /// longer `remote_read` is a sequence of reads, each landing in its own
 /// slice of the caller's buffer. A longer `remote_write` or
 /// `remote_write_v` is cut into pieces, each its own frame, and each
-/// piece but the last is confirmed before the next is sent (see
-/// [`TcpRemote::post_pieces`]). `remote_read_v` is always one frame: the
-/// server serves it as one atomic cut, and replicas rely on that.
+/// piece but the last is confirmed before the next is sent.
+/// `remote_read_v` is always one frame: the server serves it as one
+/// atomic cut, and replicas rely on that.
 #[derive(Debug)]
 pub struct TcpRemote {
     io: Arc<Mutex<MuxIo>>,
@@ -84,29 +78,22 @@ pub struct TcpRemote {
 }
 
 impl TcpRemote {
-    /// Connects to a network-RAM server on a private socket, confirming
-    /// every operation before it returns.
+    /// Connects to a network-RAM server on a private socket with the
+    /// default posted-write window ([`PipelineConfig::default`]: 64 ops /
+    /// 4 MiB).
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<TcpRemote, RnError> {
-        let mux = SessionMux::connect(addr)?;
-        Ok(TcpRemote::open(
-            &mux,
-            Kind::Confirmed,
-            PipelineConfig::default(),
-        ))
+        TcpRemote::connect_with(addr, PipelineConfig::default())
     }
 
-    /// Connects on a private socket with the default posted-write window
-    /// ([`PipelineConfig::default`]: 64 ops / 4 MiB).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
+    /// The same as [`TcpRemote::connect`]. Its one caller is
+    /// `benchmark/src/run.rs`; it goes when that call moves to `connect`.
+    #[doc(hidden)]
     pub fn connect_pipelined(addr: impl ToSocketAddrs) -> Result<TcpRemote, RnError> {
-        TcpRemote::connect_with(addr, PipelineConfig::default())
+        TcpRemote::connect(addr)
     }
 
     /// Connects on a private socket with an explicit window configuration.
@@ -119,15 +106,14 @@ impl TcpRemote {
         cfg: PipelineConfig,
     ) -> Result<TcpRemote, RnError> {
         let mux = SessionMux::connect(addr)?;
-        Ok(TcpRemote::open(&mux, Kind::Pipelined, cfg))
+        Ok(TcpRemote::open(&mux, Kind::Private, cfg))
     }
 
     /// Dials a fresh handle of `kind` with the default window (used by
     /// the reconnect wrapper).
     pub(crate) fn dial(addr: impl ToSocketAddrs, kind: Kind) -> Result<TcpRemote, RnError> {
         match kind {
-            Kind::Confirmed => TcpRemote::connect(addr),
-            Kind::Pipelined => TcpRemote::connect_pipelined(addr),
+            Kind::Private => TcpRemote::connect(addr),
             Kind::Shared => Ok(SessionMux::shared(addr)?.session()),
         }
     }
@@ -229,9 +215,7 @@ impl TcpRemote {
 
     /// Posts the write frame `build` makes from a reused head buffer and
     /// a sequence number, charging `bytes` of payload against the window,
-    /// and returns its sequence number. A confirmed handle then runs the
-    /// barrier: its window holds only this write, so a failure is this
-    /// call's error and leaves nothing in flight.
+    /// and returns its sequence number.
     fn post<'a>(
         &self,
         bytes: usize,
@@ -251,12 +235,6 @@ impl TcpRemote {
                 m.window_stalls.inc();
             }
         }
-        if self.kind == Kind::Confirmed {
-            return self
-                .barrier(&mut io)
-                .map(|_| seq)
-                .inspect_err(|_| io.abandon(self.session));
-        }
         self.gauge_in_flight(&io);
         Ok(seq)
     }
@@ -265,12 +243,11 @@ impl TcpRemote {
     /// in order, each its own `WriteV` frame. Each piece but the last is
     /// confirmed before the next is sent, and the first refused piece
     /// ends the write, its refusal queued for the barrier like any posted
-    /// write's (a confirmed handle's is this call's error). A refused
-    /// write has so applied the pieces before the refused one and nothing
-    /// after it: a write whose last range is a commit record keeps
-    /// PROTOCOL.md's rule that a refused record was not applied. Posting
-    /// the pieces without the confirmations would let admission refuse
-    /// one piece and then apply the next.
+    /// write's. A refused write has so applied the pieces before the
+    /// refused one and nothing after it: a write whose last range is a
+    /// commit record keeps PROTOCOL.md's rule that a refused record was
+    /// not applied. Posting the pieces without the confirmations would
+    /// let admission refuse one piece and then apply the next.
     fn post_pieces(&self, pieces: Vec<Vec<Range<'_>>>) -> Result<(), RnError> {
         let session = self.session;
         let last = pieces.len() - 1;
@@ -279,7 +256,7 @@ impl TcpRemote {
             let seq = self.post(bytes, |head, seq| {
                 WriteFrame::write_v(head, session, seq, piece.iter().copied())
             })?;
-            if i < last && self.kind != Kind::Confirmed && lock(&self.io).confirm(session, seq)? {
+            if i < last && lock(&self.io).confirm(session, seq)? {
                 break;
             }
         }
@@ -510,7 +487,7 @@ impl RemoteMemory for TcpRemote {
     fn node_name(&self) -> String {
         self.cached_name.clone().unwrap_or_else(|| match self.kind {
             Kind::Shared => format!("mux://{}#{}", self.peer, self.session),
-            _ => format!("tcp://{}", self.peer),
+            Kind::Private => format!("tcp://{}", self.peer),
         })
     }
 }
@@ -570,7 +547,7 @@ mod tests {
         const SEG: usize = 4 * MAX_PIECE;
         let server = Server::bind("pieces", "127.0.0.1:0").unwrap().start();
         let (addr, seen) = recording_peer(server.addr());
-        let mut c = TcpRemote::connect_pipelined(addr).unwrap();
+        let mut c = TcpRemote::connect(addr).unwrap();
         let seg = c.remote_malloc(SEG, 0).unwrap().id;
         let mut model = vec![0u8; SEG];
         // Each write sends a slice of this, starting at a drawn shift.
@@ -721,10 +698,10 @@ mod tests {
         let mut c = TcpRemote::connect(server.addr()).unwrap();
         let seg = c.remote_malloc(64, 0).unwrap();
         // Second range is out of bounds; the first must still be applied
-        // (torn-prefix semantics).
-        let err = c
-            .remote_write_v(&[(seg.id, 0, &[5; 16]), (seg.id, 60, &[6; 8])])
-            .unwrap_err();
+        // (torn-prefix semantics). The refusal surfaces at the barrier.
+        c.remote_write_v(&[(seg.id, 0, &[5; 16]), (seg.id, 60, &[6; 8])])
+            .unwrap();
+        let err = c.flush().unwrap_err();
         assert!(matches!(err, RnError::Remote(_)));
         let mut buf = [0u8; 16];
         c.remote_read(seg.id, 0, &mut buf).unwrap();
@@ -745,7 +722,7 @@ mod tests {
     #[test]
     fn pipelined_writes_flush_at_the_barrier() {
         let server = Server::bind("pipe", "127.0.0.1:0").unwrap().start();
-        let mut c = TcpRemote::connect_pipelined(server.addr()).unwrap();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
         let seg = c.remote_malloc(64, 0).unwrap();
         for i in 0..8u8 {
             c.remote_write(seg.id, i as usize * 4, &[i; 4]).unwrap();
@@ -874,7 +851,7 @@ mod tests {
     #[test]
     fn posted_refusals_surface_one_per_flush() {
         let server = Server::bind("refuse", "127.0.0.1:0").unwrap().start();
-        let mut c = TcpRemote::connect_pipelined(server.addr()).unwrap();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
         let seg = c.remote_malloc(8, 0).unwrap();
         // Two out-of-bounds writes: both post fine, both are refused.
         c.remote_write(seg.id, 100, &[1]).unwrap();
@@ -893,7 +870,7 @@ mod tests {
     #[test]
     fn rpcs_resolve_earlier_posted_acks_in_order() {
         let server = Server::bind("mix", "127.0.0.1:0").unwrap().start();
-        let mut c = TcpRemote::connect_pipelined(server.addr()).unwrap();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
         let seg = c.remote_malloc(16, 7).unwrap();
         c.remote_write(seg.id, 0, b"abcd").unwrap();
         c.remote_write(seg.id, 99, &[1]).unwrap(); // refused later
@@ -916,7 +893,7 @@ mod tests {
     #[test]
     fn dead_server_leaves_the_window_in_flight() {
         let server = Server::bind("die", "127.0.0.1:0").unwrap().start();
-        let mut c = TcpRemote::connect_pipelined(server.addr()).unwrap();
+        let mut c = TcpRemote::connect(server.addr()).unwrap();
         let seg = c.remote_malloc(64, 0).unwrap();
         server.shutdown();
         // The post lands in the OS buffer or fails; either way the
@@ -933,29 +910,5 @@ mod tests {
             assert!(err.is_unavailable(), "barrier reports the dead link: {err}");
             assert!(c.in_flight() > 0, "lost window stays visible");
         }
-    }
-
-    #[test]
-    fn sync_mode_flush_is_a_noop() {
-        // A confirmed connection's barrier ran inside each write, so the
-        // caller's barrier finds nothing posted.
-        let server = Server::bind("sync", "127.0.0.1:0").unwrap().start();
-        let mut c = TcpRemote::connect(server.addr()).unwrap();
-        let seg = c.remote_malloc(8, 0).unwrap();
-        c.remote_write(seg.id, 0, &[1]).unwrap();
-        assert_eq!(c.in_flight(), 0);
-        assert_eq!(c.flush().unwrap(), FlushStats::default());
-        server.shutdown();
-    }
-
-    #[test]
-    fn a_confirmed_write_on_a_dead_server_leaves_nothing_in_flight() {
-        let server = Server::bind("gone", "127.0.0.1:0").unwrap().start();
-        let mut c = TcpRemote::connect(server.addr()).unwrap();
-        let seg = c.remote_malloc(8, 0).unwrap();
-        server.shutdown();
-        let err = c.remote_write(seg.id, 0, &[1]).unwrap_err();
-        assert!(err.is_unavailable(), "{err}");
-        assert_eq!(c.in_flight(), 0, "the failure was this call's error");
     }
 }

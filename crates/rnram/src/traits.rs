@@ -36,9 +36,9 @@ impl From<SegmentInfo> for RemoteSegment {
 
 /// What a [`RemoteMemory::flush`] barrier confirmed: how many previously
 /// posted (unacknowledged) operations it awaited and how many payload
-/// bytes they carried. Backends that acknowledge every operation inline
-/// — the simulated SCI mapping, a confirmed TCP connection — never have
-/// anything posted, so their barriers report zeros.
+/// bytes they carried. Backends that acknowledge every operation inline,
+/// such as the simulated SCI mapping, never have anything posted, so
+/// their barriers report zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushStats {
     /// Operations that were in flight when the barrier started.

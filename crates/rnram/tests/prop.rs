@@ -287,7 +287,7 @@ mod frame_fuzz {
     }
 
     fn server_is_alive(addr: std::net::SocketAddr) {
-        let mut c = perseas_rnram::TcpRemote::connect_pipelined(addr).unwrap();
+        let mut c = perseas_rnram::TcpRemote::connect(addr).unwrap();
         let seg = c.remote_malloc(8, 0).unwrap();
         c.remote_write(seg.id, 0, &[7; 8]).unwrap();
         c.flush().unwrap();

@@ -52,7 +52,7 @@ fn main() -> ExitCode {
 fn run(addrs: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut mirrors = Vec::new();
     for addr in addrs {
-        let mut m = TcpRemote::connect_pipelined(addr)?;
+        let mut m = TcpRemote::connect(addr)?;
         println!("connected to mirror {} at {addr}", m.fetch_name()?);
         mirrors.push(m);
     }
@@ -89,7 +89,7 @@ fn run(addrs: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // The availability story: lose the primary, recover from mirror 0.
     db.crash();
     let (db2, report) = Perseas::recover(
-        TcpRemote::connect_pipelined(&addrs[0])?,
+        TcpRemote::connect(&addrs[0])?,
         PerseasConfig::default().with_batched_commit(true),
     )?;
     println!(

@@ -42,7 +42,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         metrics.addr()
     );
 
-    let mut conn = TcpRemote::connect_pipelined(server.addr())?;
+    let mut conn = TcpRemote::connect(server.addr())?;
     conn.set_metrics(&registry);
 
     let mut db = Perseas::init(vec![conn], PerseasConfig::default())?;

@@ -45,27 +45,25 @@ pub fn all_systems() -> Vec<(&'static str, Box<dyn TransactionalMemory>)> {
     ]
 }
 
-/// The three ways a client reaches a TCP mirror; the TCP suites run every
-/// scenario through each of them.
+/// The two ways a client reaches a TCP mirror; the TCP suites run every
+/// scenario through each of them. Both post their writes and confirm them
+/// at `flush`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpMode {
-    /// A private socket confirming every operation ([`TcpRemote::connect`]).
-    Confirmed,
-    /// A private socket posting writes ([`TcpRemote::connect_pipelined`]).
-    Pipelined,
+    /// A private socket ([`TcpRemote::connect`]).
+    Private,
     /// A session on the process-wide shared socket ([`SessionMux::shared`]).
     Shared,
 }
 
 impl TcpMode {
     /// Every mode, in the order the suites run them.
-    pub const ALL: [TcpMode; 3] = [TcpMode::Confirmed, TcpMode::Pipelined, TcpMode::Shared];
+    pub const ALL: [TcpMode; 2] = [TcpMode::Private, TcpMode::Shared];
 
     /// Dials `addr` in this mode.
     pub fn connect(self, addr: SocketAddr) -> TcpRemote {
         match self {
-            TcpMode::Confirmed => TcpRemote::connect(addr),
-            TcpMode::Pipelined => TcpRemote::connect_pipelined(addr),
+            TcpMode::Private => TcpRemote::connect(addr),
             TcpMode::Shared => SessionMux::shared(addr).map(|mux| mux.session()),
         }
         .expect("connect")
@@ -74,16 +72,10 @@ impl TcpMode {
     /// Dials `addr` in this mode behind a [`ReconnectingRemote`].
     pub fn reconnecting(self, addr: SocketAddr, max_attempts: usize) -> ReconnectingRemote {
         match self {
-            TcpMode::Confirmed => ReconnectingRemote::connect(addr, max_attempts),
-            TcpMode::Pipelined => ReconnectingRemote::connect_pipelined(addr, max_attempts),
+            TcpMode::Private => ReconnectingRemote::connect(addr, max_attempts),
             TcpMode::Shared => ReconnectingRemote::connect_mux(addr, max_attempts),
         }
         .expect("connect")
-    }
-
-    /// Whether writes are posted and confirmed only at a barrier.
-    pub fn posts_writes(self) -> bool {
-        self != TcpMode::Confirmed
     }
 }
 

@@ -46,7 +46,8 @@ pub fn arb_op() -> impl Strategy<Value = Op> {
 #[allow(dead_code)]
 #[derive(Debug, Clone, Copy)]
 pub enum Mode {
-    /// Two private sockets, each write confirmed before it returns.
+    /// Two private sockets, each write posted and then confirmed by a
+    /// barrier of its own, whose error is the write's.
     ConfirmEachOp,
     /// Two private sockets posting into the given small window.
     SmallWindow,
@@ -58,9 +59,8 @@ pub enum Mode {
 
 fn open_lanes(mode: Mode, addr: SocketAddr, small: PipelineConfig) -> [TcpRemote; 2] {
     let private = || match mode {
-        Mode::ConfirmEachOp => TcpRemote::connect(addr).unwrap(),
         Mode::SmallWindow => TcpRemote::connect_with(addr, small).unwrap(),
-        _ => TcpRemote::connect_pipelined(addr).unwrap(),
+        _ => TcpRemote::connect(addr).unwrap(),
     };
     match mode {
         Mode::TwoSessionsOneSocket => {
@@ -138,6 +138,12 @@ fn run(mode: Mode, script: &[(bool, Op)], small: PipelineConfig) -> Outcome {
         let lane = usize::from(*second);
         let (reads, errors) = &mut out[lane];
         apply(&mut conns[lane], segs[lane], op, reads, errors);
+        let write = matches!(op, Op::Write { .. } | Op::WriteV { .. });
+        if write && matches!(mode, Mode::ConfirmEachOp) {
+            if let Err(e) = conns[lane].flush() {
+                errors.push(e.to_string());
+            }
+        }
     }
     let mut lanes = Vec::new();
     for (lane, (reads, mut errors)) in out.into_iter().enumerate() {

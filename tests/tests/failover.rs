@@ -616,8 +616,8 @@ fn durability_point_quorum_failure_is_commit_in_doubt() {
 /// Delegating backend that refuses one write, plain or vectored, once
 /// armed, the way a saturated server answers: the write is dropped
 /// without being applied, and the next barrier reports
-/// `RnError::Overloaded` — or, with `inline`, the write itself does, as on
-/// a connection that confirms every write.
+/// `RnError::Overloaded` — or, with `inline`, the write itself does, as
+/// on a backend that acknowledges every write inline.
 #[derive(Debug)]
 struct RefusingMirror {
     inner: SimRemote,

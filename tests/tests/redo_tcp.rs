@@ -3,8 +3,8 @@
 //! snapshot retires the covered history, and a recovering connection
 //! replays only the live tail.
 //!
-//! Every scenario runs once per [`TcpMode`]: a confirmed private socket,
-//! a pipelined private socket, and a session on the shared socket.
+//! Every scenario runs once per [`TcpMode`]: a private socket and a
+//! session on the shared socket.
 
 use perseas_core::{Perseas, PerseasConfig};
 use perseas_integration::TcpMode;

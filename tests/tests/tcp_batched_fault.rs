@@ -92,8 +92,9 @@ fn two_tcp_mirrors_commit_batched_in_parallel_and_survive_one_loss() {
         let r = db.malloc(512).unwrap();
         db.init_remote_db().unwrap();
 
-        // No fault plan armed and no sim clocks: these commits take the
-        // scoped-thread fan-out path, one writer thread per mirror.
+        // Each commit posts its writes to a, then to b, and one barrier
+        // per mirror confirms them (the one fan-out the crash sweeps
+        // drive too).
         for i in 0..20u64 {
             db.begin_transaction().unwrap();
             let slot = (i as usize % 16) * 16;
@@ -105,7 +106,7 @@ fn two_tcp_mirrors_commit_batched_in_parallel_and_survive_one_loss() {
         }
         assert_eq!(db.last_committed(), 20, "{mode:?}");
 
-        // Mirror b dies mid-life: the parallel fan-out must fence the dead
+        // Mirror b dies mid-life: the fan-out must fence the dead
         // mirror and commit degraded on the survivor instead of panicking
         // or hanging (the default quorum is 1).
         sb.shutdown();
@@ -125,6 +126,49 @@ fn two_tcp_mirrors_commit_batched_in_parallel_and_survive_one_loss() {
         let snap = db2.region_snapshot(r).unwrap();
         assert_eq!(&snap[..16], &[0xFF; 16][..]);
         sa.shutdown();
+    }
+}
+
+/// Two mirrors' writes overlap on the wire without a thread per mirror:
+/// the engine posts each mirror's list in order and the barriers that
+/// follow wait for the acks together. With every response held back
+/// 25 ms, batched commits over two mirrors take less than 1.5x the same
+/// commits over one; a fan-out that waited for each mirror's ack before
+/// writing to the next would take twice as long.
+#[test]
+fn two_mirrors_overlap_without_threads() {
+    const COMMITS: u32 = 8;
+    let latency = Duration::from_millis(25);
+    for mode in TcpMode::ALL {
+        let servers: Vec<ServerHandle> = ["slow-a", "slow-b"]
+            .into_iter()
+            .map(|name| {
+                Server::bind(name, "127.0.0.1:0")
+                    .unwrap()
+                    .with_request_latency(latency)
+                    .start()
+            })
+            .collect();
+        let commits_over = |n: usize| {
+            let mirrors = servers[..n].iter().map(|s| mode.connect(s.addr()));
+            let mut db = Perseas::init(mirrors.collect(), batched()).unwrap();
+            let r = db.malloc(256).unwrap();
+            db.init_remote_db().unwrap();
+            let started = Instant::now();
+            for i in 0..COMMITS {
+                fill_region(&mut db, r, 256, i as u8).unwrap();
+            }
+            started.elapsed()
+        };
+        let one = commits_over(1);
+        let two = commits_over(2);
+        assert!(
+            two < one * 3 / 2,
+            "{mode:?}: {COMMITS} commits took {two:?} over two mirrors, {one:?} over one"
+        );
+        for server in servers {
+            server.shutdown();
+        }
     }
 }
 
@@ -225,8 +269,8 @@ fn sweep_setup(
     direct: Option<SocketAddr>,
     cfg: PerseasConfig,
 ) -> (Perseas<ReconnectingRemote>, RegionId) {
-    let mut mirrors = vec![ReconnectingRemote::connect_pipelined(proxy.addr, 2).unwrap()];
-    mirrors.extend(direct.map(|a| ReconnectingRemote::connect_pipelined(a, 2).unwrap()));
+    let mut mirrors = vec![ReconnectingRemote::connect(proxy.addr, 2).unwrap()];
+    mirrors.extend(direct.map(|a| ReconnectingRemote::connect(a, 2).unwrap()));
     let mut db = Perseas::init(mirrors, cfg).unwrap();
     let r = db.malloc(SWEEP_REGION).unwrap();
     db.init_remote_db().unwrap();
@@ -552,8 +596,7 @@ fn refusing_relay(
 
 /// A write three frames long whose second frame admission refuses ends
 /// there: the first frame is applied, and neither the refused frame nor
-/// the third is. A confirmed handle reports the refusal as the write's
-/// error; a posting one queues it for the barrier.
+/// the third is. The refusal is queued for the barrier.
 #[test]
 fn a_refused_piece_ends_the_write() {
     let len = 2 * MAX_PIECE + MAX_PIECE / 2;
@@ -570,12 +613,8 @@ fn a_refused_piece_ends_the_write() {
         assert_eq!(frames, 3, "{mode:?}: the write takes three frames");
 
         proxy.refuse.store(1, Ordering::SeqCst);
-        let err = if mode.posts_writes() {
-            c.remote_write(seg.id, 0, &data).unwrap();
-            c.flush().unwrap_err()
-        } else {
-            c.remote_write(seg.id, 0, &data).unwrap_err()
-        };
+        c.remote_write(seg.id, 0, &data).unwrap();
+        let err = c.flush().unwrap_err();
         assert!(matches!(err, RnError::Overloaded), "{mode:?}: {err}");
         assert_eq!(
             proxy.writes.load(Ordering::SeqCst),
@@ -610,7 +649,7 @@ fn a_refused_piece_ends_the_write() {
 #[test]
 fn a_queued_refusal_is_reported_before_a_redial() {
     let len = 2 * MAX_PIECE + MAX_PIECE / 2;
-    for mode in [TcpMode::Pipelined, TcpMode::Shared] {
+    for mode in TcpMode::ALL {
         for by_piece in [false, true] {
             for then_read in [false, true] {
                 let at = format!("{mode:?}, refused by piece: {by_piece}, then read: {then_read}");
@@ -739,7 +778,7 @@ const BIG_REGION: usize = MAX_PIECE + MAX_PIECE / 2;
 /// A pipelined database through the proxy whose first transaction filled
 /// the whole big region with 1s.
 fn big_setup(proxy: &CutProxy) -> (Perseas<ReconnectingRemote>, RegionId) {
-    let mirror = ReconnectingRemote::connect_pipelined(proxy.addr, 2).unwrap();
+    let mirror = ReconnectingRemote::connect(proxy.addr, 2).unwrap();
     let mut db = Perseas::init(vec![mirror], batched()).unwrap();
     let r = db.malloc(BIG_REGION).unwrap();
     db.init_remote_db().unwrap();

@@ -2,8 +2,8 @@
 //! server process boundary (threads + sockets), full commit/crash/recover
 //! cycle, and multi-database coexistence on one mirror.
 //!
-//! Every scenario runs once per [`TcpMode`]: a confirmed private socket,
-//! a pipelined private socket, and a session on the shared socket.
+//! Every scenario runs once per [`TcpMode`]: a private socket and a
+//! session on the shared socket.
 
 use perseas_core::{Perseas, PerseasConfig};
 use perseas_integration::TcpMode;
@@ -140,14 +140,13 @@ fn perseas_rides_out_a_mirror_server_restart() {
         db.write(r, 0, &[1; 8]).unwrap();
         db.commit_transaction().unwrap();
 
-        // The mirror's server process restarts (same memory, same port). A
-        // confirmed connection reconnects transparently on the next
-        // transaction. A posting one (pipelined or shared) depends on when
-        // the dead socket is noticed: writes posted into the corpse are a
-        // lost window, which must surface `Unavailable` rather than be
-        // silently retried — but a post that fails before anything is in
-        // flight re-dials and rides out like the confirmed one. Either way
-        // the commit's answer must match what recovery finds durable.
+        // The mirror's server process restarts (same memory, same port).
+        // What the next transaction sees depends on when the dead socket is
+        // noticed: writes posted into the corpse are a lost window, which
+        // must surface `Unavailable` rather than be silently retried — but
+        // a post that fails before anything is in flight re-dials and rides
+        // the restart out. Either way the commit's answer must match what
+        // recovery finds durable.
         server.shutdown();
         let server2 = Server::with_node(node, addr).unwrap().start();
 
@@ -158,10 +157,6 @@ fn perseas_rides_out_a_mirror_server_restart() {
             db.commit_transaction()
         })();
         if let Err(e) = &committed {
-            assert!(
-                mode.posts_writes(),
-                "a confirmed connection must ride the restart out: {e}"
-            );
             assert!(
                 matches!(e, perseas_core::TxnError::Unavailable(_)),
                 "restart may only surface as Unavailable: {e}"

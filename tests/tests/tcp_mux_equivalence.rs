@@ -14,7 +14,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// 256 random single-lane sequences through one session on a shared
-    /// socket and through a private socket that confirms each op. The
+    /// socket and through a private socket that confirms each write. The
     /// session's window is deliberately small so the sequences wrap it
     /// and mid-stream drains happen.
     #[test]

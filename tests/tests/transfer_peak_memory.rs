@@ -75,7 +75,7 @@ const LEN: usize = 40 << 20;
 #[test]
 fn a_long_transfer_holds_a_few_frames_of_memory() {
     let server = Server::bind("peak", "127.0.0.1:0").unwrap().start();
-    let mut c = TcpRemote::connect_pipelined(server.addr()).unwrap();
+    let mut c = TcpRemote::connect(server.addr()).unwrap();
     let seg = c.remote_malloc(LEN, 0).unwrap();
     let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
     let mut back = vec![0u8; LEN];

@@ -69,7 +69,7 @@ const COUNTED: usize = 1_000;
 #[test]
 fn a_batched_commit_allocates_next_to_nothing_per_byte() {
     let server = Server::bind("allocs", "127.0.0.1:0").unwrap().start();
-    let mirror = TcpRemote::connect_pipelined(server.addr()).unwrap();
+    let mirror = TcpRemote::connect(server.addr()).unwrap();
     let cfg = PerseasConfig::new().with_batched_commit(true);
     let mut db = Perseas::init(vec![mirror], cfg).unwrap();
     let r = db.malloc(REGION).unwrap();
