@@ -352,6 +352,10 @@ impl<M: RemoteMemory> Perseas<M> {
     /// record 0). After this the database is fully mirrored and
     /// transactions may start.
     ///
+    /// Only the 4 KiB pages of a region that hold a non-zero byte go on
+    /// the wire: this relies on [`RemoteMemory::remote_malloc`] returning
+    /// a zero-filled segment, which nothing writes before the copy.
+    ///
     /// # Errors
     ///
     /// Fails if called twice, inside a transaction, or if a mirror is
@@ -360,23 +364,17 @@ impl<M: RemoteMemory> Perseas<M> {
         self.ensure_phase(Phase::Setup)?;
         let meta_image = self.build_meta_image();
         for (mi, image) in meta_image.iter().enumerate() {
-            for ri in 0..self.regions.len() {
-                let m = &mut self.mirrors[mi];
-                let seg = m.db[ri];
-                if !self.regions[ri].is_empty() {
-                    push_range(
-                        &mut m.backend,
-                        seg,
-                        &self.regions[ri],
-                        0,
-                        self.regions[ri].len(),
-                        self.cfg.aligned_memcpy,
-                    )
-                    .map_err(unavailable)?;
-                    self.stats.add_remote_write(self.regions[ri].len());
-                }
-            }
             let m = &mut self.mirrors[mi];
+            for (region, &seg) in self.regions.iter().zip(&m.db) {
+                fill_fresh(
+                    &mut m.backend,
+                    seg,
+                    region,
+                    self.cfg.aligned_memcpy,
+                    &mut self.stats,
+                )
+                .map_err(unavailable)?;
+            }
             m.backend
                 .remote_write(m.meta.id, 0, image)
                 // Everything streamed to this mirror — regions and the
@@ -1362,7 +1360,9 @@ impl<M: RemoteMemory> Perseas<M> {
     /// Streams a full image to the unhealthy mirror `index` and promotes
     /// it to `Healthy`: fresh meta and undo segments, every region image,
     /// fresh redo-log segments for the live slots, then the metadata.
-    /// With `crash_points` each step is a crash point.
+    /// Each region goes into its fresh segment through `fill_fresh`, so
+    /// only its non-zero pages are shipped. With `crash_points` each
+    /// step is a crash point.
     ///
     /// On any failure after the meta and undo allocation, the segments
     /// allocated so far are freed again (best effort, see
@@ -1413,23 +1413,20 @@ impl<M: RemoteMemory> Perseas<M> {
                     return Err(unavailable(e));
                 }
             };
-            self.mirrors[index].db.push(seg);
-            if region_len > 0 {
-                let m = &mut self.mirrors[index];
-                if let Err(e) = push_range(
-                    &mut m.backend,
-                    seg,
-                    &self.regions[ri],
-                    0,
-                    region_len,
-                    aligned,
-                ) {
+            m.db.push(seg);
+            match fill_fresh(
+                &mut m.backend,
+                seg,
+                &self.regions[ri],
+                aligned,
+                &mut self.stats,
+            ) {
+                Ok(shipped) => resynced += shipped,
+                Err(e) => {
                     self.abandon_stream(index, &e);
                     return Err(unavailable(e));
                 }
             }
-            self.stats.add_remote_write(region_len);
-            resynced += region_len;
         }
 
         // Fresh (zeroed) redo-log segments for the live slots: the
@@ -2316,6 +2313,47 @@ pub(crate) fn commit_record<M>(m: &MirrorState<M>, id: u64) -> Batch {
 /// Payload bytes of one mirror's batch.
 pub(crate) fn payload(list: &[(SegmentId, usize, Src)]) -> usize {
     list.iter().map(|(_, _, d)| d.len()).sum()
+}
+
+/// The unit a sparse fill skips: one 4 KiB page of zeroes.
+const ZERO_PAGE: [u8; 4096] = [0; 4096];
+
+/// Fills `seg`, a segment `remote_malloc` has just returned, with the
+/// whole of `local`, and returns the bytes shipped.
+///
+/// A fresh segment is zero-filled ([`RemoteMemory::remote_malloc`]), and
+/// nothing writes it between its allocation and this fill: `malloc`
+/// only allocates, and a setup-phase `write` is local. So only the
+/// maximal runs of 4 KiB pages holding a non-zero byte are pushed, each
+/// through [`push_range`], and the segment still equals `local` byte for
+/// byte afterwards. Each run counts as one remote write in `stats`.
+fn fill_fresh<M: RemoteMemory>(
+    backend: &mut M,
+    seg: RemoteSegment,
+    local: &[u8],
+    aligned: bool,
+    stats: &mut TxnStats,
+) -> Result<usize, RnError> {
+    let mut shipped = 0;
+    let mut run_start = None;
+    // One past the last page is a zero page, so a trailing run closes.
+    let pages = local.chunks(ZERO_PAGE.len()).map(Some).chain([None]);
+    for (i, page) in pages.enumerate() {
+        let at = i * ZERO_PAGE.len();
+        let zero = page.is_none_or(|p| p == &ZERO_PAGE[..p.len()]);
+        match (run_start, zero) {
+            (None, false) => run_start = Some(at),
+            (Some(start), true) => {
+                let len = at.min(local.len()) - start;
+                push_range(backend, seg, local, start, len, aligned)?;
+                stats.add_remote_write(len);
+                shipped += len;
+                run_start = None;
+            }
+            _ => {}
+        }
+    }
+    Ok(shipped)
 }
 
 /// Pushes `local[offset..offset+len]` to a remote segment, using the

@@ -57,6 +57,10 @@ pub trait RemoteMemory: Send {
     /// Allocates a zero-filled remote segment of `len` bytes, tagging it
     /// with `tag` so it can be found again after a local crash.
     ///
+    /// Every implementation must zero-fill, also when the node reuses
+    /// the memory of a freed segment: the engine relies on it and ships
+    /// only the non-zero pages of a region into a fresh segment.
+    ///
     /// # Errors
     ///
     /// Fails if the remote node is out of memory or unreachable.
