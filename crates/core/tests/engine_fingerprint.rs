@@ -26,11 +26,11 @@ use perseas_sci::{NodeMemory, SciLink, SciParams};
 use perseas_simtime::SimClock;
 
 const PINNED: &str = "\
-unbatched steps=62 clock_ns=2420929 events=51/16009bc5 stats=0513588a a=cf610570 b=c2f8f078 crashes=2185b9ab
-batched steps=31 clock_ns=2323029 events=57/6b316d92 stats=bf76e52a a=cf610570 b=c2f8f078 crashes=674ccfde
-group steps=31 clock_ns=2410877 events=74/8bc54b28 stats=95490df9 a=808d08e3 b=c44634db crashes=17173ae6
-prepared steps=51 clock_ns=2472063 events=68/465e1251 stats=f7aa5109 a=808d08e3 b=3335a7b9 crashes=61febff8
-redo steps=45 clock_ns=2351219 events=62/6ea09dbc stats=e45a5283 a=b0939c7a b=cbce38cd crashes=e6287ea9
+unbatched steps=62 clock_ns=2413229 events=51/16009bc5 stats=e915b180 a=cf610570 b=c2f8f078 crashes=2185b9ab
+batched steps=31 clock_ns=2315329 events=57/6b316d92 stats=8ed47565 a=cf610570 b=c2f8f078 crashes=674ccfde
+group steps=31 clock_ns=2403177 events=74/8bc54b28 stats=8d80acae a=808d08e3 b=c44634db crashes=17173ae6
+prepared steps=51 clock_ns=2464363 events=68/465e1251 stats=b6979818 a=808d08e3 b=3335a7b9 crashes=61febff8
+redo steps=45 clock_ns=2343519 events=62/6ea09dbc stats=396f0cb7 a=b0939c7a b=cbce38cd crashes=e6287ea9
 ";
 
 /// The five commit paths. All of them keep a 64-byte initial undo log,
