@@ -8,19 +8,22 @@
 //! them byte for byte, today's decoders must accept them, and a mirror
 //! written by that binary must recover under this one. A failure here
 //! means a durable or wire format changed: that needs a version bump and
-//! a migration story, never a regenerated table.
+//! a migration story, never a regenerated table. The one exception is
+//! `write_v_frame`, a write in the retired `Seq` frame (opcode 11): no
+//! encoder makes it any more, and decoders and a live server must refuse
+//! it.
 
 use perseas_core::{
     decode_decision_slot, decode_group_header, decode_intent_slot, decode_redo_dir_header,
     encode_decision_slot, encode_group_header, encode_intent_slot, encode_redo_dir_header,
     FaultPlan, Perseas, PerseasConfig, RedoRecord, RegionId, TxnError, UndoRecord,
 };
-use std::io::Read as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpListener;
 use std::net::TcpStream;
 
 use perseas_rnram::protocol::{
-    encode_mux, encode_write_v, frame_bytes, read_frame, write_frame, Request, Response,
+    encode_mux, encode_write_v, read_frame, write_frame, Request, Response,
 };
 use perseas_rnram::server::Server;
 use perseas_rnram::SimRemote;
@@ -69,6 +72,8 @@ const REDO_PAYLOAD: &[u8] = b"after-image!";
 /// Records are encoded at this offset of a zeroed 64-byte buffer.
 const RECORD_AT: usize = 5;
 const WRITE_V: [(u64, u64, &[u8]); 2] = [(1, 64, b"hello"), (2, 4096, &[0xA5; 40])];
+/// The golden line no encoder makes any more.
+const LEGACY: &str = "write_v_frame";
 /// A mirror segment's bytes, and the session read the server answers.
 const MIRROR_BYTES: &[u8] = b"mirror bytes, read once";
 const READ_SESSION: u64 = 3;
@@ -178,10 +183,6 @@ fn encoded_artefacts() -> Vec<String> {
         format!(
             "redo_dir_header {}",
             hex(&encode_redo_dir_header(1 << 20, 12))
-        ),
-        format!(
-            "write_v_frame {}",
-            hex(&frame_bytes(&encode_write_v(Some(7), &WRITE_V)))
         ),
         format!("read_response_frame {}", hex(&read_response_frame())),
         format!("mux_write_frame {}", hex(&mux_write_frame())),
@@ -350,7 +351,8 @@ fn encoders_reproduce_the_golden_bytes() {
     for (name, cfg, death) in mirror_configs() {
         lines.extend(dump_mirror(name, &build_mirror(cfg, death)));
     }
-    let golden: Vec<&str> = GOLDEN.lines().collect();
+    let legacy = format!("{LEGACY} ");
+    let golden: Vec<&str> = GOLDEN.lines().filter(|l| !l.starts_with(&legacy)).collect();
     for (got, want) in lines.iter().zip(&golden) {
         assert_eq!(got, want, "a durable or wire format changed");
     }
@@ -384,17 +386,10 @@ fn decoders_accept_the_golden_bytes() {
         Some((1 << 20, 12))
     );
 
-    let body = read_frame(&mut golden("write_v_frame").as_slice()).unwrap();
-    let want = Request::Seq {
-        seq: 7,
-        inner: Box::new(Request::WriteV {
-            ranges: WRITE_V
-                .iter()
-                .map(|&(s, o, d)| (s, o, d.to_vec()))
-                .collect(),
-        }),
-    };
-    assert_eq!(Request::decode(&body).unwrap(), want);
+    // The legacy frame is intact, but its opcode is retired.
+    let body = read_frame(&mut golden(LEGACY).as_slice()).unwrap();
+    let err = Request::decode(&body).unwrap_err();
+    assert!(err.to_string().contains("unknown opcode 11"), "{err}");
 
     let body = read_frame(&mut golden("read_response_frame").as_slice()).unwrap();
     let want = Response::Mux {
@@ -405,6 +400,53 @@ fn decoders_accept_the_golden_bytes() {
         )),
     };
     assert_eq!(Response::decode(&body).unwrap(), want);
+}
+
+/// A live server answers the legacy `Seq` write frame with a typed error,
+/// counted under `decode_error`, applies none of it, and serves the next
+/// `Mux` request on the same connection.
+#[test]
+fn a_live_server_refuses_the_legacy_seq_frame() {
+    let node = NodeMemory::new("legacy");
+    for seg in [1, 2] {
+        assert_eq!(node.export_segment(8192, 0).unwrap().as_raw(), seg);
+    }
+    let hello = || {
+        let mut got = [0u8; 5];
+        node.read(SegmentId::from_raw(1), 64, &mut got).unwrap();
+        got
+    };
+    let registry = perseas_obs::Registry::new();
+    let server = Server::with_node(node.clone(), "127.0.0.1:0")
+        .unwrap()
+        .with_metrics(&registry)
+        .start();
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    s.write_all(&golden(LEGACY)).unwrap();
+    let answer = Response::decode(&read_frame(&mut s).unwrap()).unwrap();
+    assert!(
+        matches!(&answer, Response::Err(m) if m.contains("unknown opcode 11")),
+        "{answer:?}"
+    );
+    assert_eq!(hello(), [0; 5], "nothing of the legacy frame applied");
+    write_frame(&mut s, &encode_write_v(Some(0), &WRITE_V)).unwrap();
+    let answer = Response::decode(&read_frame(&mut s).unwrap()).unwrap();
+    let ok = Response::Mux {
+        session: 0,
+        seq: 0,
+        inner: Box::new(Response::Ok),
+    };
+    assert_eq!(answer, ok);
+    server.shutdown();
+    let decode_errors = perseas_obs::parse_exposition(&registry.render())
+        .unwrap()
+        .into_iter()
+        .find(|m| {
+            m.name == "perseas_server_requests_total" && m.label("op") == Some("decode_error")
+        })
+        .map_or(0.0, |m| m.value);
+    assert_eq!(decode_errors, 1.0);
+    assert_eq!(&hello(), b"hello", "the Mux write landed");
 }
 
 /// The recorded write frames decode to the session writes that made them.

@@ -1,13 +1,13 @@
 //! Exponential backoff with deterministic jitter.
 //!
-//! Reconnect loops ([`crate::ReconnectingRemote`]) and mirror probes pace
-//! their attempts with a [`BackoffPolicy`]: delays double from `base_nanos`
-//! up to `cap_nanos`, and a per-attempt slice of up to `jitter_permille`/1000
-//! of the delay is shaved off so a fleet of clients re-dialing the same
-//! rebooted server does not stampede in lockstep. The jitter is a pure
-//! function of `(seed, attempt)` — under a simulated clock every run waits
-//! the exact same virtual nanoseconds, which keeps fault schedules
-//! reproducible.
+//! Re-dial loops ([`crate::TcpRemote::connect_redialing`]) and mirror
+//! probes pace their attempts with a [`BackoffPolicy`]: delays double from
+//! `base_nanos` up to `cap_nanos`, and a per-attempt slice of up to
+//! `jitter_permille`/1000 of the delay is shaved off so a fleet of clients
+//! re-dialing the same rebooted server does not stampede in lockstep. The
+//! jitter is a pure function of `(seed, attempt)` — under a simulated
+//! clock every run waits the exact same virtual nanoseconds, which keeps
+//! fault schedules reproducible.
 
 use perseas_simtime::det_rng;
 

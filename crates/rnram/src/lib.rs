@@ -52,7 +52,6 @@ mod memcpy;
 mod metrics;
 mod mux;
 pub mod protocol;
-mod retry;
 pub mod server;
 mod sim;
 mod tcp;
@@ -62,7 +61,6 @@ pub use backoff::BackoffPolicy;
 pub use error::RnError;
 pub use memcpy::{mirror_copy, plan_transfer, TransferPlan, TransferStrategy};
 pub use mux::SessionMux;
-pub use retry::ReconnectingRemote;
 pub use server::AdmissionConfig;
 pub use sim::SimRemote;
 pub use tcp::{PipelineConfig, TcpRemote};

@@ -68,18 +68,6 @@ pub enum Request<P = Vec<u8>> {
     Ping,
     /// Ask the server to stop accepting connections.
     Shutdown,
-    /// A sequenced request: `inner` tagged with the sequence number
-    /// `seq`. The server answers with [`Response::Tagged`] carrying the
-    /// same `seq`. Still answered for compatibility, but no client in
-    /// this crate sends it: [`Request::Mux`] with one session is the same
-    /// thing. Nesting is rejected: a `Seq` may not wrap another `Seq` or
-    /// a [`Request::Mux`].
-    Seq {
-        /// Client-chosen sequence number echoed in the response.
-        seq: u64,
-        /// The wrapped request.
-        inner: Box<Request<P>>,
-    },
     /// A multiplexed request: `inner` belongs to the logical client
     /// session `session` and carries that session's sequence number
     /// `seq`. Many sessions share one socket; the server answers with
@@ -87,8 +75,8 @@ pub enum Request<P = Vec<u8>> {
     /// route the acknowledgement to the right session. Per-session
     /// ordering is FIFO (the server answers a connection's requests in
     /// receipt order, and a session's frames are a subsequence of the
-    /// connection's). Nesting is rejected: a `Mux` may not wrap a `Seq`
-    /// or another `Mux`.
+    /// connection's). Nesting is rejected: a `Mux` may not wrap another
+    /// `Mux`.
     Mux {
         /// The logical session this request belongs to.
         session: u64,
@@ -129,14 +117,6 @@ pub enum Response {
     Name(String),
     /// Request refused; human-readable reason.
     Err(String),
-    /// Response to a [`Request::Seq`]: `inner` tagged with the request's
-    /// sequence number. Nesting is rejected.
-    Tagged {
-        /// The sequence number of the request this answers.
-        seq: u64,
-        /// The wrapped response.
-        inner: Box<Response>,
-    },
     /// Response to a [`Request::Mux`]: `inner` tagged with the session id
     /// and the session's sequence number, so a client multiplexing many
     /// sessions over one socket can route each acknowledgement. Nesting
@@ -166,7 +146,6 @@ const OP_NAME: u8 = 7;
 const OP_PING: u8 = 8;
 const OP_SHUTDOWN: u8 = 9;
 const OP_WRITE_V: u8 = 10;
-const OP_SEQ: u8 = 11;
 const OP_MUX: u8 = 12;
 const OP_SESS_CLOSE: u8 = 13;
 const OP_READ_V: u8 = 14;
@@ -176,7 +155,6 @@ const RE_SEGMENT: u8 = 129;
 const RE_DATA: u8 = 130;
 const RE_NAME: u8 = 131;
 const RE_ERR: u8 = 132;
-const RE_TAGGED: u8 = 133;
 const RE_MUX: u8 = 134;
 const RE_OVERLOADED: u8 = 135;
 const RE_DATA_V: u8 = 136;
@@ -263,11 +241,6 @@ fn encode_request<P: AsRef<[u8]>>(req: &Request<P>, out: &mut Vec<u8>) {
         Request::Name => out.push(OP_NAME),
         Request::Ping => out.push(OP_PING),
         Request::Shutdown => out.push(OP_SHUTDOWN),
-        Request::Seq { seq, inner } => {
-            out.push(OP_SEQ);
-            put_u64(out, *seq);
-            encode_request(inner, out);
-        }
         Request::Mux {
             session,
             seq,
@@ -379,24 +352,13 @@ impl<'a> Request<&'a [u8]> {
             OP_NAME => Request::Name,
             OP_PING => Request::Ping,
             OP_SHUTDOWN => Request::Shutdown,
-            OP_SEQ => {
-                let seq = get_u64(rest, &mut pos)?;
-                let inner = Request::decode(&rest[pos..])?;
-                if matches!(inner, Request::Seq { .. } | Request::Mux { .. }) {
-                    // Depth one only: unbounded nesting would let a
-                    // hostile frame recurse the decoder off the stack.
-                    return Err(RnError::Protocol("nested seq frame".into()));
-                }
-                Request::Seq {
-                    seq,
-                    inner: Box::new(inner),
-                }
-            }
             OP_MUX => {
                 let session = get_u64(rest, &mut pos)?;
                 let seq = get_u64(rest, &mut pos)?;
                 let inner = Request::decode(&rest[pos..])?;
-                if matches!(inner, Request::Seq { .. } | Request::Mux { .. }) {
+                if matches!(inner, Request::Mux { .. }) {
+                    // Depth one only: unbounded nesting would let a
+                    // hostile frame recurse the decoder off the stack.
                     return Err(RnError::Protocol("nested mux frame".into()));
                 }
                 Request::Mux {
@@ -415,13 +377,15 @@ impl<'a> Request<&'a [u8]> {
 /// Encodes a `WriteV` request body straight from borrowed ranges — the
 /// frame body is built in one allocation with one copy per range, instead
 /// of the copy-into-`Vec`-then-copy-into-frame of constructing a
-/// [`Request::WriteV`]. With `seq`, the body is the [`Request::Seq`]
-/// wrapping of the write.
+/// [`Request::WriteV`]. With `seq`, the body is the [`Request::Mux`]
+/// wrapping of the write as session 0's number `seq`: the frame a
+/// socket's first session sends.
 pub fn encode_write_v(seq: Option<u64>, ranges: &[(u64, u64, &[u8])]) -> Vec<u8> {
     let payload: usize = ranges.iter().map(|(_, _, d)| d.len()).sum();
-    let mut out = Vec::with_capacity(payload + 24 * ranges.len() + 18);
+    let mut out = Vec::with_capacity(payload + RANGE_HEAD * ranges.len() + WRITE_V_HEAD);
     if let Some(s) = seq {
-        out.push(OP_SEQ);
+        out.push(OP_MUX);
+        put_u64(&mut out, 0);
         put_u64(&mut out, s);
     }
     out.push(OP_WRITE_V);
@@ -611,10 +575,6 @@ impl Response {
                 out.push(RE_ERR);
                 out.extend_from_slice(m.as_bytes());
             }
-            Response::Tagged { seq, inner } => {
-                put_tagged_head(out, *seq);
-                inner.encode_into(out);
-            }
             Response::Mux {
                 session,
                 seq,
@@ -675,22 +635,11 @@ impl Response {
                 String::from_utf8(rest.to_vec())
                     .map_err(|_| RnError::Protocol("error message not UTF-8".into()))?,
             ),
-            RE_TAGGED => {
-                let seq = get_u64(rest, &mut pos)?;
-                let inner = Response::decode(&rest[pos..])?;
-                if matches!(inner, Response::Tagged { .. } | Response::Mux { .. }) {
-                    return Err(RnError::Protocol("nested tagged response".into()));
-                }
-                Response::Tagged {
-                    seq,
-                    inner: Box::new(inner),
-                }
-            }
             RE_MUX => {
                 let session = get_u64(rest, &mut pos)?;
                 let seq = get_u64(rest, &mut pos)?;
                 let inner = Response::decode(&rest[pos..])?;
-                if matches!(inner, Response::Tagged { .. } | Response::Mux { .. }) {
+                if matches!(inner, Response::Mux { .. }) {
                     return Err(RnError::Protocol("nested mux response".into()));
                 }
                 Response::Mux {
@@ -784,13 +733,6 @@ pub(crate) fn response_frame(resp: &Response) -> Vec<u8> {
     resp.encode_into(&mut frame);
     seal_frame(&mut frame);
     frame
-}
-
-/// Appends the head of a [`Response::Tagged`] to `out`; its inner
-/// response follows.
-pub(crate) fn put_tagged_head(out: &mut Vec<u8>, seq: u64) {
-    out.push(RE_TAGGED);
-    put_u64(out, seq);
 }
 
 /// Appends the head of a [`Response::Mux`] to `out`; its inner response
@@ -1054,50 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_and_tagged_roundtrip() {
-        let reqs = [
-            Request::Seq {
-                seq: 0,
-                inner: Box::new(Request::Ping),
-            },
-            Request::Seq {
-                seq: u64::MAX,
-                inner: Box::new(Request::Write {
-                    seg: 3,
-                    offset: 9,
-                    data: vec![7; 40],
-                }),
-            },
-            Request::Seq {
-                seq: 17,
-                inner: Box::new(Request::WriteV {
-                    ranges: vec![(1, 0, vec![1, 2]), (2, 8, vec![])],
-                }),
-            },
-        ];
-        for r in reqs {
-            assert_eq!(Request::decode(&r.encode()).unwrap(), r);
-        }
-        let resps = [
-            Response::Tagged {
-                seq: 5,
-                inner: Box::new(Response::Ok),
-            },
-            Response::Tagged {
-                seq: 6,
-                inner: Box::new(Response::Err("bounds".into())),
-            },
-            Response::Tagged {
-                seq: 7,
-                inner: Box::new(Response::Data(vec![4; 12])),
-            },
-        ];
-        for r in resps {
-            assert_eq!(Response::decode(&r.encode()).unwrap(), r);
-        }
-    }
-
-    #[test]
     fn mux_frames_roundtrip() {
         let reqs = [
             Request::Mux {
@@ -1156,52 +1054,29 @@ mod tests {
 
     #[test]
     fn nested_mux_frames_rejected() {
-        // Mux in Mux, Seq in Mux, Mux in Seq: all depth violations.
+        // Mux in Mux is a depth violation.
         let mux_ping = Request::Mux {
             session: 1,
             seq: 1,
             inner: Box::new(Request::Ping),
         };
-        let seq_ping = Request::Seq {
-            seq: 1,
-            inner: Box::new(Request::Ping),
-        };
-        for (outer_session, inner) in [(Some(2), mux_ping.clone()), (Some(2), seq_ping.clone())] {
-            let outer = Request::Mux {
-                session: outer_session.unwrap(),
-                seq: 9,
-                inner: Box::new(inner),
-            };
-            assert!(Request::decode(&outer.encode()).is_err());
-        }
-        let seq_wrapping_mux = Request::Seq {
+        let outer = Request::Mux {
+            session: 2,
             seq: 9,
             inner: Box::new(mux_ping),
         };
-        assert!(Request::decode(&seq_wrapping_mux.encode()).is_err());
-
+        assert!(Request::decode(&outer.encode()).is_err());
         let mux_ok = Response::Mux {
             session: 1,
             seq: 1,
             inner: Box::new(Response::Ok),
         };
-        let tagged_ok = Response::Tagged {
-            seq: 1,
-            inner: Box::new(Response::Ok),
-        };
-        for inner in [mux_ok.clone(), tagged_ok] {
-            let outer = Response::Mux {
-                session: 2,
-                seq: 9,
-                inner: Box::new(inner),
-            };
-            assert!(Response::decode(&outer.encode()).is_err());
-        }
-        let tagged_wrapping_mux = Response::Tagged {
+        let outer = Response::Mux {
+            session: 2,
             seq: 9,
             inner: Box::new(mux_ok),
         };
-        assert!(Response::decode(&tagged_wrapping_mux.encode()).is_err());
+        assert!(Response::decode(&outer.encode()).is_err());
 
         // Truncated mux headers.
         assert!(Request::decode(&[OP_MUX, 1, 2, 3]).is_err());
@@ -1258,35 +1133,33 @@ mod tests {
         );
     }
 
+    /// The retired `Seq` request (opcode 11) and `Tagged` response (tag
+    /// 133) decode as unknown, alone, nested or inside a `Mux`.
     #[test]
     fn nested_seq_frames_rejected() {
-        let inner = Request::Seq {
-            seq: 1,
-            inner: Box::new(Request::Ping),
-        };
-        let outer = Request::Seq {
-            seq: 2,
-            inner: Box::new(inner),
-        };
-        assert!(Request::decode(&outer.encode()).is_err());
-
-        let inner = Response::Tagged {
-            seq: 1,
-            inner: Box::new(Response::Ok),
-        };
-        let outer = Response::Tagged {
-            seq: 2,
-            inner: Box::new(inner),
-        };
-        assert!(Response::decode(&outer.encode()).is_err());
-
-        // Truncated seq header.
-        assert!(Request::decode(&[OP_SEQ, 1, 2, 3]).is_err());
-        assert!(Response::decode(&[RE_TAGGED, 1]).is_err());
-        // Seq with an empty inner body.
-        let mut body = vec![OP_SEQ];
-        body.extend_from_slice(&9u64.to_le_bytes());
-        assert!(Request::decode(&body).is_err());
+        let seq = |inner: &[u8]| [&[11][..], &9u64.to_le_bytes(), inner].concat();
+        let tagged = |inner: &[u8]| [&[133][..], &9u64.to_le_bytes(), inner].concat();
+        let ping = Request::Ping.encode();
+        for body in [
+            seq(&ping),
+            seq(&seq(&ping)),
+            encode_mux(1, 2, &Request::Ping)[..17]
+                .iter()
+                .copied()
+                .chain(seq(&ping))
+                .collect(),
+        ] {
+            let err = Request::decode(&body).unwrap_err();
+            assert!(err.to_string().contains("unknown opcode 11"), "{err}");
+        }
+        let ok = Response::Ok.encode();
+        for body in [tagged(&ok), tagged(&tagged(&ok))] {
+            let err = Response::decode(&body).unwrap_err();
+            assert!(
+                err.to_string().contains("unknown response tag 133"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1297,14 +1170,7 @@ mod tests {
             ranges: ranges.iter().map(|&(s, o, d)| (s, o, d.to_vec())).collect(),
         };
         assert_eq!(encode_write_v(None, &ranges), owned.encode());
-        assert_eq!(
-            encode_write_v(Some(3), &ranges),
-            Request::Seq {
-                seq: 3,
-                inner: Box::new(owned),
-            }
-            .encode()
-        );
+        assert_eq!(encode_write_v(Some(3), &ranges), encode_mux(0, 3, &owned));
     }
 
     #[test]
@@ -1459,11 +1325,6 @@ mod tests {
                 out.push(132);
                 out.extend_from_slice(m.as_bytes());
             }
-            Response::Tagged { seq, inner } => {
-                out.push(133);
-                u64s(&mut out, &[*seq]);
-                out.extend_from_slice(&reference_encode(inner));
-            }
             Response::Mux {
                 session,
                 seq,
@@ -1478,7 +1339,7 @@ mod tests {
         out
     }
 
-    /// Every response variant, wrapped in up to two `Mux`/`Tagged` layers
+    /// Every response variant, wrapped in up to two `Mux` layers
     /// (the encoder nests freely; only the decoder refuses depth two).
     fn arb_response() -> impl proptest::strategy::Strategy<Value = Response> {
         use proptest::prelude::*;
@@ -1501,20 +1362,15 @@ mod tests {
             text().prop_map(Response::Name),
             text().prop_map(Response::Err),
         ];
-        let wraps = prop::collection::vec((any::<bool>(), any::<u64>(), any::<u64>()), 0..3);
+        let wraps = prop::collection::vec((any::<u64>(), any::<u64>()), 0..3);
         (leaf, wraps).prop_map(|(leaf, wraps)| {
-            wraps.into_iter().fold(leaf, |inner, (mux, session, seq)| {
-                let inner = Box::new(inner);
-                if mux {
-                    Response::Mux {
-                        session,
-                        seq,
-                        inner,
-                    }
-                } else {
-                    Response::Tagged { seq, inner }
-                }
-            })
+            wraps
+                .into_iter()
+                .fold(leaf, |inner, (session, seq)| Response::Mux {
+                    session,
+                    seq,
+                    inner: Box::new(inner),
+                })
         })
     }
 

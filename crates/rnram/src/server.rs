@@ -31,8 +31,8 @@ use perseas_sci::{NodeMemory, SciError, SegmentId};
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{
-    body_room, crc32, open_frame, put_data, put_mux_head, put_tagged_head, response_frame,
-    seal_frame, Request, Response, MAX_FRAME,
+    body_room, crc32, open_frame, put_data, put_mux_head, response_frame, seal_frame, Request,
+    Response, MAX_FRAME,
 };
 use crate::RnError;
 
@@ -802,10 +802,6 @@ fn refusal_for(req: &Request<&[u8]>) -> Response {
             seq: *seq,
             inner: Box::new(Response::Overloaded),
         },
-        Request::Seq { seq, .. } => Response::Tagged {
-            seq: *seq,
-            inner: Box::new(Response::Overloaded),
-        },
         _ => Response::Overloaded,
     }
 }
@@ -892,11 +888,11 @@ fn release_conn(conn: Conn, ctx: &mut Ctx) {
     }
 }
 
-/// The metrics label for a request's opcode. `Seq` and `Mux` wrappers are
-/// attributed to the operation they carry.
+/// The metrics label for a request's opcode. A `Mux` wrapper is
+/// attributed to the operation it carries.
 fn op_name(req: &Request<&[u8]>) -> &'static str {
     match req {
-        Request::Seq { inner, .. } | Request::Mux { inner, .. } => op_name(inner),
+        Request::Mux { inner, .. } => op_name(inner),
         Request::Malloc { .. } => "malloc",
         Request::Free { .. } => "free",
         Request::Write { .. } => "write",
@@ -917,10 +913,6 @@ fn op_name(req: &Request<&[u8]>) -> &'static str {
 /// payload once, from node memory straight into the frame.
 fn respond(req: Request<&[u8]>, node: &NodeMemory, stop: &AtomicBool, out: &mut Vec<u8>) {
     let resp = match req {
-        Request::Seq { seq, inner } => {
-            put_tagged_head(out, seq);
-            return respond(*inner, node, stop, out);
-        }
         Request::Mux {
             session,
             seq,
@@ -1094,7 +1086,6 @@ mod tests {
     fn admission_overflow_is_refused_in_order() {
         // One slot, two queue places: of five pipelined pings the first
         // three are served and the last two refused, all in seq order.
-        // The bare `Seq` frame is still answered for compatibility.
         let server = Server::bind("narrow", "127.0.0.1:0")
             .unwrap()
             .with_admission(AdmissionConfig {
@@ -1105,17 +1096,18 @@ mod tests {
             .start();
         let mut s = TcpStream::connect(server.addr()).unwrap();
         for seq in 0..5u64 {
-            let ping = Request::Seq {
-                seq,
-                inner: Box::new(Request::Ping),
-            };
-            write_frame(&mut s, &ping.encode()).unwrap();
+            let ping = crate::protocol::encode_mux(0, seq, &Request::Ping);
+            write_frame(&mut s, &ping).unwrap();
         }
         let mut got = Vec::new();
         for _ in 0..5 {
             let body = read_frame(&mut s).unwrap();
             match Response::decode(&body).unwrap() {
-                Response::Tagged { seq, inner } => got.push((seq, *inner)),
+                Response::Mux {
+                    session: 0,
+                    seq,
+                    inner,
+                } => got.push((seq, *inner)),
                 other => panic!("unexpected response {other:?}"),
             }
         }

@@ -126,7 +126,7 @@ pub trait RemoteMemory: Send {
     }
 
     /// Number of posted operations not yet confirmed (zero for backends
-    /// that acknowledge inline). A reconnect wrapper must never silently
+    /// that acknowledge inline). A client that re-dials must never silently
     /// re-dial a connection that dies with `in_flight() > 0`: the lost
     /// window cannot be replayed.
     fn in_flight(&self) -> usize {

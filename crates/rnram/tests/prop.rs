@@ -228,9 +228,8 @@ mod frame_fuzz {
     use perseas_rnram::protocol::{crc32, Request, Response};
     use std::io::Write as _;
 
-    /// Any request a client can legitimately encode, including the
-    /// session `Mux` wrapping and the `Seq` wrapping the server still
-    /// answers.
+    /// Any request a client can legitimately encode, bare or in the
+    /// session `Mux` wrapping.
     fn arb_request() -> impl Strategy<Value = Request> {
         let plain = prop_oneof![
             (any::<u64>(), any::<u64>()).prop_map(|(len, tag)| Request::Malloc { len, tag }),
@@ -258,18 +257,16 @@ mod frame_fuzz {
             Just(Request::Ping),
         ]
         .boxed();
-        (0u8..3, any::<u64>(), any::<u64>(), plain).prop_map(|(wrap, seq, session, req)| match wrap
-        {
-            1 => Request::Seq {
-                seq,
-                inner: Box::new(req),
-            },
-            2 => Request::Mux {
-                session,
-                seq,
-                inner: Box::new(req),
-            },
-            _ => req,
+        (any::<bool>(), any::<u64>(), any::<u64>(), plain).prop_map(|(wrap, seq, session, req)| {
+            if wrap {
+                Request::Mux {
+                    session,
+                    seq,
+                    inner: Box::new(req),
+                }
+            } else {
+                req
+            }
         })
     }
 
@@ -320,7 +317,7 @@ mod frame_fuzz {
                 // CRC is what protects it in flight). Everything else has
                 // explicit lengths and must refuse its truncations.
                 Ok(Request::Write { .. }) => {}
-                Ok(Request::Seq { inner, .. }) | Ok(Request::Mux { inner, .. }) => {
+                Ok(Request::Mux { inner, .. }) => {
                     prop_assert!(
                         matches!(*inner, Request::Write { .. }),
                         "truncated frame decoded as a wrapper around {inner:?}"
@@ -344,9 +341,7 @@ mod frame_fuzz {
             // is not the robustness property under test.
             let is_shutdown = match &decoded {
                 Ok(Request::Shutdown) => true,
-                Ok(Request::Seq { inner, .. }) | Ok(Request::Mux { inner, .. }) => {
-                    matches!(**inner, Request::Shutdown)
-                }
+                Ok(Request::Mux { inner, .. }) => matches!(**inner, Request::Shutdown),
                 _ => false,
             };
             prop_assume!(!is_shutdown);
@@ -476,20 +471,22 @@ mod frame_fuzz {
         }
     }
 
-    /// Nested `Seq` frames and oversized frame claims are refused — the
+    /// Nested `Mux` frames and oversized frame claims are refused — the
     /// two fixed hostile shapes the sweep above cannot reliably hit.
     #[test]
     fn fixed_hostile_shapes_are_refused() {
-        let nested = Request::Seq {
+        let nested = Request::Mux {
+            session: 1,
             seq: 1,
-            inner: Box::new(Request::Seq {
+            inner: Box::new(Request::Mux {
+                session: 1,
                 seq: 2,
                 inner: Box::new(Request::Ping),
             }),
         };
         assert!(
             Request::decode(&nested.encode()).is_err(),
-            "nested seq accepted"
+            "nested mux accepted"
         );
 
         let server = perseas_rnram::server::Server::bind("huge", "127.0.0.1:0")
@@ -611,7 +608,8 @@ mod hostile_mirror {
         /// A well-formed data frame for this read with a payload of the
         /// wrong length.
         WrongLength(usize),
-        /// A well-formed frame that is not a mux response.
+        /// A well-formed frame that is not a mux response, or (kind 3) the
+        /// retired `Tagged` response, whose tag is now unknown.
         NotMux(u8),
         /// The right frame's head and a strict prefix of its payload and
         /// CRC.
@@ -670,18 +668,17 @@ mod hostile_mirror {
                 let len = if len == payload.len() { len + 1 } else { len };
                 frame_bytes(&mux(session, seq, data(len)).encode())
             }
-            Answer::NotMux(kind) => {
-                let resp = match kind {
-                    0 => data(payload.len()),
-                    1 => Response::Ok,
-                    2 => Response::Overloaded,
-                    _ => Response::Tagged {
-                        seq,
-                        inner: Box::new(data(payload.len())),
-                    },
-                };
-                frame_bytes(&resp.encode())
-            }
+            Answer::NotMux(kind) => frame_bytes(&match kind {
+                0 => data(payload.len()).encode(),
+                1 => Response::Ok.encode(),
+                2 => Response::Overloaded.encode(),
+                _ => [
+                    &[133][..],
+                    &seq.to_le_bytes(),
+                    &data(payload.len()).encode(),
+                ]
+                .concat(),
+            }),
             Answer::CutPayload(cut) => {
                 // Past the length prefix and the 18-byte mux head.
                 let head = 4 + 18;
@@ -859,22 +856,11 @@ mod borrowed_decoder {
             7 => Request::Name,
             8 => Request::Ping,
             9 => Request::Shutdown,
-            11 => {
-                let seq = get_u64(rest, &mut pos)?;
-                let inner = owned_decode(&rest[pos..])?;
-                if matches!(inner, Request::Seq { .. } | Request::Mux { .. }) {
-                    return Err(RnError::Protocol("nested seq frame".into()));
-                }
-                Request::Seq {
-                    seq,
-                    inner: Box::new(inner),
-                }
-            }
             12 => {
                 let session = get_u64(rest, &mut pos)?;
                 let seq = get_u64(rest, &mut pos)?;
                 let inner = owned_decode(&rest[pos..])?;
-                if matches!(inner, Request::Seq { .. } | Request::Mux { .. }) {
+                if matches!(inner, Request::Mux { .. }) {
                     return Err(RnError::Protocol("nested mux frame".into()));
                 }
                 Request::Mux {
@@ -889,8 +875,9 @@ mod borrowed_decoder {
         Ok(req)
     }
 
-    /// A valid request body: a write, a vectored write or a read, bare or
-    /// wrapped, with small fields so that mutations hit lengths.
+    /// A request body: a write, a vectored write or a read, bare, wrapped
+    /// or wrapped twice (which both decoders refuse), with small fields so
+    /// that mutations hit lengths.
     fn arb_body() -> impl Strategy<Value = Vec<u8>> {
         let data = || prop::collection::vec(any::<u8>(), 0..24);
         let plain = prop_oneof![
@@ -913,7 +900,16 @@ mod borrowed_decoder {
                     seq: n,
                     inner,
                 },
-                1 => Request::Seq { seq: n, inner },
+                // Nested: both decoders must refuse it alike.
+                1 => Request::Mux {
+                    session: n,
+                    seq: n,
+                    inner: Box::new(Request::Mux {
+                        session: n,
+                        seq: n,
+                        inner,
+                    }),
+                },
                 _ => *inner,
             }
             .encode()

@@ -7,7 +7,7 @@
 //! one of the same size right after.
 
 use perseas_rnram::server::Server;
-use perseas_rnram::{ReconnectingRemote, RemoteMemory, SessionMux, SimRemote, TcpRemote};
+use perseas_rnram::{BackoffPolicy, RemoteMemory, SessionMux, SimRemote, TcpRemote};
 
 /// Segment sizes: under a page, a page, not a multiple of a page, and
 /// past one 256 KiB transfer frame.
@@ -48,14 +48,18 @@ fn sim_remote_mallocs_zeroed_segments() {
 fn tcp_remote_mallocs_zeroed_segments() {
     let server = Server::bind("zeroed", "127.0.0.1:0").unwrap().start();
     check(&mut TcpRemote::connect(server.addr()).unwrap());
-    check(&mut SessionMux::shared(server.addr()).unwrap().session());
+    check(&mut SessionMux::connect(server.addr()).unwrap().session());
     server.shutdown();
 }
 
 #[test]
 fn reconnecting_remote_mallocs_zeroed_segments() {
     let server = Server::bind("zeroed", "127.0.0.1:0").unwrap().start();
-    check(&mut ReconnectingRemote::connect(server.addr(), 3).unwrap());
-    check(&mut ReconnectingRemote::connect_mux(server.addr(), 3).unwrap());
+    let redialing = TcpRemote::connect_redialing(server.addr(), 3, BackoffPolicy::default());
+    check(&mut redialing.unwrap());
+    let mux = SessionMux::connect(server.addr()).unwrap();
+    let (mut a, mut b) = (mux.session(), mux.session());
+    check(&mut a);
+    check(&mut b);
     server.shutdown();
 }

@@ -427,17 +427,17 @@ impl RemoteMemory for ContentiousRemote {
 #[test]
 fn tcp_mirror_failover_and_rejoin() {
     use perseas_rnram::server::Server;
-    use perseas_rnram::{BackoffPolicy, ReconnectingRemote, TcpRemote};
+    use perseas_rnram::{BackoffPolicy, TcpRemote};
 
     let sa = Server::bind("ta", "127.0.0.1:0").unwrap().start();
     let sb = Server::bind("tb", "127.0.0.1:0").unwrap().start();
     let addr_b = sb.addr();
     let node_b = sb.node().clone();
 
-    // Reconnecting backends so the rejoin can find the restarted server;
-    // no backoff sleeps to keep the test fast.
-    let a = ReconnectingRemote::with_backoff(sa.addr(), 2, BackoffPolicy::none()).unwrap();
-    let b = ReconnectingRemote::with_backoff(addr_b, 2, BackoffPolicy::none()).unwrap();
+    // Redialing backends so the rejoin can find the restarted server; no
+    // backoff sleeps to keep the test fast.
+    let a = TcpRemote::connect_redialing(sa.addr(), 2, BackoffPolicy::none()).unwrap();
+    let b = TcpRemote::connect_redialing(addr_b, 2, BackoffPolicy::none()).unwrap();
     let cfg = PerseasConfig::default().with_probe_backoff(BackoffPolicy::none());
     let mut db = Perseas::init(vec![a, b], cfg).unwrap();
     let r = db.malloc(64).unwrap();

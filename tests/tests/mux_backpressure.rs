@@ -4,17 +4,16 @@
 //! ops) through a private or a shared socket alike, drain cleanly once the
 //! pressure lifts, and account for all of it in the `perseas-obs`
 //! registry. Plus the
-//! retry-layer rule: a mux socket that dies with sessions in flight
-//! surfaces `Unavailable` through [`ReconnectingRemote`] instead of
-//! silently re-dialing, and `Server::shutdown` stays prompt with a
-//! thousand live sessions.
+//! lost-window rule: a shared socket that dies with sessions in flight
+//! surfaces `Unavailable` at the barrier, even with a working server back
+//! on the address, and `Server::shutdown` stays prompt with a thousand
+//! live sessions.
 
 use std::time::{Duration, Instant};
 
 use perseas_rnram::server::Server;
 use perseas_rnram::{
-    AdmissionConfig, PipelineConfig, ReconnectingRemote, RemoteMemory, RnError, SessionMux,
-    TcpRemote,
+    AdmissionConfig, PipelineConfig, RemoteMemory, RnError, SessionMux, TcpRemote,
 };
 
 /// Extracts the value of an unlabelled metric from a Prometheus
@@ -189,7 +188,8 @@ fn lost_mux_window_surfaces_unavailable_not_a_silent_retry() {
     let node = server.node().clone();
     let addr = server.addr();
 
-    let mut r = ReconnectingRemote::connect_mux(addr, 5).unwrap();
+    let mux = SessionMux::connect(addr).unwrap();
+    let (mut r, mut sibling) = (mux.session(), mux.session());
     let seg = r.remote_malloc(64, 1).unwrap();
     for i in 0..4usize {
         r.remote_write(seg.id, i, &[9]).unwrap();
@@ -198,18 +198,22 @@ fn lost_mux_window_surfaces_unavailable_not_a_silent_retry() {
 
     // Shutdown drops the queued writes (only already-applied responses
     // are drained), then a fully working replacement accepts on the same
-    // address — so a silent retry would *succeed*. Unavailable is proof
-    // the lost window surfaced instead.
+    // address — so a barrier on a fresh socket would *succeed*.
+    // Unavailable is proof the lost window surfaced instead.
     server.shutdown();
     let server2 = Server::with_node(node, addr).unwrap().start();
 
-    let err = r.segment_info(seg.id).unwrap_err();
+    let err = r.flush().unwrap_err();
     assert!(err.is_unavailable(), "lost window surfaces: {err}");
-    assert_eq!(r.in_flight(), 0, "the loss was reported and cleared");
+    assert!(r.in_flight() > 0, "the lost window stays visible");
+    // The socket is dead for every session on it.
+    let err = sibling.segment_info(seg.id).unwrap_err();
+    assert!(err.is_unavailable(), "{err}");
+    assert!(mux.is_dead());
 
-    // With the loss on record, the wrapper re-dials the shared mux for
-    // new work.
-    assert_eq!(r.segment_info(seg.id).unwrap().id, seg.id);
+    // New work takes a new socket.
+    let mut fresh = SessionMux::connect(addr).unwrap().session();
+    assert_eq!(fresh.segment_info(seg.id).unwrap().id, seg.id);
     server2.shutdown();
 }
 
