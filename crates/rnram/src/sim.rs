@@ -72,8 +72,7 @@ impl SimRemote {
 
 impl RemoteMemory for SimRemote {
     fn remote_malloc(&mut self, len: usize, tag: u64) -> Result<RemoteSegment, RnError> {
-        let id = self.link.node().export_segment(len, tag)?;
-        Ok(self.link.node().segment_info(id)?.into())
+        Ok(self.link.node().export(len, tag)?.into())
     }
 
     fn remote_free(&mut self, seg: SegmentId) -> Result<(), RnError> {

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use perseas_simtime::SimDuration;
 
 use crate::addr::BufferAddr;
-use crate::packet::{packetize, PacketKind};
+use crate::packet::{Burst, PacketKind};
 
 /// Timing parameters of the PCI-SCI adapter.
 ///
@@ -99,25 +99,9 @@ impl Default for SciParams {
 /// assert_eq!(remote_write_latency(&p, 0, 4).as_nanos(), 2_500);
 /// ```
 pub fn remote_write_latency(params: &SciParams, start: u64, len: usize) -> SimDuration {
-    if len == 0 {
-        return SimDuration::ZERO;
-    }
-    let packets = packetize(start, len);
-    let mut ns = params.base_ns;
-    for (i, p) in packets.iter().enumerate() {
-        let first = i == 0;
-        ns += match (p.kind, first) {
-            (PacketKind::Full64, true) => params.pkt64_first_ns,
-            (PacketKind::Full64, false) => params.pkt64_stream_ns,
-            (PacketKind::Line16, true) => params.pkt16_first_ns,
-            (PacketKind::Line16, false) => params.pkt16_stream_ns,
-        };
-    }
-    let last_byte = BufferAddr::from_phys(start + len as u64 - 1);
-    if !last_byte.is_last_word() {
-        ns += params.partial_flush_ns;
-    }
-    SimDuration::from_nanos(ns)
+    let mut msg = Message::default();
+    msg.push(params, start, len);
+    msg.latency(params)
 }
 
 /// End-to-end one-way latency of a *vectored* remote store: several
@@ -143,34 +127,11 @@ pub fn remote_write_latency(params: &SciParams, start: u64, len: usize) -> SimDu
 /// assert!(batched < separate); // base_ns is paid once, not twice
 /// ```
 pub fn remote_write_v_latency(params: &SciParams, ranges: &[(u64, usize)]) -> SimDuration {
-    let mut ns = 0u64;
-    let mut sent_any = false;
-    let mut last_byte = None;
+    let mut msg = Message::default();
     for &(start, len) in ranges {
-        if len == 0 {
-            continue;
-        }
-        for p in packetize(start, len) {
-            ns += match (p.kind, !sent_any) {
-                (PacketKind::Full64, true) => params.pkt64_first_ns,
-                (PacketKind::Full64, false) => params.pkt64_stream_ns,
-                (PacketKind::Line16, true) => params.pkt16_first_ns,
-                (PacketKind::Line16, false) => params.pkt16_stream_ns,
-            };
-            sent_any = true;
-        }
-        last_byte = Some(BufferAddr::from_phys(start + len as u64 - 1));
+        msg.push(params, start, len);
     }
-    if !sent_any {
-        return SimDuration::ZERO;
-    }
-    ns += params.base_ns;
-    if let Some(b) = last_byte {
-        if !b.is_last_word() {
-            ns += params.partial_flush_ns;
-        }
-    }
-    SimDuration::from_nanos(ns)
+    msg.latency(params)
 }
 
 /// Latency of a remote read of `len` bytes at `start`: a synchronous
@@ -178,6 +139,57 @@ pub fn remote_write_v_latency(params: &SciParams, ranges: &[(u64, usize)]) -> Si
 pub fn remote_read_latency(params: &SciParams, start: u64, len: usize) -> SimDuration {
     let w = remote_write_latency(params, start, len);
     SimDuration::from_nanos(w.as_nanos() * params.read_multiplier_pct / 100)
+}
+
+/// One SCI message's latency, summed burst by burst in O(1) per burst.
+#[derive(Debug, Default)]
+pub(crate) struct Message {
+    /// Packet costs so far.
+    packets_ns: u64,
+    /// `true` once a packet was sent: later packets stream.
+    sent: bool,
+    /// `true` if the last burst did not end on a buffer's last word.
+    partial_flush: bool,
+}
+
+impl Message {
+    /// Adds the store of `len` bytes at `start` and returns its packets.
+    /// An empty store adds nothing.
+    pub(crate) fn push(&mut self, params: &SciParams, start: u64, len: usize) -> Burst {
+        let b = Burst::new(start, len);
+        let Some(first) = b.first else { return b };
+        let (mut full64, mut line16) = (b.full64, b.line16);
+        if !self.sent {
+            self.packets_ns += match first {
+                PacketKind::Full64 => {
+                    full64 -= 1;
+                    params.pkt64_first_ns
+                }
+                PacketKind::Line16 => {
+                    line16 -= 1;
+                    params.pkt16_first_ns
+                }
+            };
+        }
+        self.packets_ns += full64 * params.pkt64_stream_ns + line16 * params.pkt16_stream_ns;
+        self.sent = true;
+        self.partial_flush = !BufferAddr::from_phys(start + len as u64 - 1).is_last_word();
+        b
+    }
+
+    /// The message's latency: one [`SciParams::base_ns`], the packets, and
+    /// the partial-flush penalty if the last burst ended mid-buffer.
+    pub(crate) fn latency(&self, params: &SciParams) -> SimDuration {
+        if !self.sent {
+            return SimDuration::ZERO;
+        }
+        let flush = if self.partial_flush {
+            params.partial_flush_ns
+        } else {
+            0
+        };
+        SimDuration::from_nanos(params.base_ns + self.packets_ns + flush)
+    }
 }
 
 #[cfg(test)]

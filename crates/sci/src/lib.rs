@@ -15,6 +15,8 @@
 //! * [`BufferAddr`] — the address→(buffer, offset) mapping of Figure 4;
 //! * [`packetize`] — the store-gathering/packetisation rule, yielding the
 //!   SCI packets a write burst generates;
+//! * [`Burst`] / [`prefix_bytes`] — the same packets counted from a
+//!   burst's two ends in O(1), which is what the link charges;
 //! * [`SciParams`] / [`remote_write_latency`] — the calibrated latency model
 //!   that reproduces Figure 5;
 //! * [`NodeMemory`] — a remote node's exported memory ("network RAM"),
@@ -60,4 +62,4 @@ pub use error::SciError;
 pub use latency::{remote_read_latency, remote_write_latency, remote_write_v_latency, SciParams};
 pub use link::{LinkStats, SciLink};
 pub use node::{NodeMemory, SegmentId, SegmentInfo};
-pub use packet::{packetize, Packet, PacketKind};
+pub use packet::{packetize, prefix_bytes, Burst, Packet, PacketKind};

@@ -1,4 +1,9 @@
 //! A mapped SCI link from the local process onto a remote node's memory.
+//!
+//! The link counts each burst's packets ([`crate::Burst`]) rather than
+//! listing them, so every operation costs O(1) in the burst's length and
+//! allocates nothing; [`crate::packetize`] is the listing the tests check
+//! it against.
 
 use std::sync::Arc;
 
@@ -6,12 +11,9 @@ use parking_lot::Mutex;
 
 use perseas_simtime::{SimClock, SimDuration};
 
-use crate::addr::BufferAddr;
-use crate::latency::{
-    remote_read_latency, remote_write_latency, remote_write_v_latency, SciParams,
-};
+use crate::latency::{remote_read_latency, remote_write_latency, Message, SciParams};
 use crate::node::{NodeMemory, SegmentId};
-use crate::packet::{packetize, PacketKind};
+use crate::packet::{prefix_bytes, Burst};
 use crate::SciError;
 
 /// Counters describing traffic on one link.
@@ -31,11 +33,26 @@ pub struct LinkStats {
     pub bytes_read: u64,
 }
 
-#[derive(Debug)]
-struct Fault {
+#[derive(Debug, Default)]
+struct State {
+    stats: LinkStats,
     /// Packets that may still be transmitted before the link is cut;
     /// `None` means the link is healthy.
     packets_left: Option<u64>,
+}
+
+impl State {
+    /// Takes up to `packets` from the fault budget; returns how many go out.
+    fn admit(&mut self, packets: u64) -> u64 {
+        match &mut self.packets_left {
+            None => packets,
+            Some(left) => {
+                let sent = packets.min(*left);
+                *left -= sent;
+                sent
+            }
+        }
+    }
 }
 
 /// The local side of a PCI-SCI mapping onto one remote node.
@@ -66,8 +83,7 @@ pub struct SciLink {
     clock: SimClock,
     node: NodeMemory,
     params: SciParams,
-    stats: Arc<Mutex<LinkStats>>,
-    fault: Arc<Mutex<Fault>>,
+    state: Arc<Mutex<State>>,
 }
 
 impl SciLink {
@@ -78,8 +94,7 @@ impl SciLink {
             clock,
             node,
             params,
-            stats: Arc::new(Mutex::new(LinkStats::default())),
-            fault: Arc::new(Mutex::new(Fault { packets_left: None })),
+            state: Arc::default(),
         }
     }
 
@@ -100,28 +115,28 @@ impl SciLink {
 
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> LinkStats {
-        *self.stats.lock()
+        self.state.lock().stats
     }
 
     /// Resets the traffic counters.
     pub fn reset_stats(&self) {
-        *self.stats.lock() = LinkStats::default();
+        self.state.lock().stats = LinkStats::default();
     }
 
     /// Arms fault injection: after `n` more packets the link goes down and
     /// every subsequent operation fails with [`SciError::LinkDown`].
     pub fn cut_after_packets(&self, n: u64) {
-        self.fault.lock().packets_left = Some(n);
+        self.state.lock().packets_left = Some(n);
     }
 
     /// Heals the link after a fault.
     pub fn heal(&self) {
-        self.fault.lock().packets_left = None;
+        self.state.lock().packets_left = None;
     }
 
     /// `true` if the link has been cut.
     pub fn is_down(&self) -> bool {
-        matches!(self.fault.lock().packets_left, Some(0))
+        matches!(self.state.lock().packets_left, Some(0))
     }
 
     /// Writes `data` to `offset` within remote segment `seg`.
@@ -132,53 +147,12 @@ impl SciLink {
     ///
     /// # Errors
     ///
-    /// Propagates segment errors from the node; returns
-    /// [`SciError::LinkDown`] (with the delivered byte count) if fault
-    /// injection cut the burst.
+    /// Propagates segment errors from the node, before any time, packet or
+    /// fault budget is charged; returns [`SciError::LinkDown`] (with the
+    /// delivered byte count) if fault injection cut the burst.
     pub fn remote_write(&self, seg: SegmentId, offset: usize, data: &[u8]) -> Result<(), SciError> {
-        let info = self.node.segment_info(seg)?;
-        let start = info.base_addr + offset as u64;
-        let packets = packetize(start, data.len());
-
-        // Decide how many packets make it through under fault injection.
-        let allowed = {
-            let mut f = self.fault.lock();
-            match f.packets_left {
-                None => packets.len(),
-                Some(left) => {
-                    let allowed = (left as usize).min(packets.len());
-                    f.packets_left = Some(left - allowed as u64);
-                    allowed
-                }
-            }
-        };
-
-        let delivered_bytes: usize = packets[..allowed].iter().map(|p| p.store_bytes).sum();
-        // Bytes that reach the wire still pay their latency.
-        if delivered_bytes > 0 {
-            let lat = remote_write_latency(&self.params, start, delivered_bytes);
-            self.clock.advance(lat);
-            self.node.write(seg, offset, &data[..delivered_bytes])?;
-        }
-
-        let mut st = self.stats.lock();
-        st.writes += 1;
-        st.bytes_written += delivered_bytes as u64;
-        for p in &packets[..allowed] {
-            match p.kind {
-                PacketKind::Full64 => st.packets64 += 1,
-                PacketKind::Line16 => st.packets16 += 1,
-            }
-        }
-        drop(st);
-
-        if allowed < packets.len() {
-            Err(SciError::LinkDown {
-                delivered: delivered_bytes,
-            })
-        } else {
-            Ok(())
-        }
+        // A single burst is a message of one range.
+        self.remote_write_v(&[(seg, offset, data)])
     }
 
     /// Reads `buf.len()` bytes from `offset` within remote segment `seg`.
@@ -200,14 +174,15 @@ impl SciLink {
         if self.is_down() {
             return Err(SciError::LinkDown { delivered: 0 });
         }
-        let info = self.node.segment_info(seg)?;
-        let start = info.base_addr + offset as u64;
-        self.node.read(seg, offset, buf)?;
+        let mut node = self.node.lock()?;
+        let (start, src) = node.range(seg, offset, buf.len())?;
+        buf.copy_from_slice(src);
+        drop(node);
         self.clock
             .advance(remote_read_latency(&self.params, start, buf.len()));
-        let mut st = self.stats.lock();
-        st.reads += 1;
-        st.bytes_read += buf.len() as u64;
+        let mut st = self.state.lock();
+        st.stats.reads += 1;
+        st.stats.bytes_read += buf.len() as u64;
         Ok(())
     }
 
@@ -225,102 +200,44 @@ impl SciLink {
     ///
     /// # Errors
     ///
-    /// Fails up-front (before any byte moves) if any referenced segment is
-    /// unknown or any range is out of bounds; returns
-    /// [`SciError::LinkDown`] with the total delivered byte count if fault
-    /// injection cut the message.
+    /// Fails up-front (before any byte moves or any time, packet or fault
+    /// budget is charged) if any referenced segment is unknown or any range
+    /// is out of bounds; returns [`SciError::LinkDown`] with the total
+    /// delivered byte count if fault injection cut the message.
     pub fn remote_write_v(&self, writes: &[(SegmentId, usize, &[u8])]) -> Result<(), SciError> {
-        // Resolve geometry and validate every range before transmitting, so
-        // a malformed batch does not leave a half-applied message.
-        let mut plans = Vec::with_capacity(writes.len());
+        let mut node = self.node.lock()?;
+        // Validate every range before transmitting, so a malformed batch
+        // does not leave a half-applied message.
+        let mut packets = 0;
         for &(seg, offset, data) in writes {
-            let info = self.node.segment_info(seg)?;
-            if offset.checked_add(data.len()).is_none_or(|e| e > info.len) {
-                return Err(SciError::OutOfBounds {
-                    segment: seg,
-                    offset,
-                    len: data.len(),
-                    segment_len: info.len,
-                });
-            }
-            if data.is_empty() {
-                continue;
-            }
-            let start = info.base_addr + offset as u64;
-            plans.push((seg, offset, data, packetize(start, data.len())));
+            let (start, _) = node.range(seg, offset, data.len())?;
+            packets += Burst::new(start, data.len()).packets();
         }
-        let total_packets: usize = plans.iter().map(|p| p.3.len()).sum();
-
-        let allowed = {
-            let mut f = self.fault.lock();
-            match f.packets_left {
-                None => total_packets,
-                Some(left) => {
-                    let allowed = (left as usize).min(total_packets);
-                    f.packets_left = Some(left - allowed as u64);
-                    allowed
-                }
-            }
-        };
-
-        // Deliver packet-aligned prefixes range by range and accumulate the
-        // single-message latency as we go.
-        let mut ns = 0u64;
-        let mut sent_any = false;
-        let mut last_byte = None;
-        let mut delivered_total = 0usize;
-        let mut budget = allowed;
-        let mut st_packets = (0u64, 0u64); // (full64, line16)
-        for (seg, offset, data, packets) in &plans {
-            if budget == 0 {
-                break;
-            }
-            let take = budget.min(packets.len());
-            budget -= take;
-            for (i, p) in packets[..take].iter().enumerate() {
-                ns += match (p.kind, !sent_any && i == 0) {
-                    (PacketKind::Full64, true) => self.params.pkt64_first_ns,
-                    (PacketKind::Full64, false) => self.params.pkt64_stream_ns,
-                    (PacketKind::Line16, true) => self.params.pkt16_first_ns,
-                    (PacketKind::Line16, false) => self.params.pkt16_stream_ns,
-                };
-                match p.kind {
-                    PacketKind::Full64 => st_packets.0 += 1,
-                    PacketKind::Line16 => st_packets.1 += 1,
-                }
-            }
-            sent_any |= take > 0;
-            let bytes: usize = packets[..take].iter().map(|p| p.store_bytes).sum();
-            if bytes > 0 {
-                let info = self.node.segment_info(*seg)?;
-                last_byte = Some(BufferAddr::from_phys(
-                    info.base_addr + *offset as u64 + bytes as u64 - 1,
-                ));
-                self.node.write(*seg, *offset, &data[..bytes])?;
-                delivered_total += bytes;
-            }
+        let mut st = self.state.lock();
+        let sent = st.admit(packets);
+        // Deliver packet-aligned prefixes range by range, charging one
+        // message as we go; once the budget is spent, ranges deliver
+        // nothing.
+        let mut msg = Message::default();
+        let mut budget = sent;
+        let mut delivered = 0;
+        for &(seg, offset, data) in writes {
+            let (start, dst) = node.range(seg, offset, data.len())?;
+            let bytes = prefix_bytes(start, data.len(), budget);
+            dst[..bytes].copy_from_slice(&data[..bytes]);
+            let burst = msg.push(&self.params, start, bytes);
+            budget -= burst.packets();
+            st.stats.packets64 += burst.full64;
+            st.stats.packets16 += burst.line16;
+            delivered += bytes;
         }
-        if sent_any {
-            ns += self.params.base_ns;
-            if let Some(b) = last_byte {
-                if !b.is_last_word() {
-                    ns += self.params.partial_flush_ns;
-                }
-            }
-            self.clock.advance(SimDuration::from_nanos(ns));
-        }
+        st.stats.writes += 1;
+        st.stats.bytes_written += delivered as u64;
+        drop((st, node));
+        self.clock.advance(msg.latency(&self.params));
 
-        let mut st = self.stats.lock();
-        st.writes += 1;
-        st.bytes_written += delivered_total as u64;
-        st.packets64 += st_packets.0;
-        st.packets16 += st_packets.1;
-        drop(st);
-
-        if allowed < total_packets {
-            Err(SciError::LinkDown {
-                delivered: delivered_total,
-            })
+        if sent < packets {
+            Err(SciError::LinkDown { delivered })
         } else {
             Ok(())
         }
@@ -356,12 +273,12 @@ impl SciLink {
         &self,
         ranges: &[(SegmentId, usize, usize)],
     ) -> Result<SimDuration, SciError> {
-        let mut phys = Vec::with_capacity(ranges.len());
+        let mut msg = Message::default();
         for &(seg, offset, len) in ranges {
-            let info = self.node.segment_info(seg)?;
-            phys.push((info.base_addr + offset as u64, len));
+            let start = self.node.segment_info(seg)?.base_addr + offset as u64;
+            msg.push(&self.params, start, len);
         }
-        Ok(remote_write_v_latency(&self.params, &phys))
+        Ok(msg.latency(&self.params))
     }
 }
 
@@ -584,5 +501,34 @@ mod tests {
         ));
         node.crash();
         assert_eq!(link.remote_write(seg, 0, &[0]), Err(SciError::NodeCrashed));
+    }
+
+    #[test]
+    fn a_refused_write_charges_nothing() {
+        let (clock, node, link) = setup();
+        let seg = node.export_segment(128, 0).unwrap();
+        link.remote_write(seg, 0, &[1; 64]).unwrap();
+        // Two packets left: a refused write must not spend them.
+        link.cut_after_packets(2);
+        let (t0, st0) = (clock.now(), link.stats());
+        assert!(matches!(
+            link.remote_write(seg, 100, &[2; 64]),
+            Err(SciError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            link.remote_write_v(&[(seg, 0, &[3; 64]), (seg, 100, &[3; 64])]),
+            Err(SciError::OutOfBounds { .. })
+        ));
+        assert_eq!(clock.now(), t0, "no latency charged");
+        assert_eq!(link.stats(), st0, "no packets or bytes counted");
+        assert!(!link.is_down());
+        // The whole budget is still there: two full packets go out, the
+        // third is cut.
+        link.remote_write(seg, 0, &[4; 128]).unwrap();
+        assert!(link.is_down());
+        assert_eq!(
+            link.remote_write(seg, 0, &[5; 64]),
+            Err(SciError::LinkDown { delivered: 0 })
+        );
     }
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 
 use crate::SciError;
@@ -60,6 +60,17 @@ struct Segment {
     data: Vec<u8>,
     tag: u64,
     base_addr: u64,
+}
+
+impl Segment {
+    fn info(&self, id: SegmentId) -> SegmentInfo {
+        SegmentInfo {
+            id,
+            len: self.data.len(),
+            tag: self.tag,
+            base_addr: self.base_addr,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -138,6 +149,16 @@ impl NodeMemory {
     /// Returns [`SciError::NodeCrashed`] if the node is down and
     /// [`SciError::OutOfMemory`] if capacity is exhausted.
     pub fn export_segment(&self, len: usize, tag: u64) -> Result<SegmentId, SciError> {
+        self.export(len, tag).map(|info| info.id)
+    }
+
+    /// [`NodeMemory::export_segment`], returning the new segment's
+    /// metadata.
+    ///
+    /// # Errors
+    ///
+    /// As [`NodeMemory::export_segment`].
+    pub fn export(&self, len: usize, tag: u64) -> Result<SegmentInfo, SciError> {
         let mut g = self.inner.lock();
         if g.crashed {
             return Err(SciError::NodeCrashed);
@@ -158,15 +179,14 @@ impl NodeMemory {
         let base_addr = crate::addr::align_up(g.next_addr);
         g.next_addr = base_addr + len as u64;
         g.used += len;
-        g.segments.insert(
-            id,
-            Segment {
-                data: crate::image::zeroed(len),
-                tag,
-                base_addr,
-            },
-        );
-        Ok(id)
+        let seg = Segment {
+            data: crate::image::zeroed(len),
+            tag,
+            base_addr,
+        };
+        let info = seg.info(id);
+        g.segments.insert(id, seg);
+        Ok(info)
     }
 
     /// Frees an exported segment (the paper's *remote free*).
@@ -196,24 +216,10 @@ impl NodeMemory {
     /// Fails with [`SciError::SegmentNotFound`], [`SciError::OutOfBounds`],
     /// or [`SciError::NodeCrashed`].
     pub fn write(&self, id: SegmentId, offset: usize, data: &[u8]) -> Result<(), SciError> {
-        let mut g = self.inner.lock();
-        if g.crashed {
-            return Err(SciError::NodeCrashed);
-        }
-        let seg = g
-            .segments
-            .get_mut(&id)
-            .ok_or(SciError::SegmentNotFound(id))?;
-        let end = offset
-            .checked_add(data.len())
-            .filter(|&e| e <= seg.data.len())
-            .ok_or(SciError::OutOfBounds {
-                segment: id,
-                offset,
-                len: data.len(),
-                segment_len: seg.data.len(),
-            })?;
-        seg.data[offset..end].copy_from_slice(data);
+        self.lock()?
+            .range(id, offset, data.len())?
+            .1
+            .copy_from_slice(data);
         Ok(())
     }
 
@@ -224,7 +230,8 @@ impl NodeMemory {
     /// Fails with [`SciError::SegmentNotFound`], [`SciError::OutOfBounds`],
     /// or [`SciError::NodeCrashed`].
     pub fn read(&self, id: SegmentId, offset: usize, buf: &mut [u8]) -> Result<(), SciError> {
-        self.with_bytes(id, offset, buf.len(), |src| buf.copy_from_slice(src))
+        buf.copy_from_slice(self.lock()?.range(id, offset, buf.len())?.1);
+        Ok(())
     }
 
     /// Appends `len` bytes of segment `id` at byte `offset` to `out`,
@@ -241,33 +248,18 @@ impl NodeMemory {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), SciError> {
-        self.with_bytes(id, offset, len, |src| out.extend_from_slice(src))
+        out.extend_from_slice(self.lock()?.range(id, offset, len)?.1);
+        Ok(())
     }
 
-    /// Runs `f` over `len` bytes of segment `id` at byte `offset`, under
-    /// the node's lock.
-    fn with_bytes<T>(
-        &self,
-        id: SegmentId,
-        offset: usize,
-        len: usize,
-        f: impl FnOnce(&[u8]) -> T,
-    ) -> Result<T, SciError> {
+    /// The node under its lock, once it is known to be up: an operation
+    /// checks, charges and copies under this one lock.
+    pub(crate) fn lock(&self) -> Result<Locked<'_>, SciError> {
         let g = self.inner.lock();
         if g.crashed {
             return Err(SciError::NodeCrashed);
         }
-        let seg = g.segments.get(&id).ok_or(SciError::SegmentNotFound(id))?;
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= seg.data.len())
-            .ok_or(SciError::OutOfBounds {
-                segment: id,
-                offset,
-                len,
-                segment_len: seg.data.len(),
-            })?;
-        Ok(f(&seg.data[offset..end]))
+        Ok(Locked(g))
     }
 
     /// Metadata for segment `id`.
@@ -282,12 +274,7 @@ impl NodeMemory {
         }
         g.segments
             .get(&id)
-            .map(|s| SegmentInfo {
-                id,
-                len: s.data.len(),
-                tag: s.tag,
-                base_addr: s.base_addr,
-            })
+            .map(|s| s.info(id))
             .ok_or(SciError::SegmentNotFound(id))
     }
 
@@ -301,15 +288,7 @@ impl NodeMemory {
         if g.crashed {
             return Err(SciError::NodeCrashed);
         }
-        Ok(g.segments
-            .iter()
-            .map(|(&id, s)| SegmentInfo {
-                id,
-                len: s.data.len(),
-                tag: s.tag,
-                base_addr: s.base_addr,
-            })
-            .collect())
+        Ok(g.segments.iter().map(|(&id, s)| s.info(id)).collect())
     }
 
     /// Finds the first segment carrying client tag `tag` (the lookup behind
@@ -322,12 +301,7 @@ impl NodeMemory {
         g.segments
             .iter()
             .find(|(_, s)| s.tag == tag)
-            .map(|(&id, s)| SegmentInfo {
-                id,
-                len: s.data.len(),
-                tag: s.tag,
-                base_addr: s.base_addr,
-            })
+            .map(|(&id, s)| s.info(id))
     }
 
     /// Bytes currently exported.
@@ -361,6 +335,36 @@ impl NodeMemory {
     /// `true` if `other` is a handle to the same node.
     pub fn same_node(&self, other: &NodeMemory) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
+    }
+}
+
+/// A node held under its lock (see [`NodeMemory::lock`]).
+pub(crate) struct Locked<'a>(MutexGuard<'a, Inner>);
+
+impl Locked<'_> {
+    /// The physical address and the bytes of the `len` bytes of segment
+    /// `id` at `offset`, once the range is checked.
+    pub(crate) fn range(
+        &mut self,
+        id: SegmentId,
+        offset: usize,
+        len: usize,
+    ) -> Result<(u64, &mut [u8]), SciError> {
+        let seg = self
+            .0
+            .segments
+            .get_mut(&id)
+            .ok_or(SciError::SegmentNotFound(id))?;
+        let end = offset
+            .checked_add(len)
+            .filter(|&e| e <= seg.data.len())
+            .ok_or(SciError::OutOfBounds {
+                segment: id,
+                offset,
+                len,
+                segment_len: seg.data.len(),
+            })?;
+        Ok((seg.base_addr + offset as u64, &mut seg.data[offset..end]))
     }
 }
 
