@@ -58,9 +58,7 @@ fn build(name: &str, cfg: PerseasConfig) -> (Perseas<SimRemote>, RegionId, SimCl
 /// that hold the entire hot set (cells `0..2*WRITERS`) during every
 /// round's claim window. `mvcc` picks snapshot reads over claimed reads.
 fn run_arm(readers: usize, mvcc: bool) -> Arm {
-    let cfg = PerseasConfig::default()
-        .with_concurrent(true)
-        .with_mvcc(mvcc);
+    let cfg = PerseasConfig::default().with_concurrent(true);
     let name = format!(
         "snap-bench-{}-{readers}",
         if mvcc { "mvcc" } else { "legacy" }

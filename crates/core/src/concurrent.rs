@@ -387,7 +387,7 @@ impl<M: RemoteMemory> ConcurrentPerseas<M> {
     ///
     /// # Errors
     ///
-    /// Fails when MVCC is disabled or after an unrecovered crash.
+    /// Fails after an unrecovered crash.
     pub fn begin_snapshot(&self) -> Result<SnapshotToken, TxnError> {
         self.shared.lock_db().begin_snapshot()
     }
@@ -595,9 +595,10 @@ mod tests {
 
     #[test]
     fn a_pinned_watermark_never_costs_a_commit_slot() {
-        let cfg = cfg().with_commit_slots(4);
+        let cfg = cfg();
+        let others = cfg.commit_slots + 8;
         let mut db = Perseas::init(vec![SimRemote::new("m")], cfg).unwrap();
-        let r = db.malloc(256).unwrap();
+        let r = db.malloc(8 * (others + 1)).unwrap();
         db.init_remote_db().unwrap();
         let shared = ConcurrentPerseas::new(db).unwrap();
         // The oldest open transaction pins the watermark while another
@@ -605,8 +606,8 @@ mod tests {
         let pinned = shared.begin_transaction().unwrap();
         pinned.update(r, 0, &[1; 8]).unwrap();
         let db = shared.clone();
-        let others = thread::spawn(move || {
-            for i in 1..8 {
+        let committer = thread::spawn(move || {
+            for i in 1..=others {
                 db.transaction(|tx| tx.update(r, i * 8, &[2; 8])).unwrap();
             }
         });
@@ -614,8 +615,8 @@ mod tests {
         pinned
             .commit()
             .expect("the pinned transaction kept its slot");
-        others.join().expect("no later commit ran out of slots");
-        assert_eq!(shared.stats().commits, 8);
+        committer.join().expect("no later commit ran out of slots");
+        assert_eq!(shared.stats().commits, others as u64 + 1);
     }
 
     #[test]

@@ -53,10 +53,6 @@ pub struct PerseasConfig {
     /// [`perseas_txn::TxnError::FencedMirror`]. The default of 0 admits
     /// every mirror, including pre-epoch images.
     pub min_epoch: u64,
-    /// How many times `ReadReplica::refresh` restarts its copy when the
-    /// mirror commits concurrently, before giving up with
-    /// [`perseas_txn::TxnError::SnapshotContention`].
-    pub snapshot_retries: usize,
     /// Pacing for reconnect probes against `Down` mirrors
     /// ([`crate::Perseas::probe_down_mirrors`]): exponential backoff
     /// with deterministic jitter, charged to the simulated clock for sim
@@ -72,28 +68,28 @@ pub struct PerseasConfig {
     /// engine stays byte-for-byte identical to the paper's protocol.
     pub concurrent: bool,
     /// Number of 8-byte commit-table slots appended to the metadata
-    /// segment when `concurrent` is on. Bounds how many transactions may
-    /// be committed above the watermark while older transactions are
+    /// segment when `concurrent` is on: 64. Bounds how many transactions
+    /// may be committed above the watermark while older transactions are
     /// still open; a full table fails the commit `Unavailable` until the
-    /// watermark advances.
-    pub commit_slots: usize,
+    /// watermark advances. Recovery takes it from the mirror's header.
+    pub(crate) commit_slots: usize,
     /// Which shard of a [`crate::ShardedPerseas`] database this instance
-    /// is. Meaningful only when `shard_count > 0`; set by
-    /// [`PerseasConfig::with_shard`].
-    pub shard_index: u16,
+    /// is. Meaningful only when `shard_count > 0`.
+    pub(crate) shard_index: u16,
     /// Total shard count of the sharded database this instance belongs
-    /// to. Zero (the default) means unsharded: no intent or decision
-    /// tables are laid out and the image carries no shard flag.
-    pub shard_count: u16,
-    /// Number of 32-byte intent slots in a sharded metadata segment.
+    /// to. Zero means unsharded: no intent or decision tables are laid
+    /// out and the image carries no shard flag. Only
+    /// [`crate::ShardedPerseas`] sets it.
+    pub(crate) shard_count: u16,
+    /// Number of 32-byte intent slots in a sharded metadata segment: 16.
     /// Bounds how many cross-shard transactions may simultaneously hold a
     /// prepared part on one shard.
-    pub intent_slots: usize,
-    /// Number of 16-byte decision slots in a sharded metadata segment.
-    /// Bounds how many cross-shard decisions may be in flight on one home
-    /// shard between the decision write and the end of its commit
+    pub(crate) intent_slots: usize,
+    /// Number of 16-byte decision slots in a sharded metadata segment:
+    /// 16. Bounds how many cross-shard decisions may be in flight on one
+    /// home shard between the decision write and the end of its commit
     /// fan-out.
-    pub decision_slots: usize,
+    pub(crate) decision_slots: usize,
     /// Commit through the REDO-only log-structured path: `set_range`
     /// keeps its before-image **local** (aborts stay cheap) and commit
     /// appends CRC-framed after-images to a segmented remote redo log
@@ -113,21 +109,6 @@ pub struct PerseasConfig {
     /// full and uncompacted, commits fail `Unavailable` until
     /// [`crate::Perseas::redo_snapshot`] retires segments.
     pub redo_segments: usize,
-    /// Keep an in-memory version store of committed before-images so
-    /// [`crate::Perseas::begin_snapshot`] can serve claim-free snapshot
-    /// reads at a pinned commit watermark. Off by default: with the store
-    /// disabled the engine's behaviour (and its virtual-time cost) is
-    /// byte-identical to the paper's protocol.
-    pub mvcc: bool,
-    /// Byte budget of the version store's retained before-images. When a
-    /// new committed version would push the store past this budget, the
-    /// oldest versions are evicted whole — snapshots pinned below the new
-    /// floor then fail typed with
-    /// [`perseas_txn::TxnError::SnapshotTooOld`].
-    pub version_bytes: usize,
-    /// Maximum number of committed versions (one per transaction) the
-    /// version store retains, evicted oldest-first like the byte budget.
-    pub version_entries: usize,
 }
 
 impl PerseasConfig {
@@ -142,7 +123,6 @@ impl PerseasConfig {
             batched_commit: false,
             commit_quorum: 1,
             min_epoch: 0,
-            snapshot_retries: 8,
             probe_backoff: BackoffPolicy::default(),
             concurrent: false,
             commit_slots: 64,
@@ -153,9 +133,6 @@ impl PerseasConfig {
             redo: false,
             redo_segment_bytes: 64 << 10,
             redo_segments: 8,
-            mvcc: false,
-            version_bytes: 1 << 20,
-            version_entries: 4096,
         }
     }
 
@@ -228,17 +205,6 @@ impl PerseasConfig {
         self
     }
 
-    /// Sets the snapshot retry budget for `ReadReplica::refresh`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retries` is zero.
-    pub fn with_snapshot_retries(mut self, retries: usize) -> Self {
-        assert!(retries > 0, "at least one snapshot attempt is required");
-        self.snapshot_retries = retries;
-        self
-    }
-
     /// Sets the pacing policy for down-mirror reconnect probes.
     pub fn with_probe_backoff(mut self, policy: BackoffPolicy) -> Self {
         self.probe_backoff = policy;
@@ -253,53 +219,6 @@ impl PerseasConfig {
         if concurrent {
             self.batched_commit = true;
         }
-        self
-    }
-
-    /// Sets the commit-table slot count used when `concurrent` is on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn with_commit_slots(mut self, slots: usize) -> Self {
-        assert!(slots > 0, "commit_slots must be positive");
-        self.commit_slots = slots;
-        self
-    }
-
-    /// Marks this instance as shard `index` of a `count`-shard
-    /// [`crate::ShardedPerseas`] database. Implies the concurrent engine
-    /// (cross-shard commits are built on `prepare_t`), and lays out the
-    /// intent and decision tables in the metadata segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero, `index` is out of range, or
-    /// `commit_slots` is odd (the decision table must start on a 16-byte
-    /// line).
-    pub fn with_shard(mut self, index: u16, count: u16) -> Self {
-        assert!(count > 0, "shard count must be positive");
-        assert!(index < count, "shard index {index} out of range 0..{count}");
-        assert!(
-            self.commit_slots.is_multiple_of(2),
-            "sharded layouts need an even commit_slots"
-        );
-        self.shard_index = index;
-        self.shard_count = count;
-        self.with_concurrent(true)
-    }
-
-    /// Sets the intent- and decision-slot counts used when the instance
-    /// is sharded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either count is zero.
-    pub fn with_coordination_slots(mut self, intent: usize, decision: usize) -> Self {
-        assert!(intent > 0, "intent_slots must be positive");
-        assert!(decision > 0, "decision_slots must be positive");
-        self.intent_slots = intent;
-        self.decision_slots = decision;
         self
     }
 
@@ -327,27 +246,6 @@ impl PerseasConfig {
         assert!(segments > 0, "redo_segments must be positive");
         self.redo_segment_bytes = segment_bytes;
         self.redo_segments = segments;
-        self
-    }
-
-    /// Enables the in-memory version store so snapshot reads can be
-    /// served (see the [`mvcc`](PerseasConfig::mvcc) field).
-    pub fn with_mvcc(mut self, mvcc: bool) -> Self {
-        self.mvcc = mvcc;
-        self
-    }
-
-    /// Sets the version store's retention budgets: at most `bytes` of
-    /// before-images across at most `entries` committed versions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either budget is zero.
-    pub fn with_version_budget(mut self, bytes: usize, entries: usize) -> Self {
-        assert!(bytes > 0, "version_bytes must be positive");
-        assert!(entries > 0, "version_entries must be positive");
-        self.version_bytes = bytes;
-        self.version_entries = entries;
         self
     }
 }
@@ -387,7 +285,6 @@ mod tests {
         let c = PerseasConfig::new();
         assert_eq!(c.commit_quorum, 1, "paper: survive any single crash");
         assert_eq!(c.min_epoch, 0, "admit pre-epoch images");
-        assert_eq!(c.snapshot_retries, 8);
         assert_eq!(c.probe_backoff, BackoffPolicy::default());
     }
 
@@ -396,11 +293,9 @@ mod tests {
         let c = PerseasConfig::new()
             .with_commit_quorum(2)
             .with_min_epoch(5)
-            .with_snapshot_retries(3)
             .with_probe_backoff(BackoffPolicy::from_millis(2, 8));
         assert_eq!(c.commit_quorum, 2);
         assert_eq!(c.min_epoch, 5);
-        assert_eq!(c.snapshot_retries, 3);
         assert_eq!(c.probe_backoff, BackoffPolicy::from_millis(2, 8));
     }
 
@@ -408,12 +303,6 @@ mod tests {
     #[should_panic(expected = "quorum")]
     fn zero_quorum_rejected() {
         let _ = PerseasConfig::new().with_commit_quorum(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot")]
-    fn zero_snapshot_retries_rejected() {
-        let _ = PerseasConfig::new().with_snapshot_retries(0);
     }
 
     #[test]
@@ -438,32 +327,9 @@ mod tests {
         let c = PerseasConfig::new();
         assert!(!c.concurrent);
         assert_eq!(c.commit_slots, 64);
-        let c = PerseasConfig::new()
-            .with_concurrent(true)
-            .with_commit_slots(8);
+        let c = PerseasConfig::new().with_concurrent(true);
         assert!(c.concurrent);
         assert!(c.batched_commit, "group commits ride the batched pipeline");
-        assert_eq!(c.commit_slots, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "commit_slots")]
-    fn zero_commit_slots_rejected() {
-        let _ = PerseasConfig::new().with_commit_slots(0);
-    }
-
-    #[test]
-    fn mvcc_defaults_off_with_bounded_budgets() {
-        let c = PerseasConfig::new();
-        assert!(!c.mvcc, "the version store must cost nothing by default");
-        assert_eq!(c.version_bytes, 1 << 20);
-        assert_eq!(c.version_entries, 4096);
-        let c = PerseasConfig::new()
-            .with_mvcc(true)
-            .with_version_budget(512, 4);
-        assert!(c.mvcc);
-        assert_eq!(c.version_bytes, 512);
-        assert_eq!(c.version_entries, 4);
     }
 
     #[test]
@@ -491,17 +357,5 @@ mod tests {
     #[should_panic(expected = "redo_segments")]
     fn zero_redo_segments_rejected() {
         let _ = PerseasConfig::new().with_redo_log(4096, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "version_bytes")]
-    fn zero_version_bytes_rejected() {
-        let _ = PerseasConfig::new().with_version_budget(0, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "version_entries")]
-    fn zero_version_entries_rejected() {
-        let _ = PerseasConfig::new().with_version_budget(512, 0);
     }
 }

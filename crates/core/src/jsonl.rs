@@ -269,6 +269,7 @@ impl Tracer for JsonlTracer {
                 bytes,
                 floor_seq,
                 store_bytes,
+                store_versions,
             } => (
                 "version_evicted",
                 vec![
@@ -276,6 +277,7 @@ impl Tracer for JsonlTracer {
                     ("bytes", Json::UInt(*bytes as u64)),
                     ("floor_seq", Json::UInt(*floor_seq)),
                     ("store_bytes", Json::UInt(*store_bytes as u64)),
+                    ("store_versions", Json::UInt(*store_versions as u64)),
                 ],
             ),
             TraceEvent::RedoAppend {

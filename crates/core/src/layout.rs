@@ -50,14 +50,13 @@ pub const OFF_COMMIT_SLOTS: usize = 44;
 /// log opens with a group-header line and a commit table of
 /// [`MetaHeader::commit_slots`] slots trails the region table. Recovery
 /// must use the concurrent scan rules.
-pub const FLAG_CONCURRENT: u32 = 1;
+pub(crate) const FLAG_CONCURRENT: u32 = 1;
 
 /// Flags bit: the image belongs to one shard of a
 /// [`crate::ShardedPerseas`] database. The header carries the shard
 /// coordinates at `OFF_SHARD`, and an intent table plus a decision
-/// table sit between the region table and the commit table (see
-/// [`intent_table_offset`] / [`decision_table_offset`]). Implies
-/// [`FLAG_CONCURRENT`].
+/// table sit between the region table and the commit table. Implies
+/// the concurrent-engine flag.
 pub const FLAG_SHARDED: u32 = 2;
 
 /// Byte offset of the shard-coordinate line: `intent_slots: u16`,
@@ -74,13 +73,13 @@ pub const DECISION_MAGIC: u32 = 0x4443_4E31; // "DCN1"
 /// Bytes per intent slot: magic, CRC, local txn id, global txn id, home
 /// shard, pad. Two 16-byte lines; the CRC makes a torn write read as
 /// absent rather than as a bogus intent.
-pub const INTENT_SLOT_SIZE: usize = 32;
+pub(crate) const INTENT_SLOT_SIZE: usize = 32;
 
 /// Bytes per decision slot: magic, CRC, global txn id. Exactly one
 /// 16-byte line, so the SCI card delivers the whole slot in a single
 /// packet — writing it is the atomic commit point of a cross-shard
 /// transaction.
-pub const DECISION_SLOT_SIZE: usize = 16;
+pub(crate) const DECISION_SLOT_SIZE: usize = 16;
 
 /// Byte offset of the commit record (`last_committed` transaction id).
 /// Deliberately placed so the 8-byte record ends on the last word of its
@@ -103,7 +102,7 @@ pub const REGION_ENTRY_SIZE: usize = 16;
 /// entries) sits directly before the intent table (see
 /// `redo_dir_end`). Recovery must replay the committed log suffix onto
 /// the last snapshot image instead of rolling back.
-pub const FLAG_REDO: u32 = 4;
+pub(crate) const FLAG_REDO: u32 = 4;
 
 /// Magic value opening the redo-directory header line.
 pub const REDO_DIR_MAGIC: u32 = 0x5244_4F31; // "RDO1"
@@ -127,7 +126,7 @@ pub const REDO_ENTRY_SIZE: usize = 16;
 /// aborted id can never resurrect its bytes. Tombstones are CRC-framed
 /// like any record, so a torn tombstone is simply not there yet — and
 /// the id it would have killed is still above the durable watermark.
-pub const REDO_TOMBSTONE_REGION: u32 = u32::MAX;
+pub(crate) const REDO_TOMBSTONE_REGION: u32 = u32::MAX;
 
 /// Magic value opening every undo record.
 pub const UNDO_MAGIC: u32 = 0x554E_444F; // "UNDO"
@@ -162,7 +161,7 @@ pub fn meta_segment_size_concurrent(max_regions: usize, commit_slots: usize) -> 
 /// Panics on an odd `commit_slots`: the decision table must start on a
 /// 16-byte line for its single-packet atomicity, and the 8-byte commit
 /// slots trail it.
-pub fn meta_segment_size_sharded(
+pub(crate) fn meta_segment_size_sharded(
     max_regions: usize,
     commit_slots: usize,
     intent_slots: usize,
@@ -188,13 +187,17 @@ pub fn commit_table_offset(meta_len: usize, commit_slots: usize) -> usize {
 /// Byte offset of the decision table: `decision_slots` 16-byte slots
 /// directly before the tail commit table. Like the commit table it is
 /// located from the segment end, so recovery needs no `max_regions`.
-pub fn decision_table_offset(meta_len: usize, commit_slots: usize, decision_slots: usize) -> usize {
+pub(crate) fn decision_table_offset(
+    meta_len: usize,
+    commit_slots: usize,
+    decision_slots: usize,
+) -> usize {
     commit_table_offset(meta_len, commit_slots) - decision_slots * DECISION_SLOT_SIZE
 }
 
 /// Byte offset of the intent table: `intent_slots` 32-byte slots directly
 /// before the decision table.
-pub fn intent_table_offset(
+pub(crate) fn intent_table_offset(
     meta_len: usize,
     commit_slots: usize,
     intent_slots: usize,
@@ -334,7 +337,7 @@ pub fn decode_intent_slot(buf: &[u8], off: usize) -> Option<(u64, u64, u32)> {
 
 /// Decodes every live intent slot of a full sharded metadata image,
 /// returning `(slot index, local, global, home)` per live slot.
-pub fn decode_intent_table(
+pub(crate) fn decode_intent_table(
     meta_image: &[u8],
     commit_slots: usize,
     intent_slots: usize,
@@ -376,7 +379,7 @@ pub fn decode_decision_slot(buf: &[u8], off: usize) -> Option<u64> {
 
 /// Decodes every live decision slot of a full sharded metadata image into
 /// the set of committed global transaction ids.
-pub fn decode_decision_table(
+pub(crate) fn decode_decision_table(
     meta_image: &[u8],
     commit_slots: usize,
     decision_slots: usize,
@@ -456,7 +459,8 @@ pub struct MetaHeader {
     /// Mirror-set epoch this mirror last participated in (0 in images
     /// written before epochs existed).
     pub epoch: u64,
-    /// Engine flags ([`FLAG_CONCURRENT`]); 0 in legacy images.
+    /// Engine flags (concurrent, [`FLAG_SHARDED`], redo); 0 in legacy
+    /// images.
     pub flags: u32,
     /// Number of 8-byte commit-table slots trailing the region table
     /// (0 in legacy images).
@@ -472,8 +476,8 @@ pub struct MetaHeader {
     pub shard_index: u16,
     /// Total shard count of the sharded database (0 when unsharded).
     pub shard_count: u16,
-    /// Id of the last committed transaction (the commit record). Under
-    /// [`FLAG_CONCURRENT`] this is the resolution watermark.
+    /// Id of the last committed transaction (the commit record). In an
+    /// image of the concurrent engine this is the resolution watermark.
     pub last_committed: u64,
 }
 

@@ -76,12 +76,10 @@ pub use config::PerseasConfig;
 pub use fault::FaultPlan;
 pub use jsonl::JsonlTracer;
 pub use layout::{
-    commit_table_offset, crc32, decision_table_offset, decode_commit_table, decode_decision_slot,
-    decode_decision_table, decode_group_header, decode_intent_slot, decode_intent_table,
-    decode_redo_dir_header, decode_region_entry, encode_decision_slot, encode_group_header,
-    encode_intent_slot, encode_redo_dir_header, intent_table_offset, meta_segment_size_sharded,
-    MetaHeader, RedoRecord, UndoRecord, DECISION_SLOT_SIZE, FLAG_CONCURRENT, FLAG_REDO,
-    FLAG_SHARDED, INTENT_SLOT_SIZE, META_TAG, OFF_COMMIT, OFF_EPOCH, REDO_TOMBSTONE_REGION,
+    commit_table_offset, crc32, decode_commit_table, decode_decision_slot, decode_group_header,
+    decode_intent_slot, decode_redo_dir_header, decode_region_entry, encode_decision_slot,
+    encode_group_header, encode_intent_slot, encode_redo_dir_header, MetaHeader, RedoRecord,
+    UndoRecord, FLAG_SHARDED, META_TAG, OFF_COMMIT, OFF_EPOCH,
 };
 pub use metrics::{record_recovery, record_shard_recovery};
 pub use perseas::{MirrorHealth, MirrorStatus, Perseas};

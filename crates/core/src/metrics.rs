@@ -190,7 +190,7 @@ impl CoreMetrics {
             ),
             version_evictions: r.counter(
                 "perseas_version_evictions_total",
-                "Committed versions evicted from the version store.",
+                "Versions dropped from the version store: released when the snapshots that needed them closed, or evicted past open ones by the byte/entry budget.",
             ),
             version_evicted_bytes: r.counter(
                 "perseas_version_evicted_bytes_total",
@@ -398,12 +398,13 @@ impl CoreMetrics {
                 versions,
                 bytes,
                 store_bytes,
+                store_versions,
                 ..
             } => {
                 self.version_evictions.add(*versions as u64);
                 self.version_evicted_bytes.add(*bytes as u64);
                 self.version_store_bytes.set(*store_bytes as i64);
-                self.version_store_versions.add(-(*versions as i64));
+                self.version_store_versions.set(*store_versions as i64);
             }
             TraceEvent::RedoAppend {
                 records,

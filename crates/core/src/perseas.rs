@@ -212,7 +212,8 @@ pub struct Perseas<M: RemoteMemory> {
     pub(crate) metrics: Option<CoreMetrics>,
     /// State of the concurrent engine (unused unless `cfg.concurrent`).
     pub(crate) conc: ConcState,
-    /// The version store behind snapshot reads (empty unless `cfg.mvcc`).
+    /// The version store behind snapshot reads (empty while no snapshot
+    /// is open).
     pub(crate) mvcc: MvccState,
     /// State of the segmented redo log (unused unless `cfg.redo`).
     pub(crate) redo: crate::redo::RedoState,
@@ -294,7 +295,7 @@ impl<M: RemoteMemory> Perseas<M> {
             tracer: None,
             metrics: None,
             conc: ConcState::new(cfg.commit_slots),
-            mvcc: MvccState::new(cfg.version_bytes, cfg.version_entries),
+            mvcc: MvccState::new(),
             redo: crate::redo::RedoState::new(cfg.redo_segments),
         }
     }
@@ -616,19 +617,15 @@ impl<M: RemoteMemory> Perseas<M> {
     /// never fail with [`TxnError::Conflict`] or
     /// [`TxnError::SnapshotContention`]. Close with
     /// [`Perseas::end_snapshot`] so the store can evict past the pin.
+    /// Commits keep their before-images in the store only while some
+    /// snapshot is open.
     ///
     /// # Errors
     ///
-    /// Fails after a crash, or with [`TxnError::Unavailable`] when the
-    /// version store is disabled (see [`PerseasConfig::with_mvcc`]).
+    /// Fails after a crash.
     pub fn begin_snapshot(&mut self) -> Result<SnapshotToken, TxnError> {
         if self.phase == Phase::Crashed {
             return Err(TxnError::Crashed);
-        }
-        if !self.cfg.mvcc {
-            return Err(TxnError::Unavailable(
-                "MVCC version store is disabled; enable with PerseasConfig::with_mvcc".into(),
-            ));
         }
         let token = self.mvcc.begin();
         self.emit(TraceEvent::SnapshotBegin {
@@ -730,9 +727,14 @@ impl<M: RemoteMemory> Perseas<M> {
 
     /// Retains a committed transaction's before-images, its undo records
     /// `undo`, in the version store and emits the capture/eviction
-    /// telemetry. Charges nothing to the virtual clock, so enabling MVCC
-    /// never perturbs sim-mode measurements.
+    /// telemetry — or, with no snapshot open to read them, only advances
+    /// the store's sequence. Charges nothing to the virtual clock, so
+    /// snapshots never perturb sim-mode measurements.
     fn capture_version(&mut self, txn_id: u64, undo: &[u8]) {
+        if self.mvcc.open_count() == 0 {
+            self.mvcc.skip();
+            return;
+        }
         let records = undo_records(undo, 0, undo.len())
             .map(|(rec, payload)| {
                 (
@@ -759,6 +761,7 @@ impl<M: RemoteMemory> Perseas<M> {
                 bytes: evicted.bytes,
                 floor_seq: self.mvcc.floor(),
                 store_bytes: self.mvcc.version_bytes(),
+                store_versions: self.mvcc.version_count(),
             });
         }
     }
@@ -791,7 +794,7 @@ impl<M: RemoteMemory> Perseas<M> {
     /// `DegradedCommit` if a mirror is missing.
     pub(crate) fn finish_commits(&mut self, members: &[Member<'_>], group: Option<TraceEvent>) {
         for &(id, undo, ranges) in members {
-            if self.cfg.mvcc && !undo.is_empty() {
+            if !undo.is_empty() {
                 self.capture_version(id, undo);
             }
             self.emit(TraceEvent::TxnCommitted {

@@ -16,6 +16,11 @@ use crate::layout::{commit_table_offset, OFF_COMMIT};
 use crate::perseas::unavailable;
 use crate::recovery::MirrorImage;
 
+/// How many times [`ReadReplica::refresh`] restarts its copy when the
+/// mirror commits concurrently, before giving up with
+/// [`TxnError::SnapshotContention`].
+const SNAPSHOT_RETRIES: usize = 8;
+
 /// A read-only, transactionally consistent copy of a PERSEAS database,
 /// built from a mirror without modifying it.
 #[derive(Debug)]
@@ -41,7 +46,7 @@ impl<M: RemoteMemory> ReadReplica<M> {
     /// Fails if the mirror holds no (or corrupt) PERSEAS metadata, is
     /// unreachable ([`TxnError::Unavailable`]), is fenced
     /// ([`TxnError::FencedMirror`]), or keeps committing so fast that no
-    /// consistent snapshot forms within `cfg.snapshot_retries` attempts
+    /// consistent snapshot forms within 8 attempts
     /// ([`TxnError::SnapshotContention`] — the mirror is alive, retry).
     pub fn attach(mut backend: M, cfg: PerseasConfig) -> Result<Self, TxnError> {
         let meta = backend.connect_segment(cfg.meta_tag).map_err(unavailable)?;
@@ -79,18 +84,18 @@ impl<M: RemoteMemory> ReadReplica<M> {
     /// metadata, fenced mirrors ([`TxnError::FencedMirror`], carrying the
     /// attempt the fence was diagnosed on), or — as
     /// [`TxnError::SnapshotContention`], distinct from transport
-    /// failures — when the primary outruns `cfg.snapshot_retries`
-    /// attempts.
+    /// failures — when the primary outruns 8 attempts.
     pub fn refresh(&mut self) -> Result<u64, TxnError> {
-        let attempts = self.cfg.snapshot_retries;
-        for attempt in 1..=attempts {
+        for attempt in 1..=SNAPSHOT_RETRIES {
             if let Some(last) = self.try_refresh(attempt)? {
                 return Ok(last);
             }
         }
         // The mirror answered every read — it is alive, just committing
         // faster than we can copy. Distinct from a transport failure.
-        Err(TxnError::SnapshotContention { attempts })
+        Err(TxnError::SnapshotContention {
+            attempts: SNAPSHOT_RETRIES,
+        })
     }
 
     /// One snapshot attempt. Returns `Ok(None)` when the primary

@@ -287,11 +287,17 @@ fn named_global(region: RegionId, e: TxnError) -> TxnError {
     }
 }
 
-/// The per-shard config: shard `s` keeps its metadata under
-/// `meta_tag + s` and stamps its identity into the durable header.
+/// The per-shard config: shard `s` runs the concurrent engine (cross-shard
+/// commits are built on `prepare_t`), keeps its metadata under
+/// `meta_tag + s`, and stamps its identity into the durable header, which
+/// lays out the intent and decision tables.
 fn shard_cfg(base: &PerseasConfig, index: usize, count: usize) -> PerseasConfig {
-    base.with_meta_tag(base.meta_tag + index as u64)
-        .with_shard(index as u16, count as u16)
+    let mut cfg = base
+        .with_meta_tag(base.meta_tag + index as u64)
+        .with_concurrent(true);
+    cfg.shard_index = index as u16;
+    cfg.shard_count = count as u16;
+    cfg
 }
 
 impl<M: RemoteMemory> ShardedPerseas<M> {
@@ -307,8 +313,7 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
     ///
     /// # Panics
     ///
-    /// Panics on zero shards, more than `u16::MAX` shards, or an odd
-    /// `commit_slots` (the decision table must start on a 16-byte line).
+    /// Panics on zero shards or more than `u16::MAX` shards.
     pub fn init(backends: Vec<Vec<M>>, cfg: PerseasConfig) -> Result<Self, TxnError> {
         Self::init_with_clocks(
             backends.into_iter().map(|b| (b, SimClock::new())).collect(),
@@ -568,8 +573,7 @@ impl<M: RemoteMemory> ShardedPerseas<M> {
     ///
     /// # Errors
     ///
-    /// Fails when MVCC is disabled or after a crash; on failure no shard
-    /// keeps a snapshot open.
+    /// Fails after a crash; on failure no shard keeps a snapshot open.
     pub fn begin_snapshot_g(&mut self) -> Result<Vec<SnapshotToken>, TxnError> {
         self.ensure_alive()?;
         let mut snaps = Vec::with_capacity(self.shards.len());
@@ -1402,6 +1406,28 @@ mod tests {
         db.commit_g(g2).unwrap();
         assert!(db.intent_busy.iter().all(|v| v.iter().all(|b| !b)));
         assert!(db.decision_busy.iter().all(|v| v.iter().all(|b| !b)));
+    }
+
+    #[test]
+    fn cross_shard_snapshots_work_on_the_default_config() {
+        let mut db = sharded(2, 1);
+        let a = db.malloc(16).unwrap(); // shard 0
+        let b = db.malloc(16).unwrap(); // shard 1
+        db.init_remote_db().unwrap();
+        let snaps = db.begin_snapshot_g().unwrap();
+        let g = db.begin_global().unwrap();
+        for r in [a, b] {
+            db.set_range_g(g, r, 0, 8).unwrap();
+            db.write_g(g, r, 0, &[5; 8]).unwrap();
+        }
+        db.commit_g(g).unwrap();
+        for r in [a, b] {
+            let mut buf = [9u8; 8];
+            db.read_g_s(&snaps, r, 0, &mut buf).unwrap();
+            assert_eq!(buf, [0; 8], "the snapshot predates the commit");
+        }
+        db.end_snapshot_g(snaps);
+        assert!((0..2).all(|s| db.shard(s).version_store_bytes() == 0));
     }
 
     #[test]

@@ -189,9 +189,7 @@ pub enum TraceEvent {
         /// it was absent (part rolled back — presumed abort).
         committed: bool,
     },
-    /// A read snapshot opened, pinned at the current commit watermark
-    /// (MVCC only, see
-    /// [`PerseasConfig::with_mvcc`](crate::PerseasConfig::with_mvcc)).
+    /// A read snapshot opened, pinned at the current commit watermark.
     SnapshotBegin {
         /// Snapshot id.
         id: u64,
@@ -218,7 +216,7 @@ pub enum TraceEvent {
         floor_seq: u64,
     },
     /// A committed transaction's before-images were retained in the
-    /// version store.
+    /// version store (only while a snapshot is open).
     VersionCaptured {
         /// Commit sequence assigned to the version.
         seq: u64,
@@ -229,8 +227,9 @@ pub enum TraceEvent {
         /// Versions retained after the capture.
         versions: usize,
     },
-    /// The version store evicted versions (pruned past closed snapshots,
-    /// or pushed past open ones by budget pressure).
+    /// The version store evicted versions (released when the snapshots
+    /// that needed them closed, or pushed past open ones by budget
+    /// pressure).
     VersionEvicted {
         /// Versions removed.
         versions: usize,
@@ -240,6 +239,8 @@ pub enum TraceEvent {
         floor_seq: u64,
         /// Store payload bytes remaining.
         store_bytes: usize,
+        /// Versions remaining.
+        store_versions: usize,
     },
     /// A commit (or abort tombstone) appended records to the segmented
     /// redo log on every healthy mirror (redo mode only, see

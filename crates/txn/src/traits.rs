@@ -194,8 +194,7 @@ pub trait TransactionalMemory {
     ///
     /// # Errors
     ///
-    /// Fails when the system has no version store (the default), or when
-    /// it is disabled by configuration.
+    /// Fails when the system has no version store (the default).
     fn begin_snapshot(&mut self) -> Result<SnapshotToken, TxnError> {
         Err(TxnError::Unavailable(
             "snapshot reads are not supported by this system".into(),

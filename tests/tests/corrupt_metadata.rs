@@ -10,7 +10,9 @@
 
 use std::ops::Range;
 
-use perseas_core::{Perseas, PerseasConfig, ReadReplica, ShardedPerseas, TxnError, META_TAG};
+use perseas_core::{
+    MetaHeader, Perseas, PerseasConfig, ReadReplica, ShardedPerseas, TxnError, META_TAG,
+};
 use perseas_integration::reopen;
 use perseas_integration::shard_harness::{build_sharded, reopen_sharded, ShardCluster};
 use perseas_rnram::SimRemote;
@@ -131,10 +133,14 @@ fn a_commit_table_larger_than_its_segment_is_refused() {
 
 /// The areas the property corrupts in a metadata segment: the header,
 /// the live region-table entries, and the commit table at the
-/// segment's tail.
-fn areas(node: &NodeMemory, tag: u64, regions: usize, commit_slots: usize) -> Vec<Range<usize>> {
-    let len = node.find_by_tag(tag).expect("metadata segment").len;
-    [0..64, 64..64 + 16 * regions, len - 8 * commit_slots..len]
+/// segment's tail, as long as the clean header says it is.
+fn areas(node: &NodeMemory, tag: u64, regions: usize) -> Vec<Range<usize>> {
+    let meta = node.find_by_tag(tag).expect("metadata segment");
+    let mut header = [0u8; 64];
+    node.read(meta.id, 0, &mut header).unwrap();
+    let slots = MetaHeader::decode(&header).unwrap().commit_slots as usize;
+    let len = meta.len;
+    [0..64, 64..64 + 16 * regions, len - 8 * slots..len]
         .into_iter()
         .filter(|area| !area.is_empty())
         .collect()
@@ -171,12 +177,8 @@ fn read_corrupted(seed: u64, kind: Kind) {
             }
             _ => (single(kind), None),
         };
-        let slots = match kind {
-            Kind::Undo | Kind::Redo => 0,
-            Kind::Concurrent | Kind::Shard => c.commit_slots,
-        };
         let regions = if cluster.is_some() { 1 } else { REGIONS };
-        corrupt(&mut rng, &node, tag, &areas(&node, tag, regions, slots));
+        corrupt(&mut rng, &node, tag, &areas(&node, tag, regions));
         (node, cluster)
     };
     let spare = || reopen(&NodeMemory::new("spare"));

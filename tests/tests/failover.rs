@@ -1039,16 +1039,15 @@ fn snapshot_contention_is_a_distinct_error() {
         meta: None,
         cuts: Arc::clone(&cuts),
     };
-    let err = ReadReplica::attach(backend, PerseasConfig::default().with_snapshot_retries(3))
-        .unwrap_err();
+    let err = ReadReplica::attach(backend, PerseasConfig::default()).unwrap_err();
     assert!(
-        matches!(err, TxnError::SnapshotContention { attempts: 3 }),
+        matches!(err, TxnError::SnapshotContention { attempts: 8 }),
         "contention must not be reported as a transport failure: {err:?}"
     );
     assert!(err.to_string().contains("retry"), "{err}");
     // Every attempt is one vectored cut: no attempt falls back to
     // separate reads that could interleave with the primary's writes.
-    assert_eq!(cuts.load(Ordering::SeqCst), 3);
+    assert_eq!(cuts.load(Ordering::SeqCst), 8);
 }
 
 /// Like [`ContentiousRemote`], but after `fence_at - 1` header reads it
@@ -1128,9 +1127,7 @@ fn fence_after_contention_reports_the_final_attempt_count() {
         header_reads: 0,
         fence_at: 3,
     };
-    let cfg = PerseasConfig::default()
-        .with_snapshot_retries(5)
-        .with_min_epoch(1);
+    let cfg = PerseasConfig::default().with_min_epoch(1);
     let err = ReadReplica::attach(backend, cfg).unwrap_err();
     assert!(
         matches!(

@@ -6,22 +6,49 @@
 
 use perseas_core::{FaultPlan, Perseas, PerseasConfig, RegionId, TxnError};
 use perseas_integration::reopen;
+use perseas_obs::{parse_exposition, Registry};
 use perseas_rnram::SimRemote;
 use perseas_sci::NodeMemory;
 
 const LEN: usize = 256;
 
+/// The version store keeps at most 1 MiB of before-images: two commits
+/// of `BIG` bytes cannot both stay.
+const BIG: usize = (512 << 10) + 16;
+
+/// The version store keeps at most this many versions.
+const VERSION_ENTRIES: i64 = 4096;
+
 fn cfg() -> PerseasConfig {
-    PerseasConfig::default().with_mvcc(true)
+    PerseasConfig::default()
 }
 
 fn setup(c: PerseasConfig) -> (Perseas<SimRemote>, RegionId, NodeMemory) {
+    setup_sized(c, LEN)
+}
+
+fn setup_sized(c: PerseasConfig, len: usize) -> (Perseas<SimRemote>, RegionId, NodeMemory) {
     let backend = SimRemote::new("snap-crash");
     let node = backend.node().clone();
     let mut db = Perseas::init(vec![backend], c).unwrap();
-    let r = db.malloc(LEN).unwrap();
+    let r = db.malloc(len).unwrap();
     db.init_remote_db().unwrap();
     (db, r, node)
+}
+
+/// Commits `byte` over `[offset, offset + len)` of `r`.
+fn fill(db: &mut Perseas<SimRemote>, r: RegionId, offset: usize, len: usize, byte: u8) {
+    db.begin_transaction().unwrap();
+    db.set_range(r, offset, len).unwrap();
+    db.write(r, offset, &vec![byte; len]).unwrap();
+    db.commit_transaction().unwrap();
+}
+
+/// The value of the unlabelled metric `name` in `registry`.
+fn metric(registry: &Registry, name: &str) -> i64 {
+    let samples = parse_exposition(&registry.render()).unwrap();
+    let sample = samples.iter().find(|s| s.name == name);
+    sample.unwrap_or_else(|| panic!("no {name}")).value as i64
 }
 
 fn base_txn(db: &mut Perseas<SimRemote>, r: RegionId) {
@@ -165,33 +192,27 @@ fn group_commit_crash_sweep_with_open_snapshot() {
     }
 }
 
-/// Commits past the byte budget while a snapshot is open: the eviction
-/// raises the reconstruction floor past the snapshot, whose next read
-/// fails typed — the caller's buffer is never filled with wrong bytes.
+/// Commits past the version store's 1 MiB byte budget while a snapshot
+/// is open: the eviction raises the reconstruction floor past the
+/// snapshot, whose next read fails typed — the caller's buffer is never
+/// filled with wrong bytes.
 #[test]
 fn byte_budget_eviction_fails_pinned_snapshots_typed() {
-    let (mut db, r, _) = setup(cfg().with_version_budget(64, 1024));
+    let (mut db, r, _) = setup_sized(cfg(), BIG);
     base_txn(&mut db, r);
 
     let snap = db.begin_snapshot().unwrap();
     let pinned = db.region_snapshot(r).unwrap();
 
-    // A small commit fits the budget: the snapshot still serves its
+    // One big commit fits the budget: the snapshot still serves its
     // exact image.
-    db.begin_transaction().unwrap();
-    db.set_range(r, 0, 16).unwrap();
-    db.write(r, 0, &[0xD1; 16]).unwrap();
-    db.commit_transaction().unwrap();
-    assert_eq!(db.read_range_s(snap, r, 0, LEN).unwrap(), pinned);
-    assert!(db.version_store_bytes() <= 64);
+    fill(&mut db, r, 0, BIG, 0xD1);
+    assert_eq!(db.read_range_s(snap, r, 0, BIG).unwrap(), pinned);
+    assert_eq!(db.version_store_bytes(), BIG);
 
-    // Blow the budget: 3 x 32-byte before-images cannot all stay.
-    for i in 0..3 {
-        db.begin_transaction().unwrap();
-        db.set_range(r, i * 32, 32).unwrap();
-        db.write(r, i * 32, &[0xD2 + i as u8; 32]).unwrap();
-        db.commit_transaction().unwrap();
-    }
+    // A second cannot stay beside it: the first is evicted.
+    fill(&mut db, r, 0, BIG, 0xD2);
+    assert_eq!(db.version_store_bytes(), BIG);
     let mut buf = [0xEEu8; 8];
     match db.read_s(snap, r, 0, &mut buf) {
         Err(TxnError::SnapshotTooOld {
@@ -209,30 +230,45 @@ fn byte_budget_eviction_fails_pinned_snapshots_typed() {
     // Every later read fails the same way — the failure is sticky.
     assert!(db.read_range_s(snap, r, 0, 8).is_err());
     db.end_snapshot(snap);
+    assert_eq!(db.version_store_bytes(), 0);
 
     // A snapshot pinned above the new floor is unaffected.
     let fresh = db.begin_snapshot().unwrap();
-    assert_eq!(
-        db.read_range_s(fresh, r, 0, LEN).unwrap(),
-        db.region_snapshot(r).unwrap()
-    );
+    fill(&mut db, r, 0, 64, 0xD3);
+    let mut image = db.region_snapshot(r).unwrap();
+    image[..64].fill(0xD2);
+    assert_eq!(db.read_range_s(fresh, r, 0, BIG).unwrap(), image);
     db.end_snapshot(fresh);
     assert_eq!(db.version_store_bytes(), 0);
 }
 
-/// The entry budget behaves like the byte budget: more retained commits
-/// than slots evicts oldest-first past the pinned snapshot.
+/// The entry budget behaves like the byte budget: one commit more than
+/// the store's 4 096 versions evicts oldest-first past the pinned
+/// snapshot. The version gauge follows the store throughout, and
+/// closing a snapshot counts every version it held as evicted.
 #[test]
 fn entry_budget_eviction_fails_pinned_snapshots_typed() {
-    let (mut db, r, _) = setup(cfg().with_version_budget(1 << 20, 2));
+    let registry = Registry::new();
+    let (mut db, r, _) = setup(cfg());
+    db.set_metrics(&registry);
+    let versions = || metric(&registry, "perseas_version_store_versions");
+    let evictions = || metric(&registry, "perseas_version_evictions_total");
     base_txn(&mut db, r);
-    let snap = db.begin_snapshot().unwrap();
+    assert_eq!((versions(), evictions()), (0, 0), "no snapshot: no version");
 
-    for i in 0..3u8 {
-        db.begin_transaction().unwrap();
-        db.set_range(r, 8 * i as usize, 8).unwrap();
-        db.write(r, 8 * i as usize, &[i; 8]).unwrap();
-        db.commit_transaction().unwrap();
+    // A snapshot held across k commits and then closed adds k.
+    let k = 3;
+    let snap = db.begin_snapshot().unwrap();
+    for i in 0..k {
+        fill(&mut db, r, 8 * i as usize, 8, i as u8);
+    }
+    assert_eq!(versions(), k);
+    db.end_snapshot(snap);
+    assert_eq!((versions(), evictions()), (0, k));
+
+    let snap = db.begin_snapshot().unwrap();
+    for i in 0..=VERSION_ENTRIES {
+        fill(&mut db, r, 8 * (i % 32) as usize, 8, i as u8);
     }
     assert!(
         matches!(
@@ -241,5 +277,10 @@ fn entry_budget_eviction_fails_pinned_snapshots_typed() {
         ),
         "entry pressure evicts past the open snapshot"
     );
+    assert_eq!(db.version_store_bytes(), 8 * VERSION_ENTRIES as usize);
+    assert_eq!((versions(), evictions()), (VERSION_ENTRIES, k + 1));
     db.end_snapshot(snap);
+    assert_eq!(db.version_store_bytes(), 0);
+    let released = k + VERSION_ENTRIES + 1;
+    assert_eq!((versions(), evictions()), (0, released));
 }

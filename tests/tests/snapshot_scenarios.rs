@@ -20,14 +20,12 @@ const ACCOUNTS: usize = 64;
 const CELL: usize = 8;
 const OPENING_BALANCE: i64 = 1_000;
 
-/// Builds a concurrent-engine, MVCC-enabled instance holding `ACCOUNTS`
-/// i64 balances, each opened at `OPENING_BALANCE`.
+/// Builds a concurrent-engine instance holding `ACCOUNTS` i64 balances,
+/// each opened at `OPENING_BALANCE`.
 fn build_bank() -> (Perseas<SimRemote>, RegionId, NodeMemory) {
     let backend = SimRemote::new("bank-mirror");
     let node = backend.node().clone();
-    let cfg = PerseasConfig::default()
-        .with_concurrent(true)
-        .with_mvcc(true);
+    let cfg = PerseasConfig::default().with_concurrent(true);
     let mut db = Perseas::init(vec![backend], cfg).unwrap();
     let r = db.malloc(ACCOUNTS * CELL).unwrap();
     db.init_remote_db().unwrap();

@@ -21,9 +21,7 @@ const TRANSFERS_PER_WRITER: usize = 20;
 const SNAPSHOTS_PER_READER: usize = 40;
 
 fn cfg() -> PerseasConfig {
-    PerseasConfig::default()
-        .with_concurrent(true)
-        .with_mvcc(true)
+    PerseasConfig::default().with_concurrent(true)
 }
 
 fn publish<M: RemoteMemory>(mirrors: Vec<M>) -> (ConcurrentPerseas<M>, RegionId) {
