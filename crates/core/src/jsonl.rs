@@ -311,13 +311,13 @@ impl Tracer for JsonlTracer {
             ),
             TraceEvent::RedoCompacted {
                 segments,
-                freed_bytes,
+                retired_bytes,
                 live,
             } => (
                 "redo_compacted",
                 vec![
                     ("segments", Json::UInt(*segments as u64)),
-                    ("freed_bytes", Json::UInt(*freed_bytes as u64)),
+                    ("retired_bytes", Json::UInt(*retired_bytes as u64)),
                     ("live", Json::UInt(*live as u64)),
                 ],
             ),

@@ -104,8 +104,26 @@ pub const REGION_ENTRY_SIZE: usize = 16;
 /// the last snapshot image instead of rolling back.
 pub(crate) const FLAG_REDO: u32 = 4;
 
-/// Magic value opening the redo-directory header line.
-pub const REDO_DIR_MAGIC: u32 = 0x5244_4F31; // "RDO1"
+/// Magic value opening the redo-directory header line: the log's
+/// records follow [`RedoFormat::V2`].
+pub const REDO_DIR_MAGIC: u32 = 0x5244_4F32; // "RDO2"
+
+/// Magic of a directory whose records follow [`RedoFormat::V1`]. Recovery
+/// still reads such a log, then migrates it to [`REDO_DIR_MAGIC`].
+pub const REDO_DIR_MAGIC_V1: u32 = 0x5244_4F31; // "RDO1"
+
+/// The CRC rule a redo log's records follow, as its directory header's
+/// magic declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RedoFormat {
+    /// `RDO1`: a record's CRC covers its header and payload.
+    V1,
+    /// `RDO2`: the CRC also covers the record's absolute log position,
+    /// which is not stored. A log segment is recycled once the snapshot
+    /// passes it, and a record left from an earlier lap then fails to
+    /// decode at the position the scan reads it from.
+    V2,
+}
 
 /// Magic value opening every redo record (after-image).
 pub const REDO_MAGIC: u32 = 0x5245_444F; // "REDO"
@@ -115,8 +133,9 @@ pub const REDO_MAGIC: u32 = 0x5245_444F; // "REDO"
 pub const REDO_HEADER_SIZE: usize = 36;
 
 /// Bytes per redo-directory segment entry: `(seg_id: u64,
-/// seq_plus_1: u64)`. One 16-byte line — one packet — so retiring or
-/// installing a segment is atomic. A zeroed entry is an empty slot.
+/// seq_plus_1: u64)`. One 16-byte line — one packet — so installing a
+/// segment, or handing a retired one its next sequence, is atomic. A
+/// zeroed entry is an empty slot.
 pub const REDO_ENTRY_SIZE: usize = 16;
 
 /// Sentinel region id marking a redo **abort tombstone**: a zero-length
@@ -256,8 +275,9 @@ pub fn redo_entry_offset(dir_end: usize, redo_slots: usize, i: usize) -> usize {
 }
 
 /// Encodes the redo-directory header line: log segments are `seg_size`
-/// bytes and the directory holds `slot_count` entries. CRC-protected so
-/// a torn publication reads as absent.
+/// bytes, the directory holds `slot_count` entries and the records
+/// follow [`RedoFormat::V2`]. CRC-protected so a torn publication reads
+/// as absent.
 pub fn encode_redo_dir_header(seg_size: u32, slot_count: u32) -> [u8; 16] {
     let mut out = [0u8; 16];
     out[0..4].copy_from_slice(&REDO_DIR_MAGIC.to_le_bytes());
@@ -269,22 +289,26 @@ pub fn encode_redo_dir_header(seg_size: u32, slot_count: u32) -> [u8; 16] {
 }
 
 /// Decodes the redo-directory header at `off`, returning
-/// `(seg_size, slot_count)`, or `None` for an absent or torn header.
-pub fn decode_redo_dir_header(buf: &[u8], off: usize) -> Option<(u32, u32)> {
-    if get_u32(buf, off)? != REDO_DIR_MAGIC {
-        return None;
-    }
+/// `(seg_size, slot_count, format)`, or `None` for an absent or torn
+/// header.
+pub fn decode_redo_dir_header(buf: &[u8], off: usize) -> Option<(u32, u32, RedoFormat)> {
+    let format = match get_u32(buf, off)? {
+        REDO_DIR_MAGIC => RedoFormat::V2,
+        REDO_DIR_MAGIC_V1 => RedoFormat::V1,
+        _ => return None,
+    };
     let stored = get_u32(buf, off + 4)?;
     let body = buf.get(off + 8..off + 16)?;
     if crc32(&[body]) != stored {
         return None;
     }
-    Some((get_u32(buf, off + 8)?, get_u32(buf, off + 12)?))
+    Some((get_u32(buf, off + 8)?, get_u32(buf, off + 12)?, format))
 }
 
-/// Encodes a live redo-directory segment entry: directory slot holds log
-/// segment number `seq` stored in remote segment `seg_id`. The sequence
-/// is stored off-by-one so a zeroed line reads as an empty slot.
+/// Encodes a redo-directory segment entry: the slot holds remote segment
+/// `seg_id`, whose latest log segment number is `seq` (retired once the
+/// snapshot position passes its end). The sequence is stored off-by-one
+/// so a zeroed line reads as an empty slot.
 pub fn encode_redo_entry(seg_id: u64, seq: u64) -> [u8; REDO_ENTRY_SIZE] {
     let mut out = [0u8; REDO_ENTRY_SIZE];
     out[0..8].copy_from_slice(&seg_id.to_le_bytes());
@@ -655,10 +679,12 @@ pub(crate) fn undo_newest_first(
 }
 
 /// The header of one redo record: the **after**-image of one committed
-/// `set_range`. Identical self-validating framing to [`UndoRecord`]
-/// (magic + transaction id + CRC-32 over header and payload) under its
-/// own magic, so replay can scan a log segment and stop at the first
-/// record that is torn or absent.
+/// `set_range`. The same self-validating framing as [`UndoRecord`]
+/// (magic + transaction id + CRC-32) under its own magic, so replay can
+/// scan a log segment and stop at the first record that is torn or
+/// absent. Under [`RedoFormat::V2`] the CRC covers the record's absolute
+/// log position, then header and payload; the position is not stored,
+/// so the encoded size is the same in both formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RedoRecord {
     /// Transaction that logged this record.
@@ -677,21 +703,33 @@ impl RedoRecord {
         REDO_HEADER_SIZE + self.len as usize
     }
 
-    /// Encodes header + `payload` into `out` at `at`.
+    /// Encodes header + `payload` into `out` at `at`, sealed to log
+    /// position `pos` ([`RedoFormat::V2`]).
     ///
     /// # Panics
     ///
     /// Panics if `payload.len() != self.len` or `out` is too short.
-    pub fn encode_into(&self, out: &mut [u8], at: usize, payload: &[u8]) {
-        assert_eq!(payload.len() as u64, self.len, "payload length mismatch");
-        let head = self.encode_head(payload);
+    pub fn encode_into(&self, out: &mut [u8], at: usize, pos: u64, payload: &[u8]) {
+        let head = self.encode_head(pos, payload);
         out[at..at + REDO_HEADER_SIZE].copy_from_slice(&head);
         out[at + REDO_HEADER_SIZE..at + REDO_HEADER_SIZE + payload.len()].copy_from_slice(payload);
     }
 
-    /// Encodes just the CRC-sealed 36-byte header for `payload`, for
-    /// callers that ship header and payload as separate vectored parts.
-    pub fn encode_head(&self, payload: &[u8]) -> [u8; REDO_HEADER_SIZE] {
+    /// Encodes just the CRC-sealed 36-byte header for `payload` at log
+    /// position `pos` ([`RedoFormat::V2`]), for callers that ship header
+    /// and payload as separate vectored parts.
+    pub fn encode_head(&self, pos: u64, payload: &[u8]) -> [u8; REDO_HEADER_SIZE] {
+        self.encode_head_as(RedoFormat::V2, pos, payload)
+    }
+
+    /// [`RedoRecord::encode_head`] under `format`: recovery appends its
+    /// tombstones to a [`RedoFormat::V1`] log by that log's rule.
+    pub(crate) fn encode_head_as(
+        &self,
+        format: RedoFormat,
+        pos: u64,
+        payload: &[u8],
+    ) -> [u8; REDO_HEADER_SIZE] {
         assert_eq!(payload.len() as u64, self.len, "payload length mismatch");
         let mut head = [0u8; REDO_HEADER_SIZE];
         head[0..4].copy_from_slice(&REDO_MAGIC.to_le_bytes());
@@ -699,16 +737,22 @@ impl RedoRecord {
         head[12..16].copy_from_slice(&self.region.to_le_bytes());
         head[16..24].copy_from_slice(&self.offset.to_le_bytes());
         head[24..32].copy_from_slice(&self.len.to_le_bytes());
-        let crc = crc32(&[&head[0..32], payload]);
+        let crc = redo_crc(format, pos, &head[0..32], payload);
         head[32..36].copy_from_slice(&crc.to_le_bytes());
         head
     }
 
-    /// Attempts to decode a record at `at` in `buf`. Returns the record
-    /// and the payload range, or `None` if the bytes do not form a valid
-    /// record — which replay treats as the end of the segment's used
+    /// Attempts to decode a record at `at` in `buf`, read from log
+    /// position `pos` of a log in `format`. Returns the record and the
+    /// payload range, or `None` if the bytes do not form a valid record
+    /// there — which replay treats as the end of the segment's used
     /// prefix.
-    pub fn decode_at(buf: &[u8], at: usize) -> Option<(RedoRecord, std::ops::Range<usize>)> {
+    pub fn decode_at(
+        buf: &[u8],
+        at: usize,
+        pos: u64,
+        format: RedoFormat,
+    ) -> Option<(RedoRecord, std::ops::Range<usize>)> {
         if get_u32(buf, at)? != REDO_MAGIC {
             return None;
         }
@@ -722,7 +766,12 @@ impl RedoRecord {
         if payload_end > buf.len() {
             return None;
         }
-        let crc = crc32(&[&buf[at..at + 32], &buf[payload_start..payload_end]]);
+        let crc = redo_crc(
+            format,
+            pos,
+            &buf[at..at + 32],
+            &buf[payload_start..payload_end],
+        );
         if crc != stored_crc {
             return None;
         }
@@ -735,6 +784,15 @@ impl RedoRecord {
             },
             payload_start..payload_end,
         ))
+    }
+}
+
+/// A redo record's CRC under `format`: over the 32 header bytes before
+/// the CRC and the payload, with the log position first from `RDO2` on.
+fn redo_crc(format: RedoFormat, pos: u64, head: &[u8], payload: &[u8]) -> u32 {
+    match format {
+        RedoFormat::V1 => crc32(&[head, payload]),
+        RedoFormat::V2 => crc32(&[&pos.to_le_bytes(), head, payload]),
     }
 }
 
@@ -1083,13 +1141,36 @@ mod tests {
             offset: 100,
             len: 4,
         };
+        let pos = 3 * 4096 + 8;
+        let v2 = RedoFormat::V2;
         let mut buf = vec![0u8; 128];
-        rec.encode_into(&mut buf, 8, &[1, 2, 3, 4]);
-        let (got, payload) = RedoRecord::decode_at(&buf, 8).unwrap();
+        rec.encode_into(&mut buf, 8, pos, &[1, 2, 3, 4]);
+        let (got, payload) = RedoRecord::decode_at(&buf, 8, pos, v2).unwrap();
         assert_eq!(got, rec);
         assert_eq!(&buf[payload], &[1, 2, 3, 4]);
         // The vectored head matches the flat encoding.
-        assert_eq!(rec.encode_head(&[1, 2, 3, 4]), buf[8..8 + REDO_HEADER_SIZE]);
+        assert_eq!(
+            rec.encode_head(pos, &[1, 2, 3, 4]),
+            buf[8..8 + REDO_HEADER_SIZE]
+        );
+        // The same bytes read from any other log position, or by the
+        // `RDO1` rule, are not a record: a recycled segment's old lap
+        // reads as garbage.
+        for other in [pos - 4096, pos + 4096, pos + 1, 8] {
+            assert!(
+                RedoRecord::decode_at(&buf, 8, other, v2).is_none(),
+                "{other}"
+            );
+        }
+        assert!(RedoRecord::decode_at(&buf, 8, pos, RedoFormat::V1).is_none());
+        let v1 = rec.encode_head_as(RedoFormat::V1, pos, &[1, 2, 3, 4]);
+        let mut old = v1.to_vec();
+        old.extend_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(
+            RedoRecord::decode_at(&old, 0, 0, RedoFormat::V1).unwrap().0,
+            rec
+        );
+        assert!(RedoRecord::decode_at(&old, 0, pos, v2).is_none());
         // A redo record must never decode as an undo record (and vice
         // versa): the two logs use distinct magics.
         assert!(UndoRecord::decode_at(&buf, 8).is_none());
@@ -1097,20 +1178,33 @@ mod tests {
         for i in 8..8 + rec.encoded_len() {
             let mut bad = buf.clone();
             bad[i] ^= 1;
-            assert!(RedoRecord::decode_at(&bad, 8).is_none(), "bit flip at {i}");
+            assert!(
+                RedoRecord::decode_at(&bad, 8, pos, v2).is_none(),
+                "bit flip at {i}"
+            );
         }
         // Fresh zeroed bytes and absurd lengths read as end-of-log.
-        assert!(RedoRecord::decode_at(&[0; 64], 0).is_none());
+        assert!(RedoRecord::decode_at(&[0; 64], 0, 0, v2).is_none());
         let mut buf = vec![0u8; 64];
         buf[0..4].copy_from_slice(&REDO_MAGIC.to_le_bytes());
         buf[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(RedoRecord::decode_at(&buf, 0).is_none());
+        assert!(RedoRecord::decode_at(&buf, 0, 0, v2).is_none());
     }
 
     #[test]
     fn redo_dir_header_roundtrips_and_rejects_torn_writes() {
         let enc = encode_redo_dir_header(64 << 10, 8);
-        assert_eq!(decode_redo_dir_header(&enc, 0), Some((64 << 10, 8)));
+        assert_eq!(
+            decode_redo_dir_header(&enc, 0),
+            Some((64 << 10, 8, RedoFormat::V2))
+        );
+        // An `RDO1` line still decodes, as the old format.
+        let mut old = enc;
+        old[0..4].copy_from_slice(&REDO_DIR_MAGIC_V1.to_le_bytes());
+        assert_eq!(
+            decode_redo_dir_header(&old, 0),
+            Some((64 << 10, 8, RedoFormat::V1))
+        );
         for i in 0..16 {
             let mut torn = enc;
             torn[i] ^= 1;
@@ -1126,7 +1220,7 @@ mod tests {
         assert_eq!(decode_redo_entry(&enc, 0), Some((42, 0)));
         let enc = encode_redo_entry(9, 17);
         assert_eq!(decode_redo_entry(&enc, 0), Some((9, 17)));
-        // A zeroed (retired) entry is an empty slot, even for seg_id 0.
+        // A zeroed entry is an empty slot, even for seg_id 0.
         assert_eq!(decode_redo_entry(&[0u8; REDO_ENTRY_SIZE], 0), None);
     }
 

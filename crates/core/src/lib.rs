@@ -78,8 +78,8 @@ pub use jsonl::JsonlTracer;
 pub use layout::{
     commit_table_offset, crc32, decode_commit_table, decode_decision_slot, decode_group_header,
     decode_intent_slot, decode_redo_dir_header, decode_region_entry, encode_decision_slot,
-    encode_group_header, encode_intent_slot, encode_redo_dir_header, MetaHeader, RedoRecord,
-    UndoRecord, FLAG_SHARDED, META_TAG, OFF_COMMIT, OFF_EPOCH,
+    encode_group_header, encode_intent_slot, encode_redo_dir_header, MetaHeader, RedoFormat,
+    RedoRecord, UndoRecord, FLAG_SHARDED, META_TAG, OFF_COMMIT, OFF_EPOCH,
 };
 pub use metrics::{record_recovery, record_shard_recovery};
 pub use perseas::{MirrorHealth, MirrorStatus, Perseas};

@@ -75,7 +75,7 @@ pub(crate) struct CoreMetrics {
     redo_snapshots: Counter,
     redo_snapshot_bytes: Counter,
     redo_compactions: Counter,
-    redo_freed_bytes: Counter,
+    redo_retired_bytes: Counter,
 }
 
 impl CoreMetrics {
@@ -218,7 +218,7 @@ impl CoreMetrics {
             ),
             redo_segments_opened: r.counter(
                 "perseas_redo_segments_opened_total",
-                "Fresh redo-log segments opened across the mirror set.",
+                "Redo-log segments opened, first allocated or recycled from a retired sequence.",
             ),
             redo_segments: r.gauge(
                 "perseas_redo_segments",
@@ -236,9 +236,9 @@ impl CoreMetrics {
                 "perseas_redo_compactions_total",
                 "Redo-log compaction passes that retired at least one segment.",
             ),
-            redo_freed_bytes: r.counter(
-                "perseas_redo_freed_bytes_total",
-                "Remote redo-log bytes freed by compaction, per mirror.",
+            redo_retired_bytes: r.counter(
+                "perseas_redo_retired_bytes_total",
+                "Remote redo-log bytes retired by compaction and kept for reuse, per mirror.",
             ),
         }
     }
@@ -429,10 +429,12 @@ impl CoreMetrics {
                 self.redo_log_bytes.set(0);
             }
             TraceEvent::RedoCompacted {
-                freed_bytes, live, ..
+                retired_bytes,
+                live,
+                ..
             } => {
                 self.redo_compactions.inc();
-                self.redo_freed_bytes.add(*freed_bytes as u64);
+                self.redo_retired_bytes.add(*retired_bytes as u64);
                 self.redo_segments.set(*live as i64);
             }
         }

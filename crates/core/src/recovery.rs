@@ -364,6 +364,7 @@ impl<M: RemoteMemory> Perseas<M> {
         clock: SimClock,
         rest: Vec<M>,
     ) -> Result<(Self, RecoveryReport), TxnError> {
+        use crate::layout::RedoFormat;
         use crate::redo::{
             append_recovery_tombstones, decode_redo_dir, replay_committed, scan_redo_suffix,
             split_suffix_fates, RedoState,
@@ -374,6 +375,9 @@ impl<M: RemoteMemory> Perseas<M> {
         // rolled back, or in the log) is resolved: the watermark jumps to
         // that maximum and frees every slot in one step.
         let mut highest = image.newest_commit();
+        // An `RDO1` log is read by its own rule, then migrated once the
+        // engine stands (see `Perseas::migrate_redo_log`).
+        let mut migrate = false;
         let (mut rolled_back_txns, rolled_back_records, redo) = if image.redo() {
             // The db segments hold the last snapshot image, so the
             // committed log suffix `(snapshot, tail]` is replayed over it
@@ -382,6 +386,7 @@ impl<M: RemoteMemory> Perseas<M> {
             let mut dir = decode_redo_dir(&image.bytes, &image.header)?;
             cfg.redo_segment_bytes = dir.seg_size as usize;
             cfg.redo_segments = dir.slot_count;
+            migrate = dir.format == RedoFormat::V1;
             let suffix = scan_redo_suffix(&mut backend, &dir)?;
             let table = image.commit_table();
             let fates = split_suffix_fates(suffix, image.header.last_committed, &table);
@@ -464,7 +469,7 @@ impl<M: RemoteMemory> Perseas<M> {
             // exactly where the rebuilt image differs from the mirror's
             // snapshot (a torn snapshot is torn only inside them), so
             // they are the dirty set.
-            let state = redo_state.insert(RedoState::new(dir.slot_count));
+            let state = redo_state.insert(RedoState::new(dir.slot_count, cfg.redo_segment_bytes));
             state.tail = dir.tail;
             state.snap_floor = dir.snap;
             for s in &committed {
@@ -488,6 +493,9 @@ impl<M: RemoteMemory> Perseas<M> {
         let mut db = Perseas::assemble(cfg, clock, vec![mirror], regions, epoch, highest);
         if let Some(state) = redo_state {
             db.redo = state;
+            if migrate {
+                db.migrate_redo_log()?;
+            }
         }
         for mut b in rest {
             // Drop the stale replica before re-mirroring, so its old
@@ -546,8 +554,8 @@ impl<M: RemoteMemory> Perseas<M> {
                     let _ = backend.remote_free(SegmentId::from_raw(seg_id));
                 }
                 let _ = backend.remote_free(SegmentId::from_raw(header.undo_seg_id));
-                // A redo image also owns the live log segments its
-                // directory names.
+                // A redo image also owns the log segments its directory
+                // names, live or retired.
                 if header.flags & FLAG_REDO != 0 {
                     if let Ok(dir) = crate::redo::decode_redo_dir(&bytes, &header) {
                         for (seg_id, _) in dir.entries.iter().flatten() {

@@ -23,10 +23,17 @@
 //! The log directory (geometry header, tail, snapshot position, one
 //! 16-byte entry per segment slot) lives at the tail of the metadata
 //! segment, directly before the coordination tables (see
-//! [`crate::layout::redo_dir_end`]). Records never straddle a segment
-//! boundary: a record that does not fit pads the remainder with zeroes
-//! and replay jumps to the next boundary on the (CRC-guaranteed) decode
-//! failure.
+//! [`crate::layout::redo_dir_end`]). Log sequence `seq` lives in slot
+//! `seq % slots`. Each slot keeps its remote segment for the life of the
+//! log: once a snapshot passes a segment's end the slot is *retired*, and
+//! the next lap reuses the segment under a new directory entry, so
+//! remote memory is allocated only on the first lap and never freed by
+//! compaction. A recycled segment still holds the old lap's bytes; each
+//! record's CRC covers its absolute log position
+//! ([`crate::layout::RedoFormat::V2`]), so an old record never decodes at
+//! a position of the new lap. Records never straddle a segment boundary:
+//! a record that does not fit leaves the remainder unwritten, and replay
+//! jumps to the next boundary on the (CRC-guaranteed) decode failure.
 //!
 //! Aborts are purely local — uncommitted records are inert without the
 //! marker — with one exception: a transaction whose records already
@@ -43,9 +50,9 @@ use perseas_txn::TxnError;
 
 use crate::config::PerseasConfig;
 use crate::layout::{
-    decode_redo_dir_header, decode_redo_entry, encode_redo_entry, redo_dir_end, redo_entry_offset,
-    redo_header_offset, redo_snap_offset, redo_tail_offset, MetaHeader, RedoRecord,
-    REDO_ENTRY_SIZE, REDO_TOMBSTONE_REGION,
+    decode_redo_dir_header, decode_redo_entry, encode_redo_dir_header, encode_redo_entry,
+    redo_dir_end, redo_entry_offset, redo_header_offset, redo_snap_offset, redo_tail_offset,
+    MetaHeader, RedoFormat, RedoRecord, REDO_TOMBSTONE_REGION,
 };
 use crate::perseas::{
     commit_completes, commit_record, unavailable, Batch, MirrorState, Perseas, Phase, Src,
@@ -70,7 +77,13 @@ pub(crate) struct RedoState {
     /// Compaction floor: the smallest snapshot position any healthy
     /// mirror's image covers. Segments wholly below it are retired.
     pub(crate) snap_floor: u64,
-    /// Which log segment sequence number each directory slot holds.
+    /// Bytes per log segment.
+    seg_size: u64,
+    /// The latest log segment sequence number each directory slot has
+    /// held, `None` before the log first reaches the slot. Every healthy
+    /// mirror holds a segment for each `Some` slot, and its directory
+    /// entry names that segment with this sequence; the slot is retired
+    /// while the floor is past the sequence's end.
     pub(crate) slot_seqs: Vec<Option<u64>>,
     /// End of the last append burst that failed, until an append
     /// succeeds. The burst may have reached some mirrors without the tail
@@ -88,10 +101,11 @@ pub(crate) struct RedoState {
 }
 
 impl RedoState {
-    pub(crate) fn new(slots: usize) -> Self {
+    pub(crate) fn new(slots: usize, seg_size: usize) -> Self {
         RedoState {
             tail: 0,
             snap_floor: 0,
+            seg_size: seg_size as u64,
             slot_seqs: vec![None; slots],
             failed_end: None,
             dirty: Vec::new(),
@@ -99,8 +113,18 @@ impl RedoState {
         }
     }
 
+    /// Whether the floor has passed the end of log segment `seq`, so
+    /// that recovery never reads it again and its slot may be recycled.
+    fn retired(&self, seq: u64) -> bool {
+        (seq + 1) * self.seg_size <= self.snap_floor
+    }
+
     pub(crate) fn live_segments(&self) -> usize {
-        self.slot_seqs.iter().flatten().count()
+        self.slot_seqs
+            .iter()
+            .flatten()
+            .filter(|&&seq| !self.retired(seq))
+            .count()
     }
 
     /// Adds one after-image range to the dirty set, re-pruning once the
@@ -169,9 +193,12 @@ struct Placed {
 pub(crate) struct RedoDir {
     pub(crate) seg_size: u64,
     pub(crate) slot_count: usize,
+    /// The CRC rule of the log's records, from the header's magic.
+    pub(crate) format: RedoFormat,
     pub(crate) tail: u64,
     pub(crate) snap: u64,
-    /// Slot → `(segment id, seq)` of the live log segment it holds.
+    /// Slot → `(segment id, seq)`: the segment it holds and the latest
+    /// log sequence stored there (retired when below `snap`).
     pub(crate) entries: Vec<Option<(u64, u64)>>,
 }
 
@@ -209,10 +236,10 @@ impl<M: RemoteMemory> Perseas<M> {
 
     /// Appends one coalesced batch of after-image records (and the
     /// packet-atomic tail line) to the log on every healthy mirror:
-    /// fresh segments are opened and published in the directory as
-    /// needed, then the directory entries, the records, and the tail
-    /// ride a single vectored write per mirror — it applies in order, so
-    /// the tail can only ever name fully-received records — and an ack
+    /// segments are opened (recycled after the first lap) as needed,
+    /// then the directory entries, the records, and the tail ride a
+    /// single vectored write per mirror — it applies in order, so the
+    /// tail can only ever name fully-received records — and an ack
     /// barrier confirms the burst.
     ///
     /// With `commit` = `(id, record)`, the append is a commit's log and
@@ -273,9 +300,9 @@ impl<M: RemoteMemory> Perseas<M> {
             // time is the commit path's one local copy in both modes.
             let mut bytes = vec![0u8; total];
             if rec.region == REDO_TOMBSTONE_REGION {
-                rec.encode_into(&mut bytes, 0, &[]);
+                rec.encode_into(&mut bytes, 0, pos, &[]);
             } else {
-                rec.encode_into(&mut bytes, 0, &self.regions[ri][start..start + len]);
+                rec.encode_into(&mut bytes, 0, pos, &self.regions[ri][start..start + len]);
                 // Marked before anything ships: if the append fails the
                 // range stays marked, which the dirty set tolerates.
                 self.redo.mark_dirty(ri, start, len);
@@ -290,30 +317,38 @@ impl<M: RemoteMemory> Perseas<M> {
         }
         let new_tail = pos;
 
-        // 2. Open fresh (zeroed) segments for sequences this batch
-        //    reaches first. An occupied slot means the log wrapped past
-        //    its snapshot: the caller must `redo_snapshot` to compact.
+        // 2. Open a segment for each sequence this batch reaches first.
+        //    On the first lap every healthy mirror allocates the slot's
+        //    segment; after it the slot's retired segment is recycled
+        //    with no remote step, and the burst below re-points its
+        //    directory entry. A slot still live means the log wrapped
+        //    past its snapshot: the caller must `redo_snapshot` to
+        //    compact.
         let touched: BTreeSet<u64> = chunks.iter().map(|c| c.seq).collect();
         for &seq in &touched {
             let slot = (seq % slots as u64) as usize;
             match self.redo.slot_seqs[slot] {
                 Some(s) if s == seq => continue,
-                Some(stale) => {
+                Some(stale) if !self.redo.retired(stale) => {
                     return Err(TxnError::Unavailable(format!(
                         "redo log full: slot {slot} still holds segment {stale} \
                          (call redo_snapshot to compact before appending)"
                     )))
                 }
-                None => {}
+                Some(_) => {}
+                None => self.fan_out(|_, m, local| {
+                    if m.redo.len() < slots {
+                        m.redo.resize(slots, None);
+                    }
+                    // A mirror may hold it from an allocation that failed
+                    // on another mirror.
+                    if m.redo[slot].is_none() {
+                        let seg = m.backend.remote_malloc(local.cfg.redo_segment_bytes, 0)?;
+                        m.redo[slot] = Some(seg);
+                    }
+                    Ok(None)
+                })?,
             }
-            self.fan_out(|_, m, local| {
-                if m.redo.len() < slots {
-                    m.redo.resize(slots, None);
-                }
-                let seg = m.backend.remote_malloc(local.cfg.redo_segment_bytes, 0)?;
-                m.redo[slot] = Some(seg);
-                Ok(None)
-            })?;
             self.redo.slot_seqs[slot] = Some(seq);
             let live = self.redo.live_segments();
             self.emit(TraceEvent::RedoSegmentOpened { seq, slot, live });
@@ -324,14 +359,17 @@ impl<M: RemoteMemory> Perseas<M> {
         //    after a partial fan-out cannot leave a mirror without
         //    them), the records, and the tail line last. After a failed
         //    burst every live slot's entry is re-sent: a mirror that
-        //    missed that burst holds zeroes from the old tail on, and its
-        //    replay scan skips segment by segment to where this burst
+        //    missed that burst holds bytes from the old tail on that do
+        //    not decode there (unwritten, or an older lap's records), and
+        //    its replay scan skips segment by segment to where this burst
         //    starts, so it needs the entries of the segments in between.
         //    Each record is encoded once: the last healthy mirror's batch
         //    takes the bytes, the others get copies.
         let dir_slots: BTreeSet<usize> = match self.redo.failed_end {
             Some(_) => (0..slots)
-                .filter(|&slot| self.redo.slot_seqs[slot].is_some())
+                .filter(|&slot| {
+                    self.redo.slot_seqs[slot].is_some_and(|seq| !self.redo.retired(seq))
+                })
                 .collect(),
             None => touched
                 .iter()
@@ -422,7 +460,9 @@ impl<M: RemoteMemory> Perseas<M> {
     /// partial overlaps ship as logged — to every healthy
     /// mirror in one vectored write each, advances the per-mirror
     /// snapshot position (one packet-atomic line each) to the current
-    /// tail, and retires every log segment wholly below the new floor.
+    /// tail, and retires every log segment wholly below the new floor:
+    /// its slot keeps the segment for the next lap, so compaction sends
+    /// nothing more.
     /// Outside the dirty set every healthy mirror already holds the
     /// local image, so afterwards each one's db segments equal it byte
     /// for byte. Recovery then replays only the records appended since —
@@ -446,7 +486,13 @@ impl<M: RemoteMemory> Perseas<M> {
         self.ensure_phase(Phase::Ready)?;
         self.ensure_no_open_txns()?;
         self.check_commit_quorum()?;
+        self.take_redo_snapshot()
+    }
+
+    /// [`Perseas::redo_snapshot`] past its checks.
+    fn take_redo_snapshot(&mut self) -> Result<(), TxnError> {
         let tail = self.redo.tail;
+        let live_before = self.redo.live_segments();
 
         // 1. Ship the dirty ranges (no transaction is open, so the local
         //    image is exactly the committed state) and confirm. With
@@ -493,62 +539,38 @@ impl<M: RemoteMemory> Perseas<M> {
             .unwrap_or(tail);
         self.emit(TraceEvent::RedoSnapshot { tail, bytes });
 
-        // 3. Retire segments the floor has fully passed.
-        self.redo_compact()
+        // 3. The segments the floor has fully passed are retired: no
+        //    replay reads them again, and each slot hands its segment to
+        //    the next lap. Their directory entries stay as they are.
+        let live = self.redo.live_segments();
+        let segments = live_before - live;
+        if segments > 0 {
+            self.emit(TraceEvent::RedoCompacted {
+                segments,
+                retired_bytes: segments * self.cfg.redo_segment_bytes,
+                live,
+            });
+        }
+        Ok(())
     }
 
-    /// Retires every log segment wholly below the compaction floor:
-    /// zeroes its directory entry on every healthy mirror (packet-atomic
-    /// each, confirmed before any free, so no published directory ever
-    /// names a freed segment), then frees the segments.
-    fn redo_compact(&mut self) -> Result<(), TxnError> {
-        let seg_size = self.cfg.redo_segment_bytes as u64;
-        let slots = self.cfg.redo_segments;
-        let floor = self.redo.snap_floor;
-        let retire: Vec<(usize, u64)> = self
-            .redo
-            .slot_seqs
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, seq)| {
-                seq.filter(|&s| (s + 1) * seg_size <= floor)
-                    .map(|s| (slot, s))
-            })
-            .collect();
-        if retire.is_empty() {
-            return Ok(());
-        }
+    /// Moves a log recovered from an `RDO1` image to `RDO2`: a snapshot
+    /// empties the live suffix, then the directory header is restamped on
+    /// every healthy mirror. Until its stamp lands a mirror reads its
+    /// suffix by the old rule; once it has, the suffix is empty, so no
+    /// `RDO2` directory ever covers an `RDO1` record.
+    pub(crate) fn migrate_redo_log(&mut self) -> Result<(), TxnError> {
+        self.take_redo_snapshot()?;
+        let header = encode_redo_dir_header(
+            self.cfg.redo_segment_bytes as u32,
+            self.cfg.redo_segments as u32,
+        );
         let lists = self.batches(|m| {
-            let dir_end = self.redo_dir_end_local(m.meta.len);
-            retire
-                .iter()
-                .map(|&(slot, _)| {
-                    let off = redo_entry_offset(dir_end, slots, slot);
-                    (m.meta.id, off, Src::copied(&[0; REDO_ENTRY_SIZE]))
-                })
-                .collect()
+            let off = redo_header_offset(self.redo_dir_end_local(m.meta.len));
+            vec![(m.meta.id, off, Src::copied(&header))]
         });
         self.fan_out_vectored(lists)?;
-        self.flush_mirrors()?;
-        self.fan_out(|_, m, _| {
-            for &(slot, _) in &retire {
-                if let Some(seg) = m.redo.get_mut(slot).and_then(Option::take) {
-                    m.backend.remote_free(seg.id)?;
-                }
-            }
-            Ok(None)
-        })?;
-        for &(slot, _) in &retire {
-            self.redo.slot_seqs[slot] = None;
-        }
-        let freed_bytes = retire.len() * self.cfg.redo_segment_bytes;
-        let live = self.redo.live_segments();
-        self.emit(TraceEvent::RedoCompacted {
-            segments: retire.len(),
-            freed_bytes,
-            live,
-        });
-        Ok(())
+        self.flush_mirrors()
     }
 }
 
@@ -562,8 +584,8 @@ pub(crate) fn decode_redo_dir(meta_image: &[u8], header: &MetaHeader) -> Result<
         header.intent_slots as usize,
         header.decision_slots as usize,
     );
-    let (seg_size, slot_count) = decode_redo_dir_header(meta_image, redo_header_offset(dir_end))
-        .ok_or_else(|| {
+    let (seg_size, slot_count, format) =
+        decode_redo_dir_header(meta_image, redo_header_offset(dir_end)).ok_or_else(|| {
             TxnError::Unavailable(
                 "corrupt metadata: redo directory header is missing or torn".into(),
             )
@@ -582,6 +604,7 @@ pub(crate) fn decode_redo_dir(meta_image: &[u8], header: &MetaHeader) -> Result<
     Ok(RedoDir {
         seg_size: seg_size as u64,
         slot_count,
+        format,
         tail,
         snap,
         entries,
@@ -589,10 +612,11 @@ pub(crate) fn decode_redo_dir(meta_image: &[u8], header: &MetaHeader) -> Result<
 }
 
 /// Reads and decodes the log suffix `(dir.snap, dir.tail]` from one
-/// mirror, in log order. An undecodable position below the tail is the
-/// zeroed end-of-segment skip (records never straddle), so the scan
-/// jumps to the next boundary; a missing or mismatched directory entry
-/// for a sequence the suffix needs is corruption.
+/// mirror, in log order. An undecodable position below the tail is an
+/// unwritten end of segment (records never straddle) or the gap a failed
+/// burst left, so the scan jumps to the next boundary; a missing or
+/// mismatched directory entry for a sequence the suffix needs is
+/// corruption.
 pub(crate) fn scan_redo_suffix<M: RemoteMemory>(
     backend: &mut M,
     dir: &RedoDir,
@@ -632,7 +656,7 @@ pub(crate) fn scan_redo_suffix<M: RemoteMemory>(
             cached = Some((seq, bytes));
         }
         let buf = &cached.as_ref().expect("cached above").1;
-        match RedoRecord::decode_at(buf, off) {
+        match RedoRecord::decode_at(buf, off, pos, dir.format) {
             Some((rec, payload)) => {
                 out.push(SuffixRecord {
                     pos,
@@ -719,9 +743,10 @@ pub(crate) fn redo_uncommitted_ids<M: RemoteMemory>(
 
 /// Appends abort tombstones for `ids` directly to the log of the mirror
 /// `image` was read from during recovery (presumed abort of the stale
-/// suffix), opening fresh segments on that mirror as needed, and
-/// advances its tail line. Confirmed before the watermark may pass the
-/// ids.
+/// suffix), by the rule of the log's format, and advances its tail line.
+/// A sequence the log reaches first takes its slot's retired segment in
+/// an `RDO2` log, or a fresh one on that mirror. Confirmed before the
+/// watermark may pass the ids.
 pub(crate) fn append_recovery_tombstones<M: RemoteMemory>(
     backend: &mut M,
     image: &MirrorImage,
@@ -754,28 +779,35 @@ pub(crate) fn append_recovery_tombstones<M: RemoteMemory>(
         let slot = (seq % dir.slot_count as u64) as usize;
         let seg_id = match dir.entries[slot] {
             Some((seg_id, s)) if s == seq => seg_id,
+            // Only a position-sealed log may keep an older lap's records
+            // where its scan can land.
+            Some((seg_id, s))
+                if dir.format == RedoFormat::V2 && (s + 1) * dir.seg_size <= dir.snap =>
+            {
+                seg_id
+            }
             Some((_, stale)) => {
                 return Err(TxnError::Unavailable(format!(
                     "redo log full during recovery: slot {slot} still holds segment {stale}"
                 )))
             }
-            None => {
-                let seg = backend
-                    .remote_malloc(dir.seg_size as usize, 0)
-                    .map_err(unavailable)?;
-                backend
-                    .remote_write(
-                        meta_seg_id,
-                        redo_entry_offset(dir_end, dir.slot_count, slot),
-                        &encode_redo_entry(seg.id.as_raw(), seq),
-                    )
-                    .map_err(unavailable)?;
-                dir.entries[slot] = Some((seg.id.as_raw(), seq));
-                seg.id.as_raw()
-            }
+            None => backend
+                .remote_malloc(dir.seg_size as usize, 0)
+                .map_err(unavailable)?
+                .id
+                .as_raw(),
         };
-        let mut bytes = vec![0u8; rec.encoded_len()];
-        rec.encode_into(&mut bytes, 0, &[]);
+        if dir.entries[slot] != Some((seg_id, seq)) {
+            backend
+                .remote_write(
+                    meta_seg_id,
+                    redo_entry_offset(dir_end, dir.slot_count, slot),
+                    &encode_redo_entry(seg_id, seq),
+                )
+                .map_err(unavailable)?;
+            dir.entries[slot] = Some((seg_id, seq));
+        }
+        let bytes = rec.encode_head_as(dir.format, pos, &[]);
         backend
             .remote_write(
                 SegmentId::from_raw(seg_id),
@@ -871,7 +903,7 @@ mod tests {
             vec![(0, 0, 8), (0, 100, 50), (0, 120, 60), (1, 0, 16)]
         );
 
-        let mut state = RedoState::new(1);
+        let mut state = RedoState::new(1, 64);
         for &(r, s, l) in &logged {
             state.mark_dirty(r, s, l);
         }

@@ -255,8 +255,10 @@ pub enum TraceEvent {
         /// Log bytes above the compaction floor after this append.
         live_bytes: u64,
     },
-    /// An append reached a fresh log segment: one was allocated on every
-    /// healthy mirror and published in the log directory.
+    /// An append reached a new log sequence: its slot's segment was
+    /// allocated on every healthy mirror (first lap) or recycled from a
+    /// retired sequence, and the append's burst publishes it in the log
+    /// directory.
     RedoSegmentOpened {
         /// The segment's log sequence number.
         seq: u64,
@@ -275,13 +277,14 @@ pub enum TraceEvent {
         /// Dirty region bytes shipped, per mirror.
         bytes: usize,
     },
-    /// Fully-snapshotted log segments were retired: their directory
-    /// entries zeroed, their remote memory freed.
+    /// Fully-snapshotted log segments were retired: recovery reads them
+    /// no more, and each one's slot keeps its remote memory for the next
+    /// lap of the log.
     RedoCompacted {
         /// Segments retired.
         segments: usize,
-        /// Remote bytes freed, per mirror.
-        freed_bytes: usize,
+        /// Remote log bytes retired, per mirror.
+        retired_bytes: usize,
         /// Live log segments remaining.
         live: usize,
     },

@@ -12,11 +12,20 @@
 //! `write_v_frame`, a write in the retired `Seq` frame (opcode 11): no
 //! encoder makes it any more, and decoders and a live server must refuse
 //! it.
+//!
+//! The redo log's format moved from `RDO1` to `RDO2` when its segments
+//! began to be recycled: a record's CRC now covers its log position too.
+//! The `RDO1` lines (`redo_record`, `redo_head`, `redo_dir_header` and
+//! `mirror_redo.*`) stay as legacy inputs: no encoder makes them any
+//! more, decoders still accept them, and recovery replays the old mirror
+//! by the old rule, then migrates it to `RDO2`. The `_v2` lines pin
+//! today's encoders and engine.
 
 use perseas_core::{
     decode_decision_slot, decode_group_header, decode_intent_slot, decode_redo_dir_header,
     encode_decision_slot, encode_group_header, encode_intent_slot, encode_redo_dir_header,
-    FaultPlan, Perseas, PerseasConfig, RedoRecord, RegionId, TxnError, UndoRecord,
+    FaultPlan, Perseas, PerseasConfig, RedoFormat, RedoRecord, RegionId, TxnError, UndoRecord,
+    META_TAG,
 };
 use std::io::{Read as _, Write as _};
 use std::net::TcpListener;
@@ -34,11 +43,14 @@ use perseas_simtime::SimClock;
 const GOLDEN: &str = "\
 undo_record 00000000004f444e5508070605040302010300000022110000000000000d00000000000000e283ce996265666f72652d696d6167652100000000000000000000
 redo_record 00000000004f44455218171615141312110200000044330000000000000c000000000000002f7bbca661667465722d696d616765210000000000000000000000
+redo_record_v2 00000000004f44455218171615141312110200000044330000000000000c000000000000004eb4677c61667465722d696d616765210000000000000000000000
 redo_head 4f44455218171615141312110200000044330000000000000c000000000000002f7bbca6
+redo_head_v2 4f44455218171615141312110200000044330000000000000c000000000000004eb4677c
 group_header 505552473412000000000000de0593b8
 intent_slot 31544e587ea8f7420700000000000000efcdab00000000000200000000000000
 decision_slot 314e4344c2f7c3e1efcdab0000000000
 redo_dir_header 314f44524a62222c000010000c000000
+redo_dir_header_v2 324f44524a62222c000010000c000000
 write_v_frame 6f0000000b07000000000000000a020000000000000001000000000000004000000000000000050000000000000068656c6c6f020000000000000000100000000000002800000000000000a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a51193cd6f
 read_response_frame 1d00000086030000000000000009000000000000008262797465732c2072656164947055e3
 mux_write_frame 280400000c000000000000000000000000000000000305000000000000001800000000000000030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1b8bfc6cdd4dbe2e9f0f7fe050c131a21282f363d444b525960676e757c838a91989fa6adb4bbc2c9d0d7dee5ecf3fa01080f161d242b323940474e555c636a71787f868d949ba2a9b0b7bec5ccd3dae1e8eff6fd040b121920272e353c434a51585f666d747b828990979ea5acb3bac1c8cfd6dde4ebf2f900070e151c232a31383f464d545b626970777e858c939aa1a8afb6bdc4cbd2d9e0e7eef5fc030a11181f26ae497b1d
@@ -53,6 +65,10 @@ mirror_redo.1 5045525345415331 208 010041535544454d01000000010000000200000000000
 mirror_redo.2 0 256 -
 mirror_redo.3 0 64 000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f
 mirror_redo.4 0 256 4f4445520100000000000000000000000000000000000000080000000000000034a9e98daaaaaaaaaaaaaaaa4f44455201000000000000000000000020000000000000000800000000000000d264a55bbbbbbbbbbbbbbbbb4f44455202000000000000000000000014000000000000000a00000000000000536579a4dddddddddddddddddddd4f4445520300000000000000000000000400000000000000100000000000000062fa4c27cccccccccccccccccccccccccccccccc
+mirror_redo_v2.1 5045525345415331 208 010041535544454d010000000100000002000000000000000001000000000000010000000000000004000000000000000000000000000000020000000000000003000000000000004000000000000000000000000000000000000000000000000400000000000000010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000ba000000000000000000000000000000324f44528a43374c0001000004
+mirror_redo_v2.2 0 256 -
+mirror_redo_v2.3 0 64 000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f
+mirror_redo_v2.4 0 256 4f4445520100000000000000000000000000000000000000080000000000000010278d96aaaaaaaaaaaaaaaa4f44455201000000000000000000000020000000000000000800000000000000a3bb015bbbbbbbbbbbbbbbbb4f44455202000000000000000000000014000000000000000a000000000000009190a133dddddddddddddddddddd4f44455203000000000000000000000004000000000000001000000000000000c45d735acccccccccccccccccccccccccccccccc
 ";
 
 const UNDO: UndoRecord = UndoRecord {
@@ -69,11 +85,21 @@ const REDO: RedoRecord = RedoRecord {
     len: 12,
 };
 const REDO_PAYLOAD: &[u8] = b"after-image!";
+/// The log position an `RDO2` record is sealed to.
+const REDO_POS: u64 = 0x0003_0000_0000_0005;
 /// Records are encoded at this offset of a zeroed 64-byte buffer.
 const RECORD_AT: usize = 5;
 const WRITE_V: [(u64, u64, &[u8]); 2] = [(1, 64, b"hello"), (2, 4096, &[0xA5; 40])];
 /// The golden line no encoder makes any more.
 const LEGACY: &str = "write_v_frame";
+/// The names of the `RDO1` lines, which no encoder makes any more.
+const RDO1: [&str; 4] = ["redo_record", "redo_head", "redo_dir_header", "mirror_redo"];
+
+/// Whether golden line (or mirror) `line` is a legacy input.
+fn is_legacy(line: &str) -> bool {
+    let name = line.split([' ', '.']).next().unwrap_or_default();
+    name == LEGACY || RDO1.contains(&name)
+}
 /// A mirror segment's bytes, and the session read the server answers.
 const MIRROR_BYTES: &[u8] = b"mirror bytes, read once";
 const READ_SESSION: u64 = 3;
@@ -172,16 +198,19 @@ fn encoded_artefacts() -> Vec<String> {
     let mut undo = [0u8; 64];
     UNDO.encode_into(&mut undo, RECORD_AT, UNDO_PAYLOAD);
     let mut redo = [0u8; 64];
-    REDO.encode_into(&mut redo, RECORD_AT, REDO_PAYLOAD);
+    REDO.encode_into(&mut redo, RECORD_AT, REDO_POS, REDO_PAYLOAD);
     vec![
         format!("undo_record {}", hex(&undo)),
-        format!("redo_record {}", hex(&redo)),
-        format!("redo_head {}", hex(&REDO.encode_head(REDO_PAYLOAD))),
+        format!("redo_record_v2 {}", hex(&redo)),
+        format!(
+            "redo_head_v2 {}",
+            hex(&REDO.encode_head(REDO_POS, REDO_PAYLOAD))
+        ),
         format!("group_header {}", hex(&encode_group_header(0x1234))),
         format!("intent_slot {}", hex(&encode_intent_slot(7, 0xAB_CDEF, 2))),
         format!("decision_slot {}", hex(&encode_decision_slot(0xAB_CDEF))),
         format!(
-            "redo_dir_header {}",
+            "redo_dir_header_v2 {}",
             hex(&encode_redo_dir_header(1 << 20, 12))
         ),
         format!("read_response_frame {}", hex(&read_response_frame())),
@@ -201,14 +230,15 @@ enum Death {
     RecordCut,
 }
 
-/// The three engine configurations whose mirrors are pinned: the name
-/// their golden lines carry, and how the third transaction dies. Undo:
+/// The engine configurations whose mirrors are pinned: the name their
+/// golden lines carry, and how the third transaction dies; the redo
+/// configuration twice, for its `RDO1` and its `RDO2` mirror. Undo:
 /// before-images and new data are on the mirror, the commit record is
 /// not. Redo: the record is in the log and under the tail, the commit
 /// record does not cover it. The batched and redo commits ship as one
 /// vectored write, so no crash step falls between their data and their
 /// record; a link cut inside the write does.
-fn mirror_configs() -> [(&'static str, PerseasConfig, Death); 3] {
+fn mirror_configs() -> [(&'static str, PerseasConfig, Death); 4] {
     let small = PerseasConfig::new()
         .with_max_regions(2)
         .with_initial_undo_capacity(256);
@@ -221,6 +251,11 @@ fn mirror_configs() -> [(&'static str, PerseasConfig, Death); 3] {
         ),
         (
             "mirror_redo",
+            small.with_redo(true).with_redo_log(256, 4),
+            Death::RecordCut,
+        ),
+        (
+            "mirror_redo_v2",
             small.with_redo(true).with_redo_log(256, 4),
             Death::RecordCut,
         ),
@@ -349,10 +384,11 @@ fn load_mirror(name: &str) -> NodeMemory {
 fn encoders_reproduce_the_golden_bytes() {
     let mut lines = encoded_artefacts();
     for (name, cfg, death) in mirror_configs() {
-        lines.extend(dump_mirror(name, &build_mirror(cfg, death)));
+        if !is_legacy(name) {
+            lines.extend(dump_mirror(name, &build_mirror(cfg, death)));
+        }
     }
-    let legacy = format!("{LEGACY} ");
-    let golden: Vec<&str> = GOLDEN.lines().filter(|l| !l.starts_with(&legacy)).collect();
+    let golden: Vec<&str> = GOLDEN.lines().filter(|l| !is_legacy(l)).collect();
     for (got, want) in lines.iter().zip(&golden) {
         assert_eq!(got, want, "a durable or wire format changed");
     }
@@ -365,12 +401,26 @@ fn decoders_accept_the_golden_bytes() {
     assert_eq!(rec, UNDO);
     assert_eq!(&golden("undo_record")[payload], UNDO_PAYLOAD);
 
-    let (rec, payload) = RedoRecord::decode_at(&golden("redo_record"), RECORD_AT).unwrap();
-    assert_eq!(rec, REDO);
-    assert_eq!(&golden("redo_record")[payload], REDO_PAYLOAD);
-    let mut split = golden("redo_head");
-    split.extend_from_slice(REDO_PAYLOAD);
-    assert_eq!(RedoRecord::decode_at(&split, 0).unwrap().0, REDO);
+    for (suffix, format) in [("", RedoFormat::V1), ("_v2", RedoFormat::V2)] {
+        let record = golden(&format!("redo_record{suffix}"));
+        let (rec, payload) = RedoRecord::decode_at(&record, RECORD_AT, REDO_POS, format).unwrap();
+        assert_eq!(rec, REDO);
+        assert_eq!(&record[payload], REDO_PAYLOAD);
+        let mut split = golden(&format!("redo_head{suffix}"));
+        split.extend_from_slice(REDO_PAYLOAD);
+        assert_eq!(
+            RedoRecord::decode_at(&split, 0, REDO_POS, format)
+                .unwrap()
+                .0,
+            REDO
+        );
+    }
+    // An `RDO2` record decodes only at its own position, and an `RDO1`
+    // record not at all by the `RDO2` rule.
+    let record = golden("redo_record_v2");
+    assert!(RedoRecord::decode_at(&record, RECORD_AT, REDO_POS + 1, RedoFormat::V2).is_none());
+    let record = golden("redo_record");
+    assert!(RedoRecord::decode_at(&record, RECORD_AT, REDO_POS, RedoFormat::V2).is_none());
 
     assert_eq!(decode_group_header(&golden("group_header")), Some(0x1234));
     assert_eq!(
@@ -383,7 +433,11 @@ fn decoders_accept_the_golden_bytes() {
     );
     assert_eq!(
         decode_redo_dir_header(&golden("redo_dir_header"), 0),
-        Some((1 << 20, 12))
+        Some((1 << 20, 12, RedoFormat::V1))
+    );
+    assert_eq!(
+        decode_redo_dir_header(&golden("redo_dir_header_v2"), 0),
+        Some((1 << 20, 12, RedoFormat::V2))
     );
 
     // The legacy frame is intact, but its opcode is retired.
@@ -493,5 +547,71 @@ fn a_mirror_written_by_the_old_binary_recovers() {
             "{name}"
         );
         assert_eq!(report.last_committed, 2, "{name}");
+    }
+}
+
+/// The format, snapshot position and tail of the redo directory on
+/// `node`. The pinned image is legacy and unsharded, so its directory
+/// ends the metadata segment: header, then tail, then snapshot lines,
+/// from the end backwards.
+fn redo_dir(node: &NodeMemory) -> (RedoFormat, u64, u64) {
+    let meta = node.find_by_tag(META_TAG).expect("a metadata segment");
+    let mut lines = [0u8; 48];
+    node.read(meta.id, meta.len - 48, &mut lines).unwrap();
+    let (_, _, format) = decode_redo_dir_header(&lines, 32).expect("a redo directory header");
+    let word = |at: usize| u64::from_le_bytes(lines[at..at + 8].try_into().unwrap());
+    (format, word(0), word(16))
+}
+
+/// Recovery migrates the `RDO1` mirror: it replays the old log,
+/// tombstones transaction 3 by the old rule, takes a snapshot and
+/// restamps the directory `RDO2`. Cut the link after every packet of
+/// that work. An `RDO2` directory never has a live suffix behind a cut,
+/// and whatever a cut leaves recovers again to the committed image;
+/// once migrated, the mirror commits and recovers on the new format.
+#[test]
+fn an_old_mirror_migrates_through_a_cut_at_every_packet() {
+    let (name, cfg, _) = mirror_configs()[2];
+    assert_eq!(name, "mirror_redo");
+    let sim = |node: &NodeMemory| {
+        SimRemote::with_parts(SimClock::new(), node.clone(), SciParams::dolphin_1998())
+    };
+    let region = RegionId::from_raw(0);
+    for cut in 0u64.. {
+        assert!(cut < 200, "the migration never completed");
+        let node = load_mirror(name);
+        assert_eq!(redo_dir(&node).0, RedoFormat::V1);
+        let backend = sim(&node);
+        backend.link().cut_after_packets(cut);
+        let first = Perseas::recover(backend, cfg);
+        let (format, snap, tail) = redo_dir(&node);
+        if format == RedoFormat::V2 {
+            assert_eq!(snap, tail, "cut={cut}: an RDO2 directory over RDO1 records");
+        }
+
+        let (mut db, report) = Perseas::recover(sim(&node), cfg)
+            .unwrap_or_else(|e| panic!("cut={cut}: recovery after the cut failed: {e}"));
+        assert_eq!(
+            db.region_snapshot(region).unwrap(),
+            committed_image(),
+            "cut={cut}"
+        );
+        assert!(report.last_committed >= 2, "cut={cut}");
+        assert_eq!(redo_dir(&node).0, RedoFormat::V2, "cut={cut}");
+
+        db.transaction(|t| t.update(region, 40, &[0xEE; 8]))
+            .unwrap();
+        let mut want = committed_image();
+        want[40..48].fill(0xEE);
+        let (again, _) = Perseas::recover(sim(&node), cfg).unwrap();
+        assert_eq!(again.region_snapshot(region).unwrap(), want, "cut={cut}");
+        if first.is_ok() {
+            assert_eq!(
+                format,
+                RedoFormat::V2,
+                "a recovery that succeeds has migrated"
+            );
+            break;
+        }
     }
 }

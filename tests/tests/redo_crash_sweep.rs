@@ -141,9 +141,10 @@ fn scripted_state(n: u64) -> Vec<u8> {
     a
 }
 
-/// Runs the snapshot/compaction script, stopping at the first error.
-/// Returns how many transactions reported success.
-fn run_script(db: &mut Perseas<SimRemote>, r: RegionId) -> u64 {
+/// Runs the snapshot/compaction script, stopping at the first error:
+/// `batches[k]` transactions, then a snapshot between batches. Returns
+/// how many transactions reported success.
+fn run_script(db: &mut Perseas<SimRemote>, r: RegionId, batches: &[u64]) -> u64 {
     let mut ok = 0u64;
     let txn = |db: &mut Perseas<SimRemote>, i: u64| -> Result<(), TxnError> {
         let at = ((i - 1) as usize * 8) % (LEN_A - 8);
@@ -152,26 +153,16 @@ fn run_script(db: &mut Perseas<SimRemote>, r: RegionId) -> u64 {
         db.write(r, at, &[i as u8; 8])?;
         db.commit_transaction()
     };
-    for i in 1..=4u64 {
-        if txn(db, i).is_err() {
+    for (k, &n) in batches.iter().enumerate() {
+        if k > 0 && db.redo_snapshot().is_err() {
             return ok;
         }
-        ok = i;
-    }
-    if db.redo_snapshot().is_err() {
-        return ok;
-    }
-    for i in 5..=6u64 {
-        if txn(db, i).is_err() {
-            return ok;
+        for i in ok + 1..=ok + n {
+            if txn(db, i).is_err() {
+                return ok;
+            }
+            ok = i;
         }
-        ok = i;
-    }
-    if db.redo_snapshot().is_err() {
-        return ok;
-    }
-    if txn(db, 7).is_ok() {
-        ok = 7;
     }
     ok
 }
@@ -183,18 +174,49 @@ fn run_script(db: &mut Perseas<SimRemote>, r: RegionId) -> u64 {
 #[test]
 fn redo_snapshot_and_compaction_survive_every_crash_point() {
     let (mut db, r, _, _) = setup2(redo_cfg());
-    let r0 = r[0];
-    assert_eq!(run_script(&mut db, r0), 7, "clean script commits all 7");
+    assert_eq!(run_script(&mut db, r[0], &[4, 2, 1]), 7);
     let total = db.steps_taken();
     // The script must actually compact: small segments + two snapshots.
     assert!(total > 20, "script too short to cover maintenance: {total}");
+    sweep_script(redo_cfg(), &[4, 2, 1], total);
+}
 
+/// The same sweep over a two-slot log that the script laps: its 44-byte
+/// records fill five to a 256-byte segment, and 20 transactions with a
+/// snapshot after every six take the log through sequences 0 to 3, so
+/// the last two are written into recycled segments over the first lap's
+/// records. Crash points fall mid-append, mid-snapshot and at the retire
+/// step inside recycled segments.
+#[test]
+fn a_wrapping_log_survives_every_crash_point() {
+    let cfg = redo_cfg().with_redo_log(256, 2);
+    let batches = [6, 6, 6, 2];
+    let (mut db, r, _, _) = setup2(cfg);
+    let tracer = perseas_core::RecordingTracer::new();
+    db.set_tracer(Box::new(tracer.clone()));
+    assert_eq!(run_script(&mut db, r[0], &batches), 20);
+    let events = tracer.events();
+    let recycled = events.iter().filter(
+        |e| matches!(e, perseas_core::TraceEvent::RedoSegmentOpened { seq, .. } if *seq >= 2),
+    );
+    assert_eq!(recycled.count(), 2, "the script must lap the log");
+    let retired = events
+        .iter()
+        .filter(|e| matches!(e, perseas_core::TraceEvent::RedoCompacted { .. }));
+    assert_eq!(retired.count(), 3, "every snapshot retires a segment");
+    sweep_script(cfg, &batches, db.steps_taken());
+}
+
+/// Crashes `run_script(batches)` after every protocol step up to past
+/// `total`, and recovers each mirror on its own.
+fn sweep_script(cfg: PerseasConfig, batches: &[u64], total: u64) {
+    let all: u64 = batches.iter().sum();
     for crash_at in 0..=total + 1 {
-        let (mut db, r, na, nb) = setup2(redo_cfg());
+        let (mut db, r, na, nb) = setup2(cfg);
         db.set_fault_plan(FaultPlan::crash_after(crash_at));
-        let ok = run_script(&mut db, r[0]);
+        let ok = run_script(&mut db, r[0], batches);
         if crash_at > total {
-            assert_eq!(ok, 7, "crash_at={crash_at}: outlived plan lost commits");
+            assert_eq!(ok, all, "crash_at={crash_at}: outlived plan lost commits");
         }
 
         for (name, node) in [("a", &na), ("b", &nb)] {
@@ -206,7 +228,7 @@ fn redo_snapshot_and_compaction_survive_every_crash_point() {
             // uniquely identifies how many commits survived. (The
             // watermark itself may sit higher: recovery consumes the
             // ids of tombstoned in-flight transactions too.)
-            let n = (0..=7u64)
+            let n = (0..=all)
                 .find(|&n| got == scripted_state(n))
                 .unwrap_or_else(|| {
                     panic!("crash_at={crash_at}: mirror {name} holds a partial state")
