@@ -15,7 +15,12 @@
 //! `PINNED` was generated before the engine's mirror fan-out and range
 //! declaration code were consolidated. It was re-pinned once, when the
 //! script stopped retaining versions: only the trace (its version-store
-//! events went) and the crash digest over it moved. A change of
+//! events went) and the crash digest over it moved. The `redo` row was
+//! re-pinned again when the log began to recycle its segments: its
+//! compaction stopped zeroing a directory entry and freeing the segment
+//! on each mirror (four protocol steps, one 16-byte write per mirror and
+//! their virtual time), both mirrors keep the retired segment, and
+//! `RedoCompacted` names its byte count `retired_bytes`. A change of
 //! behaviour on the wire, in the crash points, or in the trace shows up
 //! here; a refactor must reproduce every line unchanged.
 
@@ -32,7 +37,7 @@ unbatched steps=62 clock_ns=2413229 events=39/7681ab94 stats=e915b180 a=cf610570
 batched steps=31 clock_ns=2315329 events=45/66439995 stats=8ed47565 a=cf610570 b=c2f8f078 crashes=3d4f889f
 group steps=31 clock_ns=2403177 events=58/4cf70c19 stats=8d80acae a=808d08e3 b=c44634db crashes=f14ed804
 prepared steps=51 clock_ns=2464363 events=52/6f3ccd70 stats=b6979818 a=808d08e3 b=3335a7b9 crashes=223c0e7a
-redo steps=45 clock_ns=2343519 events=50/48a3d14f stats=396f0cb7 a=b0939c7a b=cbce38cd crashes=f229751e
+redo steps=41 clock_ns=2341019 events=50/7d0f79ab stats=a7cf3f7b a=b9630fd2 b=86fba64c crashes=3cde65dd
 ";
 
 /// The five commit paths. All of them keep a 64-byte initial undo log,
