@@ -63,7 +63,8 @@ fn bitwise_update(mut crc: u32, data: &[u8]) -> u32 {
 
 /// The CRC-32 every layer shares must be the function the bitwise oracle
 /// computes, at every length, alignment, split and start state, whichever
-/// of its two kernels (tables, carry-less folding) `update` picks.
+/// of its three kernels (tables, 128-bit and 512-bit carry-less folding)
+/// `update` picks.
 mod crc_equivalence {
     use super::*;
     use perseas_sci::crc32;
@@ -90,11 +91,24 @@ mod crc_equivalence {
 
     /// Every length around the 16-byte step and its tail, the folding
     /// kernel's threshold and its fold-by-4 and fold-by-1 loops, at every
-    /// alignment within a step.
+    /// alignment within a step; then every length within 300 bytes of
+    /// the 4 KiB threshold of the 512-bit kernel, whose 64-byte singles,
+    /// 16-byte blocks and tail all run there.
     #[test]
     fn short_buffers_match_the_oracle() {
         for align in 0..16 {
             for len in 0..=600 {
+                let buf = buffer(len as u64 * 31 + align as u64, align, len);
+                let data = &buf[align..];
+                assert_eq!(
+                    crc32::checksum(data),
+                    bitwise_crc32(data),
+                    "len {len} align {align}"
+                );
+            }
+        }
+        for align in [0, 1, 8, 63] {
+            for len in 4_096 - 300..=4_096 + 300 {
                 let buf = buffer(len as u64 * 31 + align as u64, align, len);
                 let data = &buf[align..];
                 assert_eq!(
