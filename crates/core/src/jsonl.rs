@@ -258,7 +258,7 @@ impl Tracer for JsonlTracer {
             } => (
                 "version_captured",
                 vec![
-                    ("seq", Json::UInt(*seq)),
+                    ("commit_seq", Json::UInt(*seq)),
                     ("txn", Json::UInt(*txn)),
                     ("store_bytes", Json::UInt(*bytes as u64)),
                     ("store_versions", Json::UInt(*versions as u64)),
@@ -297,7 +297,7 @@ impl Tracer for JsonlTracer {
             TraceEvent::RedoSegmentOpened { seq, slot, live } => (
                 "redo_segment_opened",
                 vec![
-                    ("seq", Json::UInt(*seq)),
+                    ("segment_seq", Json::UInt(*seq)),
                     ("slot", Json::UInt(*slot as u64)),
                     ("live", Json::UInt(*live as u64)),
                 ],
@@ -388,5 +388,193 @@ mod tests {
         let ids = v.get("txns").unwrap().as_array().unwrap();
         assert_eq!(ids.len(), 3);
         assert_eq!(ids[0].as_f64(), Some(3.0));
+    }
+
+    /// One event of every variant. `variant` below matches exhaustively,
+    /// so a new variant does not compile until it is numbered there, and
+    /// the test then fails until it is listed here.
+    fn one_of_each() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::TxnBegin { id: 1 },
+            TraceEvent::SetRange {
+                id: 1,
+                region: 2,
+                offset: 3,
+                len: 4,
+            },
+            TraceEvent::UndoGrown { new_capacity: 5 },
+            TraceEvent::CommitBatch {
+                id: 1,
+                mirrors: 2,
+                ranges: 3,
+                bytes: 4,
+                undo_bytes: 5,
+            },
+            TraceEvent::TxnCommitted {
+                id: 1,
+                ranges: 2,
+                bytes: 3,
+            },
+            TraceEvent::TxnAborted { id: 2 },
+            TraceEvent::MirrorAdded { index: 1 },
+            TraceEvent::MirrorRemoved { index: 1 },
+            TraceEvent::MirrorDown {
+                index: 1,
+                error: "cut".into(),
+            },
+            TraceEvent::MirrorRejoined { index: 1, epoch: 2 },
+            TraceEvent::EpochBump { epoch: 3 },
+            TraceEvent::DegradedCommit {
+                id: 3,
+                healthy: 1,
+                mirrors: 2,
+            },
+            TraceEvent::TxnConflict {
+                id: 4,
+                holder: 5,
+                region: 0,
+                offset: 1,
+                len: 2,
+            },
+            TraceEvent::GroupCommit {
+                txns: vec![6, 7],
+                ranges: 1,
+                bytes: 2,
+                undo_bytes: 3,
+            },
+            TraceEvent::Flush {
+                posted: 1,
+                bytes: 2,
+            },
+            TraceEvent::Crashed,
+            TraceEvent::CrossShardPrepared {
+                global: 1,
+                shard: 2,
+                txn: 3,
+            },
+            TraceEvent::CrossShardDecision {
+                global: 1,
+                home: 0,
+                shards: 2,
+            },
+            TraceEvent::CrossShardCommitted {
+                global: 1,
+                shards: 2,
+            },
+            TraceEvent::CrossShardResolved {
+                global: 1,
+                shard: 2,
+                committed: true,
+            },
+            TraceEvent::SnapshotBegin {
+                id: 1,
+                read_seq: 2,
+                open: 1,
+            },
+            TraceEvent::SnapshotEnd { id: 1, open: 0 },
+            TraceEvent::SnapshotTooOld {
+                id: 1,
+                read_seq: 2,
+                floor_seq: 3,
+            },
+            TraceEvent::VersionCaptured {
+                seq: 4,
+                txn: 5,
+                bytes: 6,
+                versions: 7,
+            },
+            TraceEvent::VersionEvicted {
+                versions: 1,
+                bytes: 2,
+                floor_seq: 3,
+                store_bytes: 4,
+                store_versions: 5,
+            },
+            TraceEvent::RedoAppend {
+                records: 1,
+                bytes: 2,
+                tail: 3,
+                live_bytes: 4,
+            },
+            TraceEvent::RedoSegmentOpened {
+                seq: 8,
+                slot: 0,
+                live: 1,
+            },
+            TraceEvent::RedoSnapshot { tail: 3, bytes: 4 },
+            TraceEvent::RedoCompacted {
+                segments: 1,
+                retired_bytes: 2,
+                live: 3,
+            },
+        ]
+    }
+
+    fn variant(event: &TraceEvent) -> usize {
+        match event {
+            TraceEvent::TxnBegin { .. } => 0,
+            TraceEvent::SetRange { .. } => 1,
+            TraceEvent::UndoGrown { .. } => 2,
+            TraceEvent::CommitBatch { .. } => 3,
+            TraceEvent::TxnCommitted { .. } => 4,
+            TraceEvent::TxnAborted { .. } => 5,
+            TraceEvent::MirrorAdded { .. } => 6,
+            TraceEvent::MirrorRemoved { .. } => 7,
+            TraceEvent::MirrorDown { .. } => 8,
+            TraceEvent::MirrorRejoined { .. } => 9,
+            TraceEvent::EpochBump { .. } => 10,
+            TraceEvent::DegradedCommit { .. } => 11,
+            TraceEvent::TxnConflict { .. } => 12,
+            TraceEvent::GroupCommit { .. } => 13,
+            TraceEvent::Flush { .. } => 14,
+            TraceEvent::Crashed => 15,
+            TraceEvent::CrossShardPrepared { .. } => 16,
+            TraceEvent::CrossShardDecision { .. } => 17,
+            TraceEvent::CrossShardCommitted { .. } => 18,
+            TraceEvent::CrossShardResolved { .. } => 19,
+            TraceEvent::SnapshotBegin { .. } => 20,
+            TraceEvent::SnapshotEnd { .. } => 21,
+            TraceEvent::SnapshotTooOld { .. } => 22,
+            TraceEvent::VersionCaptured { .. } => 23,
+            TraceEvent::VersionEvicted { .. } => 24,
+            TraceEvent::RedoAppend { .. } => 25,
+            TraceEvent::RedoSegmentOpened { .. } => 26,
+            TraceEvent::RedoSnapshot { .. } => 27,
+            TraceEvent::RedoCompacted { .. } => 28,
+        }
+    }
+
+    #[test]
+    fn every_kind_of_line_names_each_key_once() {
+        let events = one_of_each();
+        let mut listed: Vec<usize> = events.iter().map(variant).collect();
+        listed.sort_unstable();
+        assert_eq!(listed, (0..29).collect::<Vec<_>>(), "one event per variant");
+
+        let sink = JsonlSink::in_memory();
+        let mut tracer = JsonlTracer::new(sink.clone());
+        for event in &events {
+            tracer.event(event);
+        }
+        let lines = sink.lines();
+        assert_eq!(lines.len(), events.len());
+        for (i, line) in lines.iter().enumerate() {
+            let v = Json::parse(line).unwrap();
+            let mut keys: Vec<&str> = v
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            keys.sort_unstable();
+            let before = keys.len();
+            keys.dedup();
+            assert_eq!(keys.len(), before, "a key repeats in {line}");
+            assert_eq!(v.get("seq").unwrap().as_f64(), Some(i as f64), "{line}");
+        }
+        let opened = Json::parse(&lines[26]).unwrap();
+        assert_eq!(opened.get("segment_seq").unwrap().as_f64(), Some(8.0));
+        let captured = Json::parse(&lines[23]).unwrap();
+        assert_eq!(captured.get("commit_seq").unwrap().as_f64(), Some(4.0));
     }
 }
